@@ -6,6 +6,15 @@ positive ints in weakly decreasing order; the empty tuple is the empty
 partition.  Census results are collected into :class:`CensusReport` maps
 whose keys are canonical strings, so that closed-form and enumerated reports
 diff cleanly.
+
+A count depends on an invariant-factor tuple only through its *type*: the
+total degree d and the multiset of pairs (deg g, lambda_g) over the monic
+irreducibles g dividing the tuple, lambda_g being the partition of exponents
+of g in p_k, p_{k-1}, ...  The censuses therefore never factor anything: they
+walk (irreducible, partition) pairs, build each tuple by multiplying the
+irreducible powers into place, and evaluate each type's count once.
+Factoring (:func:`exponent_profile`, :func:`chains_with_product`) serves
+only the single counts that take a tuple or polynomial as input.
 """
 
 from __future__ import annotations
@@ -19,11 +28,17 @@ from typing import Iterator
 from .errors import (
     DegreeMismatchError,
     DegreeTooLargeError,
+    ExactnessError,
     NonMonicError,
     ShapeError,
 )
 from .gf import FieldCtx
-from .polyring import Poly, _multiplicity_unchecked, factorize, monic_polys
+from .polyring import (
+    Poly,
+    _multiplicity_unchecked,
+    factorize,
+    irreducibles_up_to,
+)
 from .smith import InvariantFactorTuple
 
 CENSUS_SCHEMA = "census-report/v1"
@@ -82,7 +97,8 @@ def q_binomial(k: int, d: int, q: int) -> int:
     out = 1
     for i in range(1, d + 1):
         out, r = divmod(out * (q ** (k - d + i) - 1), q ** i - 1)
-        assert r == 0, "partial Gaussian binomial must be integral"
+        if r:
+            raise ExactnessError("partial Gaussian binomial must be integral")
     return out
 
 
@@ -122,17 +138,27 @@ def exponent_profile(ifs: InvariantFactorTuple) -> dict[Poly, tuple[int, ...]]:
     return profile
 
 
-def _profile_denominator(ifs: InvariantFactorTuple, q: int) -> int:
-    out = 1
-    for f, parts in exponent_profile(ifs).items():
-        out *= centralizer_factor(parts, len(f.coeffs) - 1, q)
-    return out
+def _profile_blocks(ifs: InvariantFactorTuple
+                    ) -> list[tuple[int, tuple[int, ...]]]:
+    """The type of a tuple: (deg g, lambda_g) per irreducible divisor g."""
+    return [(len(g.coeffs) - 1, parts)
+            for g, parts in exponent_profile(ifs).items()]
 
 
 def _exact_div(a: int, b: int) -> int:
     quot, rem = divmod(a, b)
-    assert rem == 0, "count formula produced a non-integer"
+    if rem:
+        raise ExactnessError("count formula produced a non-integer")
     return quot
+
+
+def _class_size(d: int, blocks, q: int) -> int:
+    """Size of the similarity class of d x d matrices with the given type,
+    one (deg g, lambda_g) pair per irreducible g."""
+    den = 1
+    for deg, parts in blocks:
+        den *= centralizer_factor(parts, deg, q)
+    return _exact_div(gl_order(d, q), den)
 
 
 def _tail_product(n: int, lo: int, k: int, q: int) -> int:
@@ -156,8 +182,7 @@ def count_conjugacy_class(ifs: InvariantFactorTuple) -> int:
     n = len(ifs)
     if ifs.total_degree() != n:
         return 0
-    q = ifs.field.q
-    return _exact_div(gl_order(n, q), _profile_denominator(ifs, q))
+    return _class_size(n, _profile_blocks(ifs), ifs.field.q)
 
 
 def count_with_subspace(n: int, k: int, d: int,
@@ -172,9 +197,11 @@ def count_with_subspace(n: int, k: int, d: int,
     if ifs.total_degree() != d:
         raise DegreeMismatchError(
             f"invariant factors have total degree {ifs.total_degree()}, not {d}")
-    q = ifs.field.q
-    head = _exact_div(gl_order(d, q), _profile_denominator(ifs, q))
-    return head * _tail_product(n, d + 1, k, q)
+    return _subspace_count(n, k, d, _profile_blocks(ifs), ifs.field.q)
+
+
+def _subspace_count(n: int, k: int, d: int, blocks, q: int) -> int:
+    return _class_size(d, blocks, q) * _tail_product(n, d + 1, k, q)
 
 
 def count_invariant_factors(n: int, k: int, ifs: InvariantFactorTuple) -> int:
@@ -184,9 +211,11 @@ def count_invariant_factors(n: int, k: int, ifs: InvariantFactorTuple) -> int:
     d = ifs.total_degree()
     if d > k:
         return 0
-    q = ifs.field.q
-    head = _exact_div(gl_order(d, q), _profile_denominator(ifs, q))
-    return q_binomial(k, d, q) * head * _tail_product(n, d + 1, k, q)
+    return _pencil_count(n, k, d, _profile_blocks(ifs), ifs.field.q)
+
+
+def _pencil_count(n: int, k: int, d: int, blocks, q: int) -> int:
+    return q_binomial(k, d, q) * _subspace_count(n, k, d, blocks, q)
 
 
 def count_given_u(n: int, k: int, d: int, q: int) -> int:
@@ -216,13 +245,19 @@ def count_char_poly_square(f: Poly) -> int:
     """Square matrices with characteristic polynomial f (deg f = matrix size)."""
     if not f.is_monic():
         raise NonMonicError("characteristic polynomial must be monic")
-    n = len(f.coeffs) - 1
-    q = f.field.q
-    value = Fraction(q ** (n * n - n)) * _inverse_power_product(q, n)
-    for g, e in factorize(f).factors:
-        value /= _inverse_power_product(q ** (len(g.coeffs) - 1), e)
-    assert value.denominator == 1, "fiber count must be integral"
-    return int(value)
+    blocks = [(len(g.coeffs) - 1, e) for g, e in factorize(f).factors]
+    return _square_fiber(len(f.coeffs) - 1, blocks, f.field.q)
+
+
+def _square_fiber(d: int, blocks, q: int) -> int:
+    """Square d x d matrices whose characteristic polynomial has the given
+    type, one (deg g, e) pair per irreducible power g^e."""
+    value = Fraction(q ** (d * d - d)) * _inverse_power_product(q, d)
+    for deg, e in blocks:
+        value /= _inverse_power_product(q ** deg, e)
+    if value.denominator != 1:
+        raise ExactnessError("fiber count must be integral")
+    return value.numerator
 
 
 def count_char_poly_rect(f: Poly, n: int, k: int) -> int:
@@ -234,8 +269,12 @@ def count_char_poly_rect(f: Poly, n: int, k: int) -> int:
     d = len(f.coeffs) - 1
     if d > k:
         raise DegreeTooLargeError(f"deg f = {d} exceeds k = {k}")
-    q = f.field.q
-    return (q_binomial(k, d, q) * count_char_poly_square(f)
+    blocks = [(len(g.coeffs) - 1, e) for g, e in factorize(f).factors]
+    return _fiber_count(n, k, d, blocks, f.field.q)
+
+
+def _fiber_count(n: int, k: int, d: int, blocks, q: int) -> int:
+    return (q_binomial(k, d, q) * _square_fiber(d, blocks, q)
             * _tail_product(n, d + 1, k, q))
 
 
@@ -290,12 +329,59 @@ def chains_with_product(f: Poly, k: int) -> Iterator[InvariantFactorTuple]:
         yield InvariantFactorTuple(polys)
 
 
+def _types(field: FieldCtx, max_degree: int, slots: int
+           ) -> Iterator[tuple[int, list[Poly], tuple]]:
+    """Every chain p_1 | ... | p_slots of monic polynomials with total degree
+    d <= max_degree, built from its type without factoring.
+
+    Yields ``(d, [p_1, ..., p_slots], blocks)``; ``blocks`` holds one
+    ``(deg g, lambda_g)`` pair per irreducible divisor g, in canonical order
+    of g, and lambda_g (at most ``slots`` parts) gives the exponents of g in
+    p_slots, p_slots-1, ...  With one slot every monic polynomial of degree
+    <= max_degree comes out once.
+    """
+    irreducibles = irreducibles_up_to(field, max_degree)
+
+    def walk(start, d, polys, blocks):
+        yield d, polys, blocks
+        for i in range(start, len(irreducibles)):
+            g = irreducibles[i]
+            deg = len(g.coeffs) - 1
+            if d + deg > max_degree:
+                break  # irreducibles come in ascending degree
+            for e in range(1, (max_degree - d) // deg + 1):
+                for lam in partitions(e, max_parts=slots):
+                    chain = list(polys)
+                    for j, part in enumerate(lam, start=1):
+                        chain[-j] = chain[-j] * g ** part
+                    yield from walk(i + 1, d + deg * e, chain,
+                                    blocks + ((deg, lam),))
+
+    yield from walk(0, 0, [Poly.one(field)] * slots, ())
+
+
+def _census_entries(field: FieldCtx, max_degree: int, slots: int,
+                    count) -> dict[str, int]:
+    """Nonzero ``count(d, blocks)`` per chain key, evaluated once per type."""
+    by_type: dict[tuple, int] = {}
+    entries = {}
+    for d, polys, blocks in _types(field, max_degree, slots):
+        type_key = (d, tuple(sorted(blocks)))
+        v = by_type.get(type_key)
+        if v is None:
+            v = by_type[type_key] = count(d, blocks)
+        if v:
+            # str(InvariantFactorTuple(polys)), minus its divisibility check:
+            # the chain divides by construction.
+            entries["|".join(str(p) for p in polys)] = v
+    return entries
+
+
 def invariant_factor_tuples(field: FieldCtx, k: int
                             ) -> Iterator[InvariantFactorTuple]:
     """All valid k-tuples of invariant factors with total degree <= k."""
-    for d in range(k + 1):
-        for f in monic_polys(field, d):
-            yield from chains_with_product(f, k)
+    for _, polys, _ in _types(field, k, k):
+        yield InvariantFactorTuple(polys)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +431,8 @@ def pencil_census(f: FieldCtx, n: int, k: int) -> CensusReport:
     """Closed-form census of n x k matrices by invariant-factor tuple."""
     if not 1 <= k <= n:
         raise ShapeError(f"need 1 <= k <= n, got {n},{k}")
-    entries = {}
-    for ifs in invariant_factor_tuples(f, k):
-        v = count_invariant_factors(n, k, ifs)
-        if v:
-            entries[str(ifs)] = v
+    entries = _census_entries(
+        f, k, k, lambda d, blocks: _pencil_count(n, k, d, blocks, f.q))
     return CensusReport(make_params("pencil", f, n, k), entries)
 
 
@@ -363,12 +446,12 @@ def fiber_census(f: FieldCtx, n: int, k: int) -> CensusReport:
     """Closed-form census of n x k matrices by invariant-factor product."""
     if not 1 <= k <= n:
         raise ShapeError(f"need 1 <= k <= n, got {n},{k}")
-    entries = {}
-    for d in range(k + 1):
-        for poly in monic_polys(f, d):
-            v = count_char_poly_rect(poly, n, k)
-            if v:
-                entries[str(poly)] = v
+
+    def count(d, blocks):
+        powers = [(deg, lam[0]) for deg, lam in blocks]
+        return _fiber_count(n, k, d, powers, f.q)
+
+    entries = _census_entries(f, k, 1, count)
     return CensusReport(make_params("fiber", f, n, k), entries)
 
 
@@ -377,12 +460,9 @@ def subspace_census(f: FieldCtx, n: int, k: int, d: int) -> CensusReport:
     subspace is a fixed d-dimensional one (the same for every such subspace)."""
     if not 0 <= d <= k <= n:
         raise ShapeError(f"need 0 <= d <= k <= n, got {n},{k},{d}")
-    entries = {}
-    for poly in monic_polys(f, d):
-        for ifs in chains_with_product(poly, k):
-            v = count_with_subspace(n, k, d, ifs)
-            if v:
-                entries[str(ifs)] = v
+    entries = _census_entries(
+        f, d, k, lambda e, blocks:
+        _subspace_count(n, k, d, blocks, f.q) if e == d else 0)
     return CensusReport(make_params("subspace", f, n, k, d=d), entries)
 
 

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification or selftest failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -62,10 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=oracle.MODES, default="pencil")
             p.add_argument("--subspace", metavar="JSON",
                            help="echelon basis rows for subspace mode, e.g. [[1,0]]")
-            p.add_argument("--workers", type=int,
-                           default=_env_int(ENV_WORKERS, 1))
-            p.add_argument("--budget", type=int,
-                           default=_env_int(ENV_BUDGET, oracle.DEFAULT_BUDGET))
+            # Defaults come from the environment at each call, not here:
+            # the parser is built once per process.
+            p.add_argument("--workers", type=int)
+            p.add_argument("--budget", type=int)
 
     p_count = sub.add_parser("count", help="evaluate one closed-form count")
     p_count.add_argument("--formula", choices=FORMULAS, required=True)
@@ -106,6 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
                                              "suites")
     p_self.add_argument("--seed", type=int, default=2024)
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and then reused."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +201,15 @@ def _config_from_args(args, parser) -> oracle.EnumConfig:
             parser.error("--subspace must be a JSON array of rows")
     if args.mode == "subspace" and subspace is None:
         parser.error("--mode subspace requires --subspace")
+    workers = _env_int(ENV_WORKERS, 1) if args.workers is None else args.workers
+    budget = (_env_int(ENV_BUDGET, oracle.DEFAULT_BUDGET)
+              if args.budget is None else args.budget)
+    if workers < 1:
+        parser.error(f"--workers must be at least 1, got {workers}")
+    if budget < 0:
+        parser.error(f"--budget must be nonnegative, got {budget}")
     return oracle.EnumConfig(p=f.p, m=f.m, n=args.n, k=args.k, mode=args.mode,
-                             subspace=subspace, workers=args.workers,
-                             budget=args.budget)
+                             subspace=subspace, workers=workers, budget=budget)
 
 
 def _print_census(report: census.CensusReport, fmt: str) -> None:
@@ -414,7 +427,7 @@ def cmd_selftest(args, _parser) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     handlers = {
         "count": cmd_count,

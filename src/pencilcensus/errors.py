@@ -59,3 +59,9 @@ class BadSubspaceError(PencilCensusError, ValueError):
 
 class ParamMismatchError(PencilCensusError, ValueError):
     """Two reports being compared were produced with different parameters."""
+
+
+class ExactnessError(PencilCensusError, ArithmeticError):
+    """An exactness check failed: a count, quotient or total that must be
+    exact came out otherwise.  Raised instead of ``assert`` so the check
+    survives ``python -O``."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -22,6 +23,7 @@ from .census import CensusReport, make_params
 from .errors import (
     BadSubspaceError,
     BudgetExceededError,
+    ExactnessError,
     ParamMismatchError,
     ShapeError,
 )
@@ -91,6 +93,11 @@ def _merge(parts) -> dict[str, int]:
     return out
 
 
+def _pool_size(workers: int, chunks: int) -> int:
+    """Worker processes worth starting: never more than the CPUs or chunks."""
+    return max(1, min(workers, os.cpu_count() or 1, chunks))
+
+
 def _execute(cfg: EnumConfig, total: int, work: int,
              fn: Callable[[tuple], dict[str, int]]) -> dict[str, int]:
     if work > cfg.budget:
@@ -98,14 +105,21 @@ def _execute(cfg: EnumConfig, total: int, work: int,
             f"enumeration needs {work} evaluations, budget is {cfg.budget}")
     ranges = _chunks(total, cfg.workers, cfg.chunk)
     args = [(cfg, lo, hi) for lo, hi in ranges]
-    if cfg.workers <= 1:
+    size = _pool_size(cfg.workers, len(args))
+    if size == 1:
         parts = [fn(a) for a in args]
     else:
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=cfg.workers,
-                                 mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=size, mp_context=ctx) as pool:
             parts = list(pool.map(fn, args))
     return _merge(parts)
+
+
+def _check_total(tally: dict[str, int], total: int) -> dict[str, int]:
+    if sum(tally.values()) != total:
+        raise ExactnessError(
+            f"enumeration tallied {sum(tally.values())} of {total} matrices")
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +207,7 @@ def _nilext_chunk(args: tuple) -> dict[str, int]:
         wimmer = all(c == 0 for c in product.coeffs[:-1])
         found = _has_nilpotent_completion(f, b, ext_cols, squarings)
         if found != wimmer:
-            raise AssertionError(
+            raise ExactnessError(
                 f"divisibility criterion disagrees with completion search at {b!r}")
         count += found
         _advance(digits, q)
@@ -230,8 +244,7 @@ def enumerate_pencils(cfg: EnumConfig) -> CensusReport:
     """Tally every n x k matrix by the invariant factors of its pencil."""
     _require_pencil_shape(cfg)
     total = cfg.q ** (cfg.n * cfg.k)
-    tally = _execute(cfg, total, total, _pencil_chunk)
-    assert sum(tally.values()) == total
+    tally = _check_total(_execute(cfg, total, total, _pencil_chunk), total)
     return CensusReport(make_params("pencil", cfg.field(), cfg.n, cfg.k),
                         tally, source="enumerated")
 
@@ -244,8 +257,7 @@ def enumerate_fibers(cfg: EnumConfig) -> CensusReport:
     """
     _require_pencil_shape(cfg)
     total = cfg.q ** (cfg.n * cfg.k)
-    tally = _execute(cfg, total, total, _fiber_chunk)
-    assert sum(tally.values()) == total
+    tally = _check_total(_execute(cfg, total, total, _fiber_chunk), total)
     return CensusReport(make_params("fiber", cfg.field(), cfg.n, cfg.k),
                         tally, source="enumerated")
 
@@ -255,8 +267,7 @@ def enumerate_pairs(cfg: EnumConfig) -> CensusReport:
     if not 1 <= cfg.k < cfg.n:
         raise ShapeError(f"need 1 <= k < n, got n={cfg.n}, k={cfg.k}")
     total = cfg.q ** (cfg.k * cfg.n)
-    tally = _execute(cfg, total, total, _pair_chunk)
-    assert sum(tally.values()) == total
+    tally = _check_total(_execute(cfg, total, total, _pair_chunk), total)
     return CensusReport(make_params("pair", cfg.field(), cfg.n, cfg.k),
                         tally, source="enumerated")
 
@@ -282,8 +293,8 @@ def enumerate_nilpotent_extendable(cfg: EnumConfig) -> int:
     """Count matrices with at least one nilpotent square completion.
 
     Every matrix is also classified by the divisibility criterion (invariant
-    factor product divides x^n); the two classifications are asserted to
-    agree matrix by matrix.
+    factor product divides x^n); the two classifications must agree matrix by
+    matrix, or :class:`ExactnessError` is raised.
     """
     _require_pencil_shape(cfg)
     total = cfg.q ** (cfg.n * cfg.k)

@@ -2,9 +2,9 @@
 
 Coefficients are stored in ascending degree order with no trailing zeros, so
 the zero polynomial is the empty tuple and ``degree`` of zero is the
-``NEG_INF`` sentinel.  Factorization is by trial division against a sieve of
-monic irreducibles, which is exact, deterministic and entirely sufficient at
-the degrees this package ever sees.
+``NEG_INF`` sentinel.  Factorization is by trial division against a
+multiplicative sieve of monic irreducibles, which is exact, deterministic and
+entirely sufficient at the degrees this package ever sees.
 
 Canonical order for factor lists and the irreducible sieve: degree ascending,
 then coefficient sequence lexicographic from the constant term up.
@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 from .errors import (
     BothZeroError,
     DivisionByZeroError,
+    ExactnessError,
     NotIrreducibleError,
     ZeroArgumentError,
 )
@@ -126,12 +127,6 @@ class Poly:
         mul = self.field.mul
         return Poly(self.field, [mul(c, v) for v in self.coeffs])
 
-    def shift(self, e: int) -> "Poly":
-        """Multiply by x^e."""
-        if not self.coeffs:
-            return self
-        return Poly(self.field, (0,) * e + self.coeffs)
-
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power")
@@ -179,13 +174,6 @@ class Poly:
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
 
-    def evaluate(self, v: int) -> int:
-        field = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = field.add(field.mul(acc, v), c)
-        return acc
-
     # -- identity -------------------------------------------------------------
 
     def sort_key(self) -> tuple:
@@ -208,11 +196,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({poly_text(self)!r}, GF({self.field.q}))"
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with deg r < deg b; exact."""
-    return divmod(a, b)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -243,19 +226,23 @@ def monic_polys(field: FieldCtx, degree: int) -> Iterator[Poly]:
 def irreducibles_up_to(field: FieldCtx, d: int) -> tuple[Poly, ...]:
     """All monic irreducibles of degree <= d, in canonical order.
 
-    Built by sieving the monic polynomials of each degree against the
-    irreducibles already found.  Cached per (field, bound).
+    Multiplicative sieve: a monic of degree d is reducible exactly when it is
+    an irreducible of degree a <= d/2 times a monic of degree d - a, so every
+    such product is marked and the unmarked monics of degree d, taken in
+    :func:`monic_polys` order, are appended to the list for d - 1.  Cached
+    per (field, bound).
     """
     if d < 1:
         return ()
-    out: list[Poly] = []
-    for degree in range(1, d + 1):
-        for cand in monic_polys(field, degree):
-            limit = degree // 2
-            if all((cand % f).coeffs
-                   for f in out if len(f.coeffs) - 1 <= limit):
-                out.append(cand)
-    return tuple(out)
+    lower = irreducibles_up_to(field, d - 1)
+    reducible = set()
+    for g in lower:
+        a = len(g.coeffs) - 1
+        if 2 * a > d:
+            break
+        reducible.update((g * h).coeffs for h in monic_polys(field, d - a))
+    return lower + tuple(cand for cand in monic_polys(field, d)
+                         if cand.coeffs not in reducible)
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -323,7 +310,8 @@ def factorize(g: Poly) -> Factorization:
                 factors.append((f, e))
             if h.is_one():
                 break
-    assert h.is_one(), "trial division left a nontrivial cofactor"
+    if not h.is_one():
+        raise ExactnessError("trial division left a nontrivial cofactor")
     return Factorization(unit, tuple(factors))
 
 

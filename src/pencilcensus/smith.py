@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .errors import OutOfRangeError, ShapeError
+from .errors import ExactnessError, OutOfRangeError, ShapeError
 from .gf import (
     FieldCtx,
     ScalarMatrix,
@@ -308,7 +308,8 @@ def pencil_invariant_factors(field: FieldCtx,
     if n < k or k < 1:
         raise ShapeError(f"pencil needs n >= k >= 1, got {n}x{k}")
     result = snf(pencil_matrix(field, b))
-    assert result.rank == k, "a pencil always has full column rank"
+    if result.rank != k:
+        raise ExactnessError("a pencil always has full column rank")
     return InvariantFactorTuple(result.diagonal)
 
 

@@ -37,6 +37,8 @@ from pencilcensus.smith import InvariantFactorTuple, det_divisor, pencil_matrix,
 
 PENCIL_GRID = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 3),
                (3, 2, 2), (3, 3, 2), (4, 3, 2), (5, 2, 2)]
+# Characteristic-2 and odd-characteristic extension fields.
+EXTENSION_GRID = [(8, 2, 2), (9, 2, 1), (9, 2, 2)]
 
 
 def field(q):
@@ -68,6 +70,21 @@ def test_criterion_1_pencil_census_equivalence():
             diff = verify(expected, observed)
             assert diff.verdict, f"(q={q},n={n},k={k}): {diff.summary()}"
             assert observed.total() == q ** (n * k)
+
+
+def test_criterion_1_extension_fields():
+    with criterion(1, "pencil and fiber censuses match over GF(8) and GF(9)"):
+        modes = ((enumerate_pencils, pencil_census),
+                 (enumerate_fibers, fiber_census))
+        for q, n, k in EXTENSION_GRID:
+            for enumerate_mode, closed_form in modes:
+                observed = enumerate_mode(config(q, n, k))
+                expected = closed_form(field(q), n, k)
+                diff = verify(expected, observed)
+                assert diff.verdict, \
+                    f"{closed_form.__name__} (q={q},n={n},k={k}): " \
+                    f"{diff.summary()}"
+                assert observed.total() == q ** (n * k)
 
 
 def test_criterion_2_conjugacy_class_sizes():

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import json
 import random
 
 import pytest
 
+from pencilcensus import census as census_mod
 from pencilcensus.census import (
     CensusReport,
     centralizer_factor,
@@ -34,8 +36,8 @@ from pencilcensus.errors import (
     NonMonicError,
     ShapeError,
 )
-from pencilcensus.gf import field_new
-from pencilcensus.polyring import Poly, monic_polys, parse_poly
+from pencilcensus.gf import field_new, parse_field_spec
+from pencilcensus.polyring import Poly, factorize, monic_polys, parse_poly
 from pencilcensus.smith import InvariantFactorTuple
 
 F2 = field_new(2)
@@ -372,6 +374,43 @@ def test_report_schema_validation():
     for report in (pencil_census(F2, 3, 2), fiber_census(F3, 2, 2),
                    subspace_census(F2, 3, 2, 1)):
         jsonschema.validate(json.loads(report.to_json()), schema)
+
+
+@pytest.mark.parametrize("q,k", [(2, 4), (3, 4), (4, 4), (5, 4),
+                                 (7, 3), (8, 3), (9, 3)])
+def test_type_built_censuses_match_per_tuple_reference(q, k, monkeypatch):
+    # The reference factors each polynomial several times over (chains,
+    # exponent profile, fiber); memoising the pure factorize only drops the
+    # repeats.
+    monkeypatch.setattr(census_mod, "factorize",
+                        functools.lru_cache(maxsize=None)(factorize))
+    f = parse_field_spec(str(q))
+    shapes = ((k, k), (k + 1, k))  # square pencils drop every d < k key
+    pencil = {n: {} for n, _ in shapes}
+    fiber = {n: {} for n, _ in shapes}
+    subspace = {(n, d): {} for n, _ in shapes for d in range(k + 1)}
+    for d in range(k + 1):
+        for poly in monic_polys(f, d):
+            for n, _ in shapes:
+                fiber[n][str(poly)] = count_char_poly_rect(poly, n, k)
+            for t in chains_with_product(poly, k):
+                for n, _ in shapes:
+                    pencil[n][str(t)] = count_invariant_factors(n, k, t)
+                    subspace[n, d][str(t)] = count_with_subspace(n, k, d, t)
+
+    def nonzero(entries):
+        return {key: v for key, v in entries.items() if v}
+
+    def no_factoring(g):
+        raise AssertionError(f"census factored {g}")
+
+    monkeypatch.setattr(census_mod, "factorize", no_factoring)
+    for n, _ in shapes:
+        assert pencil_census(f, n, k).entries == nonzero(pencil[n])
+        assert fiber_census(f, n, k).entries == nonzero(fiber[n])
+        for d in range(k + 1):
+            assert subspace_census(f, n, k, d).entries == \
+                nonzero(subspace[n, d])
 
 
 def test_closed_census_totals():

@@ -130,6 +130,20 @@ def test_enumerate_budget_flag(capsys):
     assert exc.value.code == 2
 
 
+def test_workers_and_budget_are_validated(capsys, monkeypatch):
+    base = ["enumerate", "--q", "2", "--n", "2", "--k", "1"]
+    for extra in (["--workers", "0"], ["--workers", "-3"], ["--budget", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2, extra
+    monkeypatch.setenv("PENCILCENSUS_WORKERS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(base)
+    assert exc.value.code == 2
+    code, out = run_cli(capsys, *base, "--workers", "1")
+    assert code == 0 and out.endswith("total  4\n")
+
+
 def test_env_overrides_budget(capsys, monkeypatch):
     monkeypatch.setenv("PENCILCENSUS_BUDGET", "10")
     with pytest.raises(SystemExit) as exc:

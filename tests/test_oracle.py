@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from pencilcensus.census import (
@@ -17,6 +21,7 @@ from pencilcensus.errors import (
 from pencilcensus.gf import echelon_subspaces, field_new
 from pencilcensus.oracle import (
     EnumConfig,
+    _pool_size,
     enumerate_fibers,
     enumerate_nilpotent_extendable,
     enumerate_pairs,
@@ -191,6 +196,36 @@ def test_worker_count_does_not_change_the_report():
     serial = enumerate_pencils(cfg(workers=1))
     parallel = enumerate_pencils(cfg(workers=4))
     assert serial.to_json() == parallel.to_json()
+
+
+def test_pool_size_is_clamped_to_cpus_and_chunks():
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10 ** 6, 10 ** 6) == cpus
+    assert _pool_size(10 ** 6, 3) == min(3, cpus)
+    assert _pool_size(4, 1) == 1
+    assert _pool_size(1, 50) == 1
+
+
+def test_total_check_raises_under_optimize():
+    # An enumeration that loses a matrix must fail even where asserts are off.
+    code = (
+        "import sys\n"
+        "from pencilcensus import oracle\n"
+        "from pencilcensus.errors import ExactnessError\n"
+        "assert False, 'asserts are on'\n"
+        "oracle._execute = lambda cfg, total, work, fn: {'1|x': total - 1}\n"
+        "try:\n"
+        "    oracle.enumerate_pencils(oracle.EnumConfig(p=2, m=1, n=2, k=2))\n"
+        "except ExactnessError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_chunk_size_does_not_change_the_report():

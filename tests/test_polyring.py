@@ -9,7 +9,7 @@ from pencilcensus.errors import (
     NotIrreducibleError,
     ZeroArgumentError,
 )
-from pencilcensus.gf import field_new
+from pencilcensus.gf import field_new, parse_field_spec
 from pencilcensus.polyring import (
     NEG_INF,
     Poly,
@@ -183,6 +183,20 @@ def test_irreducible_counts_match_necklace_formula(q):
         expected = sum(mobius(e) * q ** (d // e)
                        for e in range(1, d + 1) if d % e == 0) // d
         assert sum(1 for p in sieve if p.degree == d) == expected
+
+
+@pytest.mark.parametrize("q,top", [(2, 6), (3, 5), (4, 4), (5, 4), (7, 3),
+                                   (8, 3), (9, 3)])
+def test_sieve_equals_trial_division(q, top):
+    # Reference: a monic is irreducible when no irreducible of at most half
+    # its degree divides it; candidates in monic_polys order, degree by degree.
+    f = parse_field_spec(str(q))
+    trial = []
+    for d in range(1, top + 1):
+        trial += [cand for cand in monic_polys(f, d)
+                  if all((cand % g).coeffs for g in trial
+                         if 2 * g.degree <= d)]
+    assert list(irreducibles_up_to(f, top)) == trial
 
 
 def test_monic_polys_canonical_order():
