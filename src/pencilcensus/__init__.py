@@ -27,16 +27,7 @@ from .census import (
     q_binomial,
 )
 from .gf import FieldCtx, ScalarMatrix, field_new, parse_field_spec
-from .oracle import (
-    DiffReport,
-    EnumConfig,
-    enumerate_fibers,
-    enumerate_nilpotent_extendable,
-    enumerate_pairs,
-    enumerate_pencils,
-    enumerate_subspace_census,
-    verify,
-)
+from .oracle import DiffReport, EnumConfig, verify
 from .polyring import Poly, factorize, irreducibles_up_to, parse_poly, poly_gcd
 from .smith import (
     InvariantFactorTuple,

@@ -388,6 +388,11 @@ def invariant_factor_tuples(field: FieldCtx, k: int
 # Census reports
 # ---------------------------------------------------------------------------
 
+def compact_json(data: dict) -> str:
+    """Key-sorted JSON with no spaces: equal data gives identical bytes."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass
 class CensusReport:
     """Exact tally keyed by a canonical classifying string."""
@@ -408,8 +413,7 @@ class CensusReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return compact_json(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "CensusReport":

@@ -41,10 +41,6 @@ def _env_int(name: str, fallback: int) -> int:
     return int(raw) if raw else fallback
 
 
-def _dump(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pencilcensus",
@@ -52,11 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "invariant factors of linear pencils.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, modes=False):
+    def add_common(p, modes=False, formats=("json", "table")):
         p.add_argument("--q", required=True, metavar="FIELD",
                        help="field spec: a prime, a prime power, or p^m")
-        p.add_argument("--format", choices=("json", "csv", "table"),
-                       default="table")
+        p.add_argument("--format", choices=formats, default="table")
         if modes:
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--k", type=int, required=True)
@@ -81,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_count)
 
     p_enum = sub.add_parser("enumerate", help="brute-force census")
-    add_common(p_enum, modes=True)
+    add_common(p_enum, modes=True, formats=("json", "csv", "table"))
 
     p_verify = sub.add_parser(
         "verify", help="diff the closed-form census against the enumeration")
@@ -177,10 +172,8 @@ def cmd_count(args, parser) -> int:
         value = census.count_nilpotent_extendable(args.k, args.n, f.q)
         params.update(n=args.n, k=args.k)
     if args.format == "json":
-        print(_dump({"schema": COUNT_SCHEMA, "parameters": params,
-                     "value": str(value)}))
-    elif args.format == "csv":
-        parser.error("csv output is only available for censuses")
+        print(census.compact_json({"schema": COUNT_SCHEMA, "parameters": params,
+                                   "value": str(value)}))
     else:
         print(value)
     return 0
@@ -199,8 +192,11 @@ def _config_from_args(args, parser) -> oracle.EnumConfig:
             subspace = tuple(tuple(int(v) for v in row) for row in rows)
         except (ValueError, TypeError):
             parser.error("--subspace must be a JSON array of rows")
-    if args.mode == "subspace" and subspace is None:
-        parser.error("--mode subspace requires --subspace")
+    takes_basis = oracle.MODE_TABLE[args.mode].subspace
+    if takes_basis and subspace is None:
+        parser.error(f"--mode {args.mode} requires --subspace")
+    if subspace is not None and not takes_basis:
+        parser.error(f"--subspace does not apply to --mode {args.mode}")
     workers = _env_int(ENV_WORKERS, 1) if args.workers is None else args.workers
     budget = (_env_int(ENV_BUDGET, oracle.DEFAULT_BUDGET)
               if args.budget is None else args.budget)
@@ -233,24 +229,9 @@ def cmd_enumerate(args, parser) -> int:
     return 0
 
 
-def _closed_report(cfg: oracle.EnumConfig) -> census.CensusReport:
-    f = cfg.field()
-    if cfg.mode == "pencil":
-        return census.pencil_census(f, cfg.n, cfg.k)
-    if cfg.mode == "pair":
-        return census.pair_census(f, cfg.k, cfg.n)
-    if cfg.mode == "fiber":
-        return census.fiber_census(f, cfg.n, cfg.k)
-    if cfg.mode == "subspace":
-        return census.subspace_census(f, cfg.n, cfg.k, len(cfg.subspace))
-    return census.nilext_census(f, cfg.n, cfg.k)
-
-
 def cmd_verify(args, parser) -> int:
-    if args.format == "csv":
-        parser.error("csv output is only available for censuses")
     cfg = _config_from_args(args, parser)
-    expected = _closed_report(cfg)
+    expected = oracle.closed_form(cfg)
     observed = oracle.run(cfg)
     diff = oracle.verify(expected, observed)
     if args.format == "json":
@@ -267,8 +248,6 @@ def cmd_verify(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_snf(args, parser) -> int:
-    if args.format == "csv":
-        parser.error("csv output is only available for censuses")
     f = parse_field_spec(args.q)
     try:
         grid = json.loads(args.matrix)
@@ -291,18 +270,17 @@ def cmd_snf(args, parser) -> int:
         polys = [parse_poly(str(v), f) for row in grid for v in row]
         diag = list(snf(PolyMatrix(nrows, ncols, polys)).diagonal)
     if args.format == "json":
-        print(_dump({"schema": "snf-result/v1",
-                     "parameters": {"q": f.q, "n": nrows, "k": ncols,
-                                    "pencil": bool(args.pencil)},
-                     "diagonal": [str(p) for p in diag]}))
+        print(census.compact_json({
+            "schema": "snf-result/v1",
+            "parameters": {"q": f.q, "n": nrows, "k": ncols,
+                           "pencil": bool(args.pencil)},
+            "diagonal": [str(p) for p in diag]}))
     else:
         print(" | ".join(str(p) for p in diag))
     return 0
 
 
 def cmd_factor(args, parser) -> int:
-    if args.format == "csv":
-        parser.error("csv output is only available for censuses")
     f = parse_field_spec(args.q)
     try:
         poly = parse_poly(args.poly, f)
@@ -312,10 +290,11 @@ def cmd_factor(args, parser) -> int:
         parser.error("cannot factor the zero polynomial")
     result = factorize(poly)
     if args.format == "json":
-        print(_dump({"schema": "factorization/v1",
-                     "parameters": {"q": f.q, "poly": str(poly)},
-                     "unit": str(result.unit),
-                     "factors": [[str(g), e] for g, e in result.factors]}))
+        print(census.compact_json({
+            "schema": "factorization/v1",
+            "parameters": {"q": f.q, "poly": str(poly)},
+            "unit": str(result.unit),
+            "factors": [[str(g), e] for g, e in result.factors]}))
     else:
         pieces = [f"({g})" + (f"^{e}" if e > 1 else "")
                   for g, e in result.factors]

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     BadSubspaceError,
     DivisionByZeroError,
+    ExactnessError,
     FieldTooLargeError,
     NotPrimeError,
     ShapeError,
@@ -77,7 +78,7 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
         cand = tuple(reversed(desc)) + (1,)
         if all(_raw_rem(cand, div, p) for div in divisors):
             return cand
-    raise AssertionError("no irreducible of degree %d over F_%d" % (m, p))
+    raise ExactnessError(f"no irreducible of degree {m} over F_{p}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ class FieldCtx:
             if seen == q - 1:
                 break
         else:  # pragma: no cover - multiplicative group is always cyclic
-            raise AssertionError("no generator found")
+            raise ExactnessError(f"no generator of GF({q})* found")
         exp = [0] * (2 * (q - 1))
         log = [0] * q
         acc = 1

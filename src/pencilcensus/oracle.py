@@ -1,17 +1,17 @@
 """Exhaustive enumeration oracles and the census comparison engine.
 
-Each oracle walks the full matrix space in base-q index order (row-major
-digit order, least significant digit first), tallies the classifying key of
-every matrix, and produces a :class:`CensusReport` that can be diffed
-exactly against the closed-form census.  The index space is split into
-contiguous chunks; with more than one worker the chunks run in separate
-processes, and since the merge is plain per-key addition, the report is
-identical for every worker count.
+Each census mode is one entry of the mode table.  :func:`run` walks the full
+matrix space in base-q index order (row-major digit order, least significant
+digit first), tallies the classifying key of every matrix, and produces a
+:class:`CensusReport` that can be diffed exactly against the closed-form
+census from :func:`closed_form`.  The index space is split into contiguous
+chunks; with more than one worker the chunks run in separate processes, and
+since the merge is plain per-key addition, the report is identical for every
+worker count.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
@@ -19,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .census import CensusReport, make_params
+from . import census
+from .census import CensusReport, compact_json, make_params
 from .errors import (
     BadSubspaceError,
     BudgetExceededError,
@@ -37,9 +38,6 @@ from .smith import (
 
 DEFAULT_BUDGET = 1 << 24
 
-MODES = ("pencil", "pair", "fiber", "subspace", "nilext")
-
-
 @dataclass(frozen=True)
 class EnumConfig:
     """Parameters of one enumeration run; immutable and picklable."""
@@ -51,7 +49,6 @@ class EnumConfig:
     mode: str = "pencil"
     subspace: tuple[tuple[int, ...], ...] | None = None
     workers: int = 1
-    chunk: int | None = None
     budget: int = DEFAULT_BUDGET
 
     @property
@@ -79,9 +76,8 @@ def _advance(digits: list[int], base: int) -> None:
         digits[i] = 0
 
 
-def _chunks(total: int, workers: int, chunk: int | None) -> list[tuple[int, int]]:
-    size = chunk if chunk else math.ceil(total / max(workers, 1))
-    size = max(size, 1)
+def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
+    size = max(math.ceil(total / max(workers, 1)), 1)
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
@@ -103,8 +99,7 @@ def _execute(cfg: EnumConfig, total: int, work: int,
     if work > cfg.budget:
         raise BudgetExceededError(
             f"enumeration needs {work} evaluations, budget is {cfg.budget}")
-    ranges = _chunks(total, cfg.workers, cfg.chunk)
-    args = [(cfg, lo, hi) for lo, hi in ranges]
+    args = [(cfg, lo, hi) for lo, hi in _chunks(total, cfg.workers)]
     size = _pool_size(cfg.workers, len(args))
     if size == 1:
         parts = [fn(a) for a in args]
@@ -123,95 +118,53 @@ def _check_total(tally: dict[str, int], total: int) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Per-chunk tally functions (top level so they pickle across workers)
+# Per-matrix keys: the n*k entries of one matrix, row-major, to the census key
+# it is tallied under, or None when it is not tallied.
 # ---------------------------------------------------------------------------
 
-def _pencil_chunk(args: tuple) -> dict[str, int]:
-    cfg, lo, hi = args
-    f = cfg.field()
-    q, n, k = cfg.q, cfg.n, cfg.k
-    tally: dict[str, int] = {}
-    digits = _digits_of(lo, q, n * k)
-    for _ in range(lo, hi):
-        key = str(pencil_invariant_factors(f, ScalarMatrix(n, k, tuple(digits))))
-        tally[key] = tally.get(key, 0) + 1
-        _advance(digits, q)
-    return tally
+def _pencil_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
+    return str(pencil_invariant_factors(f, ScalarMatrix(cfg.n, cfg.k, entries)))
 
 
-def _fiber_chunk(args: tuple) -> dict[str, int]:
-    cfg, lo, hi = args
-    f = cfg.field()
-    q, n, k = cfg.q, cfg.n, cfg.k
-    square = n == k
-    tally: dict[str, int] = {}
-    digits = _digits_of(lo, q, n * k)
-    for _ in range(lo, hi):
-        b = ScalarMatrix(n, k, tuple(digits))
-        if square:
-            key = str(char_poly(f, b))
-        else:
-            key = str(pencil_invariant_factors(f, b).product())
-        tally[key] = tally.get(key, 0) + 1
-        _advance(digits, q)
-    return tally
+def _fiber_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
+    """The product of the invariant factors: the characteristic polynomial,
+    computed directly, when the matrix is square."""
+    b = ScalarMatrix(cfg.n, cfg.k, entries)
+    if cfg.n == cfg.k:
+        return str(char_poly(f, b))
+    return str(pencil_invariant_factors(f, b).product())
 
 
-def _pair_chunk(args: tuple) -> dict[str, int]:
-    cfg, lo, hi = args
-    f = cfg.field()
-    q, n, k = cfg.q, cfg.n, cfg.k
-    asize = k * k
-    bsize = k * (n - k)
-    tally: dict[str, int] = {}
-    digits = _digits_of(lo, q, asize + bsize)
-    for _ in range(lo, hi):
-        a = ScalarMatrix(k, k, tuple(digits[:asize]))
-        b = ScalarMatrix(k, n - k, tuple(digits[asize:]))
-        key = str(reachability_rank(f, a, b))
-        tally[key] = tally.get(key, 0) + 1
-        _advance(digits, q)
-    return tally
+def _pair_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
+    """Reachability rank of (A, B): the first k*k entries are A (k x k), the
+    rest B (k x (n-k))."""
+    k, split = cfg.k, cfg.k * cfg.k
+    return str(reachability_rank(f, ScalarMatrix(k, k, entries[:split]),
+                                 ScalarMatrix(k, cfg.n - k, entries[split:])))
 
 
-def _subspace_chunk(args: tuple) -> dict[str, int]:
-    cfg, lo, hi = args
-    f = cfg.field()
-    q, n, k = cfg.q, cfg.n, cfg.k
-    target = cfg.subspace
-    tally: dict[str, int] = {}
-    digits = _digits_of(lo, q, n * k)
-    for _ in range(lo, hi):
-        b = ScalarMatrix(n, k, tuple(digits))
-        a_block = ScalarMatrix(k, k, b.entries[: k * k])
-        c_block = ScalarMatrix(n - k, k, b.entries[k * k:])
-        _, basis = max_invariant_subspace(f, a_block, c_block)
-        if basis == target:
-            key = str(pencil_invariant_factors(f, b))
-            tally[key] = tally.get(key, 0) + 1
-        _advance(digits, q)
-    return tally
+def _subspace_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str | None:
+    """Invariant factors of the maps whose maximal invariant subspace is the
+    configured one; the top k x k block is A, the rest C."""
+    n, k = cfg.n, cfg.k
+    _, basis = max_invariant_subspace(f, ScalarMatrix(k, k, entries[: k * k]),
+                                      ScalarMatrix(n - k, k, entries[k * k:]))
+    return _pencil_key(f, cfg, entries) if basis == cfg.subspace else None
 
 
-def _nilext_chunk(args: tuple) -> dict[str, int]:
-    cfg, lo, hi = args
-    f = cfg.field()
-    q, n, k = cfg.q, cfg.n, cfg.k
-    squarings = max(n - 1, 0).bit_length()
-    ext_cols = n - k
-    count = 0
-    digits = _digits_of(lo, q, n * k)
-    for _ in range(lo, hi):
-        b = ScalarMatrix(n, k, tuple(digits))
-        product = pencil_invariant_factors(f, b).product()
-        wimmer = all(c == 0 for c in product.coeffs[:-1])
-        found = _has_nilpotent_completion(f, b, ext_cols, squarings)
-        if found != wimmer:
-            raise ExactnessError(
-                f"divisibility criterion disagrees with completion search at {b!r}")
-        count += found
-        _advance(digits, q)
-    return {"extendable": count}
+def _nilext_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str | None:
+    """"extendable" when a nilpotent square completion exists.  The search is
+    checked against the divisibility criterion (the invariant factor product
+    divides x^n) matrix by matrix; a disagreement raises ExactnessError."""
+    b = ScalarMatrix(cfg.n, cfg.k, entries)
+    product = pencil_invariant_factors(f, b).product()
+    wimmer = all(c == 0 for c in product.coeffs[:-1])
+    found = _has_nilpotent_completion(f, b, cfg.n - cfg.k,
+                                      max(cfg.n - 1, 0).bit_length())
+    if found != wimmer:
+        raise ExactnessError(
+            f"divisibility criterion disagrees with completion search at {b!r}")
+    return "extendable" if found else None
 
 
 def _has_nilpotent_completion(f: FieldCtx, b: ScalarMatrix,
@@ -231,97 +184,111 @@ def _has_nilpotent_completion(f: FieldCtx, b: ScalarMatrix,
     return False
 
 
-# ---------------------------------------------------------------------------
-# Public enumeration entry points
-# ---------------------------------------------------------------------------
-
-def _require_pencil_shape(cfg: EnumConfig) -> None:
-    if not 1 <= cfg.k <= cfg.n:
-        raise ShapeError(f"need 1 <= k <= n, got n={cfg.n}, k={cfg.k}")
-
-
-def enumerate_pencils(cfg: EnumConfig) -> CensusReport:
-    """Tally every n x k matrix by the invariant factors of its pencil."""
-    _require_pencil_shape(cfg)
-    total = cfg.q ** (cfg.n * cfg.k)
-    tally = _check_total(_execute(cfg, total, total, _pencil_chunk), total)
-    return CensusReport(make_params("pencil", cfg.field(), cfg.n, cfg.k),
-                        tally, source="enumerated")
-
-
-def enumerate_fibers(cfg: EnumConfig) -> CensusReport:
-    """Tally every n x k matrix by the product of its invariant factors.
-
-    For square matrices the product is the characteristic polynomial and is
-    computed directly; otherwise it comes from the Smith form of the pencil.
-    """
-    _require_pencil_shape(cfg)
-    total = cfg.q ** (cfg.n * cfg.k)
-    tally = _check_total(_execute(cfg, total, total, _fiber_chunk), total)
-    return CensusReport(make_params("fiber", cfg.field(), cfg.n, cfg.k),
-                        tally, source="enumerated")
-
-
-def enumerate_pairs(cfg: EnumConfig) -> CensusReport:
-    """Tally every pair (A, B) in M_k x M_{k,n-k} by reachability rank."""
-    if not 1 <= cfg.k < cfg.n:
-        raise ShapeError(f"need 1 <= k < n, got n={cfg.n}, k={cfg.k}")
-    total = cfg.q ** (cfg.k * cfg.n)
-    tally = _check_total(_execute(cfg, total, total, _pair_chunk), total)
-    return CensusReport(make_params("pair", cfg.field(), cfg.n, cfg.k),
-                        tally, source="enumerated")
-
-
-def enumerate_subspace_census(cfg: EnumConfig) -> CensusReport:
-    """Tally, by invariant-factor tuple, the maps whose maximal invariant
-    subspace equals the configured one."""
-    _require_pencil_shape(cfg)
-    if cfg.subspace is None:
-        raise BadSubspaceError("subspace mode needs a fixed subspace basis")
+def _walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
+    """Tally ``key`` over the matrices with index lo <= i < hi."""
+    cfg, lo, hi = args
     f = cfg.field()
-    canonical = check_echelon_basis(f, cfg.subspace, cfg.k)
-    cfg = replace(cfg, subspace=canonical)
-    total = cfg.q ** (cfg.n * cfg.k)
-    tally = _execute(cfg, total, total, _subspace_chunk)
+    q = cfg.q
+    tally: dict[str, int] = {}
+    digits = _digits_of(lo, q, cfg.n * cfg.k)
+    for _ in range(lo, hi):
+        name = key(f, cfg, tuple(digits))
+        if name is not None:
+            tally[name] = tally.get(name, 0) + 1
+        _advance(digits, q)
+    return tally
+
+
+# One chunk function per mode, a module global that :func:`run` looks up by
+# name on each call: it pickles across worker processes, and a wrapper set on
+# the module from outside sees every chunk of that mode.
+
+def _pencil_chunk(args: tuple) -> dict[str, int]:
+    return _walk(args, _pencil_key)
+
+
+def _fiber_chunk(args: tuple) -> dict[str, int]:
+    return _walk(args, _fiber_key)
+
+
+def _pair_chunk(args: tuple) -> dict[str, int]:
+    return _walk(args, _pair_key)
+
+
+def _subspace_chunk(args: tuple) -> dict[str, int]:
+    return _walk(args, _subspace_key)
+
+
+def _nilext_chunk(args: tuple) -> dict[str, int]:
+    return _walk(args, _nilext_key)
+
+
+# ---------------------------------------------------------------------------
+# The mode table and the entry points
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Mode:
+    """One census mode.  Its matrices are tallied by ``_<mode>_chunk`` and
+    its closed form is ``census.<mode>_census(field, *closed_args(cfg))``."""
+
+    tall: bool = False          # shape 1 <= k < n; otherwise 1 <= k <= n
+    complete: bool = True       # the tally covers all q^(nk) matrices
+    subspace: bool = False      # needs cfg.subspace, a fixed echelon basis
+    closed_args: Callable[[EnumConfig], tuple] = lambda cfg: (cfg.n, cfg.k)
+    # evaluations per enumerated matrix, charged against the budget
+    cost: Callable[[EnumConfig], int] = lambda cfg: 1
+
+
+MODE_TABLE = {
+    "pencil": Mode(),
+    "pair": Mode(tall=True, closed_args=lambda cfg: (cfg.k, cfg.n)),
+    "fiber": Mode(),
+    "subspace": Mode(complete=False, subspace=True,
+                     closed_args=lambda cfg: (cfg.n, cfg.k, len(cfg.subspace))),
+    "nilext": Mode(complete=False,
+                   cost=lambda cfg: cfg.q ** (cfg.n * (cfg.n - cfg.k))),
+}
+
+MODES = tuple(MODE_TABLE)
+
+
+def _resolve(cfg: EnumConfig) -> tuple[Mode, EnumConfig, dict]:
+    """Check ``cfg`` against its mode's shape rule; return the mode, ``cfg``
+    with a canonical subspace basis, and the report parameters it adds."""
+    mode = MODE_TABLE.get(cfg.mode)
+    if mode is None:
+        raise ValueError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
+    if not 1 <= cfg.k <= cfg.n - mode.tall:
+        raise ShapeError(f"need 1 <= k {'<' if mode.tall else '<='} n, "
+                         f"got n={cfg.n}, k={cfg.k}")
+    if not mode.subspace:
+        return mode, cfg, {}
+    if cfg.subspace is None:
+        raise BadSubspaceError(f"{cfg.mode} mode needs a fixed subspace basis")
+    canonical = check_echelon_basis(cfg.field(), cfg.subspace, cfg.k)
     basis_text = ";".join(",".join(str(v) for v in row) for row in canonical)
-    params = make_params("subspace", f, cfg.n, cfg.k,
-                         d=len(canonical), subspace=basis_text)
-    return CensusReport(params, tally, source="enumerated")
-
-
-def enumerate_nilpotent_extendable(cfg: EnumConfig) -> int:
-    """Count matrices with at least one nilpotent square completion.
-
-    Every matrix is also classified by the divisibility criterion (invariant
-    factor product divides x^n); the two classifications must agree matrix by
-    matrix, or :class:`ExactnessError` is raised.
-    """
-    _require_pencil_shape(cfg)
-    total = cfg.q ** (cfg.n * cfg.k)
-    work = total * cfg.q ** (cfg.n * (cfg.n - cfg.k))
-    tally = _execute(cfg, total, work, _nilext_chunk)
-    return tally.get("extendable", 0)
-
-
-def nilext_report(cfg: EnumConfig) -> CensusReport:
-    count = enumerate_nilpotent_extendable(cfg)
-    return CensusReport(make_params("nilext", cfg.field(), cfg.n, cfg.k),
-                        {"extendable": count}, source="enumerated")
+    return (mode, replace(cfg, subspace=canonical),
+            {"d": len(canonical), "subspace": basis_text})
 
 
 def run(cfg: EnumConfig) -> CensusReport:
-    """Dispatch one enumeration by cfg.mode."""
-    if cfg.mode == "pencil":
-        return enumerate_pencils(cfg)
-    if cfg.mode == "pair":
-        return enumerate_pairs(cfg)
-    if cfg.mode == "fiber":
-        return enumerate_fibers(cfg)
-    if cfg.mode == "subspace":
-        return enumerate_subspace_census(cfg)
-    if cfg.mode == "nilext":
-        return nilext_report(cfg)
-    raise ValueError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
+    """Enumerate every n x k matrix and tally it by the key of cfg.mode."""
+    mode, cfg, extra = _resolve(cfg)
+    total = cfg.q ** (cfg.n * cfg.k)
+    tally = _execute(cfg, total, total * mode.cost(cfg),
+                     globals()[f"_{cfg.mode}_chunk"])
+    if mode.complete:
+        _check_total(tally, total)
+    return CensusReport(make_params(cfg.mode, cfg.field(), cfg.n, cfg.k,
+                                    **extra), tally, source="enumerated")
+
+
+def closed_form(cfg: EnumConfig) -> CensusReport:
+    """The closed-form census that :func:`run` on ``cfg`` is checked against."""
+    mode, cfg, _ = _resolve(cfg)
+    build = getattr(census, f"{cfg.mode}_census")
+    return build(cfg.field(), *mode.closed_args(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +347,7 @@ class DiffReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return compact_json(self.to_json_dict())
 
 
 def verify(expected: CensusReport, observed: CensusReport) -> DiffReport:

@@ -25,11 +25,7 @@ from pencilcensus.census import (
 from pencilcensus.gf import ScalarMatrix, echelon_subspaces, parse_field_spec
 from pencilcensus.oracle import (
     EnumConfig,
-    enumerate_fibers,
-    enumerate_nilpotent_extendable,
-    enumerate_pairs,
-    enumerate_pencils,
-    enumerate_subspace_census,
+    run,
     verify,
 )
 from pencilcensus.polyring import Poly, monic_polys
@@ -65,7 +61,7 @@ def criterion(number, label):
 def test_criterion_1_pencil_census_equivalence():
     with criterion(1, "pencil censuses match the closed form on the full grid"):
         for q, n, k in PENCIL_GRID:
-            observed = enumerate_pencils(config(q, n, k))
+            observed = run(config(q, n, k))
             expected = pencil_census(field(q), n, k)
             diff = verify(expected, observed)
             assert diff.verdict, f"(q={q},n={n},k={k}): {diff.summary()}"
@@ -74,11 +70,10 @@ def test_criterion_1_pencil_census_equivalence():
 
 def test_criterion_1_extension_fields():
     with criterion(1, "pencil and fiber censuses match over GF(8) and GF(9)"):
-        modes = ((enumerate_pencils, pencil_census),
-                 (enumerate_fibers, fiber_census))
+        modes = (("pencil", pencil_census), ("fiber", fiber_census))
         for q, n, k in EXTENSION_GRID:
-            for enumerate_mode, closed_form in modes:
-                observed = enumerate_mode(config(q, n, k))
+            for mode, closed_form in modes:
+                observed = run(config(q, n, k, mode=mode))
                 expected = closed_form(field(q), n, k)
                 diff = verify(expected, observed)
                 assert diff.verdict, \
@@ -92,7 +87,7 @@ def test_criterion_2_conjugacy_class_sizes():
         for q in (2, 3):
             for n in (2, 3):
                 f = field(q)
-                observed = enumerate_pencils(config(q, n, n))
+                observed = run(config(q, n, n))
                 expected = {}
                 for ifs in invariant_factor_tuples(f, n):
                     size = count_conjugacy_class(ifs)
@@ -110,7 +105,7 @@ def test_criterion_3_fixed_subspace_counts():
             per_dim_entries = {}
             for basis in echelon_subspaces(f, k):
                 d = len(basis)
-                observed = enumerate_subspace_census(
+                observed = run(
                     config(q, n, k, mode="subspace", subspace=basis))
                 for key, tally in observed.entries.items():
                     ifs = InvariantFactorTuple.parse(key, f)
@@ -129,7 +124,7 @@ def test_criterion_4_reachability_distribution():
     with criterion(4, "reachability-rank distribution matches the closed form"):
         grid = [(2, 1, 2), (2, 2, 3), (3, 1, 2), (3, 2, 3), (2, 3, 5)]
         for q, k, n in grid:
-            observed = enumerate_pairs(config(q, n, k, mode="pair"))
+            observed = run(config(q, n, k, mode="pair"))
             expected = pair_census(field(q), k, n)
             assert verify(expected, observed).verdict, f"(q={q},k={k},n={n})"
             assert observed.total() == q ** (k * n)
@@ -144,7 +139,7 @@ def test_criterion_5_square_char_poly_fibers():
         q = 2
         f = field(q)
         for n in (2, 3, 4):
-            observed = enumerate_fibers(config(q, n, n, mode="fiber"))
+            observed = run(config(q, n, n, mode="fiber"))
             monics = list(monic_polys(f, n))
             assert len(monics) == 2 ** n
             assert set(observed.entries) <= {str(p) for p in monics}
@@ -160,7 +155,7 @@ def test_criterion_6_rectangular_fibers():
         q = 2
         f = field(q)
         for n, k in ((3, 2), (4, 3)):
-            observed = enumerate_fibers(config(q, n, k, mode="fiber"))
+            observed = run(config(q, n, k, mode="fiber"))
             expected = fiber_census(f, n, k)
             assert verify(expected, observed).verdict, f"(n={n},k={k})"
             for d in range(k + 1):
@@ -181,8 +176,8 @@ def test_criterion_7_nilpotent_extendability():
         for (n, k), value in expected_values.items():
             # completion search (asserting the divisibility criterion per
             # matrix internally)
-            searched = enumerate_nilpotent_extendable(
-                config(q, n, k, mode="nilext"))
+            searched = run(
+                config(q, n, k, mode="nilext")).entries["extendable"]
             # sum of x-power fibers
             fiber_sum = sum(
                 count_char_poly_rect(Poly(f, (0,) * l + (1,)), n, k)
@@ -238,6 +233,6 @@ def test_criterion_10_determinism_across_worker_counts():
     with criterion(10, "criterion-1 reports are byte-identical for 1 and 4 "
                        "workers"):
         for q, n, k in PENCIL_GRID:
-            serial = enumerate_pencils(config(q, n, k, workers=1))
-            parallel = enumerate_pencils(config(q, n, k, workers=4))
+            serial = run(config(q, n, k, workers=1))
+            parallel = run(config(q, n, k, workers=4))
             assert serial.to_json() == parallel.to_json(), f"(q={q},n={n},k={k})"

@@ -204,6 +204,15 @@ def test_usage_error_on_malformed_inputs(capsys):
         ["count", "--formula", "gr", "--q", "2", "--poly", "x+y"],
         ["count", "--formula", "reach", "--q", "2", "--n", "2", "--k", "2",
          "--r", "1"],
+        # --subspace belongs to subspace mode only
+        ["enumerate", "--q", "2", "--n", "2", "--k", "2", "--mode", "pencil",
+         "--subspace", "[[1,0]]"],
+        # csv is a census format: only enumerate offers it
+        ["count", "--formula", "nilext", "--q", "2", "--n", "2", "--k", "1",
+         "--format", "csv"],
+        ["verify", "--q", "2", "--n", "2", "--k", "1", "--format", "csv"],
+        ["snf", "--q", "2", "--matrix", "[[0]]", "--pencil", "--format", "csv"],
+        ["factor", "--q", "2", "--poly", "x^2", "--format", "csv"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

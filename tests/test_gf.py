@@ -6,6 +6,7 @@ import pytest
 from pencilcensus.errors import (
     BadSubspaceError,
     DivisionByZeroError,
+    ExactnessError,
     FieldTooLargeError,
     NotPrimeError,
     ShapeError,
@@ -225,3 +226,11 @@ def test_check_echelon_basis_rejects_bad_input():
         check_echelon_basis(f, [(0, 3)], 2)  # out of range
     with pytest.raises(BadSubspaceError):
         check_echelon_basis(f, [(1,)], 2)  # wrong length
+
+
+def test_missing_irreducible_raises_exactness_error(monkeypatch):
+    import pencilcensus.gf as gf
+    # a zero remainder on every trial division rejects every candidate
+    monkeypatch.setattr(gf, "_raw_rem", lambda a, b, p: ())
+    with pytest.raises(ExactnessError):
+        gf._smallest_irreducible(2, 3)

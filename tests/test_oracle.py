@@ -1,6 +1,9 @@
+import importlib.resources as res
+import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -19,15 +22,14 @@ from pencilcensus.errors import (
     ShapeError,
 )
 from pencilcensus.gf import echelon_subspaces, field_new
+from pencilcensus.cli import build_parser
 from pencilcensus.oracle import (
+    MODE_TABLE,
+    MODES,
     EnumConfig,
+    _chunks,
     _pool_size,
-    enumerate_fibers,
-    enumerate_nilpotent_extendable,
-    enumerate_pairs,
-    enumerate_pencils,
-    enumerate_subspace_census,
-    nilext_report,
+    closed_form,
     run,
     verify,
 )
@@ -45,22 +47,22 @@ def cfg(q=2, n=3, k=2, **kw):
 # ---------------------------------------------------------------------------
 
 def test_one_by_one_pencils():
-    report = enumerate_pencils(cfg(n=1, k=1))
+    report = run(cfg(n=1, k=1))
     assert report.entries == {"x": 1, "x+1": 1}
 
 
 def test_two_by_one_pencils():
-    report = enumerate_pencils(cfg(n=2, k=1))
+    report = run(cfg(n=2, k=1))
     assert report.entries == {"1": 2, "x": 1, "x+1": 1}
 
 
 def test_zero_matrix_is_the_only_x_x_pencil():
-    report = enumerate_pencils(cfg(n=2, k=2))
+    report = run(cfg(n=2, k=2))
     assert report.entries["x|x"] == 1
 
 
 def test_pencil_census_matches_closed_form():
-    report = enumerate_pencils(cfg(n=3, k=2))
+    report = run(cfg(n=3, k=2))
     diff = verify(pencil_census(F2, 3, 2), report)
     assert diff.verdict
     assert report.total() == 2 ** 6
@@ -68,12 +70,12 @@ def test_pencil_census_matches_closed_form():
 
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
-        enumerate_pencils(cfg(n=3, k=2, budget=10))
+        run(cfg(n=3, k=2, budget=10))
 
 
 def test_shape_guard():
     with pytest.raises(ShapeError):
-        enumerate_pencils(cfg(n=2, k=3))
+        run(cfg(n=2, k=3))
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +83,12 @@ def test_shape_guard():
 # ---------------------------------------------------------------------------
 
 def test_pair_census_small():
-    report = enumerate_pairs(cfg(n=2, k=1, mode="pair"))
+    report = run(cfg(n=2, k=1, mode="pair"))
     assert report.entries == {"0": 2, "1": 2}
 
 
 def test_pair_census_totals_and_reachable_value():
-    report = enumerate_pairs(cfg(n=3, k=2, mode="pair"))
+    report = run(cfg(n=3, k=2, mode="pair"))
     assert report.total() == 2 ** 6
     assert report.entries["2"] == (8 - 2) * (8 - 4)
     assert verify(pair_census(F2, 2, 3), report).verdict
@@ -94,7 +96,7 @@ def test_pair_census_totals_and_reachable_value():
 
 def test_pair_mode_requires_k_below_n():
     with pytest.raises(ShapeError):
-        enumerate_pairs(cfg(n=2, k=2, mode="pair"))
+        run(cfg(n=2, k=2, mode="pair"))
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +104,14 @@ def test_pair_mode_requires_k_below_n():
 # ---------------------------------------------------------------------------
 
 def test_fiber_census_square():
-    report = enumerate_fibers(cfg(n=2, k=2, mode="fiber"))
+    report = run(cfg(n=2, k=2, mode="fiber"))
     assert report.entries["x^2"] == 4  # nilpotent 2x2 count
     assert report.total() == 2 ** 4
     assert verify(fiber_census(F2, 2, 2), report).verdict
 
 
 def test_fiber_census_rectangular():
-    report = enumerate_fibers(cfg(n=3, k=2, mode="fiber"))
+    report = run(cfg(n=3, k=2, mode="fiber"))
     assert report.entries["1"] == (8 - 2) * (8 - 4)  # reachable-pair product
     assert verify(fiber_census(F2, 3, 2), report).verdict
 
@@ -119,21 +121,18 @@ def test_fiber_census_rectangular():
 # ---------------------------------------------------------------------------
 
 def test_subspace_census_zero_subspace():
-    report = enumerate_subspace_census(
-        cfg(n=3, k=2, mode="subspace", subspace=()))
+    report = run(cfg(n=3, k=2, mode="subspace", subspace=()))
     assert report.entries == {"1|1": (8 - 2) * (8 - 4)}
 
 
 def test_subspace_census_full_space_recovers_class_census():
     full = tuple(tuple(row) for row in ((1, 0), (0, 1)))
-    report = enumerate_subspace_census(
-        cfg(n=2, k=2, mode="subspace", subspace=full))
+    report = run(cfg(n=2, k=2, mode="subspace", subspace=full))
     assert report.entries == pencil_census(F2, 2, 2).entries
 
 
 def test_subspace_census_line_example():
-    report = enumerate_subspace_census(
-        cfg(n=3, k=2, mode="subspace", subspace=((1, 0),)))
+    report = run(cfg(n=3, k=2, mode="subspace", subspace=((1, 0),)))
     assert report.total() == 2 ** 1 * (8 - 4)
     assert verify(subspace_census(F2, 3, 2, 1), report).verdict
 
@@ -141,8 +140,7 @@ def test_subspace_census_line_example():
 def test_subspace_totals_are_u_independent():
     totals = {}
     for basis in echelon_subspaces(F2, 2):
-        report = enumerate_subspace_census(
-            cfg(n=3, k=2, mode="subspace", subspace=basis))
+        report = run(cfg(n=3, k=2, mode="subspace", subspace=basis))
         totals.setdefault(len(basis), set()).add(
             tuple(sorted(report.entries.items())))
     for d, seen in totals.items():
@@ -151,10 +149,9 @@ def test_subspace_totals_are_u_independent():
 
 def test_subspace_mode_validates_basis():
     with pytest.raises(BadSubspaceError):
-        enumerate_subspace_census(cfg(mode="subspace", subspace=None))
+        run(cfg(mode="subspace", subspace=None))
     with pytest.raises(BadSubspaceError):
-        enumerate_subspace_census(
-            cfg(mode="subspace", subspace=((1, 1), (1, 0))))
+        run(cfg(mode="subspace", subspace=((1, 1), (1, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +160,18 @@ def test_subspace_mode_validates_basis():
 
 @pytest.mark.parametrize("n,k,expected", [(2, 1, 3), (2, 2, 4), (3, 2, 40)])
 def test_nilpotent_extendable_counts(n, k, expected):
-    assert enumerate_nilpotent_extendable(cfg(n=n, k=k, mode="nilext")) == expected
+    assert run(cfg(n=n, k=k, mode="nilext")).entries["extendable"] == expected
 
 
 def test_nilext_report_matches_closed_form():
-    report = nilext_report(cfg(n=3, k=2, mode="nilext"))
+    report = run(cfg(n=3, k=2, mode="nilext"))
     assert verify(nilext_census(F2, 3, 2), report).verdict
 
 
 def test_nilext_budget_counts_completions():
     # 2^(nk) * 2^(n(n-k)) = 2^9 evaluations exceed a budget of 100
     with pytest.raises(BudgetExceededError):
-        enumerate_nilpotent_extendable(cfg(n=3, k=2, mode="nilext", budget=100))
+        run(cfg(n=3, k=2, mode="nilext", budget=100))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +190,37 @@ def test_run_dispatches_every_mode():
 
 
 def test_worker_count_does_not_change_the_report():
-    serial = enumerate_pencils(cfg(workers=1))
-    parallel = enumerate_pencils(cfg(workers=4))
-    assert serial.to_json() == parallel.to_json()
+    serial = run(cfg(workers=1))
+    for workers in (3, 4):
+        parallel = run(cfg(workers=workers))
+        assert serial.to_json() == parallel.to_json()
+
+
+def test_chunk_size_does_not_change_the_report():
+    # chunks of 22, 22 and 20 do not divide the 64 matrices evenly
+    assert [hi - lo for lo, hi in _chunks(64, 3)] == [22, 22, 20]
+    assert run(cfg(workers=3)).to_json() == run(cfg()).to_json()
+
+
+def _cli_choices(command, dest):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return next(a.choices for a in sub.choices[command]._actions
+                if a.dest == dest)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mode_table_agrees_with_its_copies(mode):
+    basis = ((1,),) if MODE_TABLE[mode].subspace else None
+    small = cfg(n=2, k=1, mode=mode, subspace=basis)  # pair mode needs k < n
+    assert verify(closed_form(small), run(small)).verdict
+    assert run(replace(small, workers=2)).to_json() == run(small).to_json()
+    for command in ("enumerate", "verify"):
+        assert tuple(_cli_choices(command, "mode")) == MODES
+    schema = json.loads(res.files("pencilcensus.schemas").joinpath(
+        "census_report.schema.json").read_text())
+    assert tuple(schema["properties"]["parameters"]["properties"]["mode"]
+                 ["enum"]) == MODES
 
 
 def test_pool_size_is_clamped_to_cpus_and_chunks():
@@ -215,7 +240,7 @@ def test_total_check_raises_under_optimize():
         "assert False, 'asserts are on'\n"
         "oracle._execute = lambda cfg, total, work, fn: {'1|x': total - 1}\n"
         "try:\n"
-        "    oracle.enumerate_pencils(oracle.EnumConfig(p=2, m=1, n=2, k=2))\n"
+        "    oracle.run(oracle.EnumConfig(p=2, m=1, n=2, k=2))\n"
         "except ExactnessError:\n"
         "    sys.exit(0)\n"
         "sys.exit(3)\n")
@@ -228,14 +253,9 @@ def test_total_check_raises_under_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_chunk_size_does_not_change_the_report():
-    assert enumerate_pencils(cfg(chunk=7)).to_json() == \
-        enumerate_pencils(cfg()).to_json()
-
-
 def test_verify_identical_reports():
     a = pencil_census(F2, 3, 2)
-    diff = verify(a, enumerate_pencils(cfg()))
+    diff = verify(a, run(cfg()))
     assert diff.verdict and not diff.mismatches()
     assert diff.summary().startswith("all ")
 
@@ -254,14 +274,14 @@ def test_verify_flags_missing_and_extra_keys():
 
 def test_verify_rejects_parameter_mismatch():
     with pytest.raises(ParamMismatchError):
-        verify(pencil_census(F2, 3, 2), enumerate_pencils(cfg(n=4, k=2)))
+        verify(pencil_census(F2, 3, 2), run(cfg(n=4, k=2)))
     with pytest.raises(ParamMismatchError):
-        verify(pair_census(F2, 2, 3), enumerate_pencils(cfg()))
+        verify(pair_census(F2, 2, 3), run(cfg()))
 
 
 def test_diff_report_json_shape():
     import json
-    diff = verify(pencil_census(F2, 3, 2), enumerate_pencils(cfg()))
+    diff = verify(pencil_census(F2, 3, 2), run(cfg()))
     data = json.loads(diff.to_json())
     assert data["schema"] == "diff-report/v1"
     assert data["verdict"] is True
