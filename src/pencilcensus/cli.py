@@ -17,13 +17,14 @@ import sys
 
 from . import census, oracle
 from .errors import PencilCensusError
-from .gf import FieldCtx, ScalarMatrix, parse_field_spec, rank
+from .gf import FieldCtx, ScalarMatrix, field_new, parse_field_spec, rank
 from .polyring import Poly, factorize, parse_poly, poly_gcd
 from .smith import (
     InvariantFactorTuple,
     PolyMatrix,
     det_divisor,
     pencil_invariant_factors,
+    pencil_matrix,
     snf,
 )
 
@@ -32,8 +33,19 @@ ENV_BUDGET = "PENCILCENSUS_BUDGET"
 
 COUNT_SCHEMA = "count-result/v1"
 
-FORMULAS = ("class", "snf", "subspace", "givenU", "reach", "gr", "grext",
-            "nilext")
+# --formula name -> (census function, its arguments in call order).  "q" is
+# the field order, "tuple" and "poly" are parsed from their flags, and every
+# other argument is the integer flag of the same name.
+FORMULAS = {
+    "class": ("count_conjugacy_class", ("tuple",)),
+    "snf": ("count_invariant_factors", ("n", "k", "tuple")),
+    "subspace": ("count_with_subspace", ("n", "k", "d", "tuple")),
+    "givenU": ("count_given_u", ("n", "k", "d", "q")),
+    "reach": ("count_reachability", ("k", "n", "r", "q")),
+    "gr": ("count_char_poly_square", ("poly",)),
+    "grext": ("count_char_poly_rect", ("poly", "n", "k")),
+    "nilext": ("count_nilpotent_extendable", ("k", "n", "q")),
+}
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -69,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--k", type=int)
     p_count.add_argument("--d", type=int)
     p_count.add_argument("--r", type=int)
-    p_count.add_argument("--tuple", dest="tuple_text", metavar="P1|P2|...",
+    p_count.add_argument("--tuple", metavar="P1|P2|...",
                          help="invariant-factor tuple")
     p_count.add_argument("--poly", metavar="POLY",
                          help="monic polynomial, e.g. x^2+x+1")
@@ -115,10 +127,9 @@ def _parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _need(args, parser, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
+    missing = ["--" + n for n in names if getattr(args, n) is None]
     if missing:
-        flags = ["--tuple" if n == "tuple_text" else "--" + n for n in missing]
-        parser.error(f"--formula {args.formula} requires " + ", ".join(flags))
+        parser.error(f"--formula {args.formula} requires " + ", ".join(missing))
 
 
 def _parse_tuple(text: str, f: FieldCtx, parser) -> InvariantFactorTuple:
@@ -130,47 +141,24 @@ def _parse_tuple(text: str, f: FieldCtx, parser) -> InvariantFactorTuple:
 
 def cmd_count(args, parser) -> int:
     f = parse_field_spec(args.q)
-    formula = args.formula
-    params: dict = {"formula": formula, "q": f.q}
-    if formula == "class":
-        _need(args, parser, ["tuple_text"])
-        ifs = _parse_tuple(args.tuple_text, f, parser)
-        if args.n is not None and args.n != len(ifs):
-            parser.error(f"--n {args.n} does not match a tuple of length {len(ifs)}")
-        value = census.count_conjugacy_class(ifs)
-        params.update(n=len(ifs), tuple=str(ifs))
-    elif formula == "snf":
-        _need(args, parser, ["n", "k", "tuple_text"])
-        ifs = _parse_tuple(args.tuple_text, f, parser)
-        value = census.count_invariant_factors(args.n, args.k, ifs)
-        params.update(n=args.n, k=args.k, tuple=str(ifs))
-    elif formula == "subspace":
-        _need(args, parser, ["n", "k", "d", "tuple_text"])
-        ifs = _parse_tuple(args.tuple_text, f, parser)
-        value = census.count_with_subspace(args.n, args.k, args.d, ifs)
-        params.update(n=args.n, k=args.k, d=args.d, tuple=str(ifs))
-    elif formula == "givenU":
-        _need(args, parser, ["n", "k", "d"])
-        value = census.count_given_u(args.n, args.k, args.d, f.q)
-        params.update(n=args.n, k=args.k, d=args.d)
-    elif formula == "reach":
-        _need(args, parser, ["n", "k", "r"])
-        value = census.count_reachability(args.k, args.n, args.r, f.q)
-        params.update(n=args.n, k=args.k, r=args.r)
-    elif formula == "gr":
-        _need(args, parser, ["poly"])
-        poly = parse_poly(args.poly, f)
-        value = census.count_char_poly_square(poly)
-        params.update(poly=str(poly))
-    elif formula == "grext":
-        _need(args, parser, ["n", "k", "poly"])
-        poly = parse_poly(args.poly, f)
-        value = census.count_char_poly_rect(poly, args.n, args.k)
-        params.update(n=args.n, k=args.k, poly=str(poly))
-    else:  # nilext
-        _need(args, parser, ["n", "k"])
-        value = census.count_nilpotent_extendable(args.k, args.n, f.q)
-        params.update(n=args.n, k=args.k)
+    function, names = FORMULAS[args.formula]
+    flags = [name for name in names if name != "q"]
+    _need(args, parser, flags)
+    given = {name: getattr(args, name) for name in flags}
+    if "tuple" in given:
+        given["tuple"] = _parse_tuple(given["tuple"], f, parser)
+    if "poly" in given:
+        given["poly"] = parse_poly(given["poly"], f)
+    if args.formula == "class":
+        n = len(given["tuple"])
+        if args.n is not None and args.n != n:
+            parser.error(f"--n {args.n} does not match a tuple of length {n}")
+        given["n"] = n
+    value = getattr(census, function)(
+        *(f.q if name == "q" else given[name] for name in names))
+    params: dict = {"formula": args.formula, "q": f.q}
+    params.update((name, v if isinstance(v, int) else str(v))
+                  for name, v in given.items())
     if args.format == "json":
         print(census.compact_json({"schema": COUNT_SCHEMA, "parameters": params,
                                    "value": str(value)}))
@@ -183,15 +171,26 @@ def cmd_count(args, parser) -> int:
 # enumerate / verify
 # ---------------------------------------------------------------------------
 
+def _int_rows(text: str, flag: str, parser) -> list[list[int]]:
+    """A JSON array of arrays of integers; anything else is a usage error."""
+    try:
+        rows = json.loads(text)
+    except ValueError:
+        rows = None
+    # bool is a subclass of int, so compare types exactly
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and all(type(v) is int for v in row)
+                    for row in rows)):
+        parser.error(f"{flag} must be a JSON array of rows of integers")
+    return rows
+
+
 def _config_from_args(args, parser) -> oracle.EnumConfig:
     f = parse_field_spec(args.q)
     subspace = None
     if args.subspace is not None:
-        try:
-            rows = json.loads(args.subspace)
-            subspace = tuple(tuple(int(v) for v in row) for row in rows)
-        except (ValueError, TypeError):
-            parser.error("--subspace must be a JSON array of rows")
+        subspace = tuple(map(tuple, _int_rows(args.subspace, "--subspace",
+                                              parser)))
     takes_basis = oracle.MODE_TABLE[args.mode].subspace
     if takes_basis and subspace is None:
         parser.error(f"--mode {args.mode} requires --subspace")
@@ -249,19 +248,23 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_snf(args, parser) -> int:
     f = parse_field_spec(args.q)
-    try:
-        grid = json.loads(args.matrix)
-    except ValueError:
-        parser.error("--matrix must be a JSON array of rows")
-    if not grid or not all(isinstance(row, list) for row in grid):
-        parser.error("--matrix must be a nonempty array of rows")
+    if args.pencil:
+        grid = _int_rows(args.matrix, "--matrix", parser)
+    else:
+        try:
+            grid = json.loads(args.matrix)
+        except ValueError:
+            parser.error("--matrix must be a JSON array of rows")
+    if not (isinstance(grid, list) and grid and all(
+            isinstance(row, list) and len(row) == len(grid[0]) for row in grid)):
+        parser.error("--matrix must be a nonempty array of equal-length rows")
     nrows, ncols = len(grid), len(grid[0])
     if args.n is not None and args.n != nrows:
         parser.error(f"--n {args.n} does not match matrix with {nrows} rows")
     if args.k is not None and args.k != ncols:
         parser.error(f"--k {args.k} does not match matrix with {ncols} columns")
     if args.pencil:
-        entries = [int(v) for row in grid for v in row]
+        entries = [v for row in grid for v in row]
         if any(not 0 <= v < f.q for v in entries):
             parser.error(f"matrix entries must lie in [0, {f.q})")
         diag = list(pencil_invariant_factors(
@@ -309,8 +312,6 @@ def cmd_factor(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def _selftest_suites(rng: random.Random):
-    from .gf import field_new
-
     def field_axioms() -> bool:
         for q in (2, 3, 4, 5, 7, 8, 9):
             f = parse_field_spec(str(q))
@@ -355,7 +356,6 @@ def _selftest_suites(rng: random.Random):
             for _ in range(60):
                 b = ScalarMatrix(n, k, [rng.randrange(q) for _ in range(n * k)])
                 ifs = pencil_invariant_factors(f, b)
-                from .smith import pencil_matrix
                 pencil = pencil_matrix(f, b)
                 prev = Poly.one(f)
                 for i, p in enumerate(ifs, start=1):

@@ -313,9 +313,6 @@ class ScalarMatrix:
             flat[i * n + i] = 1
         return cls(n, n, flat)
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols: (i + 1) * self.cols]
 
@@ -404,38 +401,13 @@ def rref_rows(field: FieldCtx, rows: Iterable[Sequence[int]],
 
 
 def rank(field: FieldCtx, matrix: ScalarMatrix) -> int:
-    """Row-echelon rank over the field, by exact Gaussian elimination."""
+    """Rank over the field: the pivot count of the reduced echelon form."""
     return rank_rows(field, matrix.to_rows(), matrix.cols)
 
 
-def rank_rows(field: FieldCtx, rows: list[list[int]], cols: int) -> int:
-    """Rank by forward elimination; consumes (mutates) the row lists."""
-    mul, sub, inv = field.mul, field.sub, field.inv
-    work = rows
-    r = 0
-    nrows = len(work)
-    for c in range(cols):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        pinv = inv(prow[c])
-        for i in range(r + 1, nrows):
-            row = work[i]
-            if row[c]:
-                f = mul(row[c], pinv)
-                for j in range(c, cols):
-                    if prow[j]:
-                        row[j] = sub(row[j], mul(f, prow[j]))
-        r += 1
-        if r == nrows:
-            break
-    return r
+def rank_rows(field: FieldCtx, rows: Iterable[Sequence[int]], cols: int) -> int:
+    """Rank of a row list: the pivot count of :func:`rref_rows`."""
+    return len(rref_rows(field, rows, cols))
 
 
 def kernel_basis_rows(field: FieldCtx, rows: Iterable[Sequence[int]],

@@ -49,9 +49,6 @@ class PolyMatrix:
             flat.extend(row)
         return cls(nrows, ncols, flat)
 
-    def at(self, i: int, j: int) -> Poly:
-        return self.entries[i * self.cols + j]
-
     def to_rows(self) -> list[list[Poly]]:
         k = self.cols
         e = self.entries
@@ -366,51 +363,46 @@ def char_poly(field: FieldCtx, a: ScalarMatrix) -> Poly:
     return charpolys[n]
 
 
+def _krylov_rows(field: FieldCtx, c_rows: list[list[int]],
+                 a_rows: list[list[int]], k: int) -> list[list[int]]:
+    """Rows of the vertical stack C, C*A, ..., C*A^{k-1}."""
+    cur = c_rows
+    stack = list(cur)
+    for _ in range(k - 1):
+        cur = rows_mul(field, cur, a_rows)
+        stack.extend(cur)
+    return stack
+
+
 def max_invariant_subspace(field: FieldCtx, a: ScalarMatrix, c: ScalarMatrix
                            ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Largest subspace of the domain that the map sends into itself.
 
     The map is given by the vertical stack [A; C] with A square k x k (the
     in-domain block) and C of shape (n-k) x k.  Returns the dimension and the
-    canonical echelon basis of the intersection of the kernels of C*A^i for
-    i = 0 .. k-1.
+    canonical echelon basis of the kernel of the stack C, C*A, ..., C*A^{k-1}
+    (the whole domain when C has no rows).
     """
     k = a.rows
     if a.cols != k or c.cols != k:
         raise ShapeError("block column counts must match")
-    if c.rows == 0:
-        basis = tuple(tuple(r) for r in ScalarMatrix.identity(k).to_rows())
-        return k, basis
-    arows = a.to_rows()
-    cur = c.to_rows()
-    stack = list(cur)
-    for _ in range(k - 1):
-        cur = rows_mul(field, cur, arows)
-        stack.extend(cur)
+    stack = _krylov_rows(field, c.to_rows(), a.to_rows(), k)
     basis = kernel_basis_rows(field, stack, k)
     return len(basis), basis
 
 
-def reachability_matrix(field: FieldCtx, a: ScalarMatrix,
-                        b: ScalarMatrix) -> ScalarMatrix:
-    """Horizontal block matrix [B, A*B, ..., A^{k-1}*B]."""
+def reachability_rank(field: FieldCtx, a: ScalarMatrix,
+                      b: ScalarMatrix) -> int:
+    """Rank of [B, A*B, ..., A^{k-1}*B]; the pair is reachable iff it is k.
+
+    That matrix is the transpose of the stack B^T, B^T*A^T, ...,
+    B^T*(A^T)^{k-1} (Kalman duality), whose rank is computed instead.
+    """
+    if b.cols < 1:
+        raise ShapeError("input block needs at least one column")
     k = a.rows
     if a.cols != k or b.rows != k:
         raise ShapeError("A must be k x k and B must have k rows")
-    blocks = [b.to_rows()]
-    arow = a.to_rows()
-    cur = blocks[0]
-    for _ in range(k - 1):
-        cur = rows_mul(field, arow, cur)
-        blocks.append(cur)
-    rows = [[v for block in blocks for v in block[i]] for i in range(k)]
-    return ScalarMatrix.from_rows(rows)
-
-
-def reachability_rank(field: FieldCtx, a: ScalarMatrix,
-                      b: ScalarMatrix) -> int:
-    """Rank of the reachability matrix; the pair is reachable iff it equals k."""
-    if b.cols < 1:
-        raise ShapeError("input block needs at least one column")
-    m = reachability_matrix(field, a, b)
-    return rank_rows(field, m.to_rows(), m.cols)
+    stack = _krylov_rows(field, b.transpose().to_rows(),
+                         a.transpose().to_rows(), k)
+    return rank_rows(field, stack, k)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pencilcensus.cli import main
+from pencilcensus.cli import FORMULAS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +38,32 @@ def test_count_formula_flag_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--formula", "reach", "--q", "2", "--k", "3"])
     assert exc.value.code == 2
+
+
+# One valid value for every flag any formula needs.
+FORMULA_FLAGS = {"n": "3", "k": "2", "d": "1", "r": "1", "tuple": "1|x",
+                 "poly": "x^2"}
+
+
+def test_formula_table_matches_the_choices_and_requires_its_flags(capsys):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    choices = next(a.choices for a in sub.choices["count"]._actions
+                   if a.dest == "formula")
+    assert list(choices) == list(FORMULAS)
+    for formula, (_, names) in FORMULAS.items():
+        flags = [name for name in names if name != "q"]
+        assert set(flags) <= set(FORMULA_FLAGS), formula
+        argv = ["count", "--formula", formula, "--q", "2"]
+        code, _ = run_cli(capsys, *argv, *(
+            arg for flag in flags for arg in ("--" + flag, FORMULA_FLAGS[flag])))
+        assert code == 0, formula
+        for left_out in flags:
+            rest = [arg for flag in flags if flag != left_out
+                    for arg in ("--" + flag, FORMULA_FLAGS[flag])]
+            with pytest.raises(SystemExit) as exc:
+                main(argv + rest)
+            assert exc.value.code == 2, (formula, left_out)
 
 
 def test_count_class_and_nilext(capsys):
@@ -213,6 +239,19 @@ def test_usage_error_on_malformed_inputs(capsys):
         ["verify", "--q", "2", "--n", "2", "--k", "1", "--format", "csv"],
         ["snf", "--q", "2", "--matrix", "[[0]]", "--pencil", "--format", "csv"],
         ["factor", "--q", "2", "--poly", "x^2", "--format", "csv"],
+        # matrix entries must be JSON integers: no floats, bools or strings
+        ["enumerate", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
+         "--subspace", "[[1.9,0]]"],
+        ["enumerate", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
+         "--subspace", "[[true,0]]"],
+        ["enumerate", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
+         "--subspace", '[["1",0]]'],
+        ["snf", "--q", "3", "--pencil", "--matrix", '[["1",2],[1,0]]'],
+        ["snf", "--q", "3", "--pencil", "--matrix", "[[1.5,2],[true,0]]"],
+        # a grid must be an array of rows of one length
+        ["snf", "--q", "2", "--matrix", "5"],
+        ["snf", "--q", "2", "--pencil", "--matrix", "[[1,0],[1],[0,1,1]]"],
+        ["snf", "--q", "2", "--matrix", '[["x","1"],["0"],["1","x","0"]]'],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -2,9 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pencilcensus.errors import OutOfRangeError, ShapeError
-from pencilcensus.gf import ScalarMatrix, field_new, mat_inv, mat_mul, rank
+from pencilcensus.gf import (
+    ScalarMatrix,
+    field_new,
+    mat_inv,
+    mat_mul,
+    parse_field_spec,
+    rank,
+)
 from pencilcensus.polyring import Poly, parse_poly
 from pencilcensus.smith import (
     InvariantFactorTuple,
@@ -85,13 +93,13 @@ def test_det_divisor_examples():
         det_divisor(m, 0)
 
 
-def assert_snf_matches_minor_gcds(f, b):
-    pencil = pencil_matrix(f, b)
-    diag = snf(pencil).diagonal
-    prev = Poly.one(f)
-    for i, p in enumerate(diag, start=1):
-        delta = det_divisor(pencil, i)
-        assert delta == prev * p, f"delta_{i} mismatch for {b!r}"
+def assert_snf_matches_minor_gcds(a):
+    """The i-th determinantal divisor is the product of the first i Smith
+    diagonal entries."""
+    prev = Poly.one(a.entries[0].field)
+    for i, p in enumerate(snf(a).diagonal, start=1):
+        delta = det_divisor(a, i)
+        assert delta == prev * p, f"delta_{i} mismatch for {a!r}"
         prev = delta
 
 
@@ -99,15 +107,35 @@ def assert_snf_matches_minor_gcds(f, b):
 def test_snf_matches_minor_gcds_exhaustive(q, n, k):
     f = field_new(q)
     for b in all_matrices(f, n, k):
-        assert_snf_matches_minor_gcds(f, b)
+        assert_snf_matches_minor_gcds(pencil_matrix(f, b))
 
 
 def test_snf_matches_minor_gcds_random_larger():
     rng = random.Random(17)
-    for q, n, k in ((2, 4, 3), (3, 3, 2), (5, 2, 2)):
-        f = field_new(q)
+    for q, n, k in ((2, 4, 3), (3, 3, 2), (5, 2, 2), (4, 3, 2), (8, 2, 2),
+                    (9, 2, 2)):
+        f = parse_field_spec(str(q))
         for _ in range(60):
-            assert_snf_matches_minor_gcds(f, rand_matrix(rng, f, n, k))
+            assert_snf_matches_minor_gcds(
+                pencil_matrix(f, rand_matrix(rng, f, n, k)))
+
+
+@st.composite
+def poly_matrices(draw):
+    """Raw polynomial matrices up to 3 x 3, entries of degree at most 2, over
+    an odd prime field, a characteristic-2 extension and an odd extension."""
+    f = parse_field_spec(str(draw(st.sampled_from((3, 4, 9)))))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coeffs = st.lists(st.integers(0, f.q - 1), max_size=3)
+    entries = draw(st.lists(coeffs, min_size=rows * cols,
+                            max_size=rows * cols))
+    return PolyMatrix(rows, cols, [Poly(f, c) for c in entries])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(poly_matrices())
+def test_snf_matches_minor_gcds_on_raw_matrices(a):
+    assert_snf_matches_minor_gcds(a)
 
 
 def test_divisibility_chain_on_general_matrices():
@@ -234,6 +262,31 @@ def test_reachability_examples():
     assert reachability_rank(F2, one, ScalarMatrix.from_rows([[1]])) == 1
     with pytest.raises(ShapeError):
         reachability_rank(F2, a, ScalarMatrix.zero(3, 1))
+
+
+def reachability_rank_by_blocks(f, a, b):
+    """Rank of [B, AB, ..., A^{k-1}B], concatenated column block by block."""
+    blocks = [b]
+    for _ in range(a.rows - 1):
+        blocks.append(mat_mul(f, a, blocks[-1]))
+    rows = [sum((block.row(i) for block in blocks), ()) for i in range(a.rows)]
+    return rank(f, ScalarMatrix.from_rows(rows))
+
+
+def test_reachability_rank_matches_explicit_block_matrix():
+    f, k, n = F2, 2, 4
+    for a in all_matrices(f, k, k):
+        for b in all_matrices(f, k, n - k):
+            assert reachability_rank(f, a, b) == \
+                reachability_rank_by_blocks(f, a, b)
+    rng = random.Random(41)
+    k, n = 3, 5
+    for q in (3, 4, 9):
+        f = parse_field_spec(str(q))
+        for _ in range(200):
+            a, b = rand_matrix(rng, f, k, k), rand_matrix(rng, f, k, n - k)
+            assert reachability_rank(f, a, b) == \
+                reachability_rank_by_blocks(f, a, b)
 
 
 def test_reachability_rank_is_dual_to_invariant_subspace():
