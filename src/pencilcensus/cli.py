@@ -270,7 +270,11 @@ def cmd_snf(args, parser) -> int:
         diag = list(pencil_invariant_factors(
             f, ScalarMatrix(nrows, ncols, entries)))
     else:
-        polys = [parse_poly(str(v), f) for row in grid for v in row]
+        entries = [v for row in grid for v in row]
+        # bool is a subclass of int, so compare types exactly
+        if any(type(v) is not int and not isinstance(v, str) for v in entries):
+            parser.error("--matrix entries must be JSON strings or integers")
+        polys = [parse_poly(str(v), f) for v in entries]
         diag = list(snf(PolyMatrix(nrows, ncols, polys)).diagonal)
     if args.format == "json":
         print(census.compact_json({
@@ -382,6 +386,16 @@ def _selftest_suites(rng: random.Random):
                         return False
         return True
 
+    def orbit_reduction_vs_full() -> bool:
+        for mode in ("pencil", "fiber", "pair", "subspace"):
+            cfg = oracle.EnumConfig(p=2, m=1, n=3, k=2, mode=mode,
+                                    subspace=((1, 0),))
+            full = oracle._walk((cfg, 0, 2 ** 6),
+                                getattr(oracle, f"_{mode}_key"))
+            if oracle.run(cfg).entries != full:
+                return False
+        return True
+
     return [
         ("field-axioms", field_axioms),
         ("factorization-round-trip", factor_round_trip),
@@ -389,6 +403,7 @@ def _selftest_suites(rng: random.Random):
         ("snf-vs-minor-gcds", snf_matches_minor_gcds),
         ("rank-transpose", rank_transpose),
         ("power-identity", power_identity),
+        ("orbit-reduction-vs-full", orbit_reduction_vs_full),
     ]
 
 

@@ -1,13 +1,22 @@
 """Exhaustive enumeration oracles and the census comparison engine.
 
-Each census mode is one entry of the mode table.  :func:`run` walks the full
+Each census mode is one entry of the mode table.  :func:`run` covers the full
 matrix space in base-q index order (row-major digit order, least significant
 digit first), tallies the classifying key of every matrix, and produces a
 :class:`CensusReport` that can be diffed exactly against the closed-form
 census from :func:`closed_form`.  The index space is split into contiguous
-chunks; with more than one worker the chunks run in separate processes, and
-since the merge is plain per-key addition, the report is identical for every
-worker count.
+chunks, each a whole number of top blocks A; with more than one worker the
+chunks run in separate processes, and since the merge is plain per-key
+addition, the report is identical for every worker count.
+
+Orbit reduction: write a matrix as B = [A; C], A the top k x k block and C
+the (n-k) x k bottom block.  Left-multiplying x*I_{n,k} - B by diag(I_k, Q),
+Q in GL_{n-k}, is a constant unimodular transform, so the Smith form, and
+with it every key but nilext's, depends on C only through its row space (in
+pair mode the reachability rank depends on B only through its column space).
+Those modes classify one C per (A, row space U) and weight it by the number
+of C with row space U.  nilext's completion search is not a function of the
+Smith form: it classifies every matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +37,8 @@ from .errors import (
     ParamMismatchError,
     ShapeError,
 )
-from .gf import FieldCtx, ScalarMatrix, check_echelon_basis, field_new, rows_mul
+from .gf import (FieldCtx, ScalarMatrix, check_echelon_basis,
+                 echelon_subspaces, field_new, rows_mul)
 from .smith import (
     char_poly,
     max_invariant_subspace,
@@ -99,7 +109,9 @@ def _execute(cfg: EnumConfig, total: int, work: int,
     if work > cfg.budget:
         raise BudgetExceededError(
             f"enumeration needs {work} evaluations, budget is {cfg.budget}")
-    args = [(cfg, lo, hi) for lo, hi in _chunks(total, cfg.workers)]
+    block = cfg.q ** ((cfg.n - cfg.k) * cfg.k)  # matrices per top block A
+    args = [(cfg, lo * block, hi * block)
+            for lo, hi in _chunks(total // block, cfg.workers)]
     size = _pool_size(cfg.workers, len(args))
     if size == 1:
         parts = [fn(a) for a in args]
@@ -199,24 +211,66 @@ def _walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
     return tally
 
 
+def _row_spaces(f: FieldCtx, cfg: EnumConfig) -> list[tuple[tuple, int]]:
+    """One bottom block per row space U of dim r <= n-k in F_q^k: the entries
+    of C, U's echelon basis padded with zero rows (in pair mode B = C^T),
+    and the number of C with row space U, prod_{i<r} (q^(n-k) - q^i)."""
+    rows, k, q = cfg.n - cfg.k, cfg.k, cfg.q
+    out = []
+    for r in range(min(rows, k) + 1):
+        weight = math.prod(q ** rows - q ** i for i in range(r))
+        for basis in echelon_subspaces(f, k, r):
+            c = basis + ((0,) * k,) * (rows - r)
+            if cfg.mode == "pair":
+                c = tuple(zip(*c))
+            out.append((sum(c, ()), weight))
+    return out
+
+
+def _row_space_count(cfg: EnumConfig) -> int:
+    """len(_row_spaces(...)) without building the list."""
+    return sum(census.q_binomial(cfg.k, r, cfg.q)
+               for r in range(min(cfg.n - cfg.k, cfg.k) + 1))
+
+
+def _orbit_walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
+    """Tally ``key`` over the matrices with index lo <= i < hi, whole blocks
+    of q^((n-k)k) indices that share one top block A, by classifying one
+    representative per (A, row space of C) and adding its weight."""
+    cfg, lo, hi = args
+    f, q = cfg.field(), cfg.q
+    block = q ** ((cfg.n - cfg.k) * cfg.k)
+    bottoms = _row_spaces(f, cfg)
+    tally: dict[str, int] = {}
+    digits = _digits_of(lo // block, q, cfg.k * cfg.k)
+    for _ in range(lo // block, hi // block):
+        top = tuple(digits)
+        for bottom, weight in bottoms:
+            name = key(f, cfg, top + bottom)
+            if name is not None:
+                tally[name] = tally.get(name, 0) + weight
+        _advance(digits, q)
+    return tally
+
+
 # One chunk function per mode, a module global that :func:`run` looks up by
 # name on each call: it pickles across worker processes, and a wrapper set on
 # the module from outside sees every chunk of that mode.
 
 def _pencil_chunk(args: tuple) -> dict[str, int]:
-    return _walk(args, _pencil_key)
+    return _orbit_walk(args, _pencil_key)
 
 
 def _fiber_chunk(args: tuple) -> dict[str, int]:
-    return _walk(args, _fiber_key)
+    return _orbit_walk(args, _fiber_key)
 
 
 def _pair_chunk(args: tuple) -> dict[str, int]:
-    return _walk(args, _pair_key)
+    return _orbit_walk(args, _pair_key)
 
 
 def _subspace_chunk(args: tuple) -> dict[str, int]:
-    return _walk(args, _subspace_key)
+    return _orbit_walk(args, _subspace_key)
 
 
 def _nilext_chunk(args: tuple) -> dict[str, int]:
@@ -236,7 +290,7 @@ class Mode:
     complete: bool = True       # the tally covers all q^(nk) matrices
     subspace: bool = False      # needs cfg.subspace, a fixed echelon basis
     closed_args: Callable[[EnumConfig], tuple] = lambda cfg: (cfg.n, cfg.k)
-    # evaluations per enumerated matrix, charged against the budget
+    # evaluations per classified matrix, charged against the budget
     cost: Callable[[EnumConfig], int] = lambda cfg: 1
 
 
@@ -273,10 +327,13 @@ def _resolve(cfg: EnumConfig) -> tuple[Mode, EnumConfig, dict]:
 
 
 def run(cfg: EnumConfig) -> CensusReport:
-    """Enumerate every n x k matrix and tally it by the key of cfg.mode."""
+    """Tally every n x k matrix by the key of cfg.mode."""
     mode, cfg, extra = _resolve(cfg)
     total = cfg.q ** (cfg.n * cfg.k)
-    tally = _execute(cfg, total, total * mode.cost(cfg),
+    tops = cfg.q ** (cfg.k * cfg.k)
+    per_top = (total // tops if cfg.mode == "nilext"
+               else _row_space_count(cfg))
+    tally = _execute(cfg, total, tops * per_top * mode.cost(cfg),
                      globals()[f"_{cfg.mode}_chunk"])
     if mode.complete:
         _check_total(tally, total)

@@ -252,6 +252,11 @@ def test_usage_error_on_malformed_inputs(capsys):
         ["snf", "--q", "2", "--matrix", "5"],
         ["snf", "--q", "2", "--pencil", "--matrix", "[[1,0],[1],[0,1,1]]"],
         ["snf", "--q", "2", "--matrix", '[["x","1"],["0"],["1","x","0"]]'],
+        # polynomial entries are JSON strings or integers, nothing nested
+        ["snf", "--q", "2", "--matrix", "[[[1]]]"],
+        ["snf", "--q", "4", "--matrix", "[[[3]]]"],
+        ["snf", "--q", "2", "--matrix", "[[null]]"],
+        ["snf", "--q", "2", "--matrix", '[[{"a":1}]]'],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

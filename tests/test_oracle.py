@@ -15,13 +15,15 @@ from pencilcensus.census import (
     pencil_census,
     subspace_census,
 )
+from pencilcensus import oracle
 from pencilcensus.errors import (
     BadSubspaceError,
     BudgetExceededError,
+    ExactnessError,
     ParamMismatchError,
     ShapeError,
 )
-from pencilcensus.gf import echelon_subspaces, field_new
+from pencilcensus.gf import echelon_subspaces, field_new, parse_field_spec
 from pencilcensus.cli import build_parser
 from pencilcensus.oracle import (
     MODE_TABLE,
@@ -29,6 +31,9 @@ from pencilcensus.oracle import (
     EnumConfig,
     _chunks,
     _pool_size,
+    _row_space_count,
+    _row_spaces,
+    _walk,
     closed_form,
     run,
     verify,
@@ -200,6 +205,65 @@ def test_chunk_size_does_not_change_the_report():
     # chunks of 22, 22 and 20 do not divide the 64 matrices evenly
     assert [hi - lo for lo, hi in _chunks(64, 3)] == [22, 22, 20]
     assert run(cfg(workers=3)).to_json() == run(cfg()).to_json()
+
+
+# ---------------------------------------------------------------------------
+# orbit reduction: one representative per (A, row space of C), weighted
+# ---------------------------------------------------------------------------
+
+REDUCED_MODES = ("pencil", "fiber", "pair", "subspace")
+TALL_GRID = [(q, n, k) for q in (2, 3, 4) for n in range(2, 13)
+             for k in range(1, n) if q ** (n * k) <= 2 ** 12]
+
+
+@pytest.mark.parametrize("q,n,k", TALL_GRID)
+def test_orbit_reduction_equals_full_enumeration(q, n, k):
+    f = cfg(q).field()
+    for mode in REDUCED_MODES:
+        bases = echelon_subspaces(f, k) if mode == "subspace" else [None]
+        for basis in bases:
+            small = cfg(q, n, k, mode=mode, subspace=basis)
+            full = _walk((small, 0, q ** (n * k)),
+                         getattr(oracle, f"_{mode}_key"))
+            assert run(small).entries == full, (mode, basis)
+
+
+def test_orbit_reduction_report_is_independent_of_workers():
+    # 16 top blocks A split over 3 workers: chunks of 6, 6 and 4 blocks
+    for mode in REDUCED_MODES:
+        small = cfg(n=4, k=2, mode=mode, subspace=((1, 0),))
+        assert run(replace(small, workers=3)).to_json() == run(small).to_json()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_row_space_weights_count_every_bottom_block(q):
+    f = parse_field_spec(str(q))
+    for k in range(1, 4):
+        for rows in range(1, 4):
+            tall = EnumConfig(p=f.p, m=f.m, n=k + rows, k=k)
+            spaces = _row_spaces(f, tall)
+            assert sum(w for _, w in spaces) == q ** (rows * k)
+            assert len(spaces) == _row_space_count(tall)
+            assert all(len(c) == rows * k for c, _ in spaces)
+
+
+def test_a_wrong_weight_fails_the_total_check(monkeypatch):
+    exact = _row_spaces
+
+    def off_by_one(f, c):
+        spaces = exact(f, c)
+        return [(spaces[0][0], spaces[0][1] + 1)] + spaces[1:]
+
+    monkeypatch.setattr(oracle, "_row_spaces", off_by_one)
+    with pytest.raises(ExactnessError, match="tallied"):
+        run(cfg(n=3, k=2))
+
+
+def test_budget_counts_representatives():
+    # 16 top blocks A times 4 row spaces of C (dim 0 and three lines)
+    assert run(cfg(n=3, k=2, budget=64)).total() == 2 ** 6
+    with pytest.raises(BudgetExceededError):
+        run(cfg(n=3, k=2, budget=63))
 
 
 def _cli_choices(command, dest):
