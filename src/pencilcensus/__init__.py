@@ -23,7 +23,6 @@ from .census import (
     count_with_subspace,
     exponent_profile,
     gl_order,
-    invariant_factor_tuples,
     q_binomial,
 )
 from .gf import FieldCtx, ScalarMatrix, field_new, parse_field_spec

@@ -13,13 +13,12 @@ irreducibles g dividing the tuple, lambda_g being the partition of exponents
 of g in p_k, p_{k-1}, ...  The censuses therefore never factor anything: they
 walk (irreducible, partition) pairs, build each tuple by multiplying the
 irreducible powers into place, and evaluate each type's count once.
-Factoring (:func:`exponent_profile`, :func:`chains_with_product`) serves
-only the single counts that take a tuple or polynomial as input.
+Factoring (:func:`exponent_profile`) serves only the single counts that take
+a tuple or polynomial as input.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -303,32 +302,6 @@ def check_q_identity(d: int, q: int, y: int) -> bool:
 # Enumerating all invariant-factor tuples
 # ---------------------------------------------------------------------------
 
-def chains_with_product(f: Poly, k: int) -> Iterator[InvariantFactorTuple]:
-    """All k-tuples p_1 | p_2 | ... | p_k of monic polynomials with product f.
-
-    Built from the factorization of f: a chain corresponds to one weakly
-    increasing exponent sequence per irreducible divisor, i.e. a partition of
-    its exponent into at most k parts.
-    """
-    field = f.field
-    factored = factorize(f)
-    per_factor: list[tuple[Poly, list[tuple[int, ...]]]] = []
-    for g, e in factored.factors:
-        seqs = [tuple([0] * (k - len(lam)) + sorted(lam))
-                for lam in partitions(e, max_parts=k)]
-        per_factor.append((g, seqs))
-    one = Poly.one(field)
-    for combo in itertools.product(*(seqs for _, seqs in per_factor)):
-        polys = []
-        for i in range(k):
-            p = one
-            for (g, _), seq in zip(per_factor, combo):
-                if seq[i]:
-                    p = p * g ** seq[i]
-            polys.append(p)
-        yield InvariantFactorTuple(polys)
-
-
 def _types(field: FieldCtx, max_degree: int, slots: int
            ) -> Iterator[tuple[int, list[Poly], tuple]]:
     """Every chain p_1 | ... | p_slots of monic polynomials with total degree
@@ -375,13 +348,6 @@ def _census_entries(field: FieldCtx, max_degree: int, slots: int,
             # the chain divides by construction.
             entries["|".join(str(p) for p in polys)] = v
     return entries
-
-
-def invariant_factor_tuples(field: FieldCtx, k: int
-                            ) -> Iterator[InvariantFactorTuple]:
-    """All valid k-tuples of invariant factors with total degree <= k."""
-    for _, polys, _ in _types(field, k, k):
-        yield InvariantFactorTuple(polys)
 
 
 # ---------------------------------------------------------------------------

@@ -387,10 +387,11 @@ def _selftest_suites(rng: random.Random):
         return True
 
     def orbit_reduction_vs_full() -> bool:
-        for mode in ("pencil", "fiber", "pair", "subspace"):
-            cfg = oracle.EnumConfig(p=2, m=1, n=3, k=2, mode=mode,
+        tall = [(3, 2, mode) for mode in ("pencil", "fiber", "pair", "subspace")]
+        for n, k, mode in tall + [(3, 3, "pencil"), (3, 3, "fiber")]:
+            cfg = oracle.EnumConfig(p=2, m=1, n=n, k=k, mode=mode,
                                     subspace=((1, 0),))
-            full = oracle._walk((cfg, 0, 2 ** 6),
+            full = oracle._walk((cfg, 0, 2 ** (n * k)),
                                 getattr(oracle, f"_{mode}_key"))
             if oracle.run(cfg).entries != full:
                 return False

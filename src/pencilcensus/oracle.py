@@ -15,17 +15,25 @@ Q in GL_{n-k}, is a constant unimodular transform, so the Smith form, and
 with it every key but nilext's, depends on C only through its row space (in
 pair mode the reachability rank depends on B only through its column space).
 Those modes classify one C per (A, row space U) and weight it by the number
-of C with row space U.  nilext's completion search is not a function of the
-Smith form: it classifies every matrix.
+of C with row space U.  A square B has no C, but P(xI - B)P^-1 = xI - PBP^-1
+makes those keys similarity invariants: a graph search under conjugation by
+a few elements of GL_k splits the q^(k^2) matrices into classes, and each
+class is classified once, at its least index (by the chunk holding that
+index), weighted by the number of matrices the search visited.  nilext's
+completion search is not a function of the Smith form: it classifies every
+matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 from . import census
@@ -233,23 +241,83 @@ def _row_space_count(cfg: EnumConfig) -> int:
                for r in range(min(cfg.n - cfg.k, cfg.k) + 1))
 
 
+@lru_cache(maxsize=None)
+def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
+    """One ``(leader, size)`` per GL_k-conjugacy class of k x k matrices over
+    GF(p^m), in leader order: its least index and the number of matrices a
+    graph search visits from it.  The search conjugates by the cycle
+    e_i -> e_(i+1), by I + E_01 and, when q > 2, by diag(w, 1, ..., 1) with
+    w primitive, each acting on the k^2 digits directly."""
+    f = field_new(p, m)
+    q, kk = f.q, k * k
+    place = [q ** i for i in range(kk)]
+    # conjugating by the cycle moves entry (r, c) to (r+1, c+1), both mod k
+    cycled = [place[(i // k + 1) % k * k + (i % k + 1) % k] for i in range(kk)]
+
+    def transvection(d):  # row 0 += row 1, then column 1 -= column 0
+        e = list(d)
+        for c in range(k):
+            e[c] = f.add(e[c], e[k + c])
+        for r in range(0, kk, k):
+            e[r + 1] = f.sub(e[r + 1], e[r])
+        return sum(map(operator.mul, e, place))
+
+    def scale(d):  # row 0 *= w, column 0 *= w^-1
+        e = list(d)
+        for i in range(1, k):
+            e[i], e[i * k] = f.mul(e[i], w), f.mul(e[i * k], w_inv)
+        return sum(map(operator.mul, e, place))
+
+    moves = []
+    if k > 1:
+        moves = [lambda d: sum(map(operator.mul, d, cycled)), transvection]
+        if q > 2:
+            # w is primitive when its first q - 1 powers are distinct
+            w = next(a for a in range(2, q) if len(set(
+                itertools.accumulate([a] * (q - 1), f.mul))) == q - 1)
+            w_inv = f.inv(w)
+            moves.append(scale)
+    seen = bytearray(q ** kk)
+    classes = []
+    for leader in range(q ** kk):
+        if seen[leader]:
+            continue
+        seen[leader] = 1
+        stack, size = [leader], 0
+        while stack:
+            digits = _digits_of(stack.pop(), q, kk)
+            size += 1
+            for move in moves:
+                image = move(digits)
+                if not seen[image]:
+                    seen[image] = 1
+                    stack.append(image)
+        classes.append((leader, size))
+    return tuple(classes)
+
+
 def _orbit_walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
-    """Tally ``key`` over the matrices with index lo <= i < hi, whole blocks
-    of q^((n-k)k) indices that share one top block A, by classifying one
-    representative per (A, row space of C) and adding its weight."""
+    """Tally ``key`` over the matrices with index lo <= i < hi by classifying
+    one representative per orbit and adding its weight.  A square shape takes
+    the similarity classes whose leader lies in the range; a tall one takes
+    whole blocks of q^((n-k)k) indices that share one top block A, and one
+    representative per (A, row space of C)."""
     cfg, lo, hi = args
-    f, q = cfg.field(), cfg.q
+    f, q, kk = cfg.field(), cfg.q, cfg.k * cfg.k
     block = q ** ((cfg.n - cfg.k) * cfg.k)
+    if cfg.n == cfg.k:
+        tops = [(a, size) for a, size in
+                _similarity_classes(cfg.p, cfg.m, cfg.k) if lo <= a < hi]
+    else:
+        tops = zip(range(lo // block, hi // block), itertools.repeat(1))
     bottoms = _row_spaces(f, cfg)
     tally: dict[str, int] = {}
-    digits = _digits_of(lo // block, q, cfg.k * cfg.k)
-    for _ in range(lo // block, hi // block):
-        top = tuple(digits)
+    for a, size in tops:
+        top = tuple(_digits_of(a, q, kk))
         for bottom, weight in bottoms:
             name = key(f, cfg, top + bottom)
             if name is not None:
-                tally[name] = tally.get(name, 0) + weight
-        _advance(digits, q)
+                tally[name] = tally.get(name, 0) + size * weight
     return tally
 
 

@@ -25,7 +25,7 @@ from .errors import (
     NotIrreducibleError,
     ZeroArgumentError,
 )
-from .gf import FieldCtx, parse_field_spec
+from .gf import FieldCtx
 
 NEG_INF = float("-inf")
 
@@ -205,12 +205,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while b.coeffs:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero(a.field)
-    return ((a * b) // poly_gcd(a, b)).monic()
 
 
 def monic_polys(field: FieldCtx, degree: int) -> Iterator[Poly]:
@@ -394,12 +388,3 @@ def parse_poly(text: str, field: FieldCtx) -> Poly:
     for e, c in coeffs.items():
         out[e] = c
     return Poly(field, out)
-
-
-def poly_to_json(p: Poly) -> dict:
-    return {"field": p.field.spec_string, "coeffs": list(p.coeffs)}
-
-
-def poly_from_json(data: dict) -> Poly:
-    field = parse_field_spec(str(data["field"]))
-    return Poly(field, [int(c) for c in data["coeffs"]])

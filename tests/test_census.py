@@ -9,7 +9,6 @@ from pencilcensus import census as census_mod
 from pencilcensus.census import (
     CensusReport,
     centralizer_factor,
-    chains_with_product,
     check_q_identity,
     conjugate,
     count_char_poly_rect,
@@ -23,7 +22,6 @@ from pencilcensus.census import (
     exponent_profile,
     fiber_census,
     gl_order,
-    invariant_factor_tuples,
     pair_census,
     partitions,
     pencil_census,
@@ -39,6 +37,8 @@ from pencilcensus.errors import (
 from pencilcensus.gf import field_new, parse_field_spec
 from pencilcensus.polyring import Poly, factorize, monic_polys, parse_poly
 from pencilcensus.smith import InvariantFactorTuple
+
+from reference import chains_with_product, invariant_factor_tuples
 
 F2 = field_new(2)
 F3 = field_new(3)

@@ -33,6 +33,7 @@ from pencilcensus.oracle import (
     _pool_size,
     _row_space_count,
     _row_spaces,
+    _similarity_classes,
     _walk,
     closed_form,
     run,
@@ -43,7 +44,7 @@ F2 = field_new(2)
 
 
 def cfg(q=2, n=3, k=2, **kw):
-    f = field_new(2, 2) if q == 4 else field_new(q)
+    f = parse_field_spec(str(q))
     return EnumConfig(p=f.p, m=f.m, n=n, k=k, **kw)
 
 
@@ -264,6 +265,66 @@ def test_budget_counts_representatives():
     assert run(cfg(n=3, k=2, budget=64)).total() == 2 ** 6
     with pytest.raises(BudgetExceededError):
         run(cfg(n=3, k=2, budget=63))
+    # a square shape is charged every matrix the class search visits
+    assert run(cfg(n=2, k=2, budget=16)).total() == 2 ** 4
+    with pytest.raises(BudgetExceededError):
+        run(cfg(n=2, k=2, budget=15))
+
+
+# ---------------------------------------------------------------------------
+# square shapes: one representative per similarity class, weighted
+# ---------------------------------------------------------------------------
+
+SQUARE_GRID = [(q, k) for q in (2, 3, 4, 5, 7, 8) for k in range(1, 5)
+               if q ** (k * k) <= 2 ** 12]
+
+
+def square_cases(k):
+    identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    return (("pencil", None), ("fiber", None),
+            ("subspace", identity), ("subspace", ()))
+
+
+@pytest.mark.parametrize("q,k", SQUARE_GRID)
+def test_similarity_classes_equal_full_enumeration(q, k):
+    for mode, basis in square_cases(k):
+        small = cfg(q, k, k, mode=mode, subspace=basis)
+        full = _walk((small, 0, q ** (k * k)), getattr(oracle, f"_{mode}_key"))
+        assert run(small).entries == full, (mode, basis)
+
+
+def test_similarity_class_report_is_independent_of_workers():
+    # 512 matrices over 3 workers: chunks of 171, 171 and 170 indices
+    for mode, basis in square_cases(3):
+        small = cfg(2, 3, 3, mode=mode, subspace=basis)
+        assert run(replace(small, workers=3)).to_json() == run(small).to_json()
+    # each class is tallied by the one chunk holding its leader, however
+    # finely the indices are split
+    small = cfg(2, 2, 2)
+    parts = [oracle._pencil_chunk((small, i, i + 1)) for i in range(2 ** 4)]
+    assert oracle._merge(parts) == run(small).entries
+
+
+@pytest.mark.parametrize("q,k", SQUARE_GRID + [(2, 4), (3, 3), (9, 2)])
+def test_similarity_classes_partition_the_square_matrices(q, k):
+    f = parse_field_spec(str(q))
+    classes = _similarity_classes(f.p, f.m, k)
+    assert sum(size for _, size in classes) == q ** (k * k)
+    # Invariant factors are a complete similarity invariant, so one pencil
+    # key per class means the search reached whole GL_k orbits.
+    assert len(classes) == len(run(cfg(q, k, k)).entries)
+
+
+def test_a_wrong_class_size_fails_the_total_check(monkeypatch):
+    exact = _similarity_classes
+
+    def off_by_one(p, m, k):
+        (leader, size), *rest = exact(p, m, k)
+        return ((leader, size + 1), *rest)
+
+    monkeypatch.setattr(oracle, "_similarity_classes", off_by_one)
+    with pytest.raises(ExactnessError, match="tallied"):
+        run(cfg(n=2, k=2))
 
 
 def _cli_choices(command, dest):

@@ -19,11 +19,10 @@ from pencilcensus.polyring import (
     monic_polys,
     multiplicity,
     parse_poly,
-    poly_from_json,
     poly_gcd,
-    poly_lcm,
-    poly_to_json,
 )
+
+from reference import poly_from_json, poly_lcm, poly_to_json
 
 F2 = field_new(2)
 F3 = field_new(3)
