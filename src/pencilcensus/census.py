@@ -1,7 +1,7 @@
 """Closed-form counting of matrices over finite fields, in exact integers.
 
 Every count here is an exact nonnegative integer computed with unbounded
-integer (or exact rational) arithmetic.  Partitions are plain tuples of
+integer arithmetic.  Partitions are plain tuples of
 positive ints in weakly decreasing order; the empty tuple is the empty
 partition.  Census results are collected into :class:`CensusReport` maps
 whose keys are canonical strings, so that closed-form and enumerated reports
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Iterator
 
 from .errors import (
@@ -77,13 +76,18 @@ def partitions(total: int, max_parts: int | None = None
 # Building blocks
 # ---------------------------------------------------------------------------
 
+def _q_product(a: int, lo: int, hi: int, q: int) -> int:
+    """Product of (q^a - q^i) for lo <= i < hi; 1 when the range is empty."""
+    out = 1
+    qa = q ** a
+    for i in range(lo, hi):
+        out *= qa - q ** i
+    return out
+
+
 def gl_order(n: int, q: int) -> int:
     """Order of the group of invertible n x n matrices; 1 for n = 0."""
-    out = 1
-    qn = q ** n
-    for i in range(n):
-        out *= qn - q ** i
-    return out
+    return _q_product(n, 0, n, q)
 
 
 def q_binomial(k: int, d: int, q: int) -> int:
@@ -93,12 +97,7 @@ def q_binomial(k: int, d: int, q: int) -> int:
     """
     if d < 0 or d > k:
         return 0
-    out = 1
-    for i in range(1, d + 1):
-        out, r = divmod(out * (q ** (k - d + i) - 1), q ** i - 1)
-        if r:
-            raise ExactnessError("partial Gaussian binomial must be integral")
-    return out
+    return _exact_div(_q_product(k, 0, d, q), gl_order(d, q))
 
 
 def centralizer_factor(parts: tuple[int, ...], d: int, q: int) -> int:
@@ -112,8 +111,7 @@ def centralizer_factor(parts: tuple[int, ...], d: int, q: int) -> int:
     for i, ci in enumerate(conj):
         h += ci
         mult = ci - (conj[i + 1] if i + 1 < len(conj) else 0)
-        for j in range(1, mult + 1):
-            out *= q ** (d * h) - q ** (d * (h - j))
+        out *= _q_product(h, h - mult, h, q ** d)
     return out
 
 
@@ -160,15 +158,6 @@ def _class_size(d: int, blocks, q: int) -> int:
     return _exact_div(gl_order(d, q), den)
 
 
-def _tail_product(n: int, lo: int, k: int, q: int) -> int:
-    """Product of (q^n - q^i) for i = lo .. k."""
-    out = 1
-    qn = q ** n
-    for i in range(lo, k + 1):
-        out *= qn - q ** i
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Counting formulas
 # ---------------------------------------------------------------------------
@@ -200,7 +189,7 @@ def count_with_subspace(n: int, k: int, d: int,
 
 
 def _subspace_count(n: int, k: int, d: int, blocks, q: int) -> int:
-    return _class_size(d, blocks, q) * _tail_product(n, d + 1, k, q)
+    return _class_size(d, blocks, q) * _q_product(n, d + 1, k + 1, q)
 
 
 def count_invariant_factors(n: int, k: int, ifs: InvariantFactorTuple) -> int:
@@ -222,7 +211,7 @@ def count_given_u(n: int, k: int, d: int, q: int) -> int:
     subspace is one fixed d-dimensional subspace."""
     if not 0 <= d <= k <= n:
         raise ShapeError(f"need 0 <= d <= k <= n, got {n},{k},{d}")
-    return q ** (d * d) * _tail_product(n, d + 1, k, q)
+    return q ** (d * d) * _q_product(n, d + 1, k + 1, q)
 
 
 def count_reachability(k: int, n: int, r: int, q: int) -> int:
@@ -230,14 +219,7 @@ def count_reachability(k: int, n: int, r: int, q: int) -> int:
     if not 0 <= r <= k < n:
         raise ShapeError(f"need 0 <= r <= k < n, got k={k}, n={n}, r={r}")
     return (q_binomial(k, r, q) * q ** ((k - r) ** 2)
-            * _tail_product(n, k - r + 1, k, q))
-
-
-def _inverse_power_product(q: int, r: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(1, r + 1):
-        out *= 1 - Fraction(1, q ** i)
-    return out
+            * _q_product(n, k - r + 1, k + 1, q))
 
 
 def count_char_poly_square(f: Poly) -> int:
@@ -250,13 +232,13 @@ def count_char_poly_square(f: Poly) -> int:
 
 def _square_fiber(d: int, blocks, q: int) -> int:
     """Square d x d matrices whose characteristic polynomial has the given
-    type, one (deg g, e) pair per irreducible power g^e."""
-    value = Fraction(q ** (d * d - d)) * _inverse_power_product(q, d)
+    type, one (deg g, e) pair per irreducible power g^e:
+    |GL_d(q)| prod q^(deg e^2) over q^d prod |GL_e(q^deg)|."""
+    num, den = gl_order(d, q), q ** d
     for deg, e in blocks:
-        value /= _inverse_power_product(q ** deg, e)
-    if value.denominator != 1:
-        raise ExactnessError("fiber count must be integral")
-    return value.numerator
+        num *= q ** (deg * e * e)
+        den *= gl_order(e, q ** deg)
+    return _exact_div(num, den)
 
 
 def count_char_poly_rect(f: Poly, n: int, k: int) -> int:
@@ -274,7 +256,7 @@ def count_char_poly_rect(f: Poly, n: int, k: int) -> int:
 
 def _fiber_count(n: int, k: int, d: int, blocks, q: int) -> int:
     return (q_binomial(k, d, q) * _square_fiber(d, blocks, q)
-            * _tail_product(n, d + 1, k, q))
+            * _q_product(n, d + 1, k + 1, q))
 
 
 def count_nilpotent_extendable(k: int, n: int, q: int) -> int:

@@ -230,8 +230,8 @@ def cmd_enumerate(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     cfg = _config_from_args(args, parser)
+    observed = oracle.run(cfg)  # first, so an over-budget shape is refused fast
     expected = oracle.closed_form(cfg)
-    observed = oracle.run(cfg)
     diff = oracle.verify(expected, observed)
     if args.format == "json":
         print(diff.to_json())
@@ -387,11 +387,13 @@ def _selftest_suites(rng: random.Random):
         return True
 
     def orbit_reduction_vs_full() -> bool:
-        tall = [(3, 2, mode) for mode in ("pencil", "fiber", "pair", "subspace")]
-        for n, k, mode in tall + [(3, 3, "pencil"), (3, 3, "fiber")]:
-            cfg = oracle.EnumConfig(p=2, m=1, n=n, k=k, mode=mode,
+        tall = [(2, 3, 2, mode)
+                for mode in ("pencil", "fiber", "pair", "subspace")]
+        for q, n, k, mode in tall + [(2, 3, 3, "pencil"), (2, 3, 3, "fiber"),
+                                     (2, 3, 1, "nilext"), (3, 2, 2, "nilext")]:
+            cfg = oracle.EnumConfig(p=q, m=1, n=n, k=k, mode=mode,
                                     subspace=((1, 0),))
-            full = oracle._walk((cfg, 0, 2 ** (n * k)),
+            full = oracle._walk((cfg, 0, q ** (n * k)),
                                 getattr(oracle, f"_{mode}_key"))
             if oracle.run(cfg).entries != full:
                 return False
@@ -424,16 +426,8 @@ def cmd_selftest(args, _parser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "count": cmd_count,
-        "enumerate": cmd_enumerate,
-        "verify": cmd_verify,
-        "snf": cmd_snf,
-        "factor": cmd_factor,
-        "selftest": cmd_selftest,
-    }
     try:
-        return handlers[args.command](args, parser)
+        return globals()[f"cmd_{args.command}"](args, parser)
     except (PencilCensusError, ValueError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 

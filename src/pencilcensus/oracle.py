@@ -5,23 +5,24 @@ matrix space in base-q index order (row-major digit order, least significant
 digit first), tallies the classifying key of every matrix, and produces a
 :class:`CensusReport` that can be diffed exactly against the closed-form
 census from :func:`closed_form`.  The index space is split into contiguous
-chunks, each a whole number of top blocks A; with more than one worker the
-chunks run in separate processes, and since the merge is plain per-key
-addition, the report is identical for every worker count.
+chunks, each a whole number of top blocks A and holding an even share of the
+top-block representatives; with more than one worker the chunks run in
+separate processes, and since the merge is plain per-key addition, the report
+is identical for every worker count.
 
 Orbit reduction: write a matrix as B = [A; C], A the top k x k block and C
 the (n-k) x k bottom block.  Left-multiplying x*I_{n,k} - B by diag(I_k, Q),
 Q in GL_{n-k}, is a constant unimodular transform, so the Smith form, and
-with it every key but nilext's, depends on C only through its row space (in
-pair mode the reachability rank depends on B only through its column space).
-Those modes classify one C per (A, row space U) and weight it by the number
-of C with row space U.  A square B has no C, but P(xI - B)P^-1 = xI - PBP^-1
-makes those keys similarity invariants: a graph search under conjugation by
-a few elements of GL_k splits the q^(k^2) matrices into classes, and each
-class is classified once, at its least index (by the chunk holding that
-index), weighted by the number of matrices the search visited.  nilext's
-completion search is not a function of the Smith form: it classifies every
-matrix.
+with it the pencil, fiber and subspace keys, depends on C only through its
+row space (in pair mode the reachability rank depends on B only through its
+column space).  The nilext key does too: if N completes B to a nilpotent
+operator, g N g^-1 completes g B P^-1 for g = [[P, R], [0, Q]].  Every mode
+classifies one C per (A, row space U) and weights it by the number of C with
+row space U.  A square B has no C, but P(xI - B)P^-1 = xI - PBP^-1 makes
+every key a similarity invariant: a graph search under conjugation by a few
+elements of GL_k splits the q^(k^2) matrices into classes, and each class is
+classified once, at its least index (by the chunk holding that index),
+weighted by the number of matrices the search visited.
 """
 
 from __future__ import annotations
@@ -95,8 +96,10 @@ def _advance(digits: list[int], base: int) -> None:
 
 
 def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
-    size = max(math.ceil(total / max(workers, 1)), 1)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    """Cut range(total) into at most ``workers`` ranges of sizes within one."""
+    parts = max(min(workers, total), 1)
+    return [(total * i // parts, total * (i + 1) // parts)
+            for i in range(parts)]
 
 
 def _merge(parts) -> dict[str, int]:
@@ -115,11 +118,18 @@ def _pool_size(workers: int, chunks: int) -> int:
 def _execute(cfg: EnumConfig, total: int, work: int,
              fn: Callable[[tuple], dict[str, int]]) -> dict[str, int]:
     if work > cfg.budget:
-        raise BudgetExceededError(
-            f"enumeration needs {work} evaluations, budget is {cfg.budget}")
-    block = cfg.q ** ((cfg.n - cfg.k) * cfg.k)  # matrices per top block A
+        need = work if work.bit_length() <= 64 else f"2^{work.bit_length() - 1}"
+        raise BudgetExceededError(f"enumeration needs at least {need} "
+                                  f"evaluations, budget is {cfg.budget}")
+    tops = cfg.q ** (cfg.k * cfg.k)
+    block = total // tops  # matrices per top block A
+    # Chunks hold even shares of every A, or of the class leaders, which are
+    # searched here, before the pool forks, so the workers inherit the cache.
+    leaders = (range(tops) if cfg.n > cfg.k else
+               [a for a, _ in _similarity_classes(cfg.p, cfg.m, cfg.k)])
+    cuts = [leaders[lo] for lo, _ in _chunks(len(leaders), cfg.workers)]
     args = [(cfg, lo * block, hi * block)
-            for lo, hi in _chunks(total // block, cfg.workers)]
+            for lo, hi in zip(cuts, cuts[1:] + [tops])]
     size = _pool_size(cfg.workers, len(args))
     if size == 1:
         parts = [fn(a) for a in args]
@@ -205,7 +215,8 @@ def _has_nilpotent_completion(f: FieldCtx, b: ScalarMatrix,
 
 
 def _walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
-    """Tally ``key`` over the matrices with index lo <= i < hi."""
+    """Tally ``key`` over the matrices with index lo <= i < hi one by one: the
+    full enumeration that tests and ``selftest`` check the orbit walk against."""
     cfg, lo, hi = args
     f = cfg.field()
     q = cfg.q
@@ -342,7 +353,7 @@ def _subspace_chunk(args: tuple) -> dict[str, int]:
 
 
 def _nilext_chunk(args: tuple) -> dict[str, int]:
-    return _walk(args, _nilext_key)
+    return _orbit_walk(args, _nilext_key)
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +409,10 @@ def run(cfg: EnumConfig) -> CensusReport:
     """Tally every n x k matrix by the key of cfg.mode."""
     mode, cfg, extra = _resolve(cfg)
     total = cfg.q ** (cfg.n * cfg.k)
-    tops = cfg.q ** (cfg.k * cfg.k)
-    per_top = (total // tops if cfg.mode == "nilext"
-               else _row_space_count(cfg))
-    tally = _execute(cfg, total, tops * per_top * mode.cost(cfg),
-                     globals()[f"_{cfg.mode}_chunk"])
+    work = cfg.q ** (cfg.k * cfg.k) * mode.cost(cfg)
+    if work <= cfg.budget:  # else refuse before counting the row spaces
+        work *= _row_space_count(cfg)
+    tally = _execute(cfg, total, work, globals()[f"_{cfg.mode}_chunk"])
     if mode.complete:
         _check_total(tally, total)
     return CensusReport(make_params(cfg.mode, cfg.field(), cfg.n, cfg.k,

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from pencilcensus import census, oracle
 from pencilcensus.cli import FORMULAS, build_parser, main
 
 
@@ -154,6 +156,42 @@ def test_enumerate_budget_flag(capsys):
         main(["enumerate", "--q", "2", "--n", "3", "--k", "2",
               "--budget", "10"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+@pytest.mark.parametrize("n,k", [(400, 200), (200, 100), (2000, 1000),
+                                 (12, 12)])
+def test_an_over_budget_run_is_refused_at_once_and_legibly(capsys, command,
+                                                           n, k):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--q", "2", "--n", str(n), "--k", str(k)])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "budget" in err and len(err) < 200
+
+
+def test_verify_refuses_before_building_the_closed_form(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(oracle, "closed_form", built.append)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "2", "--n", "3", "--k", "2", "--budget", "10"])
+    assert exc.value.code == 2 and built == []
+
+
+def test_an_off_by_one_q_product_fails_verify(capsys, monkeypatch):
+    # each mode on the smallest shape where the product over lo + 1 <= i < hi
+    # gives integral but wrong counts
+    exact = census._q_product
+    monkeypatch.setattr(census, "_q_product",
+                        lambda a, lo, hi, q: exact(a, lo + 1, hi, q))
+    for mode, n, k, extra in (("pencil", 2, 1, ()), ("fiber", 2, 1, ()),
+                              ("pair", 2, 1, ()),
+                              ("subspace", 2, 2, ("--subspace", "[[1,0]]"))):
+        code, out = run_cli(capsys, "verify", "--q", "2", "--n", str(n),
+                            "--k", str(k), "--mode", mode, *extra)
+        assert code == 1 and "mismatch" in out, mode
 
 
 def test_workers_and_budget_are_validated(capsys, monkeypatch):

@@ -175,9 +175,26 @@ def test_nilext_report_matches_closed_form():
 
 
 def test_nilext_budget_counts_completions():
-    # 2^(nk) * 2^(n(n-k)) = 2^9 evaluations exceed a budget of 100
+    # 16 top blocks A x 4 row spaces of C x 2^(n(n-k)) = 8 candidate
+    # completions each: 512 evaluations exceed a budget of 100
     with pytest.raises(BudgetExceededError):
         run(cfg(n=3, k=2, mode="nilext", budget=100))
+
+
+# The full walk takes one Smith form per matrix, q^(nk) of them, and up to
+# q^(nk) * q^(n(n-k)) = q^(n^2) candidate completions.  The reduction is
+# trivial at q = 2 with n - k = 1, so those shapes are left out.
+NILEXT_GRID = [(q, n, k) for q in (2, 3, 4) for n in range(1, 5)
+               for k in range(1, n + 1)
+               if (n - k >= 2 or q > 2 or n == k)
+               and q ** (n * k) <= 2 ** 12 and q ** (n * n) <= 2 ** 15]
+
+
+@pytest.mark.parametrize("q,n,k", NILEXT_GRID)
+def test_nilext_orbit_walk_equals_full_enumeration(q, n, k):
+    small = cfg(q, n, k, mode="nilext")
+    full = _walk((small, 0, q ** (n * k)), oracle._nilext_key)
+    assert run(small).entries == full
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +220,8 @@ def test_worker_count_does_not_change_the_report():
 
 
 def test_chunk_size_does_not_change_the_report():
-    # chunks of 22, 22 and 20 do not divide the 64 matrices evenly
-    assert [hi - lo for lo, hi in _chunks(64, 3)] == [22, 22, 20]
+    # chunks of 21, 21 and 22 do not divide the 64 matrices evenly
+    assert [hi - lo for lo, hi in _chunks(64, 3)] == [21, 21, 22]
     assert run(cfg(workers=3)).to_json() == run(cfg()).to_json()
 
 
@@ -230,7 +247,7 @@ def test_orbit_reduction_equals_full_enumeration(q, n, k):
 
 
 def test_orbit_reduction_report_is_independent_of_workers():
-    # 16 top blocks A split over 3 workers: chunks of 6, 6 and 4 blocks
+    # 16 top blocks A split over 3 workers: chunks of 5, 5 and 6 blocks
     for mode in REDUCED_MODES:
         small = cfg(n=4, k=2, mode=mode, subspace=((1, 0),))
         assert run(replace(small, workers=3)).to_json() == run(small).to_json()
@@ -294,7 +311,8 @@ def test_similarity_classes_equal_full_enumeration(q, k):
 
 
 def test_similarity_class_report_is_independent_of_workers():
-    # 512 matrices over 3 workers: chunks of 171, 171 and 170 indices
+    # the 14 classes of 3 x 3 matrices over GF(2) on 3 workers: chunks of 4,
+    # 5 and 5 classes
     for mode, basis in square_cases(3):
         small = cfg(2, 3, 3, mode=mode, subspace=basis)
         assert run(replace(small, workers=3)).to_json() == run(small).to_json()
@@ -303,6 +321,27 @@ def test_similarity_class_report_is_independent_of_workers():
     small = cfg(2, 2, 2)
     parts = [oracle._pencil_chunk((small, i, i + 1)) for i in range(2 ** 4)]
     assert oracle._merge(parts) == run(small).entries
+
+
+@pytest.mark.parametrize("q,k", [(2, 3), (3, 3), (2, 4)])
+def test_square_chunks_hold_even_shares_of_the_classes(q, k, monkeypatch):
+    small = cfg(q, k, k, workers=3)
+    chunks = []
+    monkeypatch.setattr(oracle, "_pool_size", lambda workers, n: 1)
+    oracle._execute(small, q ** (k * k), 0,
+                    lambda args: chunks.append(args[1:]) or {})
+    leaders = [a for a, _ in _similarity_classes(small.p, small.m, k)]
+    shares = [sum(lo <= a < hi for a in leaders) for lo, hi in chunks]
+    assert chunks[0][0] == 0 and chunks[-1][1] == q ** (k * k)
+    assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+    assert len(shares) == 3 and max(shares) - min(shares) <= 1
+
+
+def test_parent_searches_the_classes_before_the_pool_forks():
+    _similarity_classes.cache_clear()
+    run(cfg(3, 2, 2, workers=2))
+    info = _similarity_classes.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 @pytest.mark.parametrize("q,k", SQUARE_GRID + [(2, 4), (3, 3), (9, 2)])
