@@ -17,7 +17,8 @@ import sys
 
 from . import census, oracle
 from .errors import PencilCensusError
-from .gf import FieldCtx, ScalarMatrix, field_new, parse_field_spec, rank
+from .gf import (FieldCtx, ScalarMatrix, field_new, parse_field_order,
+                 parse_field_spec, rank)
 from .polyring import Poly, factorize, parse_poly, poly_gcd
 from .smith import (
     InvariantFactorTuple,
@@ -186,7 +187,7 @@ def _int_rows(text: str, flag: str, parser) -> list[list[int]]:
 
 
 def _config_from_args(args, parser) -> oracle.EnumConfig:
-    f = parse_field_spec(args.q)
+    p, m = parse_field_order(args.q)  # the field is built after the budget check
     subspace = None
     if args.subspace is not None:
         subspace = tuple(map(tuple, _int_rows(args.subspace, "--subspace",
@@ -203,7 +204,7 @@ def _config_from_args(args, parser) -> oracle.EnumConfig:
         parser.error(f"--workers must be at least 1, got {workers}")
     if budget < 0:
         parser.error(f"--budget must be nonnegative, got {budget}")
-    return oracle.EnumConfig(p=f.p, m=f.m, n=args.n, k=args.k, mode=args.mode,
+    return oracle.EnumConfig(p=p, m=m, n=args.n, k=args.k, mode=args.mode,
                              subspace=subspace, workers=workers, budget=budget)
 
 
@@ -389,6 +390,7 @@ def _selftest_suites(rng: random.Random):
     def orbit_reduction_vs_full() -> bool:
         tall = [(2, 3, 2, mode)
                 for mode in ("pencil", "fiber", "pair", "subspace")]
+        tall += [(3, 3, 2, mode) for mode in ("pencil", "pair", "nilext")]
         for q, n, k, mode in tall + [(2, 3, 3, "pencil"), (2, 3, 3, "fiber"),
                                      (2, 3, 1, "nilext"), (3, 2, 2, "nilext")]:
             cfg = oracle.EnumConfig(p=q, m=1, n=n, k=k, mode=mode,

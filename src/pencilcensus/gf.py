@@ -227,6 +227,18 @@ class FieldCtx:
 _FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}
 
 
+def _check_order(p: int, m: int) -> None:
+    """Reject GF(p^m) unless m >= 1, p^m <= 2^16 and p is prime, in that
+    order: a huge p or m is refused before p ** m or a primality test could
+    take long (for p >= 2, m > 16 alone exceeds the cap)."""
+    if m < 1:
+        raise ValueError(f"extension degree must be >= 1, got {m}")
+    if p >= 2 and (m >= FIELD_SIZE_CAP.bit_length() or p ** m > FIELD_SIZE_CAP):
+        raise FieldTooLargeError(f"{p}^{m} exceeds the cap of 2^16")
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+
+
 def field_new(p: int, m: int = 1) -> FieldCtx:
     """Return the (cached) field context for GF(p^m).
 
@@ -238,27 +250,27 @@ def field_new(p: int, m: int = 1) -> FieldCtx:
     ctx = _FIELD_CACHE.get(key)
     if ctx is not None:
         return ctx
-    if m < 1:
-        raise ValueError(f"extension degree must be >= 1, got {m}")
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    if p ** m > FIELD_SIZE_CAP:
-        raise FieldTooLargeError(f"{p}^{m} exceeds the cap of 2^16")
+    _check_order(p, m)
     modulus = _smallest_irreducible(p, m) if m > 1 else None
     ctx = FieldCtx(p, m, modulus)
     _FIELD_CACHE[key] = ctx
     return ctx
 
 
-def parse_field_spec(text: str) -> FieldCtx:
-    """Parse a field spec string: "p", "q" (a prime power) or "p^m"."""
+def parse_field_order(text: str) -> tuple[int, int]:
+    """The checked (p, m) of a field spec string: "p", "q" (a prime power)
+    or "p^m", without building the field."""
     text = text.strip()
     if "^" in text:
         p_str, m_str = text.split("^", 1)
-        return field_new(int(p_str), int(m_str))
+        p, m = int(p_str), int(m_str)
+        _check_order(p, m)
+        return p, m
     q = int(text)
     if q < 2:
         raise NotPrimeError(f"field order must be >= 2, got {q}")
+    if q > FIELD_SIZE_CAP:  # before the trial division below
+        raise FieldTooLargeError(f"{q} exceeds the cap of 2^16")
     p = 2
     while p * p <= q and q % p:
         p += 1
@@ -271,7 +283,12 @@ def parse_field_spec(text: str) -> FieldCtx:
         m += 1
     if rest != 1:
         raise NotPrimeError(f"{q} is not a prime power")
-    return field_new(p, m)
+    return p, m
+
+
+def parse_field_spec(text: str) -> FieldCtx:
+    """The field of a spec string, as read by :func:`parse_field_order`."""
+    return field_new(*parse_field_order(text))
 
 
 # ---------------------------------------------------------------------------

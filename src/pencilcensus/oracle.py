@@ -11,18 +11,17 @@ separate processes, and since the merge is plain per-key addition, the report
 is identical for every worker count.
 
 Orbit reduction: write a matrix as B = [A; C], A the top k x k block and C
-the (n-k) x k bottom block.  Left-multiplying x*I_{n,k} - B by diag(I_k, Q),
-Q in GL_{n-k}, is a constant unimodular transform, so the Smith form, and
-with it the pencil, fiber and subspace keys, depends on C only through its
-row space (in pair mode the reachability rank depends on B only through its
-column space).  The nilext key does too: if N completes B to a nilpotent
-operator, g N g^-1 completes g B P^-1 for g = [[P, R], [0, Q]].  Every mode
-classifies one C per (A, row space U) and weights it by the number of C with
-row space U.  A square B has no C, but P(xI - B)P^-1 = xI - PBP^-1 makes
-every key a similarity invariant: a graph search under conjugation by a few
-elements of GL_k splits the q^(k^2) matrices into classes, and each class is
-classified once, at its least index (by the chunk holding that index),
-weighted by the number of matrices the search visited.
+the (n-k) x k bottom block.  For g = [[P, R], [0, Q]] in GL_n,
+g(x*I_{n,k} - B)P^-1 = x*I_{n,k} - gBP^-1, so every key is constant on the
+orbits B -> gBP^-1 (if N completes B to a nilpotent operator, gNg^-1
+completes gBP^-1), and pair mode's key, the reachability rank of (A, C^T),
+is that of (PAP^-1, PC^TQ^-1).  By g = diag(I, Q) the key depends on C only
+through its row space U; by g = diag(P, I), which permutes the U of each
+dimension, the tally over U, weighted by the number of C with row space U,
+depends on A only through its GL_k class.  So the walk takes one C per U for
+each class leader A (least index), weighted by the class size a graph search
+counts; subspace mode on a tall shape, where P moves the fixed subspace,
+takes every A with weight 1.
 """
 
 from __future__ import annotations
@@ -117,16 +116,12 @@ def _pool_size(workers: int, chunks: int) -> int:
 
 def _execute(cfg: EnumConfig, total: int, work: int,
              fn: Callable[[tuple], dict[str, int]]) -> dict[str, int]:
-    if work > cfg.budget:
-        need = work if work.bit_length() <= 64 else f"2^{work.bit_length() - 1}"
-        raise BudgetExceededError(f"enumeration needs at least {need} "
-                                  f"evaluations, budget is {cfg.budget}")
+    _check_budget(cfg, work)
     tops = cfg.q ** (cfg.k * cfg.k)
     block = total // tops  # matrices per top block A
-    # Chunks hold even shares of every A, or of the class leaders, which are
-    # searched here, before the pool forks, so the workers inherit the cache.
-    leaders = (range(tops) if cfg.n > cfg.k else
-               [a for a, _ in _similarity_classes(cfg.p, cfg.m, cfg.k)])
+    # Chunks hold even shares of the top blocks walked, which are found here,
+    # before the pool forks, so the workers inherit the class search's cache.
+    leaders = [a for a, _ in _top_blocks(cfg)]
     cuts = [leaders[lo] for lo, _ in _chunks(len(leaders), cfg.workers)]
     args = [(cfg, lo * block, hi * block)
             for lo, hi in zip(cuts, cuts[1:] + [tops])]
@@ -138,6 +133,13 @@ def _execute(cfg: EnumConfig, total: int, work: int,
         with ProcessPoolExecutor(max_workers=size, mp_context=ctx) as pool:
             parts = list(pool.map(fn, args))
     return _merge(parts)
+
+
+def _check_budget(cfg: EnumConfig, work: int) -> None:
+    if work > cfg.budget:
+        need = work if work.bit_length() <= 64 else f"2^{work.bit_length() - 1}"
+        raise BudgetExceededError(f"enumeration needs at least {need} "
+                                  f"evaluations, budget is {cfg.budget}")
 
 
 def _check_total(tally: dict[str, int], total: int) -> dict[str, int]:
@@ -307,20 +309,22 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(classes)
 
 
+def _top_blocks(cfg: EnumConfig) -> tuple[tuple[int, int], ...]:
+    """``(leader, size)`` per top block A the walk takes (see the module doc)."""
+    if cfg.n > cfg.k and MODE_TABLE[cfg.mode].subspace:
+        return tuple((a, 1) for a in range(cfg.q ** (cfg.k * cfg.k)))
+    return _similarity_classes(cfg.p, cfg.m, cfg.k)
+
+
 def _orbit_walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
     """Tally ``key`` over the matrices with index lo <= i < hi by classifying
-    one representative per orbit and adding its weight.  A square shape takes
-    the similarity classes whose leader lies in the range; a tall one takes
-    whole blocks of q^((n-k)k) indices that share one top block A, and one
-    representative per (A, row space of C)."""
+    one representative per orbit and adding its weight: the top blocks of
+    :func:`_top_blocks` whose first matrix lies in the range, each with one
+    bottom block per row space."""
     cfg, lo, hi = args
     f, q, kk = cfg.field(), cfg.q, cfg.k * cfg.k
     block = q ** ((cfg.n - cfg.k) * cfg.k)
-    if cfg.n == cfg.k:
-        tops = [(a, size) for a, size in
-                _similarity_classes(cfg.p, cfg.m, cfg.k) if lo <= a < hi]
-    else:
-        tops = zip(range(lo // block, hi // block), itertools.repeat(1))
+    tops = [(a, size) for a, size in _top_blocks(cfg) if lo <= a * block < hi]
     bottoms = _row_spaces(f, cfg)
     tally: dict[str, int] = {}
     for a, size in tops:
@@ -408,10 +412,13 @@ def _resolve(cfg: EnumConfig) -> tuple[Mode, EnumConfig, dict]:
 def run(cfg: EnumConfig) -> CensusReport:
     """Tally every n x k matrix by the key of cfg.mode."""
     mode, cfg, extra = _resolve(cfg)
-    total = cfg.q ** (cfg.n * cfg.k)
+    # q^(k^2) >= 2^(k^2 floor(log2 q)): a shape past the budget by this
+    # bound is refused before any power of q is computed
+    _check_budget(cfg, 1 << (cfg.k * cfg.k * (cfg.q.bit_length() - 1)))
     work = cfg.q ** (cfg.k * cfg.k) * mode.cost(cfg)
     if work <= cfg.budget:  # else refuse before counting the row spaces
         work *= _row_space_count(cfg)
+    total = cfg.q ** (cfg.n * cfg.k)
     tally = _execute(cfg, total, work, globals()[f"_{cfg.mode}_chunk"])
     if mode.complete:
         _check_total(tally, total)

@@ -159,17 +159,30 @@ def test_enumerate_budget_flag(capsys):
 
 
 @pytest.mark.parametrize("command", ["enumerate", "verify"])
-@pytest.mark.parametrize("n,k", [(400, 200), (200, 100), (2000, 1000),
-                                 (12, 12)])
+@pytest.mark.parametrize("q,n,k", [
+    pytest.param("2", n, k, id=f"{n}-{k}")
+    for n, k in ((400, 200), (200, 100), (2000, 1000), (12, 12))
+] + [("9", 4000, 2000), ("2^16", 300, 200)])
 def test_an_over_budget_run_is_refused_at_once_and_legibly(capsys, command,
-                                                           n, k):
+                                                           q, n, k):
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
-        main([command, "--q", "2", "--n", str(n), "--k", str(k)])
+        main([command, "--q", q, "--n", str(n), "--k", str(k)])
     assert exc.value.code == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "budget" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("q", ["100000000000000000039", "3^10000000"])
+def test_a_field_past_the_cap_is_refused_at_once(capsys, q):
+    # a prime far past 2^16, and a prime power whose exponent is huge
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--q", q, "--n", "2", "--k", "1"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    assert "cap" in capsys.readouterr().err
 
 
 def test_verify_refuses_before_building_the_closed_form(capsys, monkeypatch):

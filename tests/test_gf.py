@@ -19,6 +19,7 @@ from pencilcensus.gf import (
     kernel_intersection,
     mat_inv,
     mat_mul,
+    parse_field_order,
     parse_field_spec,
     rank,
 )
@@ -60,6 +61,20 @@ def test_parse_field_spec():
     assert parse_field_spec("2^3").q == 8
     with pytest.raises(NotPrimeError):
         parse_field_spec("6")
+
+
+def test_field_orders_are_checked_cap_first_without_building_the_field():
+    assert parse_field_order("9") == (3, 2)
+    assert parse_field_order("2^16") == (2, 16)
+    # orders past the cap, some with a huge prime or exponent, and a
+    # composite base: refused with no trial division and no p ** m
+    for spec in ("100000000000000000039", "3^10000000", "2^17", "65537",
+                 "4^10000000"):
+        with pytest.raises(FieldTooLargeError):
+            parse_field_order(spec)
+    for spec in ("6", "4^2", "1^5", "0^3"):
+        with pytest.raises(NotPrimeError):
+            parse_field_order(spec)
 
 
 def test_field_contexts_are_cached():

@@ -316,32 +316,44 @@ def test_similarity_class_report_is_independent_of_workers():
     for mode, basis in square_cases(3):
         small = cfg(2, 3, 3, mode=mode, subspace=basis)
         assert run(replace(small, workers=3)).to_json() == run(small).to_json()
-    # each class is tallied by the one chunk holding its leader, however
-    # finely the indices are split
-    small = cfg(2, 2, 2)
-    parts = [oracle._pencil_chunk((small, i, i + 1)) for i in range(2 ** 4)]
-    assert oracle._merge(parts) == run(small).entries
+    # each class is tallied, q^((n-k)k) matrices per top block, by the one
+    # chunk holding its leader's block, however finely the blocks are split
+    sizes = dict(_similarity_classes(2, 1, 2))
+    for n in (2, 3):
+        small, block = cfg(2, n, 2), 2 ** ((n - 2) * 2)
+        parts = [oracle._pencil_chunk((small, i * block, (i + 1) * block))
+                 for i in range(2 ** 4)]
+        assert oracle._merge(parts) == run(small).entries
+        assert [sum(part.values()) for part in parts] == \
+            [sizes.get(i, 0) * block for i in range(2 ** 4)]
 
 
-@pytest.mark.parametrize("q,k", [(2, 3), (3, 3), (2, 4)])
-def test_square_chunks_hold_even_shares_of_the_classes(q, k, monkeypatch):
-    small = cfg(q, k, k, workers=3)
+# Tall shapes too: each chunk holds whole blocks of q^((n-k)k) matrices
+# sharing one top block, and even shares of the class leaders.
+@pytest.mark.parametrize("q,n,k", [pytest.param(2, 3, 3, id="2-3"),
+                                   pytest.param(3, 3, 3, id="3-3"),
+                                   pytest.param(2, 4, 4, id="2-4"),
+                                   (2, 4, 2), (3, 3, 2)])
+def test_square_chunks_hold_even_shares_of_the_classes(q, n, k, monkeypatch):
+    small = cfg(q, n, k, workers=3)
     chunks = []
     monkeypatch.setattr(oracle, "_pool_size", lambda workers, n: 1)
-    oracle._execute(small, q ** (k * k), 0,
+    oracle._execute(small, q ** (n * k), 0,
                     lambda args: chunks.append(args[1:]) or {})
-    leaders = [a for a, _ in _similarity_classes(small.p, small.m, k)]
+    block = q ** ((n - k) * k)
+    leaders = [a * block for a, _ in _similarity_classes(small.p, small.m, k)]
     shares = [sum(lo <= a < hi for a in leaders) for lo, hi in chunks]
-    assert chunks[0][0] == 0 and chunks[-1][1] == q ** (k * k)
+    assert chunks[0][0] == 0 and chunks[-1][1] == q ** (n * k)
     assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
     assert len(shares) == 3 and max(shares) - min(shares) <= 1
 
 
 def test_parent_searches_the_classes_before_the_pool_forks():
-    _similarity_classes.cache_clear()
-    run(cfg(3, 2, 2, workers=2))
-    info = _similarity_classes.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    for n in (2, 3):  # square, then tall
+        _similarity_classes.cache_clear()
+        run(cfg(3, n, 2, workers=2))
+        info = _similarity_classes.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), n
 
 
 @pytest.mark.parametrize("q,k", SQUARE_GRID + [(2, 4), (3, 3), (9, 2)])
@@ -362,8 +374,26 @@ def test_a_wrong_class_size_fails_the_total_check(monkeypatch):
         return ((leader, size + 1), *rest)
 
     monkeypatch.setattr(oracle, "_similarity_classes", off_by_one)
-    with pytest.raises(ExactnessError, match="tallied"):
-        run(cfg(n=2, k=2))
+    for n in (2, 3):  # square, then tall
+        with pytest.raises(ExactnessError, match="tallied"):
+            run(cfg(n=n, k=2))
+
+
+# (q, n, k), then the keys classified with one top block per similarity
+# class (6 classes of 2 x 2 matrices at q = 2, 12 at q = 3) and with every
+# top block (16 and 81), each times the row spaces of C (5 and 5)
+@pytest.mark.parametrize("q,n,k,classes,every", [(2, 4, 2, 30, 80),
+                                                 (3, 3, 2, 60, 405)])
+def test_a_tall_walk_classifies_one_top_block_per_class(q, n, k, classes,
+                                                         every, monkeypatch):
+    for mode in MODES:
+        calls = []
+        exact = getattr(oracle, f"_{mode}_key")
+        monkeypatch.setattr(oracle, f"_{mode}_key", lambda *a, exact=exact,
+                            calls=calls: calls.append(1) or exact(*a))
+        run(cfg(q, n, k, mode=mode, subspace=((1, 0),)))
+        # subspace mode: P moves the fixed subspace, so every A is classified
+        assert len(calls) == (every if mode == "subspace" else classes), mode
 
 
 def _cli_choices(command, dest):
