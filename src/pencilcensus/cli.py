@@ -391,9 +391,12 @@ def _selftest_suites(rng: random.Random):
         tall = [(2, 3, 2, mode)
                 for mode in ("pencil", "fiber", "pair", "subspace")]
         tall += [(3, 3, 2, mode) for mode in ("pencil", "pair", "nilext")]
-        for q, n, k, mode in tall + [(2, 3, 3, "pencil"), (2, 3, 3, "fiber"),
-                                     (2, 3, 1, "nilext"), (3, 2, 2, "nilext")]:
-            cfg = oracle.EnumConfig(p=q, m=1, n=n, k=k, mode=mode,
+        square = [(q, n, n, mode) for q, n in ((2, 3), (4, 2))
+                  for mode in ("pencil", "fiber")]  # GF(4): extension scale move
+        for q, n, k, mode in tall + square + [(2, 3, 1, "nilext"),
+                                              (3, 2, 2, "nilext")]:
+            p, m = parse_field_order(str(q))
+            cfg = oracle.EnumConfig(p=p, m=m, n=n, k=k, mode=mode,
                                     subspace=((1, 0),))
             full = oracle._walk((cfg, 0, q ** (n * k)),
                                 getattr(oracle, f"_{mode}_key"))

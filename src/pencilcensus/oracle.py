@@ -31,6 +31,7 @@ import math
 import multiprocessing
 import operator
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -135,9 +136,12 @@ def _execute(cfg: EnumConfig, total: int, work: int,
     return _merge(parts)
 
 
-def _check_budget(cfg: EnumConfig, work: int) -> None:
-    if work > cfg.budget:
-        need = work if work.bit_length() <= 64 else f"2^{work.bit_length() - 1}"
+def _check_budget(cfg: EnumConfig, work: int = 0, bits: int = 0) -> None:
+    """Refuse a need of ``work`` evaluations, or of at least 2^bits, which is
+    compared by its exponent so that a huge bound costs nothing to check."""
+    bits = max(bits, work.bit_length() - 1)
+    if work > cfg.budget or bits >= cfg.budget.bit_length():
+        need = (work or 1 << bits) if bits < 64 else f"2^{bits}"
         raise BudgetExceededError(f"enumeration needs at least {need} "
                                   f"evaluations, budget is {cfg.budget}")
 
@@ -258,38 +262,54 @@ def _row_space_count(cfg: EnumConfig) -> int:
 def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
     """One ``(leader, size)`` per GL_k-conjugacy class of k x k matrices over
     GF(p^m), in leader order: its least index and the number of matrices a
-    graph search visits from it.  The search conjugates by the cycle
-    e_i -> e_(i+1), by I + E_01 and, when q > 2, by diag(w, 1, ..., 1) with
-    w primitive, each acting on the k^2 digits directly."""
+    graph search visits from it, counted visit by visit.  The search
+    conjugates by the cycle e_i -> e_(i+1), by I + E_01 and, when q > 2, by
+    diag(w, 1, ..., 1) with w primitive.  Each generator is built once as a
+    permutation of the q^(k^2) indices, so a step of the search is one
+    lookup: conjugation is linear and each output row depends on one group
+    of input rows, so an image index is the sum of one table entry per group."""
     f = field_new(p, m)
     q, kk = f.q, k * k
     place = [q ** i for i in range(kk)]
-    # conjugating by the cycle moves entry (r, c) to (r+1, c+1), both mod k
-    cycled = [place[(i // k + 1) % k * k + (i % k + 1) % k] for i in range(kk)]
+    rows = [_digits_of(r, q, k) for r in range(q ** k)]
 
-    def transvection(d):  # row 0 += row 1, then column 1 -= column 0
-        e = list(d)
-        for c in range(k):
-            e[c] = f.add(e[c], e[k + c])
-        for r in range(0, kk, k):
-            e[r + 1] = f.sub(e[r + 1], e[r])
-        return sum(map(operator.mul, e, place))
+    def share(g, r):  # the image of each row under g, placed as row r
+        return [sum(map(operator.mul, g(d), place)) * place[r * k]
+                for d in rows]
 
-    def scale(d):  # row 0 *= w, column 0 *= w^-1
-        e = list(d)
-        for i in range(1, k):
-            e[i], e[i * k] = f.mul(e[i], w), f.mul(e[i * k], w_inv)
-        return sum(map(operator.mul, e, place))
+    def perm(*tables):  # tables of the row groups, least significant first
+        out = array("I", [0])
+        for table in tables:
+            out, low = array("I"), out
+            for t in table:
+                out.extend([t + y for y in low])
+        return out
 
     moves = []
     if k > 1:
-        moves = [lambda d: sum(map(operator.mul, d, cycled)), transvection]
-        if q > 2:
+        # conjugating by the cycle moves entry (r, c) to (r+1, c+1), both mod k
+        moves.append(perm(*(share(lambda d: d[-1:] + d[:-1], (r + 1) % k)
+                            for r in range(k))))
+        # I + E_01: row 0 += row 1, for each row 1 a map of row 0 built digit
+        # by digit, then column 1 -= column 0
+        plus = [[f.add(a, b) for a in range(q)] for b in range(q)]
+        rows01 = [y + r1 * place[k] for r1, d1 in enumerate(rows) for y in
+                  perm(*([v * place[c] for v in plus[b]]
+                         for c, b in enumerate(d1)))]
+        row_op = perm(rows01, *(share(list, r) for r in range(2, k)))
+        col_op = perm(*(share(lambda d: [d[0], f.sub(d[1], d[0]), *d[2:]], r)
+                        for r in range(k)))
+        moves.append(array("I", map(col_op.__getitem__, row_op)))
+        del row_op, col_op
+        if q > 2:  # row 0 *= w, column 0 *= w^-1
             # w is primitive when its first q - 1 powers are distinct
             w = next(a for a in range(2, q) if len(set(
                 itertools.accumulate([a] * (q - 1), f.mul))) == q - 1)
             w_inv = f.inv(w)
-            moves.append(scale)
+            moves.append(perm(
+                share(lambda d: [d[0], *(f.mul(v, w) for v in d[1:])], 0),
+                *(share(lambda d: [f.mul(d[0], w_inv), *d[1:]], r)
+                  for r in range(1, k))))
     seen = bytearray(q ** kk)
     classes = []
     for leader in range(q ** kk):
@@ -298,10 +318,10 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
         seen[leader] = 1
         stack, size = [leader], 0
         while stack:
-            digits = _digits_of(stack.pop(), q, kk)
+            x = stack.pop()
             size += 1
             for move in moves:
-                image = move(digits)
+                image = move[x]
                 if not seen[image]:
                     seen[image] = 1
                     stack.append(image)
@@ -373,8 +393,8 @@ class Mode:
     complete: bool = True       # the tally covers all q^(nk) matrices
     subspace: bool = False      # needs cfg.subspace, a fixed echelon basis
     closed_args: Callable[[EnumConfig], tuple] = lambda cfg: (cfg.n, cfg.k)
-    # evaluations per classified matrix, charged against the budget
-    cost: Callable[[EnumConfig], int] = lambda cfg: 1
+    # evaluations per classified matrix, q^cost(cfg), charged to the budget
+    cost: Callable[[EnumConfig], int] = lambda cfg: 0
 
 
 MODE_TABLE = {
@@ -383,22 +403,29 @@ MODE_TABLE = {
     "fiber": Mode(),
     "subspace": Mode(complete=False, subspace=True,
                      closed_args=lambda cfg: (cfg.n, cfg.k, len(cfg.subspace))),
-    "nilext": Mode(complete=False,
-                   cost=lambda cfg: cfg.q ** (cfg.n * (cfg.n - cfg.k))),
+    "nilext": Mode(complete=False, cost=lambda cfg: cfg.n * (cfg.n - cfg.k)),
 }
 
 MODES = tuple(MODE_TABLE)
 
 
-def _resolve(cfg: EnumConfig) -> tuple[Mode, EnumConfig, dict]:
-    """Check ``cfg`` against its mode's shape rule; return the mode, ``cfg``
-    with a canonical subspace basis, and the report parameters it adds."""
+def _resolve(cfg: EnumConfig,
+             budget: bool = False) -> tuple[Mode, EnumConfig, dict]:
+    """Check ``cfg`` against its mode's shape rule and, if ``budget``, its
+    budget by a lower bound; return the mode, ``cfg`` with a canonical
+    subspace basis, and the report parameters it adds."""
     mode = MODE_TABLE.get(cfg.mode)
     if mode is None:
         raise ValueError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
     if not 1 <= cfg.k <= cfg.n - mode.tall:
         raise ShapeError(f"need 1 <= k {'<' if mode.tall else '<='} n, "
                          f"got n={cfg.n}, k={cfg.k}")
+    if budget:
+        # q^(k^2 + cost) >= 2^((k^2 + cost) floor(log2 q)): a shape past the
+        # budget by this bound is refused before any power of q is computed
+        # or the field is built
+        _check_budget(cfg, bits=(cfg.k * cfg.k + mode.cost(cfg))
+                      * (cfg.q.bit_length() - 1))
     if not mode.subspace:
         return mode, cfg, {}
     if cfg.subspace is None:
@@ -411,11 +438,8 @@ def _resolve(cfg: EnumConfig) -> tuple[Mode, EnumConfig, dict]:
 
 def run(cfg: EnumConfig) -> CensusReport:
     """Tally every n x k matrix by the key of cfg.mode."""
-    mode, cfg, extra = _resolve(cfg)
-    # q^(k^2) >= 2^(k^2 floor(log2 q)): a shape past the budget by this
-    # bound is refused before any power of q is computed
-    _check_budget(cfg, 1 << (cfg.k * cfg.k * (cfg.q.bit_length() - 1)))
-    work = cfg.q ** (cfg.k * cfg.k) * mode.cost(cfg)
+    mode, cfg, extra = _resolve(cfg, budget=True)
+    work = cfg.q ** (cfg.k * cfg.k + mode.cost(cfg))
     if work <= cfg.budget:  # else refuse before counting the row spaces
         work *= _row_space_count(cfg)
     total = cfg.q ** (cfg.n * cfg.k)

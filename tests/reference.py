@@ -1,10 +1,12 @@
 """Reference enumerations and polynomial helpers that only the tests use."""
 
 import itertools
+import operator
 
 from pencilcensus import census
 from pencilcensus.census import _types, partitions
-from pencilcensus.gf import parse_field_spec
+from pencilcensus.gf import field_new, parse_field_spec
+from pencilcensus.oracle import _digits_of
 from pencilcensus.polyring import Poly, poly_gcd
 from pencilcensus.smith import InvariantFactorTuple
 
@@ -53,3 +55,60 @@ def poly_to_json(p):
 def poly_from_json(data):
     field = parse_field_spec(str(data["field"]))
     return Poly(field, [int(c) for c in data["coeffs"]])
+
+
+def similarity_classes_by_moves(p, m, k):
+    """The move-by-move class search that ``oracle._similarity_classes``
+    must equal tuple for tuple, each move decoding and re-encoding a matrix.
+
+    One ``(leader, size)`` per GL_k-conjugacy class of k x k matrices over
+    GF(p^m), in leader order: its least index and the number of matrices a
+    graph search visits from it.  The search conjugates by the cycle
+    e_i -> e_(i+1), by I + E_01 and, when q > 2, by diag(w, 1, ..., 1) with
+    w primitive, each acting on the k^2 digits directly."""
+    f = field_new(p, m)
+    q, kk = f.q, k * k
+    place = [q ** i for i in range(kk)]
+    # conjugating by the cycle moves entry (r, c) to (r+1, c+1), both mod k
+    cycled = [place[(i // k + 1) % k * k + (i % k + 1) % k] for i in range(kk)]
+
+    def transvection(d):  # row 0 += row 1, then column 1 -= column 0
+        e = list(d)
+        for c in range(k):
+            e[c] = f.add(e[c], e[k + c])
+        for r in range(0, kk, k):
+            e[r + 1] = f.sub(e[r + 1], e[r])
+        return sum(map(operator.mul, e, place))
+
+    def scale(d):  # row 0 *= w, column 0 *= w^-1
+        e = list(d)
+        for i in range(1, k):
+            e[i], e[i * k] = f.mul(e[i], w), f.mul(e[i * k], w_inv)
+        return sum(map(operator.mul, e, place))
+
+    moves = []
+    if k > 1:
+        moves = [lambda d: sum(map(operator.mul, d, cycled)), transvection]
+        if q > 2:
+            # w is primitive when its first q - 1 powers are distinct
+            w = next(a for a in range(2, q) if len(set(
+                itertools.accumulate([a] * (q - 1), f.mul))) == q - 1)
+            w_inv = f.inv(w)
+            moves.append(scale)
+    seen = bytearray(q ** kk)
+    classes = []
+    for leader in range(q ** kk):
+        if seen[leader]:
+            continue
+        seen[leader] = 1
+        stack, size = [leader], 0
+        while stack:
+            digits = _digits_of(stack.pop(), q, kk)
+            size += 1
+            for move in moves:
+                image = move(digits)
+                if not seen[image]:
+                    seen[image] = 1
+                    stack.append(image)
+        classes.append((leader, size))
+    return tuple(classes)

@@ -174,6 +174,22 @@ def test_an_over_budget_run_is_refused_at_once_and_legibly(capsys, command,
     assert "budget" in err and len(err) < 200
 
 
+# nilext's q^(n(n-k)) completions per matrix and a subspace basis over
+# GF(2^16) are bounded before the power is taken or the field is built
+@pytest.mark.parametrize("argv", [
+    ["--q", "9", "--n", "3000", "--k", "1", "--mode", "nilext"],
+    ["--q", "2^16", "--n", "300", "--k", "200", "--mode", "subspace",
+     "--subspace", json.dumps([[1] + [0] * 199])],
+], ids=["nilext", "subspace"])
+def test_a_costly_mode_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", *argv])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    assert "needs at least 2^" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("q", ["100000000000000000039", "3^10000000"])
 def test_a_field_past_the_cap_is_refused_at_once(capsys, q):
     # a prime far past 2^16, and a prime power whose exponent is huge

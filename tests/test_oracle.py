@@ -40,6 +40,8 @@ from pencilcensus.oracle import (
     verify,
 )
 
+from reference import similarity_classes_by_moves
+
 F2 = field_new(2)
 
 
@@ -308,6 +310,24 @@ def test_similarity_classes_equal_full_enumeration(q, k):
         small = cfg(q, k, k, mode=mode, subspace=basis)
         full = _walk((small, 0, q ** (k * k)), getattr(oracle, f"_{mode}_key"))
         assert run(small).entries == full, (mode, basis)
+
+
+# the odd-extension field GF(9), 6561 matrices, in pencil mode alone
+@pytest.mark.parametrize("q,k", [(9, 2)])
+def test_odd_extension_classes_equal_full_enumeration(q, k):
+    small = cfg(q, k, k)
+    full = _walk((small, 0, q ** (k * k)), oracle._pencil_key)
+    assert run(small).entries == full
+
+
+# prime, characteristic-2 extension and odd-extension fields, up to 2^16
+# matrices: (2, 4), (3, 3), (4, 2) and (9, 2) among them
+@pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3, 4, 5, 7, 8, 9)
+                                 for k in range(1, 5) if q ** (k * k) <= 2 ** 16])
+def test_similarity_classes_equal_the_move_by_move_search(q, k):
+    f = parse_field_spec(str(q))
+    assert _similarity_classes(f.p, f.m, k) == \
+        similarity_classes_by_moves(f.p, f.m, k)
 
 
 def test_similarity_class_report_is_independent_of_workers():
