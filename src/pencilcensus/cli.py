@@ -388,16 +388,19 @@ def _selftest_suites(rng: random.Random):
         return True
 
     def orbit_reduction_vs_full() -> bool:
-        tall = [(2, 3, 2, mode)
-                for mode in ("pencil", "fiber", "pair", "subspace")]
-        tall += [(3, 3, 2, mode) for mode in ("pencil", "pair", "nilext")]
-        square = [(q, n, n, mode) for q, n in ((2, 3), (4, 2))
+        tall = [(2, 3, 2, mode, None) for mode in ("pencil", "fiber", "pair")]
+        tall += [(3, 3, 2, mode, None) for mode in ("pencil", "pair", "nilext")]
+        # subspace mode keeps the A with A*S in S and the C with C*S = 0:
+        # checked on an axis and on a line off the axes
+        tall += [(2, 3, 2, "subspace", ((1, 0),)),
+                 (3, 3, 2, "subspace", ((1, 2),))]
+        square = [(q, n, n, mode, None) for q, n in ((2, 3), (4, 2))
                   for mode in ("pencil", "fiber")]  # GF(4): extension scale move
-        for q, n, k, mode in tall + square + [(2, 3, 1, "nilext"),
-                                              (3, 2, 2, "nilext")]:
+        for q, n, k, mode, basis in tall + square + [
+                (2, 3, 1, "nilext", None), (3, 2, 2, "nilext", None)]:
             p, m = parse_field_order(str(q))
             cfg = oracle.EnumConfig(p=p, m=m, n=n, k=k, mode=mode,
-                                    subspace=((1, 0),))
+                                    subspace=basis)
             full = oracle._walk((cfg, 0, q ** (n * k)),
                                 getattr(oracle, f"_{mode}_key"))
             if oracle.run(cfg).entries != full:

@@ -141,15 +141,21 @@ class FieldCtx:
                     prod[i - m + j] = (prod[i - m + j] - c * mod[j]) % p
         return self._encode(prod[: m])
 
+    def _raw_pow(self, a: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self._raw_mul(out, a)
+            a, e = self._raw_mul(a, a), e >> 1
+        return out
+
     def _build_log_tables(self) -> None:
+        """Tables of the least generator g: the least g with g^((q-1)/r) != 1
+        for every prime r dividing q - 1, whose powers fill both in one pass."""
         q = self.q
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
         for g in range(2, q):
-            seen = 1
-            acc = g
-            while acc != 1:
-                acc = self._raw_mul(acc, g)
-                seen += 1
-            if seen == q - 1:
+            if all(self._raw_pow(g, (q - 1) // r) != 1 for r in primes):
                 break
         else:  # pragma: no cover - multiplicative group is always cyclic
             raise ExactnessError(f"no generator of GF({q})* found")

@@ -20,8 +20,10 @@ through its row space U; by g = diag(P, I), which permutes the U of each
 dimension, the tally over U, weighted by the number of C with row space U,
 depends on A only through its GL_k class.  So the walk takes one C per U for
 each class leader A (least index), weighted by the class size a graph search
-counts; subspace mode on a tall shape, where P moves the fixed subspace,
-takes every A with weight 1.
+counts; subspace mode on a tall shape, where P moves the fixed subspace S,
+takes with weight 1 each A with A*S inside S and each C with C*S = 0 (S's
+basis rows as columns), since the maximal invariant subspace, the kernel of
+C, CA, ..., CA^(k-1), is the largest A-invariant subspace inside ker C.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .errors import (
     ShapeError,
 )
 from .gf import (FieldCtx, ScalarMatrix, check_echelon_basis,
-                 echelon_subspaces, field_new, rows_mul)
+                 echelon_subspaces, field_new, rows_mul, rref_rows)
 from .smith import (
     char_poly,
     max_invariant_subspace,
@@ -121,7 +123,7 @@ def _execute(cfg: EnumConfig, total: int, work: int,
     tops = cfg.q ** (cfg.k * cfg.k)
     block = total // tops  # matrices per top block A
     # Chunks hold even shares of the top blocks walked, which are found here,
-    # before the pool forks, so the workers inherit the class search's cache.
+    # before the pool forks, so the workers inherit them from the cache.
     leaders = [a for a, _ in _top_blocks(cfg)]
     cuts = [leaders[lo] for lo, _ in _chunks(len(leaders), cfg.workers)]
     args = [(cfg, lo * block, hi * block)
@@ -332,8 +334,22 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
 def _top_blocks(cfg: EnumConfig) -> tuple[tuple[int, int], ...]:
     """``(leader, size)`` per top block A the walk takes (see the module doc)."""
     if cfg.n > cfg.k and MODE_TABLE[cfg.mode].subspace:
-        return tuple((a, 1) for a in range(cfg.q ** (cfg.k * cfg.k)))
+        return _fixing_blocks(cfg.p, cfg.m, cfg.k, cfg.subspace)
     return _similarity_classes(cfg.p, cfg.m, cfg.k)
+
+
+@lru_cache(maxsize=None)
+def _fixing_blocks(p: int, m: int, k: int,
+                   basis: tuple) -> tuple[tuple[int, int], ...]:
+    """``(a, 1)`` per k x k A with A*S inside S, S spanned by the echelon
+    ``basis`` rows read as columns: the rows of S*A^T span no more than S."""
+    f, kk, tops = field_new(p, m), k * k, []
+    for a in range(f.q ** kk):
+        d = _digits_of(a, f.q, kk)  # row-major, so d[c::k] is column c of A
+        image = rows_mul(f, basis, [d[c::k] for c in range(k)])
+        if len(rref_rows(f, [*basis, *image], k)) == len(basis):
+            tops.append((a, 1))
+    return tuple(tops)
 
 
 def _orbit_walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
@@ -346,6 +362,9 @@ def _orbit_walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
     block = q ** ((cfg.n - cfg.k) * cfg.k)
     tops = [(a, size) for a, size in _top_blocks(cfg) if lo <= a * block < hi]
     bottoms = _row_spaces(f, cfg)
+    if MODE_TABLE[cfg.mode].subspace:  # the kernel lies in ker C: keep C*S = 0
+        bottoms = [(c, w) for c, w in bottoms if not any(map(any, rows_mul(
+            f, cfg.subspace, [c[j::cfg.k] for j in range(cfg.k)])))]
     tally: dict[str, int] = {}
     for a, size in tops:
         top = tuple(_digits_of(a, q, kk))

@@ -112,3 +112,28 @@ def similarity_classes_by_moves(p, m, k):
                     stack.append(image)
         classes.append((leader, size))
     return tuple(classes)
+
+
+def log_tables_by_order_walk(f):
+    """The ``(exp, log)`` tables that ``FieldCtx`` must build for the
+    extension field ``f``: the least generator g found by walking each
+    candidate's powers with ``_raw_mul`` until they return to 1, then a
+    second walk of g's powers to fill the tables."""
+    q = f.q
+    for g in range(2, q):
+        seen = 1
+        acc = g
+        while acc != 1:
+            acc = f._raw_mul(acc, g)
+            seen += 1
+        if seen == q - 1:
+            break
+    exp = [0] * (2 * (q - 1))
+    log = [0] * q
+    acc = 1
+    for i in range(q - 1):
+        exp[i] = acc
+        exp[i + q - 1] = acc
+        log[acc] = i
+        acc = f._raw_mul(acc, g)
+    return exp, log

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -335,3 +338,15 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "selftest: ok" in out
     assert "FAIL" not in out
+
+
+def test_selftest_passes_under_optimize():
+    # the shipped checks raise errors, not asserts, so -O must keep them
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pencilcensus", "selftest"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "selftest: ok" in proc.stdout

@@ -16,6 +16,7 @@ from pencilcensus.gf import (
     check_echelon_basis,
     echelon_subspaces,
     field_new,
+    is_prime,
     kernel_intersection,
     mat_inv,
     mat_mul,
@@ -23,6 +24,8 @@ from pencilcensus.gf import (
     parse_field_spec,
     rank,
 )
+
+from reference import log_tables_by_order_walk
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (11, 1), (13, 1), (2, 4)]
@@ -116,6 +119,14 @@ def test_field_axioms_exhaustive(p, m):
             assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
             assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
             assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+# every extension field with q <= 2^10, characteristic 2 to 31
+@pytest.mark.parametrize("p,m", [(p, m) for p in range(2, 32) if is_prime(p)
+                                 for m in range(2, 11) if p ** m <= 2 ** 10])
+def test_log_tables_equal_the_order_walk(p, m):
+    f = field_new(p, m)
+    assert (f._exp, f._log) == log_tables_by_order_walk(f)
 
 
 def test_rank_examples():

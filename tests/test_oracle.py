@@ -248,6 +248,21 @@ def test_orbit_reduction_equals_full_enumeration(q, n, k):
             assert run(small).entries == full, (mode, basis)
 
 
+# subspace mode on fields past TALL_GRID's: GF(5) with the zero space, a
+# line off the axes, an axis and the plane, and the odd-extension field GF(9)
+# with every basis
+@pytest.mark.parametrize("q,n,k,basis", [
+    *((5, 3, 2, basis) for basis in ((), ((1, 2),), ((0, 1),),
+                                     ((1, 0), (0, 1)))),
+    *((9, n, 1, basis) for n in (3, 4)
+      for basis in echelon_subspaces(field_new(3, 2), 1))])
+def test_subspace_reduction_equals_full_enumeration_on_more_fields(q, n, k,
+                                                                  basis):
+    small = cfg(q, n, k, mode="subspace", subspace=basis)
+    full = _walk((small, 0, q ** (n * k)), oracle._subspace_key)
+    assert run(small).entries == full
+
+
 def test_orbit_reduction_report_is_independent_of_workers():
     # 16 top blocks A split over 3 workers: chunks of 5, 5 and 6 blocks
     for mode in REDUCED_MODES:
@@ -376,6 +391,15 @@ def test_parent_searches_the_classes_before_the_pool_forks():
         assert (info.misses, info.currsize) == (1, 1), n
 
 
+def test_the_fixing_top_blocks_are_found_once_per_run(monkeypatch):
+    # found by the parent, then taken from the cache by each of 3 chunks
+    monkeypatch.setattr(oracle, "_pool_size", lambda workers, n: 1)
+    oracle._fixing_blocks.cache_clear()
+    run(cfg(3, 3, 2, mode="subspace", subspace=((1, 2),), workers=3))
+    info = oracle._fixing_blocks.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 @pytest.mark.parametrize("q,k", SQUARE_GRID + [(2, 4), (3, 3), (9, 2)])
 def test_similarity_classes_partition_the_square_matrices(q, k):
     f = parse_field_spec(str(q))
@@ -400,20 +424,23 @@ def test_a_wrong_class_size_fails_the_total_check(monkeypatch):
 
 
 # (q, n, k), then the keys classified with one top block per similarity
-# class (6 classes of 2 x 2 matrices at q = 2, 12 at q = 3) and with every
-# top block (16 and 81), each times the row spaces of C (5 and 5)
-@pytest.mark.parametrize("q,n,k,classes,every", [(2, 4, 2, 30, 80),
-                                                 (3, 3, 2, 60, 405)])
+# class (6 classes of 2 x 2 matrices at q = 2, 12 at q = 3) times the row
+# spaces of C (5 and 5), and in subspace mode with S = span(e_1) with the A
+# that fix S (8 of 16 and 27 of 81) times the row spaces that C*S = 0 leaves
+# (2 and 2)
+@pytest.mark.parametrize("q,n,k,classes,fixing", [(2, 4, 2, 30, 16),
+                                                  (3, 3, 2, 60, 54)])
 def test_a_tall_walk_classifies_one_top_block_per_class(q, n, k, classes,
-                                                         every, monkeypatch):
+                                                         fixing, monkeypatch):
     for mode in MODES:
         calls = []
         exact = getattr(oracle, f"_{mode}_key")
         monkeypatch.setattr(oracle, f"_{mode}_key", lambda *a, exact=exact,
                             calls=calls: calls.append(1) or exact(*a))
         run(cfg(q, n, k, mode=mode, subspace=((1, 0),)))
-        # subspace mode: P moves the fixed subspace, so every A is classified
-        assert len(calls) == (every if mode == "subspace" else classes), mode
+        # subspace mode: P moves the fixed subspace, so the walk takes every
+        # A that can fix it, each with the C that vanish on it
+        assert len(calls) == (fixing if mode == "subspace" else classes), mode
 
 
 def _cli_choices(command, dest):
