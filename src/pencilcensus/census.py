@@ -363,15 +363,6 @@ class CensusReport:
     def to_json(self) -> str:
         return compact_json(self.to_json_dict())
 
-    @classmethod
-    def from_json(cls, text: str) -> "CensusReport":
-        data = json.loads(text)
-        if data.get("schema") != CENSUS_SCHEMA:
-            raise ValueError(f"not a census report: {data.get('schema')!r}")
-        return cls(parameters=data["parameters"],
-                   entries={key: int(v) for key, v in data["entries"].items()},
-                   source=data["source"])
-
 
 def make_params(mode: str, f: FieldCtx, n: int, k: int, **extra) -> dict:
     params = {"mode": mode, "q": f.q, "p": f.p, "m": f.m, "n": n, "k": k}

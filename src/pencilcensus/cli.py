@@ -390,10 +390,13 @@ def _selftest_suites(rng: random.Random):
     def orbit_reduction_vs_full() -> bool:
         tall = [(2, 3, 2, mode, None) for mode in ("pencil", "fiber", "pair")]
         tall += [(3, 3, 2, mode, None) for mode in ("pencil", "pair", "nilext")]
-        # subspace mode keeps the A with A*S in S and the C with C*S = 0:
-        # checked on an axis and on a line off the axes
+        # subspace mode walks S_0 = span(e_1..e_d) for S, one A per class
+        # under S_0's stabiliser: checked on an axis, on a line off the axes
+        # and on a plane off the axes (d = 2: both diagonal blocks and the
+        # move coupling them)
         tall += [(2, 3, 2, "subspace", ((1, 0),)),
-                 (3, 3, 2, "subspace", ((1, 2),))]
+                 (3, 3, 2, "subspace", ((1, 2),)),
+                 (2, 4, 3, "subspace", ((1, 0, 1), (0, 1, 1)))]
         square = [(q, n, n, mode, None) for q, n in ((2, 3), (4, 2))
                   for mode in ("pencil", "fiber")]  # GF(4): extension scale move
         for q, n, k, mode, basis in tall + square + [

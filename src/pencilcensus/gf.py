@@ -218,11 +218,6 @@ class FieldCtx:
 
     # -- plumbing ------------------------------------------------------------
 
-    @property
-    def spec_string(self) -> str:
-        """Field spec in the CLI grammar: "p" for prime fields, else "p^m"."""
-        return str(self.p) if self.m == 1 else f"{self.p}^{self.m}"
-
     def __repr__(self) -> str:
         return f"FieldCtx(q={self.q})"
 
@@ -361,13 +356,6 @@ class ScalarMatrix:
         return f"ScalarMatrix({self.to_rows()!r})"
 
 
-def mat_mul(field: FieldCtx, a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = rows_mul(field, a.to_rows(), b.to_rows())
-    return ScalarMatrix(a.rows, b.cols, [x for row in out for x in row])
-
-
 def rows_mul(field: FieldCtx, a: list[list[int]],
              b: list[list[int]]) -> list[list[int]]:
     """Row-list matrix product; no shape checks (internal hot path)."""
@@ -456,40 +444,6 @@ def kernel_basis_rows(field: FieldCtx, rows: Iterable[Sequence[int]],
             vec[p] = neg(red[i][f])
         vectors.append(vec)
     return tuple(tuple(r) for r in rref_rows(field, vectors, cols))
-
-
-def kernel_intersection(field: FieldCtx, mats: Sequence[ScalarMatrix]
-                        ) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis of the intersection of the kernels of the matrices.
-
-    All matrices must have the same column count k; the result is a basis of
-    a subspace of F_q^k with dimension k - rank(vertical stack).
-    """
-    if not mats:
-        raise ShapeError("need at least one matrix")
-    cols = mats[0].cols
-    stacked: list[list[int]] = []
-    for m in mats:
-        if m.cols != cols:
-            raise ShapeError("column counts differ")
-        stacked.extend(m.to_rows())
-    return kernel_basis_rows(field, stacked, cols)
-
-
-def mat_inv(field: FieldCtx, matrix: ScalarMatrix) -> ScalarMatrix:
-    """Inverse of a square matrix, by Gauss-Jordan on [M | I]."""
-    n = matrix.rows
-    if n != matrix.cols:
-        raise ShapeError("inverse needs a square matrix")
-    aug = []
-    for i, row in enumerate(matrix.to_rows()):
-        ident = [0] * n
-        ident[i] = 1
-        aug.append(row + ident)
-    red = rref_rows(field, aug, 2 * n)
-    if len(red) != n or any(red[i][i] != 1 for i in range(n)):
-        raise ShapeError("matrix is singular")
-    return ScalarMatrix.from_rows([row[n:] for row in red])
 
 
 def echelon_subspaces(field: FieldCtx, k: int,

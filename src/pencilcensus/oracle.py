@@ -20,10 +20,12 @@ through its row space U; by g = diag(P, I), which permutes the U of each
 dimension, the tally over U, weighted by the number of C with row space U,
 depends on A only through its GL_k class.  So the walk takes one C per U for
 each class leader A (least index), weighted by the class size a graph search
-counts; subspace mode on a tall shape, where P moves the fixed subspace S,
-takes with weight 1 each A with A*S inside S and each C with C*S = 0 (S's
-basis rows as columns), since the maximal invariant subspace, the kernel of
-C, CA, ..., CA^(k-1), is the largest A-invariant subspace inside ker C.
+counts.  Subspace mode walks S_0 = span(e_1..e_d) for the fixed subspace S:
+g = diag(T, I) with T*S = S_0 maps the maximal invariant subspace M to T*M,
+so both tally alike.  M, the kernel of C, CA, ..., CA^(k-1), is the largest
+A-invariant subspace inside ker C, so M = S_0 only if A*S_0 lies in S_0 and
+C vanishes on S_0; the P that fix S_0 keep both, so the walk takes only
+such U and one such A per class under those P.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import (
     ShapeError,
 )
 from .gf import (FieldCtx, ScalarMatrix, check_echelon_basis,
-                 echelon_subspaces, field_new, rows_mul, rref_rows)
+                 echelon_subspaces, field_new, rows_mul)
 from .smith import (
     char_poly,
     max_invariant_subspace,
@@ -239,15 +241,16 @@ def _walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
 
 
 def _row_spaces(f: FieldCtx, cfg: EnumConfig) -> list[tuple[tuple, int]]:
-    """One bottom block per row space U of dim r <= n-k in F_q^k: the entries
-    of C, U's echelon basis padded with zero rows (in pair mode B = C^T),
-    and the number of C with row space U, prod_{i<r} (q^(n-k) - q^i)."""
-    rows, k, q = cfg.n - cfg.k, cfg.k, cfg.q
+    """One bottom block per row space U of dim r <= n-k in F_q^k (with a
+    subspace S_0, per U inside span(e_(d+1)..e_k)): the entries of C, U's
+    echelon basis padded with zero rows (in pair mode B = C^T), and the
+    number of C with row space U, prod_{i<r} (q^(n-k) - q^i)."""
+    rows, k, q, d = cfg.n - cfg.k, cfg.k, cfg.q, len(cfg.subspace or ())
     out = []
-    for r in range(min(rows, k) + 1):
+    for r in range(min(rows, k - d) + 1):
         weight = math.prod(q ** rows - q ** i for i in range(r))
-        for basis in echelon_subspaces(f, k, r):
-            c = basis + ((0,) * k,) * (rows - r)
+        for basis in echelon_subspaces(f, k - d, r):
+            c = (*((0,) * d + row for row in basis), *((0,) * k,) * (rows - r))
             if cfg.mode == "pair":
                 c = tuple(zip(*c))
             out.append((sum(c, ()), weight))
@@ -261,15 +264,19 @@ def _row_space_count(cfg: EnumConfig) -> int:
 
 
 @lru_cache(maxsize=None)
-def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
-    """One ``(leader, size)`` per GL_k-conjugacy class of k x k matrices over
-    GF(p^m), in leader order: its least index and the number of matrices a
-    graph search visits from it, counted visit by visit.  The search
-    conjugates by the cycle e_i -> e_(i+1), by I + E_01 and, when q > 2, by
-    diag(w, 1, ..., 1) with w primitive.  Each generator is built once as a
-    permutation of the q^(k^2) indices, so a step of the search is one
-    lookup: conjugation is linear and each output row depends on one group
-    of input rows, so an image index is the sum of one table entry per group."""
+def _similarity_classes(p: int, m: int, k: int,
+                        d: int = 0) -> tuple[tuple[int, int], ...]:
+    """One ``(leader, size)`` per class of the k x k A over GF(p^m) with
+    A*S_0 inside S_0 = span(e_1..e_d) under conjugation by the P that fix S_0
+    (all of GL_k if d = 0), in leader order: its least index and the number
+    of matrices a graph search visits from it, counted visit by visit.
+    On each diagonal block [lo, hi) of P the search conjugates by the cycle
+    e_lo -> ... -> e_(hi-1) -> e_lo, by I + E_(lo,lo+1) and, when q > 2, by
+    scaling e_lo by a primitive w; if d > 0 also by I + E_(d-1,d), whose
+    images under the blocks span the rest.  Each generator is built once as a
+    permutation of the q^(k^2) indices, so a search step is one lookup:
+    conjugation is linear and each output row depends on one group of input
+    rows, so an image index is the sum of one table entry per group."""
     f = field_new(p, m)
     q, kk = f.q, k * k
     place = [q ** i for i in range(kk)]
@@ -287,34 +294,44 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
                 out.extend([t + y for y in low])
         return out
 
+    def cycle(lo, hi):  # entry (r, c) to (r+1, c+1), both cycled in [lo, hi)
+        to = [*range(lo), *range(lo + 1, hi), lo, *range(hi, k)]
+        return perm(*(share(lambda d: [*d[:lo], d[hi - 1], *d[lo:hi - 1],
+                                       *d[hi:]], to[r]) for r in range(k)))
+
+    def transvection(i):  # row i += row i+1, then column i+1 -= column i
+        pair = [(y + r1 * place[k]) * place[i * k] for r1, d1 in enumerate(rows)
+                for y in perm(*([f.add(a, b) * place[c] for a in range(q)]
+                                for c, b in enumerate(d1)))]  # rows i, i+1
+        row_op = perm(*(share(list, r) for r in range(i)), pair,
+                      *(share(list, r) for r in range(i + 2, k)))
+        col_op = perm(*(share(lambda d: [*d[:i + 1], f.sub(d[i + 1], d[i]),
+                                         *d[i + 2:]], r) for r in range(k)))
+        return array("I", map(col_op.__getitem__, row_op))
+
+    def scale(i):  # row i *= w, column i *= w^-1, w primitive
+        w = next(a for a in range(2, q) if len(set(  # q - 1 distinct powers
+            itertools.accumulate([a] * (q - 1), f.mul))) == q - 1)
+        by = [[f.mul(w if r == i else 1, 1 if c != i else f.inv(w))
+               for c in range(k)] for r in range(k)]
+        return perm(*(share(lambda d: list(map(f.mul, d, by[r])), r)
+                      for r in range(k)))
+
     moves = []
-    if k > 1:
-        # conjugating by the cycle moves entry (r, c) to (r+1, c+1), both mod k
-        moves.append(perm(*(share(lambda d: d[-1:] + d[:-1], (r + 1) % k)
-                            for r in range(k))))
-        # I + E_01: row 0 += row 1, for each row 1 a map of row 0 built digit
-        # by digit, then column 1 -= column 0
-        plus = [[f.add(a, b) for a in range(q)] for b in range(q)]
-        rows01 = [y + r1 * place[k] for r1, d1 in enumerate(rows) for y in
-                  perm(*([v * place[c] for v in plus[b]]
-                         for c, b in enumerate(d1)))]
-        row_op = perm(rows01, *(share(list, r) for r in range(2, k)))
-        col_op = perm(*(share(lambda d: [d[0], f.sub(d[1], d[0]), *d[2:]], r)
-                        for r in range(k)))
-        moves.append(array("I", map(col_op.__getitem__, row_op)))
-        del row_op, col_op
-        if q > 2:  # row 0 *= w, column 0 *= w^-1
-            # w is primitive when its first q - 1 powers are distinct
-            w = next(a for a in range(2, q) if len(set(
-                itertools.accumulate([a] * (q - 1), f.mul))) == q - 1)
-            w_inv = f.inv(w)
-            moves.append(perm(
-                share(lambda d: [d[0], *(f.mul(v, w) for v in d[1:])], 0),
-                *(share(lambda d: [f.mul(d[0], w_inv), *d[1:]], r)
-                  for r in range(1, k))))
+    for lo, hi in ((0, d), (d, k)) if d else ((0, k),):
+        if hi - lo > 1:
+            moves += [cycle(lo, hi), transvection(lo)]
+        if q > 2 and k > 1:
+            moves.append(scale(lo))
+    if d:
+        moves.append(transvection(d - 1))
+    # A*S_0 inside S_0: A[r][c] = 0 for r >= d, c < d
+    leaders = range(q ** kk) if not d else perm(*(
+        [v * place[r * k] for v in range(0, q ** k, q ** d if r >= d else 1)]
+        for r in range(k)))
     seen = bytearray(q ** kk)
     classes = []
-    for leader in range(q ** kk):
+    for leader in leaders:
         if seen[leader]:
             continue
         seen[leader] = 1
@@ -333,23 +350,8 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
 
 def _top_blocks(cfg: EnumConfig) -> tuple[tuple[int, int], ...]:
     """``(leader, size)`` per top block A the walk takes (see the module doc)."""
-    if cfg.n > cfg.k and MODE_TABLE[cfg.mode].subspace:
-        return _fixing_blocks(cfg.p, cfg.m, cfg.k, cfg.subspace)
-    return _similarity_classes(cfg.p, cfg.m, cfg.k)
-
-
-@lru_cache(maxsize=None)
-def _fixing_blocks(p: int, m: int, k: int,
-                   basis: tuple) -> tuple[tuple[int, int], ...]:
-    """``(a, 1)`` per k x k A with A*S inside S, S spanned by the echelon
-    ``basis`` rows read as columns: the rows of S*A^T span no more than S."""
-    f, kk, tops = field_new(p, m), k * k, []
-    for a in range(f.q ** kk):
-        d = _digits_of(a, f.q, kk)  # row-major, so d[c::k] is column c of A
-        image = rows_mul(f, basis, [d[c::k] for c in range(k)])
-        if len(rref_rows(f, [*basis, *image], k)) == len(basis):
-            tops.append((a, 1))
-    return tuple(tops)
+    return _similarity_classes(cfg.p, cfg.m, cfg.k,
+                               len(cfg.subspace or ()) % cfg.k)
 
 
 def _orbit_walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
@@ -362,9 +364,6 @@ def _orbit_walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
     block = q ** ((cfg.n - cfg.k) * cfg.k)
     tops = [(a, size) for a, size in _top_blocks(cfg) if lo <= a * block < hi]
     bottoms = _row_spaces(f, cfg)
-    if MODE_TABLE[cfg.mode].subspace:  # the kernel lies in ker C: keep C*S = 0
-        bottoms = [(c, w) for c, w in bottoms if not any(map(any, rows_mul(
-            f, cfg.subspace, [c[j::cfg.k] for j in range(cfg.k)])))]
     tally: dict[str, int] = {}
     for a, size in tops:
         top = tuple(_digits_of(a, q, kk))
@@ -431,8 +430,8 @@ MODES = tuple(MODE_TABLE)
 def _resolve(cfg: EnumConfig,
              budget: bool = False) -> tuple[Mode, EnumConfig, dict]:
     """Check ``cfg`` against its mode's shape rule and, if ``budget``, its
-    budget by a lower bound; return the mode, ``cfg`` with a canonical
-    subspace basis, and the report parameters it adds."""
+    budget by a lower bound; return the mode, ``cfg`` as walked (subspace S_0
+    for S, see the module doc, or None), and the report parameters it adds."""
     mode = MODE_TABLE.get(cfg.mode)
     if mode is None:
         raise ValueError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
@@ -446,13 +445,14 @@ def _resolve(cfg: EnumConfig,
         _check_budget(cfg, bits=(cfg.k * cfg.k + mode.cost(cfg))
                       * (cfg.q.bit_length() - 1))
     if not mode.subspace:
-        return mode, cfg, {}
+        return mode, replace(cfg, subspace=None), {}
     if cfg.subspace is None:
         raise BadSubspaceError(f"{cfg.mode} mode needs a fixed subspace basis")
     canonical = check_echelon_basis(cfg.field(), cfg.subspace, cfg.k)
     basis_text = ";".join(",".join(str(v) for v in row) for row in canonical)
-    return (mode, replace(cfg, subspace=canonical),
-            {"d": len(canonical), "subspace": basis_text})
+    d = len(canonical)
+    fixed = tuple(tuple(int(r == c) for c in range(cfg.k)) for r in range(d))
+    return mode, replace(cfg, subspace=fixed), {"d": d, "subspace": basis_text}
 
 
 def run(cfg: EnumConfig) -> CensusReport:

@@ -176,9 +176,6 @@ class Poly:
 
     # -- identity -------------------------------------------------------------
 
-    def sort_key(self) -> tuple:
-        return (len(self.coeffs), self.coeffs)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly)
                 and self.coeffs == other.coeffs

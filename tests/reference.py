@@ -1,14 +1,75 @@
 """Reference enumerations and polynomial helpers that only the tests use."""
 
 import itertools
+import json
 import operator
 
 from pencilcensus import census
-from pencilcensus.census import _types, partitions
-from pencilcensus.gf import field_new, parse_field_spec
+from pencilcensus.census import CENSUS_SCHEMA, CensusReport, _types, partitions
+from pencilcensus.errors import ShapeError
+from pencilcensus.gf import (ScalarMatrix, field_new, kernel_basis_rows,
+                             parse_field_spec, rows_mul, rref_rows)
 from pencilcensus.oracle import _digits_of
 from pencilcensus.polyring import Poly, poly_gcd
 from pencilcensus.smith import InvariantFactorTuple
+
+
+def mat_mul(field, a, b):
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    out = rows_mul(field, a.to_rows(), b.to_rows())
+    return ScalarMatrix(a.rows, b.cols, [x for row in out for x in row])
+
+
+def mat_inv(field, matrix):
+    """Inverse of a square matrix, by Gauss-Jordan on [M | I]."""
+    n = matrix.rows
+    if n != matrix.cols:
+        raise ShapeError("inverse needs a square matrix")
+    aug = []
+    for i, row in enumerate(matrix.to_rows()):
+        ident = [0] * n
+        ident[i] = 1
+        aug.append(row + ident)
+    red = rref_rows(field, aug, 2 * n)
+    if len(red) != n or any(red[i][i] != 1 for i in range(n)):
+        raise ShapeError("matrix is singular")
+    return ScalarMatrix.from_rows([row[n:] for row in red])
+
+
+def kernel_intersection(field, mats):
+    """Canonical basis of the intersection of the kernels of the matrices.
+
+    All matrices must have the same column count k; the result is a basis of
+    a subspace of F_q^k with dimension k - rank(vertical stack).
+    """
+    if not mats:
+        raise ShapeError("need at least one matrix")
+    cols = mats[0].cols
+    stacked = []
+    for m in mats:
+        if m.cols != cols:
+            raise ShapeError("column counts differ")
+        stacked.extend(m.to_rows())
+    return kernel_basis_rows(field, stacked, cols)
+
+
+def spec_string(field):
+    """Field spec in the CLI grammar: "p" for prime fields, else "p^m"."""
+    return str(field.p) if field.m == 1 else f"{field.p}^{field.m}"
+
+
+def sort_key(poly):
+    return (len(poly.coeffs), poly.coeffs)
+
+
+def report_from_json(text):
+    data = json.loads(text)
+    if data.get("schema") != CENSUS_SCHEMA:
+        raise ValueError(f"not a census report: {data.get('schema')!r}")
+    return CensusReport(parameters=data["parameters"],
+                        entries={key: int(v) for key, v in data["entries"].items()},
+                        source=data["source"])
 
 
 def chains_with_product(f, k):
@@ -49,7 +110,7 @@ def poly_lcm(a, b):
 
 
 def poly_to_json(p):
-    return {"field": p.field.spec_string, "coeffs": list(p.coeffs)}
+    return {"field": spec_string(p.field), "coeffs": list(p.coeffs)}
 
 
 def poly_from_json(data):
@@ -57,48 +118,67 @@ def poly_from_json(data):
     return Poly(field, [int(c) for c in data["coeffs"]])
 
 
-def similarity_classes_by_moves(p, m, k):
+def similarity_classes_by_moves(p, m, k, d=0):
     """The move-by-move class search that ``oracle._similarity_classes``
     must equal tuple for tuple, each move decoding and re-encoding a matrix.
 
-    One ``(leader, size)`` per GL_k-conjugacy class of k x k matrices over
-    GF(p^m), in leader order: its least index and the number of matrices a
-    graph search visits from it.  The search conjugates by the cycle
-    e_i -> e_(i+1), by I + E_01 and, when q > 2, by diag(w, 1, ..., 1) with
-    w primitive, each acting on the k^2 digits directly."""
+    One ``(leader, size)`` per class of k x k matrices over GF(p^m) under
+    conjugation by P, in leader order: its least index and the number of
+    matrices a graph search visits from it.  P is GL_k when d = 0, else the
+    stabiliser of span(e_1..e_d), and the leaders are the A it fixes: those
+    with A[r][c] = 0 for r >= d, c < d.  On each diagonal block [lo, hi) of
+    P the search conjugates by the cycle e_lo -> e_(lo+1) -> ... -> e_lo, by
+    I + E_(lo,lo+1) and, when q > 2, by scaling e_lo by w primitive; when
+    d > 0 also by I + E_(0,d).  Each move acts on the k^2 digits directly."""
     f = field_new(p, m)
     q, kk = f.q, k * k
     place = [q ** i for i in range(kk)]
-    # conjugating by the cycle moves entry (r, c) to (r+1, c+1), both mod k
-    cycled = [place[(i // k + 1) % k * k + (i % k + 1) % k] for i in range(kk)]
 
-    def transvection(d):  # row 0 += row 1, then column 1 -= column 0
-        e = list(d)
-        for c in range(k):
-            e[c] = f.add(e[c], e[k + c])
-        for r in range(0, kk, k):
-            e[r + 1] = f.sub(e[r + 1], e[r])
-        return sum(map(operator.mul, e, place))
+    def cycle(lo, hi):  # entry (r, c) moves to (r+1, c+1), both cycled in [lo, hi)
+        to = [lo + (i - lo + 1) % (hi - lo) if lo <= i < hi else i
+              for i in range(k)]
+        cycled = [place[to[i // k] * k + to[i % k]] for i in range(kk)]
+        return lambda d: sum(map(operator.mul, d, cycled))
 
-    def scale(d):  # row 0 *= w, column 0 *= w^-1
-        e = list(d)
-        for i in range(1, k):
-            e[i], e[i * k] = f.mul(e[i], w), f.mul(e[i * k], w_inv)
-        return sum(map(operator.mul, e, place))
+    def transvection(i, j):  # row i += row j, then column j -= column i
+        def move(d):
+            e = list(d)
+            for c in range(k):
+                e[i * k + c] = f.add(e[i * k + c], e[j * k + c])
+            for r in range(0, kk, k):
+                e[r + j] = f.sub(e[r + j], e[r + i])
+            return sum(map(operator.mul, e, place))
+        return move
+
+    def scale(i):  # row i *= w, column i *= w^-1
+        def move(d):
+            e = list(d)
+            for c in range(k):
+                if c != i:
+                    e[i * k + c] = f.mul(e[i * k + c], w)
+                    e[c * k + i] = f.mul(e[c * k + i], w_inv)
+            return sum(map(operator.mul, e, place))
+        return move
 
     moves = []
     if k > 1:
-        moves = [lambda d: sum(map(operator.mul, d, cycled)), transvection]
         if q > 2:
             # w is primitive when its first q - 1 powers are distinct
             w = next(a for a in range(2, q) if len(set(
                 itertools.accumulate([a] * (q - 1), f.mul))) == q - 1)
             w_inv = f.inv(w)
-            moves.append(scale)
+        for lo, hi in ((0, d), (d, k)) if d else ((0, k),):
+            if hi - lo > 1:
+                moves += [cycle(lo, hi), transvection(lo, lo + 1)]
+            if q > 2:
+                moves.append(scale(lo))
+        if d:
+            moves.append(transvection(0, d))
     seen = bytearray(q ** kk)
     classes = []
     for leader in range(q ** kk):
-        if seen[leader]:
+        if seen[leader] or any(_digits_of(leader, q, kk)[r * k + c]
+                               for r in range(d, k) for c in range(d)):
             continue
         seen[leader] = 1
         stack, size = [leader], 0

@@ -17,15 +17,13 @@ from pencilcensus.gf import (
     echelon_subspaces,
     field_new,
     is_prime,
-    kernel_intersection,
-    mat_inv,
-    mat_mul,
     parse_field_order,
     parse_field_spec,
     rank,
 )
 
-from reference import log_tables_by_order_walk
+from reference import (kernel_intersection, log_tables_by_order_walk,
+                       mat_inv, mat_mul)
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (11, 1), (13, 1), (2, 4)]

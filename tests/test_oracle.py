@@ -24,7 +24,7 @@ from pencilcensus.errors import (
     ShapeError,
 )
 from pencilcensus.gf import echelon_subspaces, field_new, parse_field_spec
-from pencilcensus.cli import build_parser
+from pencilcensus.cli import build_parser, main as cli_main
 from pencilcensus.oracle import (
     MODE_TABLE,
     MODES,
@@ -345,6 +345,19 @@ def test_similarity_classes_equal_the_move_by_move_search(q, k):
         similarity_classes_by_moves(f.p, f.m, k)
 
 
+# the stabiliser of span(e_1..e_d), 1 <= d < k, on prime, characteristic-2
+# extension and odd-extension fields, up to 2^16 matrices
+@pytest.mark.parametrize("q,k,d", [(q, k, d) for q in (2, 3, 4, 5, 9)
+                                   for k in range(2, 5) for d in range(1, k)
+                                   if q ** (k * k) <= 2 ** 16])
+def test_parabolic_classes_equal_the_move_by_move_search(q, k, d):
+    f = parse_field_spec(str(q))
+    classes = _similarity_classes(f.p, f.m, k, d)
+    assert classes == similarity_classes_by_moves(f.p, f.m, k, d)
+    # they partition the q^(k^2 - d(k-d)) block upper triangular A
+    assert sum(size for _, size in classes) == q ** (k * k - d * (k - d))
+
+
 def test_similarity_class_report_is_independent_of_workers():
     # the 14 classes of 3 x 3 matrices over GF(2) on 3 workers: chunks of 4,
     # 5 and 5 classes
@@ -394,9 +407,9 @@ def test_parent_searches_the_classes_before_the_pool_forks():
 def test_the_fixing_top_blocks_are_found_once_per_run(monkeypatch):
     # found by the parent, then taken from the cache by each of 3 chunks
     monkeypatch.setattr(oracle, "_pool_size", lambda workers, n: 1)
-    oracle._fixing_blocks.cache_clear()
+    _similarity_classes.cache_clear()
     run(cfg(3, 3, 2, mode="subspace", subspace=((1, 2),), workers=3))
-    info = oracle._fixing_blocks.cache_info()
+    info = _similarity_classes.cache_info()
     assert (info.misses, info.hits) == (1, 3)
 
 
@@ -413,8 +426,8 @@ def test_similarity_classes_partition_the_square_matrices(q, k):
 def test_a_wrong_class_size_fails_the_total_check(monkeypatch):
     exact = _similarity_classes
 
-    def off_by_one(p, m, k):
-        (leader, size), *rest = exact(p, m, k)
+    def off_by_one(p, m, k, d=0):
+        (leader, size), *rest = exact(p, m, k, d)
         return ((leader, size + 1), *rest)
 
     monkeypatch.setattr(oracle, "_similarity_classes", off_by_one)
@@ -423,13 +436,32 @@ def test_a_wrong_class_size_fails_the_total_check(monkeypatch):
             run(cfg(n=n, k=2))
 
 
+def test_a_wrong_parabolic_class_size_fails_verify(monkeypatch, capsys):
+    # subspace mode tallies only part of the matrices, so no total watches
+    # its class sizes, here those of the stabiliser of span(e_1): the closed
+    # form must
+    exact = _similarity_classes
+
+    def off_by_one(p, m, k, d=0):
+        (leader, size), *rest = exact(p, m, k, d)
+        return ((leader, size + 1), *rest)
+
+    argv = ["verify", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
+            "--subspace", "[[1,0]]", "--format", "json"]
+    assert cli_main(argv) == 0
+    monkeypatch.setattr(oracle, "_similarity_classes", off_by_one)
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] is False
+
+
 # (q, n, k), then the keys classified with one top block per similarity
 # class (6 classes of 2 x 2 matrices at q = 2, 12 at q = 3) times the row
-# spaces of C (5 and 5), and in subspace mode with S = span(e_1) with the A
-# that fix S (8 of 16 and 27 of 81) times the row spaces that C*S = 0 leaves
-# (2 and 2)
-@pytest.mark.parametrize("q,n,k,classes,fixing", [(2, 4, 2, 30, 16),
-                                                  (3, 3, 2, 60, 54)])
+# spaces of C (5 and 5), and in subspace mode with S = span(e_1) with one
+# top block per class of the upper triangular A (6 classes of 8 and 12 of
+# 27) times the row spaces that C*S = 0 leaves (2 and 2)
+@pytest.mark.parametrize("q,n,k,classes,fixing", [(2, 4, 2, 30, 12),
+                                                  (3, 3, 2, 60, 24)])
 def test_a_tall_walk_classifies_one_top_block_per_class(q, n, k, classes,
                                                          fixing, monkeypatch):
     for mode in MODES:
@@ -438,8 +470,8 @@ def test_a_tall_walk_classifies_one_top_block_per_class(q, n, k, classes,
         monkeypatch.setattr(oracle, f"_{mode}_key", lambda *a, exact=exact,
                             calls=calls: calls.append(1) or exact(*a))
         run(cfg(q, n, k, mode=mode, subspace=((1, 0),)))
-        # subspace mode: P moves the fixed subspace, so the walk takes every
-        # A that can fix it, each with the C that vanish on it
+        # subspace mode: one A per class under the P that fix span(e_1),
+        # each with the C that vanish on e_1
         assert len(calls) == (fixing if mode == "subspace" else classes), mode
 
 
