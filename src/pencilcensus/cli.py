@@ -49,9 +49,17 @@ FORMULAS = {
 }
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else fallback
+def _int_setting(value: int | None, flag: str, env: str, fallback: int,
+                 parser) -> tuple[int, str]:
+    """The flag's value, else the environment variable's, else ``fallback``,
+    with the name it came from for error messages."""
+    if value is not None:
+        return value, flag
+    raw = os.environ.get(env)
+    try:
+        return (int(raw) if raw else fallback), env
+    except ValueError:
+        parser.error(f"{env} must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,13 +205,14 @@ def _config_from_args(args, parser) -> oracle.EnumConfig:
         parser.error(f"--mode {args.mode} requires --subspace")
     if subspace is not None and not takes_basis:
         parser.error(f"--subspace does not apply to --mode {args.mode}")
-    workers = _env_int(ENV_WORKERS, 1) if args.workers is None else args.workers
-    budget = (_env_int(ENV_BUDGET, oracle.DEFAULT_BUDGET)
-              if args.budget is None else args.budget)
+    workers, source = _int_setting(args.workers, "--workers", ENV_WORKERS, 1,
+                                   parser)
     if workers < 1:
-        parser.error(f"--workers must be at least 1, got {workers}")
+        parser.error(f"{source} must be at least 1, got {workers}")
+    budget, source = _int_setting(args.budget, "--budget", ENV_BUDGET,
+                                  oracle.DEFAULT_BUDGET, parser)
     if budget < 0:
-        parser.error(f"--budget must be nonnegative, got {budget}")
+        parser.error(f"{source} must be nonnegative, got {budget}")
     return oracle.EnumConfig(p=p, m=m, n=args.n, k=args.k, mode=args.mode,
                              subspace=subspace, workers=workers, budget=budget)
 

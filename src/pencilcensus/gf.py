@@ -3,10 +3,13 @@
 Field elements are plain integers in ``[0, q)``.  For a prime field the value
 is the residue itself; for an extension field it encodes the coefficient
 vector of the polynomial-basis representation in base ``p`` (least
-significant digit = constant coefficient).  Elements carry no reference to
-their field: every operation takes the :class:`FieldCtx` explicitly, which
-keeps mass enumeration over millions of matrices cheap.  Mixing elements of
-different fields is a caller error detected only by value-range checks.
+significant digit = constant coefficient).  Every field keeps exp/log tables
+of its least generator; prime fields add mod p, characteristic 2 adds by XOR
+and odd-characteristic extensions add through Zech logarithms.  Elements
+carry no reference to their field: every operation takes the
+:class:`FieldCtx` explicitly, which keeps mass enumeration over millions of
+matrices cheap.  Mixing elements of different fields is a caller error
+detected only by value-range checks.
 """
 
 from __future__ import annotations
@@ -49,13 +52,12 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _raw_rem(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    """Remainder of a mod b over F_p; b must be nonzero."""
+    """Remainder of a mod the monic b over F_p."""
     rem = list(a)
     db = len(b) - 1
-    lead_inv = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    while len(rem) - 1 >= db and rem:
+    while len(rem) > db:
         shift = len(rem) - 1 - db
-        fac = (rem[-1] * lead_inv) % p
+        fac = rem[-1]
         for i, c in enumerate(b):
             rem[shift + i] = (rem[shift + i] - fac * c) % p
         while rem and rem[-1] == 0:
@@ -81,6 +83,15 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise ExactnessError(f"no irreducible of degree {m} over F_{p}")
 
 
+def _digits_of(index: int, base: int, length: int) -> list[int]:
+    """The ``length`` base-``base`` digits of ``index``, least first."""
+    digits = []
+    for _ in range(length):
+        index, d = divmod(index, base)
+        digits.append(d)
+    return digits
+
+
 # ---------------------------------------------------------------------------
 # Field context
 # ---------------------------------------------------------------------------
@@ -93,29 +104,16 @@ class FieldCtx:
     contexts are cached one per (p, m).
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_inv", "_exp", "_log", "_digits")
+    __slots__ = ("p", "m", "q", "modulus", "generator", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
         self.p = p
         self.m = m
         self.q = p ** m
         self.modulus = modulus
-        if m == 1:
-            self._inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-            self._exp = self._log = self._digits = None
-        else:
-            self._digits = [self._decode(v) for v in range(self.q)]
-            self._build_log_tables()
-            self._inv = None
+        self._build_log_tables()
 
     # -- construction helpers ------------------------------------------------
-
-    def _decode(self, value: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.m):
-            value, digit = divmod(value, self.p)
-            digits.append(digit)
-        return tuple(digits)
 
     def _encode(self, digits: Sequence[int]) -> int:
         value = 0
@@ -126,7 +124,7 @@ class FieldCtx:
     def _raw_mul(self, a: int, b: int) -> int:
         """Polynomial-basis product without log tables; used to build them."""
         p, m = self.p, self.m
-        da, db = self._digits[a], self._digits[b]
+        da, db = _digits_of(a, p, m), _digits_of(b, p, m)
         prod = [0] * (2 * m - 1)
         for i, ca in enumerate(da):
             if ca:
@@ -150,11 +148,11 @@ class FieldCtx:
         return out
 
     def _build_log_tables(self) -> None:
-        """Tables of the least generator g: the least g with g^((q-1)/r) != 1
-        for every prime r dividing q - 1, whose powers fill both in one pass."""
-        q = self.q
+        """exp, log and zech[n] = log(1 + g^n) of the least generator g: the
+        least g with g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+        q, p = self.q, self.p
         primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
-        for g in range(2, q):
+        for g in range(1, q):
             if all(self._raw_pow(g, (q - 1) // r) != 1 for r in primes):
                 break
         else:  # pragma: no cover - multiplicative group is always cyclic
@@ -167,8 +165,11 @@ class FieldCtx:
             exp[i + q - 1] = acc
             log[acc] = i
             acc = self._raw_mul(acc, g)
+        self.generator = g
         self._exp = exp
         self._log = log
+        ones = (v - v % p + (v + 1) % p for v in exp[:q - 1])  # 1 + g^n
+        self._zech = [log[w] if w else -1 for w in ones]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -177,17 +178,18 @@ class FieldCtx:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        p = self.p
-        da, db = self._digits[a], self._digits[b]
-        return self._encode([(x + y) % p for x, y in zip(da, db)])
+        if not a or not b:
+            return a or b
+        log = self._log
+        n = self._zech[log[b] - log[a]]  # g^la + g^lb = g^la * (1 + g^(lb-la))
+        return self._exp[log[a] + n] if n >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        p = self.p
-        return self._encode([(-x) % p for x in self._digits[a]])
+        return self._exp[self._log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -206,8 +208,6 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZeroError("zero has no multiplicative inverse")
-        if self.m == 1:
-            return self._inv[a]
         return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:

@@ -30,7 +30,6 @@ such U and one such A per class under those P.
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import operator
@@ -50,7 +49,7 @@ from .errors import (
     ParamMismatchError,
     ShapeError,
 )
-from .gf import (FieldCtx, ScalarMatrix, check_echelon_basis,
+from .gf import (FieldCtx, ScalarMatrix, _digits_of, check_echelon_basis,
                  echelon_subspaces, field_new, rows_mul)
 from .smith import (
     char_poly,
@@ -80,14 +79,6 @@ class EnumConfig:
 
     def field(self) -> FieldCtx:
         return field_new(self.p, self.m)
-
-
-def _digits_of(index: int, base: int, length: int) -> list[int]:
-    digits = []
-    for _ in range(length):
-        index, d = divmod(index, base)
-        digits.append(d)
-    return digits
 
 
 def _advance(digits: list[int], base: int) -> None:
@@ -272,8 +263,8 @@ def _similarity_classes(p: int, m: int, k: int,
     of matrices a graph search visits from it, counted visit by visit.
     On each diagonal block [lo, hi) of P the search conjugates by the cycle
     e_lo -> ... -> e_(hi-1) -> e_lo, by I + E_(lo,lo+1) and, when q > 2, by
-    scaling e_lo by a primitive w; if d > 0 also by I + E_(d-1,d), whose
-    images under the blocks span the rest.  Each generator is built once as a
+    scaling e_lo by the field's generator w; if d > 0 also by I + E_(d-1,d),
+    whose images under the blocks span the rest.  Each move is built once as a
     permutation of the q^(k^2) indices, so a search step is one lookup:
     conjugation is linear and each output row depends on one group of input
     rows, so an image index is the sum of one table entry per group."""
@@ -309,9 +300,8 @@ def _similarity_classes(p: int, m: int, k: int,
                                          *d[i + 2:]], r) for r in range(k)))
         return array("I", map(col_op.__getitem__, row_op))
 
-    def scale(i):  # row i *= w, column i *= w^-1, w primitive
-        w = next(a for a in range(2, q) if len(set(  # q - 1 distinct powers
-            itertools.accumulate([a] * (q - 1), f.mul))) == q - 1)
+    def scale(i):  # row i *= w, column i *= w^-1, w the field's generator
+        w = f.generator
         by = [[f.mul(w if r == i else 1, 1 if c != i else f.inv(w))
                for c in range(k)] for r in range(k)]
         return perm(*(share(lambda d: list(map(f.mul, d, by[r])), r)

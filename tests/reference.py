@@ -7,9 +7,9 @@ import operator
 from pencilcensus import census
 from pencilcensus.census import CENSUS_SCHEMA, CensusReport, _types, partitions
 from pencilcensus.errors import ShapeError
-from pencilcensus.gf import (ScalarMatrix, field_new, kernel_basis_rows,
-                             parse_field_spec, rows_mul, rref_rows)
-from pencilcensus.oracle import _digits_of
+from pencilcensus.gf import (ScalarMatrix, _digits_of, field_new,
+                             kernel_basis_rows, parse_field_spec, rows_mul,
+                             rref_rows)
 from pencilcensus.polyring import Poly, poly_gcd
 from pencilcensus.smith import InvariantFactorTuple
 
@@ -163,9 +163,7 @@ def similarity_classes_by_moves(p, m, k, d=0):
     moves = []
     if k > 1:
         if q > 2:
-            # w is primitive when its first q - 1 powers are distinct
-            w = next(a for a in range(2, q) if len(set(
-                itertools.accumulate([a] * (q - 1), f.mul))) == q - 1)
+            w = primitive_element(f)
             w_inv = f.inv(w)
         for lo, hi in ((0, d), (d, k)) if d else ((0, k),):
             if hi - lo > 1:
@@ -192,6 +190,26 @@ def similarity_classes_by_moves(p, m, k, d=0):
                     stack.append(image)
         classes.append((leader, size))
     return tuple(classes)
+
+
+def primitive_element(f):
+    """The least element of ``f`` whose first q - 1 powers are distinct: the
+    generator that ``FieldCtx`` must find."""
+    q = f.q
+    return next(a for a in range(1, q) if len(set(
+        itertools.accumulate([a] * (q - 1), f.mul))) == q - 1)
+
+
+def digitwise_add(f, a, b):
+    """a + b added coefficient by coefficient mod p in the base-p encoding."""
+    p, m = f.p, f.m
+    return f._encode([(x + y) % p for x, y in zip(_digits_of(a, p, m),
+                                                   _digits_of(b, p, m))])
+
+
+def digitwise_neg(f, a):
+    """-a negated coefficient by coefficient mod p in the base-p encoding."""
+    return f._encode([(-x) % f.p for x in _digits_of(a, f.p, f.m)])
 
 
 def log_tables_by_order_walk(f):

@@ -240,6 +240,22 @@ def test_workers_and_budget_are_validated(capsys, monkeypatch):
     assert code == 0 and out.endswith("total  4\n")
 
 
+def test_environment_errors_name_the_variable(capsys, monkeypatch):
+    base = ["enumerate", "--q", "2", "--n", "2", "--k", "1"]
+    for name, bad in (("PENCILCENSUS_WORKERS", "two"),
+                      ("PENCILCENSUS_WORKERS", "0"),
+                      ("PENCILCENSUS_BUDGET", "lots"),
+                      ("PENCILCENSUS_BUDGET", "-5")):
+        monkeypatch.setenv(name, bad)
+        with pytest.raises(SystemExit) as exc:
+            main(base)
+        monkeypatch.delenv(name)
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert exc.value.code == 2
+        assert name in err and bad in err, err
+        assert "--workers" not in err and "--budget" not in err, err
+
+
 def test_env_overrides_budget(capsys, monkeypatch):
     monkeypatch.setenv("PENCILCENSUS_BUDGET", "10")
     with pytest.raises(SystemExit) as exc:

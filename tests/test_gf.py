@@ -22,8 +22,9 @@ from pencilcensus.gf import (
     rank,
 )
 
-from reference import (kernel_intersection, log_tables_by_order_walk,
-                       mat_inv, mat_mul)
+from reference import (digitwise_add, digitwise_neg, kernel_intersection,
+                       log_tables_by_order_walk, mat_inv, mat_mul,
+                       primitive_element)
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (11, 1), (13, 1), (2, 4)]
@@ -120,11 +121,42 @@ def test_field_axioms_exhaustive(p, m):
 
 
 # every extension field with q <= 2^10, characteristic 2 to 31
-@pytest.mark.parametrize("p,m", [(p, m) for p in range(2, 32) if is_prime(p)
-                                 for m in range(2, 11) if p ** m <= 2 ** 10])
+EXTENSIONS = [(p, m) for p in range(2, 32) if is_prime(p)
+              for m in range(2, 11) if p ** m <= 2 ** 10]
+
+
+@pytest.mark.parametrize("p,m", EXTENSIONS)
 def test_log_tables_equal_the_order_walk(p, m):
     f = field_new(p, m)
     assert (f._exp, f._log) == log_tables_by_order_walk(f)
+
+
+@pytest.mark.parametrize("p,m", EXTENSIONS + [(3, 10), (251, 2)])
+def test_add_neg_sub_equal_the_digitwise_reference(p, m):
+    f = field_new(p, m)
+    if f.q <= 243:
+        pairs = itertools.product(f.elements(), repeat=2)
+    else:
+        rng = random.Random(f.q)
+        pairs = [(rng.randrange(f.q), rng.randrange(f.q))
+                 for _ in range(20000)]
+    for a, b in pairs:
+        assert f.add(a, b) == digitwise_add(f, a, b), (a, b)
+        assert f.neg(a) == digitwise_neg(f, a), a
+        assert f.sub(a, b) == digitwise_add(f, a, digitwise_neg(f, b)), (a, b)
+
+
+def test_generator_is_the_least_primitive_element():
+    for p, m in [(p, m) for p in range(2, 2 ** 10) if is_prime(p)
+                 for m in range(1, 11) if p ** m <= 2 ** 10]:
+        f = field_new(p, m)
+        assert f.generator == primitive_element(f), (p, m)
+
+
+def test_prime_field_inverse_from_the_log_tables():
+    for p in (251, 65521):
+        f = field_new(p)
+        assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, p)), p
 
 
 def test_rank_examples():
