@@ -20,7 +20,7 @@ a tuple or polynomial as input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from typing import Iterator
 
 from .errors import (
@@ -341,13 +341,12 @@ def compact_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
-class CensusReport:
-    """Exact tally keyed by a canonical classifying string."""
+class CensusReport(namedtuple("CensusReport", "parameters entries source",
+                               defaults=("closed-form",))):
+    """Exact tally keyed by a canonical classifying string: ``entries`` maps
+    each key to its count."""
 
-    parameters: dict
-    entries: dict[str, int] = dc_field(default_factory=dict)
-    source: str = "closed-form"
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.entries.values())

@@ -266,8 +266,10 @@ def cmd_snf(args, parser) -> int:
         except ValueError:
             parser.error("--matrix must be a JSON array of rows")
     if not (isinstance(grid, list) and grid and all(
-            isinstance(row, list) and len(row) == len(grid[0]) for row in grid)):
-        parser.error("--matrix must be a nonempty array of equal-length rows")
+            isinstance(row, list) and row and len(row) == len(grid[0])
+            for row in grid)):
+        parser.error("--matrix must be a nonempty array of equal-length "
+                     "nonempty rows")
     nrows, ncols = len(grid), len(grid[0])
     if args.n is not None and args.n != nrows:
         parser.error(f"--n {args.n} does not match matrix with {nrows} rows")

@@ -31,12 +31,10 @@ such U and one such A per class under those P.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import operator
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 from typing import Callable
 
@@ -60,18 +58,12 @@ from .smith import (
 
 DEFAULT_BUDGET = 1 << 24
 
-@dataclass(frozen=True)
-class EnumConfig:
-    """Parameters of one enumeration run; immutable and picklable."""
+class EnumConfig(namedtuple("EnumConfig", "p m n k mode subspace workers budget",
+                             defaults=("pencil", None, 1, DEFAULT_BUDGET))):
+    """Parameters of one enumeration run; immutable and picklable.  The
+    subspace, if any, is a tuple of echelon basis rows."""
 
-    p: int
-    m: int
-    n: int
-    k: int
-    mode: str = "pencil"
-    subspace: tuple[tuple[int, ...], ...] | None = None
-    workers: int = 1
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ()
 
     @property
     def q(self) -> int:
@@ -124,7 +116,9 @@ def _execute(cfg: EnumConfig, total: int, work: int,
     size = _pool_size(cfg.workers, len(args))
     if size == 1:
         parts = [fn(a) for a in args]
-    else:
+    else:  # imported here, so a one-worker run never loads them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=size, mp_context=ctx) as pool:
             parts = list(pool.map(fn, args))
@@ -291,14 +285,12 @@ def _similarity_classes(p: int, m: int, k: int,
                                        *d[hi:]], to[r]) for r in range(k)))
 
     def transvection(i):  # row i += row i+1, then column i+1 -= column i
-        pair = [(y + r1 * place[k]) * place[i * k] for r1, d1 in enumerate(rows)
-                for y in perm(*([f.add(a, b) * place[c] for a in range(q)]
+        col = [share(lambda d: [*d[:i + 1], f.sub(d[i + 1], d[i]), *d[i + 2:]],
+                     r) for r in range(k)]
+        pair = [col[i][s] + col[i + 1][r1] for r1, d1 in enumerate(rows)
+                for s in perm(*([f.add(a, b) * place[c] for a in range(q)]
                                 for c, b in enumerate(d1)))]  # rows i, i+1
-        row_op = perm(*(share(list, r) for r in range(i)), pair,
-                      *(share(list, r) for r in range(i + 2, k)))
-        col_op = perm(*(share(lambda d: [*d[:i + 1], f.sub(d[i + 1], d[i]),
-                                         *d[i + 2:]], r) for r in range(k)))
-        return array("I", map(col_op.__getitem__, row_op))
+        return perm(*col[:i], pair, *col[i + 2:])
 
     def scale(i):  # row i *= w, column i *= w^-1, w the field's generator
         w = f.generator
@@ -392,17 +384,17 @@ def _nilext_chunk(args: tuple) -> dict[str, int]:
 # The mode table and the entry points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(namedtuple("Mode", "tall complete subspace closed_args cost",
+                      defaults=(False, True, False,
+                                lambda cfg: (cfg.n, cfg.k), lambda cfg: 0))):
     """One census mode.  Its matrices are tallied by ``_<mode>_chunk`` and
-    its closed form is ``census.<mode>_census(field, *closed_args(cfg))``."""
+    its closed form is ``census.<mode>_census(field, *closed_args(cfg))``.
+    ``tall``: shape 1 <= k < n, else 1 <= k <= n; ``complete``: the tally
+    covers all q^(nk) matrices; ``subspace``: needs cfg.subspace, a fixed
+    echelon basis; ``cost(cfg)``: evaluations per classified matrix,
+    q^cost, charged to the budget."""
 
-    tall: bool = False          # shape 1 <= k < n; otherwise 1 <= k <= n
-    complete: bool = True       # the tally covers all q^(nk) matrices
-    subspace: bool = False      # needs cfg.subspace, a fixed echelon basis
-    closed_args: Callable[[EnumConfig], tuple] = lambda cfg: (cfg.n, cfg.k)
-    # evaluations per classified matrix, q^cost(cfg), charged to the budget
-    cost: Callable[[EnumConfig], int] = lambda cfg: 0
+    __slots__ = ()
 
 
 MODE_TABLE = {
@@ -435,14 +427,14 @@ def _resolve(cfg: EnumConfig,
         _check_budget(cfg, bits=(cfg.k * cfg.k + mode.cost(cfg))
                       * (cfg.q.bit_length() - 1))
     if not mode.subspace:
-        return mode, replace(cfg, subspace=None), {}
+        return mode, cfg._replace(subspace=None), {}
     if cfg.subspace is None:
         raise BadSubspaceError(f"{cfg.mode} mode needs a fixed subspace basis")
     canonical = check_echelon_basis(cfg.field(), cfg.subspace, cfg.k)
     basis_text = ";".join(",".join(str(v) for v in row) for row in canonical)
     d = len(canonical)
     fixed = tuple(tuple(int(r == c) for c in range(cfg.k)) for r in range(d))
-    return mode, replace(cfg, subspace=fixed), {"d": d, "subspace": basis_text}
+    return mode, cfg._replace(subspace=fixed), {"d": d, "subspace": basis_text}
 
 
 def run(cfg: EnumConfig) -> CensusReport:
@@ -475,23 +467,20 @@ DIFF_SCHEMA = "diff-report/v1"
 _REQUIRED_PARAMS = ("mode", "q", "n", "k")
 
 
-@dataclass(frozen=True)
-class DiffRow:
-    key: str
-    expected: int | None
-    observed: int | None
+class DiffRow(namedtuple("DiffRow", "key expected observed")):
+    """One key's closed-form and enumerated count; None where it is absent."""
+
+    __slots__ = ()
 
     @property
     def match(self) -> bool:
         return self.expected == self.observed
 
 
-@dataclass
-class DiffReport:
+class DiffReport(namedtuple("DiffReport", "parameters rows")):
     """Per-key comparison of two censuses; verdict is true only on identity."""
 
-    parameters: dict
-    rows: tuple[DiffRow, ...]
+    __slots__ = ()
 
     @property
     def verdict(self) -> bool:

@@ -3,8 +3,9 @@
 Coefficients are stored in ascending degree order with no trailing zeros, so
 the zero polynomial is the empty tuple and ``degree`` of zero is the
 ``NEG_INF`` sentinel.  Factorization is by trial division against a
-multiplicative sieve of monic irreducibles, which is exact, deterministic and
-entirely sufficient at the degrees this package ever sees.
+multiplicative sieve of monic irreducibles of at most half the degree: the
+cofactor left over is irreducible.  That is exact, deterministic and entirely
+sufficient at the degrees this package ever sees.
 
 Canonical order for factor lists and the irreducible sieve: degree ascending,
 then coefficient sequence lexicographic from the constant term up.
@@ -14,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
     BothZeroError,
     DivisionByZeroError,
-    ExactnessError,
     NotIrreducibleError,
     ZeroArgumentError,
 )
@@ -264,12 +264,11 @@ def _multiplicity_unchecked(f: Poly, g: Poly) -> int:
         e += 1
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Complete factorization ``unit * prod(f_i ** e_i)`` with canonical order."""
+class Factorization(namedtuple("Factorization", "unit factors")):
+    """Complete factorization ``unit * prod(f_i ** e_i)`` with canonical order:
+    ``factors`` is a tuple of pairs (f_i, e_i)."""
 
-    unit: int
-    factors: tuple[tuple[Poly, int], ...]
+    __slots__ = ()
 
     def reconstruct(self, field: FieldCtx) -> Poly:
         out = Poly.constant(field, self.unit)
@@ -279,30 +278,30 @@ class Factorization:
 
 
 def factorize(g: Poly) -> Factorization:
-    """Factor a nonzero polynomial into monic irreducibles by trial division."""
+    """Factor a nonzero polynomial into monic irreducibles by trial division,
+    in canonical order, by the irreducibles of degree <= deg h / 2, h the
+    cofactor left so far.  A cofactor h != 1 left after that has no factor
+    of at most half its degree, so it is irreducible; it is none of the
+    irreducibles tried, so it sorts after every factor found."""
     if g.is_zero():
         raise ZeroArgumentError("cannot factor the zero polynomial")
     unit = g.leading()
     h = g.monic()
     factors: list[tuple[Poly, int]] = []
-    deg = len(h.coeffs) - 1
-    if deg:
-        for f in irreducibles_up_to(g.field, deg):
-            if len(f.coeffs) - 1 > len(h.coeffs) - 1:
+    for f in irreducibles_up_to(g.field, (len(h.coeffs) - 1) // 2):
+        if 2 * (len(f.coeffs) - 1) > len(h.coeffs) - 1:
+            break
+        e = 0
+        while True:
+            quot, rem = divmod(h, f)
+            if rem.coeffs:
                 break
-            e = 0
-            while True:
-                quot, rem = divmod(h, f)
-                if rem.coeffs:
-                    break
-                h = quot
-                e += 1
-            if e:
-                factors.append((f, e))
-            if h.is_one():
-                break
+            h = quot
+            e += 1
+        if e:
+            factors.append((f, e))
     if not h.is_one():
-        raise ExactnessError("trial division left a nontrivial cofactor")
+        factors.append((h, 1))
     return Factorization(unit, tuple(factors))
 
 

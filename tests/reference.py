@@ -6,11 +6,12 @@ import operator
 
 from pencilcensus import census
 from pencilcensus.census import CENSUS_SCHEMA, CensusReport, _types, partitions
-from pencilcensus.errors import ShapeError
+from pencilcensus.errors import ExactnessError, ShapeError
 from pencilcensus.gf import (ScalarMatrix, _digits_of, field_new,
                              kernel_basis_rows, parse_field_spec, rows_mul,
                              rref_rows)
-from pencilcensus.polyring import Poly, poly_gcd
+from pencilcensus.polyring import (Factorization, Poly, irreducibles_up_to,
+                                   poly_gcd)
 from pencilcensus.smith import InvariantFactorTuple
 
 
@@ -101,6 +102,34 @@ def invariant_factor_tuples(field, k):
     """All valid k-tuples of invariant factors with total degree <= k."""
     for _, polys, _ in _types(field, k, k):
         yield InvariantFactorTuple(polys)
+
+
+def factorize_full_sieve(g):
+    """Factor a nonzero polynomial by trial division by every monic
+    irreducible up to its own degree, in canonical order, until the cofactor
+    is 1: the sieve that ``polyring.factorize`` must agree with."""
+    unit = g.leading()
+    h = g.monic()
+    factors = []
+    deg = len(h.coeffs) - 1
+    if deg:
+        for f in irreducibles_up_to(g.field, deg):
+            if len(f.coeffs) - 1 > len(h.coeffs) - 1:
+                break
+            e = 0
+            while True:
+                quot, rem = divmod(h, f)
+                if rem.coeffs:
+                    break
+                h = quot
+                e += 1
+            if e:
+                factors.append((f, e))
+            if h.is_one():
+                break
+    if not h.is_one():
+        raise ExactnessError("trial division left a nontrivial cofactor")
+    return Factorization(unit, tuple(factors))
 
 
 def poly_lcm(a, b):

@@ -338,6 +338,11 @@ def test_usage_error_on_malformed_inputs(capsys):
         ["snf", "--q", "2", "--matrix", "5"],
         ["snf", "--q", "2", "--pencil", "--matrix", "[[1,0],[1],[0,1,1]]"],
         ["snf", "--q", "2", "--matrix", '[["x","1"],["0"],["1","x","0"]]'],
+        # ... and of at least one column
+        ["snf", "--q", "3", "--matrix", "[[]]"],
+        ["snf", "--q", "3", "--matrix", "[[],[]]"],
+        ["snf", "--q", "3", "--pencil", "--matrix", "[[]]"],
+        ["snf", "--q", "3", "--pencil", "--matrix", "[[],[]]"],
         # polynomial entries are JSON strings or integers, nothing nested
         ["snf", "--q", "2", "--matrix", "[[[1]]]"],
         ["snf", "--q", "4", "--matrix", "[[[3]]]"],
@@ -356,13 +361,29 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
 def test_selftest_passes_under_optimize():
     # the shipped checks raise errors, not asserts, so -O must keep them
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pencilcensus", "selftest"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
         timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "selftest: ok" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["pencilcensus", "pencilcensus.cli"])
+def test_import_loads_no_worker_pool_and_no_dataclasses(module):
+    # a one-worker run needs neither; the pool is imported by the first run
+    # with more than one worker
+    heavy = ("dataclasses", "inspect", "multiprocessing", "concurrent.futures")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(*sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert module in proc.stdout.split()
+    assert set(heavy).isdisjoint(proc.stdout.split())

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -267,7 +266,7 @@ def test_orbit_reduction_report_is_independent_of_workers():
     # 16 top blocks A split over 3 workers: chunks of 5, 5 and 6 blocks
     for mode in REDUCED_MODES:
         small = cfg(n=4, k=2, mode=mode, subspace=((1, 0),))
-        assert run(replace(small, workers=3)).to_json() == run(small).to_json()
+        assert run(small._replace(workers=3)).to_json() == run(small).to_json()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -363,7 +362,7 @@ def test_similarity_class_report_is_independent_of_workers():
     # 5 and 5 classes
     for mode, basis in square_cases(3):
         small = cfg(2, 3, 3, mode=mode, subspace=basis)
-        assert run(replace(small, workers=3)).to_json() == run(small).to_json()
+        assert run(small._replace(workers=3)).to_json() == run(small).to_json()
     # each class is tallied, q^((n-k)k) matrices per top block, by the one
     # chunk holding its leader's block, however finely the blocks are split
     sizes = dict(_similarity_classes(2, 1, 2))
@@ -487,7 +486,7 @@ def test_mode_table_agrees_with_its_copies(mode):
     basis = ((1,),) if MODE_TABLE[mode].subspace else None
     small = cfg(n=2, k=1, mode=mode, subspace=basis)  # pair mode needs k < n
     assert verify(closed_form(small), run(small)).verdict
-    assert run(replace(small, workers=2)).to_json() == run(small).to_json()
+    assert run(small._replace(workers=2)).to_json() == run(small).to_json()
     for command in ("enumerate", "verify"):
         assert tuple(_cli_choices(command, "mode")) == MODES
     schema = json.loads(res.files("pencilcensus.schemas").joinpath(

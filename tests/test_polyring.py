@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pencilcensus import polyring
 from pencilcensus.errors import (
     BothZeroError,
     DivisionByZeroError,
@@ -22,7 +23,8 @@ from pencilcensus.polyring import (
     poly_gcd,
 )
 
-from reference import poly_from_json, poly_lcm, poly_to_json, sort_key
+from reference import (factorize_full_sieve, poly_from_json, poly_lcm,
+                       poly_to_json, sort_key)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -143,6 +145,30 @@ def test_factorization_round_trip_exhaustive(f):
             keys = [sort_key(p) for p, _ in fact.factors]
             assert keys == sorted(keys)
             assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("q,top", [(2, 4), (3, 4), (4, 4), (9, 3)])
+def test_factorize_equals_the_full_sieve(q, top):
+    f = parse_field_spec(str(q))
+    for deg in range(top + 1):
+        for g in monic_polys(f, deg):
+            assert factorize(g) == factorize_full_sieve(g)
+
+
+def test_factorize_sieves_only_half_the_degree(monkeypatch):
+    sieve = polyring.irreducibles_up_to
+    degrees = []
+
+    def recording(field, d):
+        degrees.append(d)
+        return sieve(field, d)
+
+    monkeypatch.setattr(polyring, "irreducibles_up_to", recording)
+    f = parse_field_spec("25")
+    for text in ("x^4+1", "x^4+x+[2]", "x^4+[3]*x^3+x+[7]"):
+        g = parse_poly(text, f)
+        assert factorize(g).reconstruct(f) == g
+    assert degrees and max(degrees) <= 2
 
 
 def test_factorization_respects_units():
