@@ -12,7 +12,9 @@ total degree d and the multiset of pairs (deg g, lambda_g) over the monic
 irreducibles g dividing the tuple, lambda_g being the partition of exponents
 of g in p_k, p_{k-1}, ...  The censuses therefore never factor anything: they
 walk (irreducible, partition) pairs, build each tuple by multiplying the
-irreducible powers into place, and evaluate each type's count once.
+irreducible powers into place, and evaluate each type's count once.  Each
+power g^e is built once per census, and each polynomial of a key is built
+and rendered to text once, when it first appears.
 Factoring (:func:`exponent_profile`) serves only the single counts that take
 a tuple or polynomial as input.
 """
@@ -36,6 +38,7 @@ from .polyring import (
     _multiplicity_unchecked,
     factorize,
     irreducibles_up_to,
+    poly_text,
 )
 from .smith import InvariantFactorTuple
 
@@ -285,34 +288,91 @@ def check_q_identity(d: int, q: int, y: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _types(field: FieldCtx, max_degree: int, slots: int
-           ) -> Iterator[tuple[int, list[Poly], tuple]]:
+           ) -> Iterator[tuple[int, list[Poly], list[str], tuple]]:
     """Every chain p_1 | ... | p_slots of monic polynomials with total degree
     d <= max_degree, built from its type without factoring.
 
-    Yields ``(d, [p_1, ..., p_slots], blocks)``; ``blocks`` holds one
-    ``(deg g, lambda_g)`` pair per irreducible divisor g, in canonical order
-    of g, and lambda_g (at most ``slots`` parts) gives the exponents of g in
-    p_slots, p_slots-1, ...  With one slot every monic polynomial of degree
-    <= max_degree comes out once.
+    Yields ``(d, [p_1, ..., p_slots], texts, blocks)``; ``texts`` holds the
+    key text of each p_j, ``blocks`` one ``(deg g, lambda_g)`` pair per
+    irreducible divisor g, in canonical order of g, and lambda_g (at most
+    ``slots`` parts) gives the exponents of g in p_slots, p_slots-1, ...
+    With one slot every monic polynomial of degree <= max_degree comes out
+    once.
+
+    Each chain polynomial is built and rendered once per call, so each
+    power g^e too: a slot that still holds 1 takes the power as it is, any
+    other slot multiplies it in.
     """
     irreducibles = irreducibles_up_to(field, max_degree)
+    shapes = [tuple(partitions(e, max_parts=slots))
+              for e in range(max_degree + 1)]
+    one = Poly.one(field)
+    powers: dict[tuple[int, int], tuple[Poly, str, int]] = {}
+    # products[m]: (text of p, i, e) -> (p * g_i^e, its text, m), for the p
+    # whose least irreducible factor is g_m
+    products: dict[int, dict[tuple[str, int, int], tuple[Poly, str, int]]] = {}
 
-    def walk(start, d, polys, blocks):
-        yield d, polys, blocks
+    def power(i, e):
+        entry = powers.get((i, e))
+        if entry is None:
+            g_e = irreducibles[i] ** e
+            entry = powers[i, e] = g_e, poly_text(g_e), i
+        return entry
+
+    def times_power(p, text, m, i, e):
+        """p * g_i^e, its text and the index of its least irreducible
+        factor, from those of p (m is None for p = 1)."""
+        if m is None:
+            return power(i, e)
+        table = products.setdefault(m, {})
+        entry = table.get((text, i, e))
+        if entry is None:
+            out = p * power(i, e)[0]
+            entry = table[text, i, e] = out, poly_text(out), m
+        return entry
+
+    def children(start, least, d, polys, texts, blocks):
+        """``(start, least, node)`` for each chain ``node`` one power of an
+        irreducible g_i, i >= start, beyond the chain ``(d, polys, texts,
+        blocks)``; ``least`` holds the index of each slot's least
+        irreducible factor."""
         for i in range(start, len(irreducibles)):
-            g = irreducibles[i]
-            deg = len(g.coeffs) - 1
+            deg = len(irreducibles[i].coeffs) - 1
             if d + deg > max_degree:
                 break  # irreducibles come in ascending degree
             for e in range(1, (max_degree - d) // deg + 1):
-                for lam in partitions(e, max_parts=slots):
-                    chain = list(polys)
+                for lam in shapes[e]:
+                    chain, chain_texts = list(polys), list(texts)
+                    chain_least = list(least)
                     for j, part in enumerate(lam, start=1):
-                        chain[-j] = chain[-j] * g ** part
-                    yield from walk(i + 1, d + deg * e, chain,
-                                    blocks + ((deg, lam),))
+                        chain[-j], chain_texts[-j], chain_least[-j] = \
+                            times_power(chain[-j], chain_texts[-j],
+                                        chain_least[-j], i, part)
+                    yield i + 1, chain_least, (
+                        d + deg * e, chain, chain_texts,
+                        blocks + ((deg, lam),))
 
-    yield from walk(0, 0, [Poly.one(field)] * slots, ())
+    # Depth first, each chain before the chains beyond it, with a stack of
+    # ``children`` generators: no generator here refers to itself, so the
+    # tables are freed as soon as the walk ends.
+    node = (0, [one] * slots, [poly_text(one)] * slots, ())
+    yield node
+    stack = [children(0, [None] * slots, *node)]
+    first = 0
+    while stack:
+        for start, least, node in stack[-1]:
+            if len(stack) == 1:
+                # every chain from here on is built from g_first, g_first+1,
+                # ... alone, so no slot holds a polynomial whose least
+                # irreducible factor comes before g_first any more
+                for m in range(first, start - 1):
+                    products.pop(m, None)
+                first = start - 1
+            yield node
+            stack.append(children(start, least, *node))
+            break
+        else:
+            stack.pop()
 
 
 def _census_entries(field: FieldCtx, max_degree: int, slots: int,
@@ -320,7 +380,7 @@ def _census_entries(field: FieldCtx, max_degree: int, slots: int,
     """Nonzero ``count(d, blocks)`` per chain key, evaluated once per type."""
     by_type: dict[tuple, int] = {}
     entries = {}
-    for d, polys, blocks in _types(field, max_degree, slots):
+    for d, _, texts, blocks in _types(field, max_degree, slots):
         type_key = (d, tuple(sorted(blocks)))
         v = by_type.get(type_key)
         if v is None:
@@ -328,7 +388,7 @@ def _census_entries(field: FieldCtx, max_degree: int, slots: int,
         if v:
             # str(InvariantFactorTuple(polys)), minus its divisibility check:
             # the chain divides by construction.
-            entries["|".join(str(p) for p in polys)] = v
+            entries["|".join(texts)] = v
     return entries
 
 

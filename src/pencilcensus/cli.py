@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -148,6 +149,39 @@ def _parse_tuple(text: str, f: FieldCtx, parser) -> InvariantFactorTuple:
         parser.error(f"bad --tuple: {exc}")
 
 
+def _count_exponent(formula: str, given: dict) -> int:
+    """N with the count at most q^N: each formula counts a subset of a space
+    of q^N matrices, d x d for ``gr``, n x n for ``class``, a d x d block
+    and n x (k - d) for ``subspace`` and ``givenU``, n x k otherwise.  0 for
+    a negative dimension, which the formula itself refuses."""
+    if formula == "gr":
+        d = len(given["poly"].coeffs) - 1
+        return d * d
+    n, k, d = (given.get(name, 0) for name in ("n", "k", "d"))
+    if min(n, k, d) < 0:
+        return 0
+    if formula == "class":
+        return n * n
+    if formula in ("subspace", "givenU"):
+        return d * d + n * (k - d)
+    return n * k
+
+
+def _refuse_unprintable(formula: str, given: dict, q: int, parser) -> None:
+    """Refuse, before computing it, a count with more decimal digits than
+    Python will convert to text (``sys.get_int_max_str_digits()``)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _count_exponent(formula, given) * math.log10(q) + 1
+    if limit and digits > limit:
+        shape = [f"q={q}"] + [f"{name}={v}" for name, v in given.items()
+                              if isinstance(v, int)]
+        if formula == "gr":
+            shape.append(f"deg={len(given['poly'].coeffs) - 1}")
+        parser.error(f"--formula {formula} at {', '.join(shape)} may reach "
+                     f"{int(digits)} digits, past the {limit}-digit limit "
+                     f"for printing an integer")
+
+
 def cmd_count(args, parser) -> int:
     f = parse_field_spec(args.q)
     function, names = FORMULAS[args.formula]
@@ -163,6 +197,7 @@ def cmd_count(args, parser) -> int:
         if args.n is not None and args.n != n:
             parser.error(f"--n {args.n} does not match a tuple of length {n}")
         given["n"] = n
+    _refuse_unprintable(args.formula, given, f.q, parser)
     value = getattr(census, function)(
         *(f.q if name == "q" else given[name] for name in names))
     params: dict = {"formula": args.formula, "q": f.q}

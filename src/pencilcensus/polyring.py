@@ -130,15 +130,15 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power")
-        out = Poly.one(self.field)
+        out = None  # 1, never multiplied
         base = self
         while e:
             if e & 1:
-                out = out * base
+                out = base if out is None else out * base
             e >>= 1
             if e:
                 base = base * base
-        return out
+        return Poly.one(self.field) if out is None else out
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not other.coeffs:
@@ -220,18 +220,20 @@ def irreducibles_up_to(field: FieldCtx, d: int) -> tuple[Poly, ...]:
     Multiplicative sieve: a monic of degree d is reducible exactly when it is
     an irreducible of degree a <= d/2 times a monic of degree d - a, so every
     such product is marked and the unmarked monics of degree d, taken in
-    :func:`monic_polys` order, are appended to the list for d - 1.  Cached
-    per (field, bound).
+    :func:`monic_polys` order, are appended to the list for d - 1.  The
+    monics of degree d - a are built once per a and shared by every
+    irreducible of degree a.  Cached per (field, bound).
     """
     if d < 1:
         return ()
     lower = irreducibles_up_to(field, d - 1)
     reducible = set()
-    for g in lower:
-        a = len(g.coeffs) - 1
+    for a, group in itertools.groupby(lower, key=lambda g: len(g.coeffs) - 1):
         if 2 * a > d:
             break
-        reducible.update((g * h).coeffs for h in monic_polys(field, d - a))
+        cofactors = list(monic_polys(field, d - a))
+        for g in group:
+            reducible.update((g * h).coeffs for h in cofactors)
     return lower + tuple(cand for cand in monic_polys(field, d)
                          if cand.coeffs not in reducible)
 

@@ -5,13 +5,13 @@ import json
 import operator
 
 from pencilcensus import census
-from pencilcensus.census import CENSUS_SCHEMA, CensusReport, _types, partitions
+from pencilcensus.census import CENSUS_SCHEMA, CensusReport, partitions
 from pencilcensus.errors import ExactnessError, ShapeError
 from pencilcensus.gf import (ScalarMatrix, _digits_of, field_new,
                              kernel_basis_rows, parse_field_spec, rows_mul,
                              rref_rows)
 from pencilcensus.polyring import (Factorization, Poly, irreducibles_up_to,
-                                   poly_gcd)
+                                   monic_polys, poly_gcd)
 from pencilcensus.smith import InvariantFactorTuple
 
 
@@ -99,9 +99,35 @@ def chains_with_product(f, k):
 
 
 def invariant_factor_tuples(field, k):
-    """All valid k-tuples of invariant factors with total degree <= k."""
-    for _, polys, _ in _types(field, k, k):
-        yield InvariantFactorTuple(polys)
+    """All valid k-tuples of invariant factors with total degree <= k: the
+    chains with product f for every monic f of degree <= k."""
+    for d in range(k + 1):
+        for f in monic_polys(field, d):
+            yield from chains_with_product(f, k)
+
+
+def types_by_remultiplying(field, max_degree, slots):
+    """The ``(d, polys, blocks)`` walk that ``census._types`` must yield in
+    the same order, each chain rebuilt by multiplying every power g^part
+    into its slot afresh, 1 included."""
+    irreducibles = irreducibles_up_to(field, max_degree)
+
+    def walk(start, d, polys, blocks):
+        yield d, polys, blocks
+        for i in range(start, len(irreducibles)):
+            g = irreducibles[i]
+            deg = len(g.coeffs) - 1
+            if d + deg > max_degree:
+                break  # irreducibles come in ascending degree
+            for e in range(1, (max_degree - d) // deg + 1):
+                for lam in partitions(e, max_parts=slots):
+                    chain = list(polys)
+                    for j, part in enumerate(lam, start=1):
+                        chain[-j] = chain[-j] * g ** part
+                    yield from walk(i + 1, d + deg * e, chain,
+                                    blocks + ((deg, lam),))
+
+    yield from walk(0, 0, [Poly.one(field)] * slots, ())
 
 
 def factorize_full_sieve(g):

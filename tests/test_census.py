@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -6,6 +7,7 @@ import random
 import pytest
 
 from pencilcensus import census as census_mod
+from pencilcensus import polyring
 from pencilcensus.census import (
     centralizer_factor,
     check_q_identity,
@@ -34,11 +36,12 @@ from pencilcensus.errors import (
     ShapeError,
 )
 from pencilcensus.gf import field_new, parse_field_spec
-from pencilcensus.polyring import Poly, factorize, monic_polys, parse_poly
+from pencilcensus.polyring import (Poly, factorize, irreducibles_up_to,
+                                   monic_polys, parse_poly)
 from pencilcensus.smith import InvariantFactorTuple
 
 from reference import (chains_with_product, invariant_factor_tuples,
-                       report_from_json)
+                       report_from_json, types_by_remultiplying)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -411,6 +414,53 @@ def test_type_built_censuses_match_per_tuple_reference(q, k, monkeypatch):
         for d in range(k + 1):
             assert subspace_census(f, n, k, d).entries == \
                 nonzero(subspace[n, d])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_the_type_walk_yields_what_remultiplying_yields(q):
+    f = parse_field_spec(str(q))
+    for max_degree in range(1, (3 if q >= 7 else 4) + 1):
+        for slots in sorted({1, max_degree}):
+            walked = list(census_mod._types(f, max_degree, slots))
+            assert [(d, polys, blocks) for d, polys, _, blocks in walked] == \
+                list(types_by_remultiplying(f, max_degree, slots)), \
+                (max_degree, slots)
+            for _, polys, texts, _ in walked:
+                assert texts == [str(p) for p in polys]
+
+
+def test_the_closed_form_builds_each_power_and_key_text_once(monkeypatch):
+    f = field_new(5)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            if name == "__mul__" and any(p.is_one() for p in args):
+                calls["times one"] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Poly, "__pow__", counted("__pow__", Poly.__pow__))
+    monkeypatch.setattr(Poly, "__mul__", counted("__mul__", Poly.__mul__))
+    text = counted("poly_text", polyring.poly_text)
+    monkeypatch.setattr(polyring, "poly_text", text)
+    # keys may be rendered through str(p) or through census's own import
+    monkeypatch.setattr(census_mod, "poly_text", text, raising=False)
+    irreducibles_up_to.cache_clear()  # the sieve runs under the count too
+    report = pencil_census(f, 4, 4)
+    monkeypatch.undo()
+    powers = {(g, e) for g in irreducibles_up_to(f, 4)
+              for e in range(1, 4 // g.degree + 1)}
+    # every chain the walk passes, the d < 4 ones this square shape drops
+    # included: each monic of degree <= 4 once
+    chain_polys = {p for _, polys, _ in types_by_remultiplying(f, 4, 4)
+                   for p in polys}
+    assert (len(powers), len(chain_polys)) == (230, 781)
+    assert len(report.entries) == 805
+    assert calls["__pow__"] <= len(powers)
+    assert calls["times one"] == 0
+    assert calls["poly_text"] <= len(chain_polys)
 
 
 def test_closed_census_totals():

@@ -80,6 +80,29 @@ def test_count_class_and_nilext(capsys):
     assert (code, out.strip()) == (0, "40")
 
 
+@pytest.mark.parametrize("formula,q,n,k,extra", [
+    ("reach", "2", 3001, 3000, ["--r", "0"]),
+    ("nilext", "65521", 2001, 2000, []),
+])
+def test_a_count_too_long_to_print_is_refused_before_it_is_computed(
+        capsys, formula, q, n, k, extra):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--formula", formula, "--q", q, "--n", str(n),
+              "--k", str(k), *extra])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert f"n={n}" in err and f"k={k}" in err and "digit" in err
+
+
+def test_a_count_within_the_digit_limit_still_prints(capsys):
+    code, out = run_cli(capsys, "count", "--formula", "givenU", "--q", "2",
+                        "--n", "200", "--k", "100", "--d", "100")
+    assert (code, out.strip()) == (0, str(2 ** 10000))
+    assert len(out.strip()) == 3011
+
+
 def test_snf_pencil_example(capsys):
     code, out = run_cli(capsys, "snf", "--q", "2", "--n", "2", "--k", "2",
                         "--matrix", "[[0,0],[0,0]]", "--pencil")
