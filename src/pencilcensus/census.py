@@ -60,19 +60,22 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
 def partitions(total: int, max_parts: int | None = None
                ) -> Iterator[tuple[int, ...]]:
     """All partitions of ``total`` with at most ``max_parts`` parts, descending."""
-    limit = total if max_parts is None else max_parts
+    return _partitions(total, total, total if max_parts is None else max_parts)
 
-    def gen(remaining: int, max_part: int, slots: int):
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0 or max_part == 0:
-            return
-        for first in range(min(remaining, max_part), 0, -1):
-            for rest in gen(remaining - first, first, slots - 1):
-                yield (first,) + rest
 
-    yield from gen(total, total, limit)
+def _partitions(remaining: int, max_part: int,
+                slots: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of ``remaining`` into at most ``slots`` parts of at most
+    ``max_part``, descending; a module function, so that no closure refers to
+    itself and a call leaves no reference cycle behind."""
+    if remaining == 0:
+        yield ()
+        return
+    if slots == 0 or max_part == 0:
+        return
+    for first in range(min(remaining, max_part), 0, -1):
+        for rest in _partitions(remaining - first, first, slots - 1):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -5,27 +5,38 @@ matrix space in base-q index order (row-major digit order, least significant
 digit first), tallies the classifying key of every matrix, and produces a
 :class:`CensusReport` that can be diffed exactly against the closed-form
 census from :func:`closed_form`.  The index space is split into contiguous
-chunks, each a whole number of top blocks A and holding an even share of the
-top-block representatives; with more than one worker the chunks run in
-separate processes, and since the merge is plain per-key addition, the report
-is identical for every worker count.
+chunks, cut at representatives (below) so that each holds an even share of
+them; with more than one worker the chunks run in separate processes, and
+since the merge is plain per-key addition, the report is identical for every
+worker count.
 
 Orbit reduction: write a matrix as B = [A; C], A the top k x k block and C
 the (n-k) x k bottom block.  For g = [[P, R], [0, Q]] in GL_n,
 g(x*I_{n,k} - B)P^-1 = x*I_{n,k} - gBP^-1, so every key is constant on the
 orbits B -> gBP^-1 (if N completes B to a nilpotent operator, gNg^-1
-completes gBP^-1), and pair mode's key, the reachability rank of (A, C^T),
-is that of (PAP^-1, PC^TQ^-1).  By g = diag(I, Q) the key depends on C only
-through its row space U; by g = diag(P, I), which permutes the U of each
-dimension, the tally over U, weighted by the number of C with row space U,
-depends on A only through its GL_k class.  So the walk takes one C per U for
-each class leader A (least index), weighted by the class size a graph search
-counts.  Subspace mode walks S_0 = span(e_1..e_d) for the fixed subspace S:
-g = diag(T, I) with T*S = S_0 maps the maximal invariant subspace M to T*M,
-so both tally alike.  M, the kernel of C, CA, ..., CA^(k-1), is the largest
-A-invariant subspace inside ker C, so M = S_0 only if A*S_0 lies in S_0 and
-C vanishes on S_0; the P that fix S_0 keep both, so the walk takes only
-such U and one such A per class under those P.
+completes gBP^-1).  By g = diag(I, Q) the key depends on C only through its
+row space U, and by g = diag(P, I) with U*P^-1 = U_0 the tally over the C
+whose row space has dimension r is the number of such U times the tally over
+the C with row space U_0 = span(e_(k-r+1)..e_k).  By g = [[I, R], [0, I]],
+[A; C] ~ [A + RC; C], and the RC are the M whose rows lie in U_0, so the key
+depends on A only through its first k-r columns X: the walk takes A = [X 0]
+for the q^(kr) A of its coset, and C = C_0, the basis of U_0 padded with
+zero rows.  The g that keep C_0 have P fixing U_0, block upper triangular
+with a (k-r, r) split, and act on X by X -> P*X*P11^-1, P11 the top left
+(k-r) x (k-r) block of P; so the walk takes one X per orbit (least index),
+weighted by the orbit size a graph search counts, times q^(kr), times
+prod_{i<r} (q^(n-k) - q^i) C with row space U_0, times the number of U.
+Pair mode's key, the reachability rank of (A, C^T), is taken at
+(A^T, C^T): A -> A^T is a bijection, so the tally over all A is unchanged,
+A^T + C^T R^T is state feedback, which keeps the rank, as does the
+similarity (P^-T A^T P^T, P^-T C^T Q^T).  Subspace mode walks
+S_0 = span(e_1..e_d) for the fixed subspace S: g = diag(T, I) with T*S = S_0
+maps the maximal invariant subspace M to T*M, so both tally alike.  M, the
+kernel of C, CA, ..., CA^(k-1), is the largest A-invariant subspace inside
+ker C, so M = S_0 only if A*S_0 lies in S_0 and C vanishes on S_0, which
+A + RC and the P that fix S_0 keep; so the walk takes only the U inside
+span(e_(d+1)..e_k) and the A with A*S_0 inside S_0, under the P that fix
+both S_0 and U_0: block upper triangular with diagonal blocks d, k-d-r, r.
 """
 
 from __future__ import annotations
@@ -105,14 +116,14 @@ def _pool_size(workers: int, chunks: int) -> int:
 def _execute(cfg: EnumConfig, total: int, work: int,
              fn: Callable[[tuple], dict[str, int]]) -> dict[str, int]:
     _check_budget(cfg, work)
-    tops = cfg.q ** (cfg.k * cfg.k)
-    block = total // tops  # matrices per top block A
-    # Chunks hold even shares of the top blocks walked, which are found here,
-    # before the pool forks, so the workers inherit them from the cache.
-    leaders = [a for a, _ in _top_blocks(cfg)]
-    cuts = [leaders[lo] for lo, _ in _chunks(len(leaders), cfg.workers)]
-    args = [(cfg, lo * block, hi * block)
-            for lo, hi in zip(cuts, cuts[1:] + [tops])]
+    # Chunks hold even shares of the representatives, which the parent lists
+    # here, afresh for each run and before the pool forks, so the workers
+    # inherit the list from the cache; a chunk spans the indices from its
+    # first representative's to the next chunk's first.
+    _representatives.cache_clear()
+    reps = _representatives(cfg)
+    cuts = [reps[lo][0] for lo, _ in _chunks(len(reps), cfg.workers)]
+    args = [(cfg, lo, hi) for lo, hi in zip(cuts, cuts[1:] + [total])]
     size = _pool_size(cfg.workers, len(args))
     if size == 1:
         parts = [fn(a) for a in args]
@@ -225,51 +236,65 @@ def _walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
     return tally
 
 
-def _row_spaces(f: FieldCtx, cfg: EnumConfig) -> list[tuple[tuple, int]]:
-    """One bottom block per row space U of dim r <= n-k in F_q^k (with a
-    subspace S_0, per U inside span(e_(d+1)..e_k)): the entries of C, U's
-    echelon basis padded with zero rows (in pair mode B = C^T), and the
-    number of C with row space U, prod_{i<r} (q^(n-k) - q^i)."""
+def _row_spaces(f: FieldCtx, cfg: EnumConfig) -> list[tuple[int, tuple, int]]:
+    """One ``(r, C_0, weight)`` per dimension r <= min(n-k, k-d) of the row
+    space U of the bottom block C (with a subspace S_0, U lies inside
+    span(e_(d+1)..e_k)): the entries of C_0, whose rows e_(k-r+1)..e_k span
+    U_0, padded with zero rows, and the number of C whose row space has
+    dimension r: the number of U, counted by listing them, times
+    prod_{i<r} (q^(n-k) - q^i), the C with row space U."""
     rows, k, q, d = cfg.n - cfg.k, cfg.k, cfg.q, len(cfg.subspace or ())
     out = []
     for r in range(min(rows, k - d) + 1):
-        weight = math.prod(q ** rows - q ** i for i in range(r))
-        for basis in echelon_subspaces(f, k - d, r):
-            c = (*((0,) * d + row for row in basis), *((0,) * k,) * (rows - r))
-            if cfg.mode == "pair":
-                c = tuple(zip(*c))
-            out.append((sum(c, ()), weight))
+        spaces = sum(1 for _ in echelon_subspaces(f, k - d, r))
+        c = (*(int(j == i) for i in range(k - r, k) for j in range(k)),
+             *(0,) * (k * (rows - r)))
+        out.append((r, c, spaces * math.prod(q ** rows - q ** i
+                                              for i in range(r))))
     return out
 
 
 def _row_space_count(cfg: EnumConfig) -> int:
-    """len(_row_spaces(...)) without building the list."""
+    """The number of row spaces U of C, which the budget charges for."""
     return sum(census.q_binomial(cfg.k, r, cfg.q)
                for r in range(min(cfg.n - cfg.k, cfg.k) + 1))
 
 
 @lru_cache(maxsize=None)
-def _similarity_classes(p: int, m: int, k: int,
-                        d: int = 0) -> tuple[tuple[int, int], ...]:
-    """One ``(leader, size)`` per class of the k x k A over GF(p^m) with
-    A*S_0 inside S_0 = span(e_1..e_d) under conjugation by the P that fix S_0
-    (all of GL_k if d = 0), in leader order: its least index and the number
-    of matrices a graph search visits from it, counted visit by visit.
-    On each diagonal block [lo, hi) of P the search conjugates by the cycle
-    e_lo -> ... -> e_(hi-1) -> e_lo, by I + E_(lo,lo+1) and, when q > 2, by
-    scaling e_lo by the field's generator w; if d > 0 also by I + E_(d-1,d),
-    whose images under the blocks span the rest.  Each move is built once as a
-    permutation of the q^(k^2) indices, so a search step is one lookup:
-    conjugation is linear and each output row depends on one group of input
-    rows, so an image index is the sum of one table entry per group."""
+def _similarity_classes(p: int, m: int, k: int, d: int = 0,
+                        r: int = 0) -> tuple[tuple[int, int], ...]:
+    """One ``(leader, size)`` per class of the k x (k-r) blocks X over
+    GF(p^m) with X[i][c] = 0 for i >= d, c < d (A*S_0 inside S_0 =
+    span(e_1..e_d)) under X -> P*X*P11^-1, where P is block upper triangular
+    with diagonal blocks of sizes d, k-d-r and r (empty ones dropped) and P11
+    is its top left (k-r) x (k-r) block; with r = 0 that is conjugation by
+    the P that fix S_0, all of GL_k if d = 0.  In leader order: the leader is
+    the least k x k index of a block of the class padded with r zero columns,
+    the size the number of blocks a graph search visits from it, counted
+    visit by visit.  On each diagonal block [lo, hi) of P the search moves by
+    the cycle e_lo -> ... -> e_(hi-1) -> e_lo, by I + E_(lo,lo+1) and, when
+    q > 2, by scaling e_lo by the field's generator w; at each block boundary
+    b also by I + E_(b-1,b), whose images under the blocks span the rest.
+    Only the blocks X are indexed: their free entries, row by row, least
+    significant first.  Each move is built once as a permutation of those
+    indices, so a search step is one lookup: the action is linear and each
+    output row depends on one group of input rows, so an image index is the
+    sum of one table entry per group."""
     f = field_new(p, m)
-    q, kk = f.q, k * k
-    place = [q ** i for i in range(kk)]
-    rows = [_digits_of(r, q, k) for r in range(q ** k)]
+    q, c = f.q, k - r
+    skip = [d if i >= d else 0 for i in range(k)]  # row i's fixed zeros
+    unit = [q ** j for j in range(c)]
+    place, size = [], 1  # index of a 1 in each row's first free entry
+    for s in skip:
+        place.append(size)
+        size *= q ** (c - s)
+    values = {s: [[0] * s + _digits_of(v, q, c - s)
+                  for v in range(q ** (c - s))] for s in set(skip)}
+    rows = [values[s] for s in skip]  # each row's values, as full rows of X
 
-    def share(g, r):  # the image of each row under g, placed as row r
-        return [sum(map(operator.mul, g(d), place)) * place[r * k]
-                for d in rows]
+    def share(g, i, to):  # the image under g of each value of row i, as row to
+        return [sum(map(operator.mul, g(v)[skip[to]:], unit)) * place[to]
+                for v in rows[i]]
 
     def perm(*tables):  # tables of the row groups, least significant first
         out = array("I", [0])
@@ -279,80 +304,96 @@ def _similarity_classes(p: int, m: int, k: int,
                 out.extend([t + y for y in low])
         return out
 
-    def cycle(lo, hi):  # entry (r, c) to (r+1, c+1), both cycled in [lo, hi)
+    def cycle(lo, hi):  # entry (i, j) to (i+1, j+1), both cycled in [lo, hi)
         to = [*range(lo), *range(lo + 1, hi), lo, *range(hi, k)]
-        return perm(*(share(lambda d: [*d[:lo], d[hi - 1], *d[lo:hi - 1],
-                                       *d[hi:]], to[r]) for r in range(k)))
+        g = list if hi > c else (
+            lambda v: [*v[:lo], v[hi - 1], *v[lo:hi - 1], *v[hi:]])
+        return perm(*(share(g, i, to[i]) for i in range(k)))
 
     def transvection(i):  # row i += row i+1, then column i+1 -= column i
-        col = [share(lambda d: [*d[:i + 1], f.sub(d[i + 1], d[i]), *d[i + 2:]],
-                     r) for r in range(k)]
-        pair = [col[i][s] + col[i + 1][r1] for r1, d1 in enumerate(rows)
-                for s in perm(*([f.add(a, b) * place[c] for a in range(q)]
-                                for c, b in enumerate(d1)))]  # rows i, i+1
-        return perm(*col[:i], pair, *col[i + 2:])
+        g = list if i + 1 >= c else (
+            lambda v: [*v[:i + 1], f.sub(v[i + 1], v[i]), *v[i + 2:]])
+        col = [share(g, j, j) for j in range(k)]
+        pair = [col[i][s] + col[i + 1][j] for j, u in enumerate(rows[i + 1])
+                for s in perm(*([f.add(a, b) * unit[e] for a in range(q)]
+                                for e, b in enumerate(u[skip[i]:])))]
+        return perm(*col[:i], pair, *col[i + 2:])  # rows i, i+1: one group
 
-    def scale(i):  # row i *= w, column i *= w^-1, w the field's generator
+    def scale(i):  # row i *= w, column i (if i < c) *= w^-1, w a generator
         w = f.generator
-        by = [[f.mul(w if r == i else 1, 1 if c != i else f.inv(w))
-               for c in range(k)] for r in range(k)]
-        return perm(*(share(lambda d: list(map(f.mul, d, by[r])), r)
-                      for r in range(k)))
+        by = [[f.mul(w if j == i else 1, 1 if e != i else f.inv(w))
+               for e in range(c)] for j in range(k)]
+        return perm(*(share(lambda v: list(map(f.mul, v, by[j])), j, j)
+                      for j in range(k)))
 
+    blocks = [(lo, hi) for lo, hi in ((0, d), (d, c), (c, k)) if lo < hi]
     moves = []
-    for lo, hi in ((0, d), (d, k)) if d else ((0, k),):
+    for lo, hi in blocks:
         if hi - lo > 1:
             moves += [cycle(lo, hi), transvection(lo)]
         if q > 2 and k > 1:
             moves.append(scale(lo))
-    if d:
-        moves.append(transvection(d - 1))
-    # A*S_0 inside S_0: A[r][c] = 0 for r >= d, c < d
-    leaders = range(q ** kk) if not d else perm(*(
-        [v * place[r * k] for v in range(0, q ** k, q ** d if r >= d else 1)]
-        for r in range(k)))
-    seen = bytearray(q ** kk)
+    moves += [transvection(lo - 1) for lo, _ in blocks[1:]]
+    seen = bytearray(size)
     classes = []
-    for leader in leaders:
+    for leader in range(size):
         if seen[leader]:
             continue
         seen[leader] = 1
-        stack, size = [leader], 0
+        stack, count = [leader], 0
         while stack:
             x = stack.pop()
-            size += 1
+            count += 1
             for move in moves:
                 image = move[x]
                 if not seen[image]:
                     seen[image] = 1
                     stack.append(image)
-        classes.append((leader, size))
-    return tuple(classes)
+        classes.append((leader, count))
+    # the k x k index of each free entry, to turn leaders into padded blocks
+    spread = [q ** (i * k + j) for i in range(k) for j in range(skip[i], c)]
+    return tuple((sum(map(operator.mul, _digits_of(x, q, len(spread)), spread)),
+                  n) for x, n in classes)
 
 
-def _top_blocks(cfg: EnumConfig) -> tuple[tuple[int, int], ...]:
-    """``(leader, size)`` per top block A the walk takes (see the module doc)."""
-    return _similarity_classes(cfg.p, cfg.m, cfg.k,
-                               len(cfg.subspace or ()) % cfg.k)
+@lru_cache(maxsize=1)
+def _representatives(cfg: EnumConfig) -> tuple[tuple[int, tuple, int], ...]:
+    """``(index, entries, weight)`` per representative [A; C_0] the walk
+    classifies (see the module doc), in walk order, which is index order: for
+    each row space dimension r of :func:`_row_spaces`, the top block A of
+    each class of :func:`_similarity_classes` with that r's bottom block C_0,
+    weighted by the class size, the q^(kr) top blocks of A's coset and C_0's
+    weight.  ``entries`` are those the key is taken at: [A; C_0], or in pair
+    mode A^T and then C_0^T."""
+    f, q, k = cfg.field(), cfg.q, cfg.k
+    d = len(cfg.subspace or ()) % k
+    kk = k * k
+    out = []
+    for r, bottom, weight in _row_spaces(f, cfg):
+        shift = sum(v * q ** (kk + i) for i, v in enumerate(bottom))
+        if cfg.mode == "pair":  # each a row-major matrix with k columns
+            bottom = [x for i in range(k) for x in bottom[i::k]]
+        for a, size in _similarity_classes(cfg.p, cfg.m, k, d, r):
+            top = _digits_of(a, q, kk)
+            if cfg.mode == "pair":
+                top = [x for i in range(k) for x in top[i::k]]
+            out.append((a + shift, (*top, *bottom),
+                        size * q ** (k * r) * weight))
+    return tuple(out)
 
 
 def _orbit_walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
     """Tally ``key`` over the matrices with index lo <= i < hi by classifying
-    one representative per orbit and adding its weight: the top blocks of
-    :func:`_top_blocks` whose first matrix lies in the range, each with one
-    bottom block per row space."""
+    one representative per orbit and adding its weight: the representatives
+    of :func:`_representatives` whose index lies in the range."""
     cfg, lo, hi = args
-    f, q, kk = cfg.field(), cfg.q, cfg.k * cfg.k
-    block = q ** ((cfg.n - cfg.k) * cfg.k)
-    tops = [(a, size) for a, size in _top_blocks(cfg) if lo <= a * block < hi]
-    bottoms = _row_spaces(f, cfg)
+    f = cfg.field()
     tally: dict[str, int] = {}
-    for a, size in tops:
-        top = tuple(_digits_of(a, q, kk))
-        for bottom, weight in bottoms:
-            name = key(f, cfg, top + bottom)
+    for index, entries, weight in _representatives(cfg):
+        if lo <= index < hi:
+            name = key(f, cfg, entries)
             if name is not None:
-                tally[name] = tally.get(name, 0) + size * weight
+                tally[name] = tally.get(name, 0) + weight
     return tally
 
 

@@ -206,11 +206,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 def monic_polys(field: FieldCtx, degree: int) -> Iterator[Poly]:
     """All monic polynomials of the given degree, in canonical order."""
-    if degree == 0:
-        yield Poly.one(field)
-        return
-    for tail in itertools.product(field.elements(), repeat=degree):
-        yield Poly(field, tail + (1,))
+    return (Poly(field, c) for c in _monic_tuples(field, degree))
+
+
+def _monic_tuples(field: FieldCtx, degree: int) -> Iterator[tuple[int, ...]]:
+    """The coefficients of :func:`monic_polys`, in the same order."""
+    return (tail + (1,) for tail in
+            itertools.product(field.elements(), repeat=degree))
 
 
 @lru_cache(maxsize=None)
@@ -220,22 +222,34 @@ def irreducibles_up_to(field: FieldCtx, d: int) -> tuple[Poly, ...]:
     Multiplicative sieve: a monic of degree d is reducible exactly when it is
     an irreducible of degree a <= d/2 times a monic of degree d - a, so every
     such product is marked and the unmarked monics of degree d, taken in
-    :func:`monic_polys` order, are appended to the list for d - 1.  The
-    monics of degree d - a are built once per a and shared by every
-    irreducible of degree a.  Cached per (field, bound).
+    :func:`monic_polys` order, are appended to the list for d - 1.  The sieve
+    works on coefficient tuples: the monics of degree d - a are listed once
+    per a and shared by every irreducible of degree a, and only the
+    irreducibles found are made into a :class:`Poly`.  Cached per (field,
+    bound).
     """
     if d < 1:
         return ()
     lower = irreducibles_up_to(field, d - 1)
+    mul, add = field.mul, field.add
     reducible = set()
     for a, group in itertools.groupby(lower, key=lambda g: len(g.coeffs) - 1):
         if 2 * a > d:
             break
-        cofactors = list(monic_polys(field, d - a))
+        cofactors = list(_monic_tuples(field, d - a))
         for g in group:
-            reducible.update((g * h).coeffs for h in cofactors)
-    return lower + tuple(cand for cand in monic_polys(field, d)
-                         if cand.coeffs not in reducible)
+            for h in cofactors:  # g * h, monic of degree d
+                out = [0] * d + [1]
+                for i, ca in enumerate(g.coeffs[:-1]):
+                    if ca:
+                        for j, cb in enumerate(h):
+                            if cb:
+                                out[i + j] = add(out[i + j], mul(ca, cb))
+                for j, cb in enumerate(h[:-1]):
+                    out[a + j] = add(out[a + j], cb)
+                reducible.add(tuple(out))
+    return lower + tuple(Poly(field, c) for c in _monic_tuples(field, d)
+                         if c not in reducible)
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -247,6 +247,52 @@ def similarity_classes_by_moves(p, m, k, d=0):
     return tuple(classes)
 
 
+def block_classes_by_group(p, m, k, d=0, r=0):
+    """The classes that ``oracle._similarity_classes(p, m, k, d, r)`` must
+    equal, found from the whole group rather than from generators: every
+    block upper triangular P with diagonal blocks d, k-d-r and r is listed
+    and applied to a block X of each class by X -> P*X*P11^-1, P11 the top
+    left (k-r) x (k-r) block of P.  The blocks are the k x (k-r) X with
+    X[i][j] = 0 for i >= d, j < d, indexed as X padded with r zero columns;
+    one ``(leader, size)`` per orbit, its least index and its size, in
+    leader order.  Needs k - r >= 1."""
+    f = field_new(p, m)
+    q, c = f.q, k - r
+
+    def block(i):
+        return (i >= d) + (i >= c)
+
+    def filled(cells, values):
+        rows = [[0] * k for _ in range(k)]
+        for (i, j), v in zip(cells, values):
+            rows[i][j] = v
+        return rows
+
+    def index(x):
+        return sum(v * q ** (i * k + j) for i, row in enumerate(x)
+                   for j, v in enumerate(row))
+
+    cells = [(i, j) for i in range(k) for j in range(k) if block(i) <= block(j)]
+    group = []
+    for values in itertools.product(range(q), repeat=len(cells)):
+        g = filled(cells, values)
+        if len(rref_rows(f, g, k)) == k:
+            inv = mat_inv(f, ScalarMatrix.from_rows([row[:c] for row in g[:c]]))
+            group.append((g, inv.to_rows()))
+    free = [(i, j) for i in range(k) for j in range(c) if i < d or j >= d]
+    blocks = sorted((index(x), x) for x in (
+        [row[:c] for row in filled(free, values)]
+        for values in itertools.product(range(q), repeat=len(free))))
+    seen, classes = set(), []
+    for leader, x in blocks:
+        if leader in seen:
+            continue
+        orbit = {index(rows_mul(f, rows_mul(f, g, x), inv)) for g, inv in group}
+        seen |= orbit
+        classes.append((leader, len(orbit)))
+    return tuple(classes)
+
+
 def primitive_element(f):
     """The least element of ``f`` whose first q - 1 powers are distinct: the
     generator that ``FieldCtx`` must find."""

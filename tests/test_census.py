@@ -1,5 +1,6 @@
 import collections
 import functools
+import gc
 import itertools
 import json
 import random
@@ -461,6 +462,18 @@ def test_the_closed_form_builds_each_power_and_key_text_once(monkeypatch):
     assert calls["__pow__"] <= len(powers)
     assert calls["times one"] == 0
     assert calls["poly_text"] <= len(chain_polys)
+
+
+def test_a_closed_form_census_leaves_no_reference_cycle():
+    # nothing the walk builds waits for the cycle collector to be freed
+    f = field_new(5)
+    gc.collect()
+    gc.disable()
+    try:
+        pencil_census(f, 4, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_closed_census_totals():

@@ -39,7 +39,7 @@ from pencilcensus.oracle import (
     verify,
 )
 
-from reference import similarity_classes_by_moves
+from reference import block_classes_by_group, similarity_classes_by_moves
 
 F2 = field_new(2)
 
@@ -276,17 +276,22 @@ def test_row_space_weights_count_every_bottom_block(q):
         for rows in range(1, 4):
             tall = EnumConfig(p=f.p, m=f.m, n=k + rows, k=k)
             spaces = _row_spaces(f, tall)
-            assert sum(w for _, w in spaces) == q ** (rows * k)
-            assert len(spaces) == _row_space_count(tall)
-            assert all(len(c) == rows * k for c, _ in spaces)
+            assert sum(w for _, _, w in spaces) == q ** (rows * k)
+            assert [r for r, _, _ in spaces] == list(range(min(rows, k) + 1))
+            # the budget charges one walk per row space U
+            assert _row_space_count(tall) == sum(
+                1 for basis in echelon_subspaces(f, k) if len(basis) <= rows)
+            for r, c, _ in spaces:  # rows e_(k-r+1)..e_k, then zero rows
+                assert c == tuple(int(i < r and j == k - r + i)
+                                  for i in range(rows) for j in range(k))
 
 
 def test_a_wrong_weight_fails_the_total_check(monkeypatch):
     exact = _row_spaces
 
     def off_by_one(f, c):
-        spaces = exact(f, c)
-        return [(spaces[0][0], spaces[0][1] + 1)] + spaces[1:]
+        (r, bottom, weight), *rest = exact(f, c)
+        return [(r, bottom, weight + 1), *rest]
 
     monkeypatch.setattr(oracle, "_row_spaces", off_by_one)
     with pytest.raises(ExactnessError, match="tallied"):
@@ -357,26 +362,54 @@ def test_parabolic_classes_equal_the_move_by_move_search(q, k, d):
     assert sum(size for _, size in classes) == q ** (k * k - d * (k - d))
 
 
+# q = 5, k = 3, d = 1: only the scale move on the GL_2 block reaches every
+# determinant there (gcd(2, q - 1) = 2); without it the search splits some
+# classes and finds 210.  Burnside's count over the 48,000 P gives 180.
+def test_parabolic_classes_need_the_scale_move_on_each_block():
+    classes = _similarity_classes(5, 1, 3, 1)
+    assert len(classes) == 180
+    assert sum(size for _, size in classes) == 5 ** (9 - 2)
+    assert all(48000 % size == 0 for _, size in classes)
+
+
+# the k x (k-r) first columns X of A under X -> P*X*P11^-1, the P that fix
+# U_0 = span(e_(k-r+1)..e_k) (and S_0 = span(e_1..e_d)), against the orbits
+# of the whole group, wherever the group has at most 3^7 candidates
+@pytest.mark.parametrize("q,k,d,r", [
+    (q, k, d, r) for q in (2, 3, 4, 5, 9) for k in (2, 3, 4)
+    for d in range(k) for r in range(1, min(k - d + 1, k))
+    if q ** sum((i >= d) + (i >= k - r) <= (j >= d) + (j >= k - r)
+                for i in range(k) for j in range(k)) <= 3 ** 7])
+def test_top_block_orbits_equal_those_of_the_whole_group(q, k, d, r):
+    f = parse_field_spec(str(q))
+    classes = _similarity_classes(f.p, f.m, k, d, r)
+    assert classes == block_classes_by_group(f.p, f.m, k, d, r)
+    assert sum(size for _, size in classes) == q ** (k * (k - r) - d * (k - d))
+
+
 def test_similarity_class_report_is_independent_of_workers():
     # the 14 classes of 3 x 3 matrices over GF(2) on 3 workers: chunks of 4,
     # 5 and 5 classes
     for mode, basis in square_cases(3):
         small = cfg(2, 3, 3, mode=mode, subspace=basis)
         assert run(small._replace(workers=3)).to_json() == run(small).to_json()
-    # each class is tallied, q^((n-k)k) matrices per top block, by the one
-    # chunk holding its leader's block, however finely the blocks are split
+    # each representative is tallied, its weight, by the one chunk holding
+    # its index, however finely the indices are split; a square shape's
+    # representatives are its class leaders, weighted by the class sizes
     sizes = dict(_similarity_classes(2, 1, 2))
     for n in (2, 3):
-        small, block = cfg(2, n, 2), 2 ** ((n - 2) * 2)
-        parts = [oracle._pencil_chunk((small, i * block, (i + 1) * block))
-                 for i in range(2 ** 4)]
+        small = cfg(2, n, 2)
+        weights = {i: w for i, _, w in oracle._representatives(small)}
+        assert n > 2 or weights == sizes
+        parts = [oracle._pencil_chunk((small, i, i + 1))
+                 for i in range(2 ** (n * 2))]
         assert oracle._merge(parts) == run(small).entries
         assert [sum(part.values()) for part in parts] == \
-            [sizes.get(i, 0) * block for i in range(2 ** 4)]
+            [weights.get(i, 0) for i in range(2 ** (n * 2))]
 
 
-# Tall shapes too: each chunk holds whole blocks of q^((n-k)k) matrices
-# sharing one top block, and even shares of the class leaders.
+# Tall shapes too: the chunks cut the index range at representatives, and
+# hold even shares of them (of the class leaders when n = k).
 @pytest.mark.parametrize("q,n,k", [pytest.param(2, 3, 3, id="2-3"),
                                    pytest.param(3, 3, 3, id="3-3"),
                                    pytest.param(2, 4, 4, id="2-4"),
@@ -387,8 +420,9 @@ def test_square_chunks_hold_even_shares_of_the_classes(q, n, k, monkeypatch):
     monkeypatch.setattr(oracle, "_pool_size", lambda workers, n: 1)
     oracle._execute(small, q ** (n * k), 0,
                     lambda args: chunks.append(args[1:]) or {})
-    block = q ** ((n - k) * k)
-    leaders = [a * block for a, _ in _similarity_classes(small.p, small.m, k)]
+    leaders = [i for i, _, _ in oracle._representatives(small)]
+    assert n > k or leaders == [a for a, _ in
+                                _similarity_classes(small.p, small.m, k)]
     shares = [sum(lo <= a < hi for a in leaders) for lo, hi in chunks]
     assert chunks[0][0] == 0 and chunks[-1][1] == q ** (n * k)
     assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
@@ -396,19 +430,25 @@ def test_square_chunks_hold_even_shares_of_the_classes(q, n, k, monkeypatch):
 
 
 def test_parent_searches_the_classes_before_the_pool_forks():
-    for n in (2, 3):  # square, then tall
+    # square: one search, r = 0; tall: one per row space dimension r = 0, 1
+    for n, searches in ((2, 1), (3, 2)):
         _similarity_classes.cache_clear()
         run(cfg(3, n, 2, workers=2))
         info = _similarity_classes.cache_info()
+        assert (info.misses, info.currsize) == (searches, searches), n
+        info = oracle._representatives.cache_info()
         assert (info.misses, info.currsize) == (1, 1), n
 
 
 def test_the_fixing_top_blocks_are_found_once_per_run(monkeypatch):
-    # found by the parent, then taken from the cache by each of 3 chunks
+    # searched by the parent, once per row space dimension r = 0, 1, and
+    # listed once; each of 3 chunks takes the list from the cache
     monkeypatch.setattr(oracle, "_pool_size", lambda workers, n: 1)
     _similarity_classes.cache_clear()
     run(cfg(3, 3, 2, mode="subspace", subspace=((1, 2),), workers=3))
     info = _similarity_classes.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
+    info = oracle._representatives.cache_info()
     assert (info.misses, info.hits) == (1, 3)
 
 
@@ -425,8 +465,8 @@ def test_similarity_classes_partition_the_square_matrices(q, k):
 def test_a_wrong_class_size_fails_the_total_check(monkeypatch):
     exact = _similarity_classes
 
-    def off_by_one(p, m, k, d=0):
-        (leader, size), *rest = exact(p, m, k, d)
+    def off_by_one(p, m, k, d=0, r=0):
+        (leader, size), *rest = exact(p, m, k, d, r)
         return ((leader, size + 1), *rest)
 
     monkeypatch.setattr(oracle, "_similarity_classes", off_by_one)
@@ -441,8 +481,8 @@ def test_a_wrong_parabolic_class_size_fails_verify(monkeypatch, capsys):
     # form must
     exact = _similarity_classes
 
-    def off_by_one(p, m, k, d=0):
-        (leader, size), *rest = exact(p, m, k, d)
+    def off_by_one(p, m, k, d=0, r=0):
+        (leader, size), *rest = exact(p, m, k, d, r)
         return ((leader, size + 1), *rest)
 
     argv = ["verify", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
@@ -454,13 +494,17 @@ def test_a_wrong_parabolic_class_size_fails_verify(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] is False
 
 
-# (q, n, k), then the keys classified with one top block per similarity
-# class (6 classes of 2 x 2 matrices at q = 2, 12 at q = 3) times the row
-# spaces of C (5 and 5), and in subspace mode with S = span(e_1) with one
-# top block per class of the upper triangular A (6 classes of 8 and 12 of
-# 27) times the row spaces that C*S = 0 leaves (2 and 2)
-@pytest.mark.parametrize("q,n,k,classes,fixing", [(2, 4, 2, 30, 12),
-                                                  (3, 3, 2, 60, 24)])
+# (q, n, k), then the keys classified: for each dimension r of the row
+# space of C, one top block per orbit of A modulo the matrices with rows in
+# U_0 = span(e_(k-r+1)..e_k), under the P that fix U_0.  At q = 2 that is
+# 6 similarity classes (r = 0), 3 orbits of the 2 x 1 first columns (r = 1)
+# and the zero block (r = 2), where one per class and row space was 6 x 5;
+# at q = 3, 12 + 4 instead of 12 x 5.  In subspace mode with S = span(e_1),
+# P must also fix S and U_0 lies in span(e_2): 6 classes of the 8 upper
+# triangular A + 2 (q = 2) and 12 of 27 + 3 (q = 3), instead of 6 x 2 and
+# 12 x 2.
+@pytest.mark.parametrize("q,n,k,classes,fixing", [(2, 4, 2, 10, 8),
+                                                  (3, 3, 2, 16, 15)])
 def test_a_tall_walk_classifies_one_top_block_per_class(q, n, k, classes,
                                                          fixing, monkeypatch):
     for mode in MODES:
@@ -472,6 +516,25 @@ def test_a_tall_walk_classifies_one_top_block_per_class(q, n, k, classes,
         # subspace mode: one A per class under the P that fix span(e_1),
         # each with the C that vanish on e_1
         assert len(calls) == (fixing if mode == "subspace" else classes), mode
+
+
+# No tall walk classifies more than one top block per similarity class
+# times the row spaces of C, the walk before the R block of g was used.
+@pytest.mark.parametrize("q,n,k", TALL_GRID)
+def test_no_tall_walk_classifies_more_than_classes_times_row_spaces(
+        q, n, k, monkeypatch):
+    f = cfg(q).field()
+    for mode in REDUCED_MODES:
+        basis = ((1,) + (0,) * (k - 1),) if mode == "subspace" else None
+        d = len(basis or ())
+        calls = []
+        exact = getattr(oracle, f"_{mode}_key")
+        monkeypatch.setattr(oracle, f"_{mode}_key", lambda *a, exact=exact,
+                            calls=calls: calls.append(1) or exact(*a))
+        run(cfg(q, n, k, mode=mode, subspace=basis))
+        spaces = sum(1 for u in echelon_subspaces(f, k - d) if len(u) <= n - k)
+        classes = _similarity_classes(f.p, f.m, k, d % k)
+        assert len(calls) <= len(classes) * spaces, mode
 
 
 def _cli_choices(command, dest):

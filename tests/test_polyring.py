@@ -212,7 +212,7 @@ def test_irreducible_counts_match_necklace_formula(q):
 
 @pytest.mark.parametrize("q,top", [(2, 6), (3, 5), (4, 4), (5, 4), (7, 3),
                                    (8, 3), (9, 3)])
-def test_sieve_equals_trial_division(q, top):
+def test_sieve_equals_trial_division(q, top, monkeypatch):
     # Reference: a monic is irreducible when no irreducible of at most half
     # its degree divides it; candidates in monic_polys order, degree by degree.
     f = parse_field_spec(str(q))
@@ -221,7 +221,18 @@ def test_sieve_equals_trial_division(q, top):
         trial += [cand for cand in monic_polys(f, d)
                   if all((cand % g).coeffs for g in trial
                          if 2 * g.degree <= d)]
-    assert list(irreducibles_up_to(f, top)) == trial
+    # the sieve, run afresh, multiplies coefficient tuples: no Poly multiply,
+    # and one Poly made per irreducible found
+    made = []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__",
+                        lambda self, *a: made.append(1) or init(self, *a))
+    monkeypatch.setattr(Poly, "__mul__", None)
+    irreducibles_up_to.cache_clear()
+    sieve = irreducibles_up_to(f, top)
+    monkeypatch.undo()
+    assert list(sieve) == trial
+    assert len(made) == len(sieve)
 
 
 def test_monic_polys_canonical_order():
