@@ -15,7 +15,6 @@ from .census import (
     conjugate,
     count_char_poly_rect,
     count_char_poly_square,
-    count_conjugacy_class,
     count_given_u,
     count_invariant_factors,
     count_nilpotent_extendable,

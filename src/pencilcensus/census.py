@@ -16,7 +16,8 @@ irreducible powers into place, and evaluate each type's count once.  Each
 power g^e is built once per census, and each polynomial of a key is built
 and rendered to text once, when it first appears.
 Factoring (:func:`exponent_profile`) serves only the single counts that take
-a tuple or polynomial as input.
+a tuple or polynomial as input; a polynomial f has the type of the one-factor
+tuple (f).
 """
 
 from __future__ import annotations
@@ -168,17 +169,6 @@ def _class_size(d: int, blocks, q: int) -> int:
 # Counting formulas
 # ---------------------------------------------------------------------------
 
-def count_conjugacy_class(ifs: InvariantFactorTuple) -> int:
-    """Number of n x n matrices whose pencil has these n invariant factors.
-
-    Zero unless the factor degrees sum to n.
-    """
-    n = len(ifs)
-    if ifs.total_degree() != n:
-        return 0
-    return _class_size(n, _profile_blocks(ifs), ifs.field.q)
-
-
 def count_with_subspace(n: int, k: int, d: int,
                         ifs: InvariantFactorTuple) -> int:
     """Maps from a k-dim subspace into the ambient n-dim space with a fixed
@@ -229,40 +219,44 @@ def count_reachability(k: int, n: int, r: int, q: int) -> int:
 
 
 def count_char_poly_square(f: Poly) -> int:
-    """Square matrices with characteristic polynomial f (deg f = matrix size)."""
-    if not f.is_monic():
-        raise NonMonicError("characteristic polynomial must be monic")
-    blocks = [(len(g.coeffs) - 1, e) for g, e in factorize(f).factors]
-    return _square_fiber(len(f.coeffs) - 1, blocks, f.field.q)
-
-
-def _square_fiber(d: int, blocks, q: int) -> int:
-    """Square d x d matrices whose characteristic polynomial has the given
-    type, one (deg g, e) pair per irreducible power g^e:
-    |GL_d(q)| prod q^(deg e^2) over q^d prod |GL_e(q^deg)|."""
-    num, den = gl_order(d, q), q ** d
-    for deg, e in blocks:
-        num *= q ** (deg * e * e)
-        den *= gl_order(e, q ** deg)
-    return _exact_div(num, den)
+    """Square matrices with characteristic polynomial f: the fiber count at
+    n = k = deg f, so 1 for f = 1 (the empty matrix)."""
+    d = len(f.coeffs) - 1
+    return _char_poly_count(f, d, d, least_k=0)
 
 
 def count_char_poly_rect(f: Poly, n: int, k: int) -> int:
     """n x k matrices whose pencil has invariant-factor product f (deg f <= k)."""
+    return _char_poly_count(f, n, k, least_k=1)
+
+
+def _char_poly_count(f: Poly, n: int, k: int, least_k: int) -> int:
     if not f.is_monic():
         raise NonMonicError("fiber polynomial must be monic")
-    if not 1 <= k <= n:
+    if not least_k <= k <= n:
         raise ShapeError(f"need 1 <= k <= n, got {n},{k}")
     d = len(f.coeffs) - 1
     if d > k:
         raise DegreeTooLargeError(f"deg f = {d} exceeds k = {k}")
-    blocks = [(len(g.coeffs) - 1, e) for g, e in factorize(f).factors]
+    blocks = _profile_blocks(InvariantFactorTuple([f]))
     return _fiber_count(n, k, d, blocks, f.field.q)
 
 
 def _fiber_count(n: int, k: int, d: int, blocks, q: int) -> int:
     return (q_binomial(k, d, q) * _square_fiber(d, blocks, q)
             * _q_product(n, d + 1, k + 1, q))
+
+
+def _square_fiber(d: int, blocks, q: int) -> int:
+    """Square d x d matrices whose characteristic polynomial has the given
+    type, g^e with e = sum(lambda_g) per (deg g, lambda_g) pair:
+    |GL_d(q)| prod q^(deg e^2) over q^d prod |GL_e(q^deg)|."""
+    num, den = gl_order(d, q), q ** d
+    for deg, parts in blocks:
+        e = sum(parts)
+        num *= q ** (deg * e * e)
+        den *= gl_order(e, q ** deg)
+    return _exact_div(num, den)
 
 
 def count_nilpotent_extendable(k: int, n: int, q: int) -> int:
@@ -451,12 +445,8 @@ def fiber_census(f: FieldCtx, n: int, k: int) -> CensusReport:
     """Closed-form census of n x k matrices by invariant-factor product."""
     if not 1 <= k <= n:
         raise ShapeError(f"need 1 <= k <= n, got {n},{k}")
-
-    def count(d, blocks):
-        powers = [(deg, lam[0]) for deg, lam in blocks]
-        return _fiber_count(n, k, d, powers, f.q)
-
-    entries = _census_entries(f, k, 1, count)
+    entries = _census_entries(
+        f, k, 1, lambda d, blocks: _fiber_count(n, k, d, blocks, f.q))
     return CensusReport(make_params("fiber", f, n, k), entries)
 
 

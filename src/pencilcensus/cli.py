@@ -37,9 +37,10 @@ COUNT_SCHEMA = "count-result/v1"
 
 # --formula name -> (census function, its arguments in call order).  "q" is
 # the field order, "tuple" and "poly" are parsed from their flags, and every
-# other argument is the integer flag of the same name.
+# other argument is the integer flag of the same name.  "class" is "snf" at
+# n = k = the tuple's length, so its --n is optional and must match if given.
 FORMULAS = {
-    "class": ("count_conjugacy_class", ("tuple",)),
+    "class": ("count_invariant_factors", ("n", "n", "tuple")),
     "snf": ("count_invariant_factors", ("n", "k", "tuple")),
     "subspace": ("count_with_subspace", ("n", "k", "d", "tuple")),
     "givenU": ("count_given_u", ("n", "k", "d", "q")),
@@ -149,43 +150,39 @@ def _parse_tuple(text: str, f: FieldCtx, parser) -> InvariantFactorTuple:
         parser.error(f"bad --tuple: {exc}")
 
 
-def _count_exponent(formula: str, given: dict) -> int:
+def _count_exponent(given: dict) -> int:
     """N with the count at most q^N: each formula counts a subset of a space
-    of q^N matrices, d x d for ``gr``, n x n for ``class``, a d x d block
-    and n x (k - d) for ``subspace`` and ``givenU``, n x k otherwise.  0 for
-    a negative dimension, which the formula itself refuses."""
-    if formula == "gr":
-        d = len(given["poly"].coeffs) - 1
-        return d * d
-    n, k, d = (given.get(name, 0) for name in ("n", "k", "d"))
+    of q^N matrices, a d x d block and an n x (k - d) one, with d = 0 for the
+    formulas that take no d.  ``class`` and ``gr`` are the cases n = k, read
+    off the tuple's length and the polynomial's degree.  0 for a negative
+    dimension, which the formula itself refuses."""
+    side = (len(given["tuple"]) if "tuple" in given
+            else len(given["poly"].coeffs) - 1 if "poly" in given else 0)
+    n, k, d = given.get("n", side), given.get("k", side), given.get("d", 0)
     if min(n, k, d) < 0:
         return 0
-    if formula == "class":
-        return n * n
-    if formula in ("subspace", "givenU"):
-        return d * d + n * (k - d)
-    return n * k
+    return d * d + n * (k - d)
 
 
 def _refuse_unprintable(formula: str, given: dict, q: int, parser) -> None:
     """Refuse, before computing it, a count with more decimal digits than
     Python will convert to text (``sys.get_int_max_str_digits()``)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = _count_exponent(formula, given) * math.log10(q) + 1
+    exponent = _count_exponent(given)
+    digits = exponent * math.log10(q) + 1
     if limit and digits > limit:
         shape = [f"q={q}"] + [f"{name}={v}" for name, v in given.items()
                               if isinstance(v, int)]
-        if formula == "gr":
-            shape.append(f"deg={len(given['poly'].coeffs) - 1}")
         parser.error(f"--formula {formula} at {', '.join(shape)} may reach "
-                     f"{int(digits)} digits, past the {limit}-digit limit "
-                     f"for printing an integer")
+                     f"q^{exponent}, {int(digits)} digits, past the "
+                     f"{limit}-digit limit for printing an integer")
 
 
 def cmd_count(args, parser) -> int:
     f = parse_field_spec(args.q)
     function, names = FORMULAS[args.formula]
-    flags = [name for name in names if name != "q"]
+    flags = [name for name in names if name != "q"
+             and (args.formula, name) != ("class", "n")]
     _need(args, parser, flags)
     given = {name: getattr(args, name) for name in flags}
     if "tuple" in given:

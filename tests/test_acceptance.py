@@ -13,8 +13,8 @@ from pencilcensus.census import (
     check_q_identity,
     count_char_poly_rect,
     count_char_poly_square,
-    count_conjugacy_class,
     count_given_u,
+    count_invariant_factors,
     count_nilpotent_extendable,
     count_with_subspace,
     fiber_census,
@@ -91,7 +91,7 @@ def test_criterion_2_conjugacy_class_sizes():
                 observed = run(config(q, n, n))
                 expected = {}
                 for ifs in invariant_factor_tuples(f, n):
-                    size = count_conjugacy_class(ifs)
+                    size = count_invariant_factors(n, n, ifs)
                     if size:
                         expected[str(ifs)] = size
                 assert expected == observed.entries, f"(q={q}, n={n})"

@@ -15,7 +15,6 @@ from pencilcensus.census import (
     conjugate,
     count_char_poly_rect,
     count_char_poly_square,
-    count_conjugacy_class,
     count_given_u,
     count_invariant_factors,
     count_nilpotent_extendable,
@@ -148,31 +147,37 @@ def mat2_mul(a, b):
     )
 
 
+def class_size(t):
+    """The similarity-class size: the pencil count at n = k = len(t)."""
+    return count_invariant_factors(len(t), len(t), t)
+
+
 def test_class_size_examples_against_bare_enumeration():
-    assert count_conjugacy_class(ifs("x|x")) == 1  # only the zero matrix
+    assert class_size(ifs("x|x")) == 1  # only the zero matrix
 
     nonzero_nilpotents = sum(
         1 for m in itertools.product(range(2), repeat=4)
         if any(m) and mat2_mul(m, m) == (0, 0, 0, 0))
     assert nonzero_nilpotents == 3
-    assert count_conjugacy_class(ifs("1|x^2")) == nonzero_nilpotents
+    assert class_size(ifs("1|x^2")) == nonzero_nilpotents
 
     # trace 1, determinant 1 <=> characteristic polynomial x^2+x+1
     irreducible_class = sum(
         1 for a, b, c, d in itertools.product(range(2), repeat=4)
         if (a + d) % 2 == 1 and (a * d - b * c) % 2 == 1)
     assert irreducible_class == 2
-    assert count_conjugacy_class(ifs("1|x^2+x+1")) == irreducible_class
+    assert class_size(ifs("1|x^2+x+1")) == irreducible_class
 
 
 def test_class_size_zero_on_degree_mismatch():
-    assert count_conjugacy_class(ifs("1|x")) == 0
-    assert count_conjugacy_class(ifs("1|1")) == 0
+    assert class_size(ifs("1|x")) == 0
+    assert class_size(ifs("1|1")) == 0
+    assert class_size(ifs("x|x^2")) == 0
 
 
 def test_class_sizes_sum_to_whole_space():
     for f, n in ((F2, 2), (F2, 3), (F3, 2)):
-        total = sum(count_conjugacy_class(t)
+        total = sum(class_size(t)
                     for t in invariant_factor_tuples(f, n))
         assert total == f.q ** (n * n)
 
@@ -186,7 +191,7 @@ def test_count_with_subspace_examples():
     assert count_with_subspace(3, 2, 0, ifs("1|1")) == (8 - 2) * (8 - 4)
     # k = n = d reduces to the similarity-class size
     t = ifs("x|x")
-    assert count_with_subspace(2, 2, 2, t) == count_conjugacy_class(t)
+    assert count_with_subspace(2, 2, 2, t) == class_size(t)
     assert count_with_subspace(3, 2, 1, ifs("1|x")) == 4
     with pytest.raises(DegreeMismatchError):
         count_with_subspace(3, 2, 2, ifs("1|x"))
@@ -197,8 +202,8 @@ def test_count_with_subspace_examples():
 def test_count_invariant_factors_examples():
     assert count_invariant_factors(5, 3, ifs("1|1|1")) == \
         (2 ** 5 - 2) * (2 ** 5 - 4) * (2 ** 5 - 8)
-    t = ifs("1|x^2+x+1")
-    assert count_invariant_factors(2, 2, t) == count_conjugacy_class(t)
+    # the class of x^2+x+1, counted bare above
+    assert count_invariant_factors(2, 2, ifs("1|x^2+x+1")) == 2
     total = sum(count_invariant_factors(3, 2, t)
                 for t in invariant_factor_tuples(F2, 2))
     assert total == 2 ** 6
@@ -305,6 +310,23 @@ def test_rect_fiber_equals_sum_over_chains():
                 total = sum(count_invariant_factors(n, k, t)
                             for t in chains_with_product(f_poly, k))
                 assert total == count_char_poly_rect(f_poly, n, k)
+
+
+# The square fiber of f sums the class sizes of the tuples whose product is f
+# (Reiner 1961; Gerstenhaber 1961).  Both sides are closed forms, so the grid
+# reaches shapes whose enumeration the default budget refuses.
+SQUARE_IDENTITY_GRID = [(q, n) for q in (2, 3, 4, 5, 7, 9)
+                        for n in range(1, (5 if q == 2 else 4 if q <= 5
+                                           else 3) + 1)]
+
+
+@pytest.mark.parametrize("q,n", SQUARE_IDENTITY_GRID)
+def test_square_fiber_is_the_sum_of_its_class_sizes(q, n):
+    f = parse_field_spec(str(q))
+    sums = collections.Counter()
+    for key, size in pencil_census(f, n, n).entries.items():
+        sums[str(InvariantFactorTuple.parse(key, f).product())] += size
+    assert fiber_census(f, n, n).entries == sums
 
 
 # ---------------------------------------------------------------------------

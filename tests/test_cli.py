@@ -6,8 +6,10 @@ import time
 
 import pytest
 
-from pencilcensus import census, oracle
+from pencilcensus import census, cli, oracle
 from pencilcensus.cli import FORMULAS, build_parser, main
+from pencilcensus.gf import parse_field_spec
+from pencilcensus.polyring import monic_polys
 
 
 def run_cli(capsys, *argv):
@@ -57,7 +59,9 @@ def test_formula_table_matches_the_choices_and_requires_its_flags(capsys):
                    if a.dest == "formula")
     assert list(choices) == list(FORMULAS)
     for formula, (_, names) in FORMULAS.items():
-        flags = [name for name in names if name != "q"]
+        # "class" reads n off its tuple: see test_count_class_reads_n_off_the_tuple
+        flags = [name for name in names
+                 if name != "q" and (formula, name) != ("class", "n")]
         assert set(flags) <= set(FORMULA_FLAGS), formula
         argv = ["count", "--formula", formula, "--q", "2"]
         code, _ = run_cli(capsys, *argv, *(
@@ -80,6 +84,80 @@ def test_count_class_and_nilext(capsys):
     assert (code, out.strip()) == (0, "40")
 
 
+def test_count_class_reads_n_off_the_tuple(capsys):
+    base = ("count", "--formula", "class", "--q", "2", "--tuple", "1|x^2")
+    assert run_cli(capsys, *base) == (0, "3\n")
+    assert run_cli(capsys, *base, "--n", "2") == (0, "3\n")
+    _, out = run_cli(capsys, *base, "--format", "json")
+    assert json.loads(out)["parameters"] == {
+        "formula": "class", "q": 2, "tuple": "1|x^2", "n": 2}
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--n", "3"])
+    assert exc.value.code == 2
+    assert "does not match" in capsys.readouterr().err
+    # a tuple of the wrong degree, or of a tall shape, counts nothing
+    for text in ("1|x", "x|x^2", "1|1|x^2"):
+        assert run_cli(capsys, "count", "--formula", "class", "--q", "2",
+                       "--tuple", text) == (0, "0\n")
+
+
+def test_every_formula_counts_at_most_q_to_its_digit_limit_exponent(
+        capsys, monkeypatch):
+    # N, the exponent the digit-limit refusal reads, bounds every count by
+    # q^N; where a formula's keys split the whole space of q^N matrices
+    # (class, snf, gr, grext, reach), the counts sum to exactly q^N
+    exponents = []
+    exact = cli._count_exponent
+    monkeypatch.setattr(cli, "_count_exponent",
+                        lambda given: exponents.append(exact(given))
+                        or exponents[-1])
+
+    def counts(q, formula, cases):
+        """Each case's count, checked against q^N, and the set of those N."""
+        values, exps = [], set()
+        for flags in cases:
+            argv = [arg for name, v in flags.items()
+                    for arg in ("--" + name, str(v))]
+            code, out = run_cli(capsys, "count", "--formula", formula,
+                                "--q", str(q), *argv)
+            assert code == 0, (formula, flags)
+            value, exp = int(out), exponents.pop()
+            assert value <= q ** exp, (q, formula, flags)
+            values.append(value)
+            exps.add(exp)
+        return values, exps
+
+    def partition(q, formula, cases):
+        values, exps = counts(q, formula, cases)
+        assert len(exps) == 1 and sum(values) == q ** exps.pop(), (q, formula)
+
+    for q in (2, 3, 4):
+        f = parse_field_spec(str(q))
+        for n in (1, 2, 3) if q == 2 else (1, 2):
+            partition(q, "class", [
+                {"tuple": key} for key in census.pencil_census(f, n, n).entries])
+        for d in (0, 1, 2, 3) if q == 2 else (0, 1, 2):
+            partition(q, "gr", [{"poly": p} for p in monic_polys(f, d)])
+        for n, k in ((3, 2), (2, 2), (4, 1)):
+            shape = {"n": n, "k": k}
+            partition(q, "snf", [
+                {**shape, "tuple": key}
+                for key in census.pencil_census(f, n, k).entries])
+            partition(q, "grext", [
+                {**shape, "poly": key}
+                for key in census.fiber_census(f, n, k).entries])
+            if n > k:
+                partition(q, "reach", [{**shape, "r": r}
+                                       for r in range(k + 1)])
+            counts(q, "nilext", [shape])
+            for d in range(k + 1):
+                counts(q, "givenU", [{**shape, "d": d}])
+                counts(q, "subspace", [
+                    {**shape, "d": d, "tuple": key}
+                    for key in census.subspace_census(f, n, k, d).entries])
+    assert exponents == []
+
+
 @pytest.mark.parametrize("formula,q,n,k,extra", [
     ("reach", "2", 3001, 3000, ["--r", "0"]),
     ("nilext", "65521", 2001, 2000, []),
@@ -94,6 +172,19 @@ def test_a_count_too_long_to_print_is_refused_before_it_is_computed(
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert f"n={n}" in err and f"k={k}" in err and "digit" in err
+
+
+@pytest.mark.parametrize("formula,argv", [
+    ("gr", ["--poly", "x^30+1"]),
+    ("class", ["--tuple", "1|" * 29 + "x^30"]),
+])
+def test_a_square_count_too_long_to_print_names_its_exponent(capsys, formula,
+                                                             argv):
+    # n = k = 30, read off the polynomial's degree or the tuple's length
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--formula", formula, "--q", "65521", *argv])
+    assert exc.value.code == 2
+    assert "may reach q^900, 4335 digits" in capsys.readouterr().err
 
 
 def test_a_count_within_the_digit_limit_still_prints(capsys):
@@ -115,6 +206,29 @@ def test_snf_raw_polynomial_matrix(capsys):
                         "--matrix", '[["x", "0"], ["0", "x+1"]]')
     assert code == 0
     assert out.strip() == "1 | x^2+x"
+
+
+@pytest.mark.parametrize("q,argv", [
+    ("2", ["--matrix", "[[0,1],[1,0],[1,1]]", "--pencil"]),
+    ("4", ["--matrix", "[[2,0],[0,3]]", "--pencil"]),
+    ("2", ["--matrix", '[["x", "0"], ["0", "x+1"]]']),
+    ("4", ["--matrix", '[["[2]*x+[3]", "1"], ["x^2", 0]]']),
+])
+def test_snf_json_carries_the_table_diagonal_and_the_parameters(capsys, q,
+                                                                argv):
+    base = ("snf", "--q", q, *argv)
+    code, table = run_cli(capsys, *base)
+    assert code == 0
+    code, out = run_cli(capsys, *base, "--format", "json")
+    assert code == 0
+    assert run_cli(capsys, *base, "--format", "json") == (0, out)
+    data = json.loads(out)
+    assert data["schema"] == "snf-result/v1"
+    assert data["diagonal"] == table.rstrip("\n").split(" | ")
+    rows = json.loads(argv[1])
+    assert data["parameters"] == {"q": int(q), "n": len(rows),
+                                  "k": len(rows[0]),
+                                  "pencil": "--pencil" in argv}
 
 
 def test_snf_dimension_cross_check(capsys):
@@ -382,6 +496,17 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "selftest: ok" in out
     assert "FAIL" not in out
+
+
+def test_a_failing_selftest_suite_is_named_and_exits_one(capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(census, "check_q_identity", lambda d, q, y: False)
+    code, out = run_cli(capsys, "selftest")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL power-identity" in lines
+    assert lines[-1] == "selftest: FAILED"
+    assert sum(line.startswith("FAIL") for line in lines) == 1
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

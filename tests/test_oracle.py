@@ -182,6 +182,15 @@ def test_nilext_budget_counts_completions():
         run(cfg(n=3, k=2, mode="nilext", budget=100))
 
 
+def test_a_completion_search_that_disagrees_with_divisibility_raises(
+        monkeypatch):
+    exact = oracle._has_nilpotent_completion
+    monkeypatch.setattr(oracle, "_has_nilpotent_completion",
+                        lambda *args: not exact(*args))
+    with pytest.raises(ExactnessError, match="divisibility criterion"):
+        run(cfg(n=3, k=2, mode="nilext"))
+
+
 # The full walk takes one Smith form per matrix, q^(nk) of them, and up to
 # q^(nk) * q^(n(n-k)) = q^(n^2) candidate completions.  The reduction is
 # trivial at q = 2 with n - k = 1, so those shapes are left out.

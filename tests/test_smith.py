@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pencilcensus.errors import OutOfRangeError, ShapeError
+from pencilcensus import smith
+from pencilcensus.errors import ExactnessError, OutOfRangeError, ShapeError
 from pencilcensus.gf import (
     ScalarMatrix,
     field_new,
@@ -15,6 +16,7 @@ from pencilcensus.polyring import Poly, parse_poly
 from pencilcensus.smith import (
     InvariantFactorTuple,
     PolyMatrix,
+    SnfResult,
     char_poly,
     det_divisor,
     max_invariant_subspace,
@@ -164,6 +166,19 @@ def test_pencil_examples():
         F2, ScalarMatrix.from_rows([[1], [0]]))) == "x+1"
     with pytest.raises(ShapeError):
         pencil_invariant_factors(F2, ScalarMatrix.zero(2, 3))
+
+
+def test_a_pencil_short_of_full_column_rank_raises(monkeypatch):
+    exact = smith.snf
+
+    def one_short(m):
+        result = exact(m)
+        return SnfResult(result.diagonal[:-1] + (Poly.zero(F2),),
+                         result.rank - 1)
+
+    monkeypatch.setattr(smith, "snf", one_short)
+    with pytest.raises(ExactnessError, match="full column rank"):
+        pencil_invariant_factors(F2, ScalarMatrix.zero(3, 2))
 
 
 def test_pencil_always_has_k_factors_of_bounded_degree():
