@@ -134,7 +134,7 @@ def exponent_profile(ifs: InvariantFactorTuple) -> dict[Poly, tuple[int, ...]]:
     for f, _ in factorize(product).factors:
         parts = []
         for p in reversed(ifs.polys):
-            e = _multiplicity_unchecked(f, p)
+            e = _multiplicity_unchecked(f, p)[0]
             if e == 0:
                 break
             parts.append(e)

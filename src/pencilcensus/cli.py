@@ -37,8 +37,9 @@ COUNT_SCHEMA = "count-result/v1"
 
 # --formula name -> (census function, its arguments in call order).  "q" is
 # the field order, "tuple" and "poly" are parsed from their flags, and every
-# other argument is the integer flag of the same name.  "class" is "snf" at
-# n = k = the tuple's length, so its --n is optional and must match if given.
+# other argument is the integer flag of the same name; any other count flag
+# is refused.  "class" is "snf" at n = k = the tuple's length, so its --n is
+# optional and must match if given.
 FORMULAS = {
     "class": ("count_invariant_factors", ("n", "n", "tuple")),
     "snf": ("count_invariant_factors", ("n", "k", "tuple")),
@@ -181,6 +182,11 @@ def _refuse_unprintable(formula: str, given: dict, q: int, parser) -> None:
 def cmd_count(args, parser) -> int:
     f = parse_field_spec(args.q)
     function, names = FORMULAS[args.formula]
+    stray = ["--" + name for name in ("n", "k", "d", "r", "tuple", "poly")
+             if name not in names and getattr(args, name) is not None]
+    if stray:
+        parser.error(f"--formula {args.formula} does not take "
+                     + ", ".join(stray))
     flags = [name for name in names if name != "q"
              and (args.formula, name) != ("class", "n")]
     _need(args, parser, flags)

@@ -3,7 +3,9 @@
 Field elements are plain integers in ``[0, q)``.  For a prime field the value
 is the residue itself; for an extension field it encodes the coefficient
 vector of the polynomial-basis representation in base ``p`` (least
-significant digit = constant coefficient).  Every field keeps exp/log tables
+significant digit = constant coefficient): GF(p^m) is F_p[x]/(f), f the least
+monic irreducible of degree m, found by :mod:`polyring` over the prime field,
+which is built first and needs no modulus.  Every field keeps exp/log tables
 of its least generator; prime fields add mod p, characteristic 2 adds by XOR
 and odd-characteristic extensions add through Zech logarithms.  Elements
 carry no reference to their field: every operation takes the
@@ -44,41 +46,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Raw coefficient arithmetic mod p, used only to pick the field modulus.
-# Polynomials here are tuples of ints in ascending degree order, no trailing
-# zeros.  The full Poly type (polyring) is built on top of FieldCtx and so
-# cannot be used during field construction.
-# ---------------------------------------------------------------------------
-
-def _raw_rem(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    """Remainder of a mod the monic b over F_p."""
-    rem = list(a)
-    db = len(b) - 1
-    while len(rem) > db:
-        shift = len(rem) - 1 - db
-        fac = rem[-1]
-        for i, c in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - fac * c) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return tuple(rem)
-
-
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over F_p.
 
     Candidates are compared coefficient by coefficient from the highest
-    degree down.  Irreducibility is decided by trial division against all
-    monic polynomials of degree between 1 and m // 2.
+    degree down, and each is tested by :func:`polyring.is_irreducible` over
+    the prime field.
     """
-    divisors = []
-    for d in range(1, m // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            divisors.append(tuple(reversed(tail)) + (1,))
+    from .polyring import Poly, is_irreducible
+    prime = field_new(p)
     for desc in itertools.product(range(p), repeat=m):
         cand = tuple(reversed(desc)) + (1,)
-        if all(_raw_rem(cand, div, p) for div in divisors):
+        if is_irreducible(Poly(prime, cand)):
             return cand
     raise ExactnessError(f"no irreducible of degree {m} over F_{p}")
 

@@ -3,9 +3,10 @@
 Coefficients are stored in ascending degree order with no trailing zeros, so
 the zero polynomial is the empty tuple and ``degree`` of zero is the
 ``NEG_INF`` sentinel.  Factorization is by trial division against a
-multiplicative sieve of monic irreducibles of at most half the degree: the
-cofactor left over is irreducible.  That is exact, deterministic and entirely
-sufficient at the degrees this package ever sees.
+multiplicative sieve of monic irreducibles, grown one degree at a time up to
+half the degree of the cofactor: the cofactor left over is irreducible.  That
+is exact, deterministic and entirely sufficient at the degrees this package
+ever sees.
 
 Canonical order for factor lists and the irreducible sieve: degree ascending,
 then coefficient sequence lexicographic from the constant term up.
@@ -267,15 +268,16 @@ def multiplicity(f: Poly, g: Poly) -> int:
         raise ZeroArgumentError("multiplicity in the zero polynomial")
     if not f.is_monic() or not is_irreducible(f):
         raise NotIrreducibleError(f"{f} is not monic irreducible")
-    return _multiplicity_unchecked(f, g)
+    return _multiplicity_unchecked(f, g)[0]
 
 
-def _multiplicity_unchecked(f: Poly, g: Poly) -> int:
+def _multiplicity_unchecked(f: Poly, g: Poly) -> tuple[int, Poly]:
+    """(e, g / f^e) for the largest e such that f^e divides g."""
     e = 0
     while True:
         quot, rem = divmod(g, f)
         if rem.coeffs:
-            return e
+            return e, g
         g = quot
         e += 1
 
@@ -295,27 +297,28 @@ class Factorization(namedtuple("Factorization", "unit factors")):
 
 def factorize(g: Poly) -> Factorization:
     """Factor a nonzero polynomial into monic irreducibles by trial division,
-    in canonical order, by the irreducibles of degree <= deg h / 2, h the
-    cofactor left so far.  A cofactor h != 1 left after that has no factor
-    of at most half its degree, so it is irreducible; it is none of the
-    irreducibles tried, so it sorts after every factor found."""
+    in canonical order: for a = 1, 2, ... while 2a <= deg h, h the cofactor
+    left so far, divide h by the irreducibles of degree a, so the sieve
+    stops at half the cofactor's degree.  A cofactor h != 1 left after that
+    has no factor of at most half its degree, so it is irreducible; it is
+    none of the irreducibles tried, so it sorts after every factor found."""
     if g.is_zero():
         raise ZeroArgumentError("cannot factor the zero polynomial")
     unit = g.leading()
     h = g.monic()
     factors: list[tuple[Poly, int]] = []
-    for f in irreducibles_up_to(g.field, (len(h.coeffs) - 1) // 2):
-        if 2 * (len(f.coeffs) - 1) > len(h.coeffs) - 1:
-            break
-        e = 0
-        while True:
-            quot, rem = divmod(h, f)
-            if rem.coeffs:
+    tried = 0
+    a = 1
+    while 2 * a <= len(h.coeffs) - 1:
+        sieve = irreducibles_up_to(g.field, a)
+        for f in sieve[tried:]:
+            if 2 * a > len(h.coeffs) - 1:
                 break
-            h = quot
-            e += 1
-        if e:
-            factors.append((f, e))
+            e, h = _multiplicity_unchecked(f, h)
+            if e:
+                factors.append((f, e))
+        tried = len(sieve)
+        a += 1
     if not h.is_one():
         factors.append((h, 1))
     return Factorization(unit, tuple(factors))

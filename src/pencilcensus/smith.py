@@ -210,7 +210,8 @@ def snf(a: PolyMatrix) -> SnfResult:
         t += 1
     diag = [m[i][i].monic() for i in range(size)]
     # Final sweep: replace adjacent non-chain pairs by (gcd, lcm) until the
-    # divisibility chain holds; zeros bubble to the end.
+    # divisibility chain holds; a zero x gives (y, 0), so zeros bubble to
+    # the end.
     changed = True
     while changed:
         changed = False
@@ -218,11 +219,8 @@ def snf(a: PolyMatrix) -> SnfResult:
             x, y = diag[i], diag[i + 1]
             if _divides(x, y):
                 continue
-            if not x.coeffs:
-                diag[i], diag[i + 1] = y, x
-            else:
-                g = poly_gcd(x, y)
-                diag[i], diag[i + 1] = g, ((x * y) // g).monic()
+            g = poly_gcd(x, y)
+            diag[i], diag[i + 1] = g, ((x * y) // g).monic()
             changed = True
     rank = sum(1 for p in diag if p.coeffs)
     return SnfResult(tuple(diag), rank)

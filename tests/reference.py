@@ -313,17 +313,56 @@ def digitwise_neg(f, a):
     return f._encode([(-x) % f.p for x in _digits_of(a, f.p, f.m)])
 
 
+def raw_rem(a, b, p):
+    """Remainder of the coefficient tuple a mod the monic b over F_p, both in
+    ascending degree order."""
+    rem = list(a)
+    db = len(b) - 1
+    while len(rem) > db:
+        shift = len(rem) - 1 - db
+        fac = rem[-1]
+        for i, c in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - fac * c) % p
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return tuple(rem)
+
+
+def smallest_irreducible_by_trial_division(p, m):
+    """The least monic irreducible of degree m over F_p, candidates compared
+    from the highest coefficient down, each tried against every monic of
+    degree 1 to m // 2 on raw coefficient tuples."""
+    divisors = [tuple(reversed(tail)) + (1,) for d in range(1, m // 2 + 1)
+                for tail in itertools.product(range(p), repeat=d)]
+    for desc in itertools.product(range(p), repeat=m):
+        cand = tuple(reversed(desc)) + (1,)
+        if all(raw_rem(cand, div, p) for div in divisors):
+            return cand
+    raise ExactnessError(f"no irreducible of degree {m} over F_{p}")
+
+
+def digitwise_mul(f, a, b):
+    """a * b as polynomials in the base-p encoding, reduced mod f.modulus."""
+    p, m = f.p, f.m
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(_digits_of(a, p, m)):
+        for j, y in enumerate(_digits_of(b, p, m)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    rem = raw_rem(prod, f.modulus, p)
+    return f._encode(list(rem) + [0] * (m - len(rem)))
+
+
 def log_tables_by_order_walk(f):
     """The ``(exp, log)`` tables that ``FieldCtx`` must build for the
     extension field ``f``: the least generator g found by walking each
-    candidate's powers with ``_raw_mul`` until they return to 1, then a
-    second walk of g's powers to fill the tables."""
+    candidate's powers with :func:`digitwise_mul` until they return to 1,
+    then a second walk of g's powers to fill the tables."""
     q = f.q
     for g in range(2, q):
         seen = 1
         acc = g
         while acc != 1:
-            acc = f._raw_mul(acc, g)
+            acc = digitwise_mul(f, acc, g)
             seen += 1
         if seen == q - 1:
             break
@@ -334,5 +373,5 @@ def log_tables_by_order_walk(f):
         exp[i] = acc
         exp[i + q - 1] = acc
         log[acc] = i
-        acc = f._raw_mul(acc, g)
+        acc = digitwise_mul(f, acc, g)
     return exp, log

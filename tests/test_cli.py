@@ -1,15 +1,17 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from pencilcensus import census, cli, oracle
 from pencilcensus.cli import FORMULAS, build_parser, main
-from pencilcensus.gf import parse_field_spec
-from pencilcensus.polyring import monic_polys
+from pencilcensus.gf import FieldCtx, parse_field_spec
+from pencilcensus.polyring import Factorization, Poly, monic_polys
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +75,20 @@ def test_formula_table_matches_the_choices_and_requires_its_flags(capsys):
             with pytest.raises(SystemExit) as exc:
                 main(argv + rest)
             assert exc.value.code == 2, (formula, left_out)
+
+
+def test_count_refuses_each_flag_its_formula_does_not_take(capsys):
+    for formula, (_, names) in FORMULAS.items():
+        flags = [name for name in names
+                 if name != "q" and (formula, name) != ("class", "n")]
+        argv = ["count", "--formula", formula, "--q", "2", *(
+            arg for flag in flags for arg in ("--" + flag, FORMULA_FLAGS[flag]))]
+        for stray in set(FORMULA_FLAGS) - set(names):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--" + stray, FORMULA_FLAGS[stray]])
+            assert exc.value.code == 2, (formula, stray)
+            err = capsys.readouterr().err
+            assert f"--formula {formula} does not take --{stray}" in err
 
 
 def test_count_class_and_nilext(capsys):
@@ -507,6 +523,34 @@ def test_a_failing_selftest_suite_is_named_and_exits_one(capsys,
     assert "FAIL power-identity" in lines
     assert lines[-1] == "selftest: FAILED"
     assert sum(line.startswith("FAIL") for line in lines) == 1
+
+
+# One narrow patch per selftest suite that makes the suite return False.
+SUITE_FAULTS = {
+    "field-axioms": (FieldCtx, "div", lambda self, a, b: 0),
+    "factorization-round-trip": (
+        cli, "factorize", lambda g: Factorization(g.leading(), ())),
+    "gcd-divides-both": (cli, "poly_gcd", lambda a, b: Poly.x(a.field)),
+    "snf-vs-minor-gcds": (
+        cli, "det_divisor", lambda a, order: Poly.zero(a.entries[0].field)),
+    "rank-transpose": (cli, "rank", lambda field, m: m.rows),
+    "power-identity": (census, "check_q_identity", lambda d, q, y: False),
+    "orbit-reduction-vs-full": (
+        oracle, "run", lambda cfg: SimpleNamespace(entries={})),
+}
+
+
+def test_every_selftest_suite_has_a_fault():
+    names = [name for name, _ in cli._selftest_suites(random.Random(0))]
+    assert sorted(names) == sorted(SUITE_FAULTS)
+
+
+@pytest.mark.parametrize("name", SUITE_FAULTS)
+def test_each_selftest_suite_fails_under_its_fault(monkeypatch, name):
+    target, attr, fault = SUITE_FAULTS[name]
+    suite = dict(cli._selftest_suites(random.Random(2024)))[name]
+    monkeypatch.setattr(target, attr, fault)
+    assert suite() is False
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

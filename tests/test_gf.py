@@ -24,7 +24,8 @@ from pencilcensus.gf import (
 
 from reference import (digitwise_add, digitwise_neg, kernel_intersection,
                        log_tables_by_order_walk, mat_inv, mat_mul,
-                       primitive_element)
+                       primitive_element,
+                       smallest_irreducible_by_trial_division)
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (11, 1), (13, 1), (2, 4)]
@@ -123,6 +124,11 @@ def test_field_axioms_exhaustive(p, m):
 # every extension field with q <= 2^10, characteristic 2 to 31
 EXTENSIONS = [(p, m) for p in range(2, 32) if is_prime(p)
               for m in range(2, 11) if p ** m <= 2 ** 10]
+
+
+@pytest.mark.parametrize("p,m", EXTENSIONS)
+def test_modulus_equals_the_trial_division_reference(p, m):
+    assert field_new(p, m).modulus == smallest_irreducible_by_trial_division(p, m)
 
 
 @pytest.mark.parametrize("p,m", EXTENSIONS)
@@ -286,7 +292,7 @@ def test_check_echelon_basis_rejects_bad_input():
 
 def test_missing_irreducible_raises_exactness_error(monkeypatch):
     import pencilcensus.gf as gf
-    # a zero remainder on every trial division rejects every candidate
-    monkeypatch.setattr(gf, "_raw_rem", lambda a, b, p: ())
+    import pencilcensus.polyring as polyring
+    monkeypatch.setattr(polyring, "is_irreducible", lambda f: False)
     with pytest.raises(ExactnessError):
         gf._smallest_irreducible(2, 3)

@@ -171,6 +171,27 @@ def test_factorize_sieves_only_half_the_degree(monkeypatch):
     assert degrees and max(degrees) <= 2
 
 
+def test_factorize_sieves_only_half_the_cofactor_degree(monkeypatch):
+    # factors of degree 1, 2, 3 and 6: once the first three are out, the
+    # cofactor has degree 6, so the sieve stops at degree 3, not 12 / 2
+    sieve = polyring.irreducibles_up_to
+    degrees = []
+
+    def recording(field, d):
+        degrees.append(d)
+        return sieve(field, d)
+
+    monkeypatch.setattr(polyring, "irreducibles_up_to", recording)
+    f = parse_field_spec("9")
+    fact = factorize(parse_poly("x^12+x+3", f))
+    assert max(degrees) == 3
+    assert fact.unit == 1
+    assert [(str(g), e) for g, e in fact.factors] == [
+        ("[1]*x+[5]", 1), ("[1]*x^2+[4]*x+[5]", 1),
+        ("[1]*x^3+[6]*x^2+[1]*x+[8]", 1),
+        ("[1]*x^6+[6]*x^5+[8]*x^4+[7]*x^3+[5]*x^2+[7]*x+[7]", 1)]
+
+
 def test_factorization_respects_units():
     g = parse_poly("2*x^2+1", F3)
     fact = factorize(g)

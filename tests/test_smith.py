@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pencilcensus import smith
 from pencilcensus.errors import ExactnessError, OutOfRangeError, ShapeError
@@ -136,6 +136,11 @@ def poly_matrices(draw):
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(poly_matrices())
+# rank deficient: rank 1 of 2, and rank 2 of 3 with a zero row and column
+@example(poly_grid(F3, [["x", "x+1"], ["2*x", "2*x+2"]]))
+@example(poly_grid(parse_field_spec("4"), [["0", "x", "[2]*x"],
+                                           ["0", "0", "0"],
+                                           ["x^2", "[3]", "x+[1]"]]))
 def test_snf_matches_minor_gcds_on_raw_matrices(a):
     assert_snf_matches_minor_gcds(a)
 
