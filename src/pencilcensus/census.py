@@ -12,9 +12,10 @@ total degree d and the multiset of pairs (deg g, lambda_g) over the monic
 irreducibles g dividing the tuple, lambda_g being the partition of exponents
 of g in p_k, p_{k-1}, ...  The censuses therefore never factor anything: they
 walk (irreducible, partition) pairs, build each tuple by multiplying the
-irreducible powers into place, and evaluate each type's count once.  Each
-power g^e is built once per census, and each polynomial of a key is built
-and rendered to text once, when it first appears.
+irreducible powers into place, and evaluate each type's count once.  The
+walk is recursive and keeps one product table, by (p, g, e), of each p*g^e
+it has built, so each power g^e and each polynomial of a key is built and
+rendered to text once per census, when it first appears.
 Factoring (:func:`exponent_profile`) serves only the single counts that take
 a tuple or polynomial as input; a polynomial f has the type of the one-factor
 tuple (f).
@@ -125,13 +126,12 @@ def centralizer_factor(parts: tuple[int, ...], d: int, q: int) -> int:
 def exponent_profile(ifs: InvariantFactorTuple) -> dict[Poly, tuple[int, ...]]:
     """Partition of prime-power exponents per irreducible divisor.
 
-    For each monic irreducible f dividing the product of the invariant
-    factors, the value is the weakly decreasing tuple of exponents of f in
-    p_k, p_{k-1}, ..., truncated at the first zero.
+    For each monic irreducible f dividing the last invariant factor p_k,
+    which every other one divides, the value is the weakly decreasing tuple
+    of exponents of f in p_k, p_{k-1}, ..., truncated at the first zero.
     """
-    product = ifs.product()
     profile: dict[Poly, tuple[int, ...]] = {}
-    for f, _ in factorize(product).factors:
+    for f, _ in factorize(ifs.polys[-1]).factors:
         parts = []
         for p in reversed(ifs.polys):
             e = _multiplicity_unchecked(f, p)[0]
@@ -296,80 +296,59 @@ def _types(field: FieldCtx, max_degree: int, slots: int
     With one slot every monic polynomial of degree <= max_degree comes out
     once.
 
-    Each chain polynomial is built and rendered once per call, so each
-    power g^e too: a slot that still holds 1 takes the power as it is, any
-    other slot multiplies it in.
+    The walk is recursive (:func:`_chains`) and keeps one product table
+    (:func:`_times_power`), so each chain polynomial, each power g^e among
+    them, is built and rendered once per call.
     """
     irreducibles = irreducibles_up_to(field, max_degree)
     shapes = [tuple(partitions(e, max_parts=slots))
               for e in range(max_degree + 1)]
     one = Poly.one(field)
-    powers: dict[tuple[int, int], tuple[Poly, str, int]] = {}
-    # products[m]: (text of p, i, e) -> (p * g_i^e, its text, m), for the p
-    # whose least irreducible factor is g_m
-    products: dict[int, dict[tuple[str, int, int], tuple[Poly, str, int]]] = {}
+    yield from _chains(irreducibles, shapes, max_degree, {}, 0,
+                       0, [one] * slots, [poly_text(one)] * slots, ())
 
-    def power(i, e):
-        entry = powers.get((i, e))
-        if entry is None:
-            g_e = irreducibles[i] ** e
-            entry = powers[i, e] = g_e, poly_text(g_e), i
-        return entry
 
-    def times_power(p, text, m, i, e):
-        """p * g_i^e, its text and the index of its least irreducible
-        factor, from those of p (m is None for p = 1)."""
-        if m is None:
-            return power(i, e)
-        table = products.setdefault(m, {})
-        entry = table.get((text, i, e))
-        if entry is None:
-            out = p * power(i, e)[0]
-            entry = table[text, i, e] = out, poly_text(out), m
-        return entry
+def _chains(irreducibles, shapes, max_degree, table, start,
+            d, polys, texts, blocks):
+    """The chain ``(d, polys, texts, blocks)`` of :func:`_types`, then, depth
+    first, every chain beyond it by powers of g_start, g_start+1, ...
 
-    def children(start, least, d, polys, texts, blocks):
-        """``(start, least, node)`` for each chain ``node`` one power of an
-        irreducible g_i, i >= start, beyond the chain ``(d, polys, texts,
-        blocks)``; ``least`` holds the index of each slot's least
-        irreducible factor."""
-        for i in range(start, len(irreducibles)):
-            deg = len(irreducibles[i].coeffs) - 1
-            if d + deg > max_degree:
-                break  # irreducibles come in ascending degree
-            for e in range(1, (max_degree - d) // deg + 1):
-                for lam in shapes[e]:
-                    chain, chain_texts = list(polys), list(texts)
-                    chain_least = list(least)
-                    for j, part in enumerate(lam, start=1):
-                        chain[-j], chain_texts[-j], chain_least[-j] = \
-                            times_power(chain[-j], chain_texts[-j],
-                                        chain_least[-j], i, part)
-                    yield i + 1, chain_least, (
-                        d + deg * e, chain, chain_texts,
-                        blocks + ((deg, lam),))
+    A module function, like :func:`_partitions`, so that no closure refers
+    to itself and ``table`` is freed as soon as the walk ends.
+    """
+    yield d, polys, texts, blocks
+    for i in range(start, len(irreducibles)):
+        g = irreducibles[i]
+        deg = len(g.coeffs) - 1
+        if d + deg > max_degree:
+            break  # irreducibles come in ascending degree
+        for e in range(1, (max_degree - d) // deg + 1):
+            for lam in shapes[e]:
+                chain, chain_texts = list(polys), list(texts)
+                for j, part in enumerate(lam, start=1):
+                    chain[-j], chain_texts[-j] = _times_power(
+                        table, g, i, chain[-j], chain_texts[-j], part)
+                yield from _chains(irreducibles, shapes, max_degree, table,
+                                   i + 1, d + deg * e, chain, chain_texts,
+                                   blocks + ((deg, lam),))
 
-    # Depth first, each chain before the chains beyond it, with a stack of
-    # ``children`` generators: no generator here refers to itself, so the
-    # tables are freed as soon as the walk ends.
-    node = (0, [one] * slots, [poly_text(one)] * slots, ())
-    yield node
-    stack = [children(0, [None] * slots, *node)]
-    first = 0
-    while stack:
-        for start, least, node in stack[-1]:
-            if len(stack) == 1:
-                # every chain from here on is built from g_first, g_first+1,
-                # ... alone, so no slot holds a polynomial whose least
-                # irreducible factor comes before g_first any more
-                for m in range(first, start - 1):
-                    products.pop(m, None)
-                first = start - 1
-            yield node
-            stack.append(children(start, least, *node))
-            break
+
+def _times_power(table, g, i, p, text, e):
+    """p * g^e and its text, g being the irreducible g_i: built and rendered
+    the first time ``table`` is asked for (text of p, i, e).  The power g^e
+    is kept under (i, e), and p = 1 takes it without a multiply."""
+    entry = table.get((text, i, e))
+    if entry is None:
+        power = table.get((i, e))
+        if power is None:
+            g_e = g ** e
+            power = table[i, e] = g_e, poly_text(g_e)
+        if p.is_one():
+            entry = table[text, i, e] = power
         else:
-            stack.pop()
+            out = p * power[0]
+            entry = table[text, i, e] = out, poly_text(out)
+    return entry
 
 
 def _census_entries(field: FieldCtx, max_degree: int, slots: int,

@@ -26,10 +26,8 @@ with a (k-r, r) split, and act on X by X -> P*X*P11^-1, P11 the top left
 (k-r) x (k-r) block of P; so the walk takes one X per orbit (least index),
 weighted by the orbit size a graph search counts, times q^(kr), times
 prod_{i<r} (q^(n-k) - q^i) C with row space U_0, times the number of U.
-Pair mode's key, the reachability rank of (A, C^T), is taken at
-(A^T, C^T): A -> A^T is a bijection, so the tally over all A is unchanged,
-A^T + C^T R^T is state feedback, which keeps the rank, as does the
-similarity (P^-T A^T P^T, P^-T C^T Q^T).  Subspace mode walks
+Pair mode's key, the reachability rank of (A^T, C^T), is k - dim M for M
+below, which g maps to P*M, so the orbits keep it too.  Subspace mode walks
 S_0 = span(e_1..e_d) for the fixed subspace S: g = diag(T, I) with T*S = S_0
 maps the maximal invariant subspace M to T*M, so both tally alike.  M, the
 kernel of C, CA, ..., CA^(k-1), is the largest A-invariant subspace inside
@@ -172,11 +170,12 @@ def _fiber_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
 
 
 def _pair_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
-    """Reachability rank of (A, B): the first k*k entries are A (k x k), the
-    rest B (k x (n-k))."""
+    """Reachability rank of (A^T, C^T), A the top k x k block and C the rest:
+    transposing is a bijection onto the pairs (A, B) the pair census counts."""
     k, split = cfg.k, cfg.k * cfg.k
-    return str(reachability_rank(f, ScalarMatrix(k, k, entries[:split]),
-                                 ScalarMatrix(k, cfg.n - k, entries[split:])))
+    a = ScalarMatrix(k, k, entries[:split]).transpose()
+    c = ScalarMatrix(cfg.n - k, k, entries[split:]).transpose()
+    return str(reachability_rank(f, a, c))
 
 
 def _subspace_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str | None:
@@ -363,21 +362,15 @@ def _representatives(cfg: EnumConfig) -> tuple[tuple[int, tuple, int], ...]:
     each row space dimension r of :func:`_row_spaces`, the top block A of
     each class of :func:`_similarity_classes` with that r's bottom block C_0,
     weighted by the class size, the q^(kr) top blocks of A's coset and C_0's
-    weight.  ``entries`` are those the key is taken at: [A; C_0], or in pair
-    mode A^T and then C_0^T."""
+    weight.  ``entries`` are those of [A; C_0]."""
     f, q, k = cfg.field(), cfg.q, cfg.k
     d = len(cfg.subspace or ()) % k
     kk = k * k
     out = []
     for r, bottom, weight in _row_spaces(f, cfg):
         shift = sum(v * q ** (kk + i) for i, v in enumerate(bottom))
-        if cfg.mode == "pair":  # each a row-major matrix with k columns
-            bottom = [x for i in range(k) for x in bottom[i::k]]
         for a, size in _similarity_classes(cfg.p, cfg.m, k, d, r):
-            top = _digits_of(a, q, kk)
-            if cfg.mode == "pair":
-                top = [x for i in range(k) for x in top[i::k]]
-            out.append((a + shift, (*top, *bottom),
+            out.append((a + shift, (*_digits_of(a, q, kk), *bottom),
                         size * q ** (k * r) * weight))
     return tuple(out)
 

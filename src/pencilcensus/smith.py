@@ -77,10 +77,6 @@ class InvariantFactorTuple:
         self.polys = polys
 
     @property
-    def k(self) -> int:
-        return len(self.polys)
-
-    @property
     def field(self) -> FieldCtx:
         return self.polys[0].field
 
@@ -102,9 +98,6 @@ class InvariantFactorTuple:
 
     def __len__(self) -> int:
         return len(self.polys)
-
-    def __getitem__(self, i):
-        return self.polys[i]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, InvariantFactorTuple)

@@ -1,4 +1,5 @@
 import importlib.resources as res
+import itertools
 import json
 import os
 import subprocess
@@ -22,7 +23,8 @@ from pencilcensus.errors import (
     ParamMismatchError,
     ShapeError,
 )
-from pencilcensus.gf import echelon_subspaces, field_new, parse_field_spec
+from pencilcensus.gf import (ScalarMatrix, echelon_subspaces, field_new,
+                             parse_field_spec)
 from pencilcensus.cli import build_parser, main as cli_main
 from pencilcensus.oracle import (
     MODE_TABLE,
@@ -38,6 +40,7 @@ from pencilcensus.oracle import (
     run,
     verify,
 )
+from pencilcensus.smith import reachability_rank
 
 from reference import block_classes_by_group, similarity_classes_by_moves
 
@@ -99,6 +102,19 @@ def test_pair_census_totals_and_reachable_value():
     assert report.total() == 2 ** 6
     assert report.entries["2"] == (8 - 2) * (8 - 4)
     assert verify(pair_census(F2, 2, 3), report).verdict
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 3, 2), (3, 3, 1), (2, 4, 2), (4, 3, 2)])
+def test_pair_census_equals_the_rank_of_every_pair(q, n, k):
+    # every (A, B), A k x k and B k x (n-k), tallied by its own rank
+    f = parse_field_spec(str(q))
+    tally = {}
+    for a in itertools.product(range(q), repeat=k * k):
+        for b in itertools.product(range(q), repeat=k * (n - k)):
+            rank = str(reachability_rank(f, ScalarMatrix(k, k, a),
+                                         ScalarMatrix(k, n - k, b)))
+            tally[rank] = tally.get(rank, 0) + 1
+    assert run(cfg(q=q, n=n, k=k, mode="pair")).entries == tally
 
 
 def test_pair_mode_requires_k_below_n():
