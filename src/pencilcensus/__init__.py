@@ -29,8 +29,6 @@ from .oracle import DiffReport, EnumConfig, verify
 from .polyring import Poly, factorize, irreducibles_up_to, parse_poly, poly_gcd
 from .smith import (
     InvariantFactorTuple,
-    PolyMatrix,
-    SnfResult,
     char_poly,
     det_divisor,
     max_invariant_subspace,

@@ -23,7 +23,6 @@ from .gf import (FieldCtx, ScalarMatrix, field_new, parse_field_order,
 from .polyring import Poly, factorize, parse_poly, poly_gcd
 from .smith import (
     InvariantFactorTuple,
-    PolyMatrix,
     det_divisor,
     pencil_invariant_factors,
     pencil_matrix,
@@ -165,7 +164,7 @@ def _count_exponent(given: dict) -> int:
     return d * d + n * (k - d)
 
 
-def _refuse_unprintable(formula: str, given: dict, q: int, parser) -> None:
+def _refuse_unprintable(what: str, given: dict, q: int, parser) -> None:
     """Refuse, before computing it, a count with more decimal digits than
     Python will convert to text (``sys.get_int_max_str_digits()``)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -174,7 +173,7 @@ def _refuse_unprintable(formula: str, given: dict, q: int, parser) -> None:
     if limit and digits > limit:
         shape = [f"q={q}"] + [f"{name}={v}" for name, v in given.items()
                               if isinstance(v, int)]
-        parser.error(f"--formula {formula} at {', '.join(shape)} may reach "
+        parser.error(f"{what} at {', '.join(shape)} may reach "
                      f"q^{exponent}, {int(digits)} digits, past the "
                      f"{limit}-digit limit for printing an integer")
 
@@ -200,7 +199,7 @@ def cmd_count(args, parser) -> int:
         if args.n is not None and args.n != n:
             parser.error(f"--n {args.n} does not match a tuple of length {n}")
         given["n"] = n
-    _refuse_unprintable(args.formula, given, f.q, parser)
+    _refuse_unprintable(f"--formula {args.formula}", given, f.q, parser)
     value = getattr(census, function)(
         *(f.q if name == "q" else given[name] for name in names))
     params: dict = {"formula": args.formula, "q": f.q}
@@ -269,8 +268,17 @@ def _print_census(report: census.CensusReport, fmt: str) -> None:
         print(f"{'total'.ljust(width)}  {report.total()}")
 
 
+def _refuse_unprintable_census(what: str, cfg: oracle.EnumConfig,
+                               parser) -> None:
+    """Refuse a census that may print a count past the digit limit: each
+    count is at most q^(nk).  A shape past the budget is refused as such."""
+    oracle._resolve(cfg, budget=True)
+    _refuse_unprintable(what, {"n": cfg.n, "k": cfg.k}, cfg.q, parser)
+
+
 def cmd_enumerate(args, parser) -> int:
     cfg = _config_from_args(args, parser)
+    _refuse_unprintable_census("enumerate", cfg, parser)
     report = oracle.run(cfg)
     _print_census(report, args.format)
     return 0
@@ -278,6 +286,8 @@ def cmd_enumerate(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     cfg = _config_from_args(args, parser)
+    if args.format == "json":  # the table prints only mismatching counts
+        _refuse_unprintable_census("verify --format json", cfg, parser)
     observed = oracle.run(cfg)  # first, so an over-budget shape is refused fast
     expected = oracle.closed_form(cfg)
     diff = oracle.verify(expected, observed)
@@ -313,19 +323,17 @@ def cmd_snf(args, parser) -> int:
         parser.error(f"--n {args.n} does not match matrix with {nrows} rows")
     if args.k is not None and args.k != ncols:
         parser.error(f"--k {args.k} does not match matrix with {ncols} columns")
+    entries = [v for row in grid for v in row]
     if args.pencil:
-        entries = [v for row in grid for v in row]
         if any(not 0 <= v < f.q for v in entries):
             parser.error(f"matrix entries must lie in [0, {f.q})")
-        diag = list(pencil_invariant_factors(
-            f, ScalarMatrix(nrows, ncols, entries)))
+        diag = pencil_invariant_factors(
+            f, ScalarMatrix(nrows, ncols, entries))
     else:
-        entries = [v for row in grid for v in row]
         # bool is a subclass of int, so compare types exactly
         if any(type(v) is not int and not isinstance(v, str) for v in entries):
             parser.error("--matrix entries must be JSON strings or integers")
-        polys = [parse_poly(str(v), f) for v in entries]
-        diag = list(snf(PolyMatrix(nrows, ncols, polys)).diagonal)
+        diag = snf([[parse_poly(str(v), f) for v in row] for row in grid])
     if args.format == "json":
         print(census.compact_json({
             "schema": "snf-result/v1",

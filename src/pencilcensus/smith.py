@@ -1,7 +1,9 @@
-"""Polynomial matrices, Smith normal form and linear pencils.
+"""Smith normal form and linear pencils.
 
-The Smith form is computed by gcd-pivot elimination: bring the nonzero entry
-of minimal degree to the pivot, reduce its row and column by division with
+Polynomial matrices are lists of equal-length rows of :class:`Poly`, and
+:func:`snf` returns the diagonal of the Smith form as a tuple.  The Smith
+form is computed by gcd-pivot elimination: bring the nonzero entry of
+minimal degree to the pivot, reduce its row and column by division with
 remainder, and restart the block whenever a remainder of smaller degree
 appears.  The divisibility chain on the diagonal is enforced by a final
 gcd/lcm sweep.  The determinantal divisors (gcds of all i x i minors,
@@ -23,40 +25,6 @@ from .gf import (
     rows_mul,
 )
 from .polyring import Poly, parse_poly, poly_gcd
-
-
-class PolyMatrix:
-    """Dense matrix of polynomials over one field, row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Poly]):
-        if len(entries) != rows * cols:
-            raise ShapeError(
-                f"expected {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(entries)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Poly]]) -> "PolyMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[Poly] = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ShapeError("ragged rows")
-            flat.extend(row)
-        return cls(nrows, ncols, flat)
-
-    def to_rows(self) -> list[list[Poly]]:
-        k = self.cols
-        e = self.entries
-        return [list(e[i * k: (i + 1) * k]) for i in range(self.rows)]
-
-    def __repr__(self) -> str:
-        grid = [[str(p) for p in row] for row in self.to_rows()]
-        return f"PolyMatrix({grid!r})"
 
 
 class InvariantFactorTuple:
@@ -113,19 +81,6 @@ class InvariantFactorTuple:
         return f"InvariantFactorTuple({str(self)!r})"
 
 
-class SnfResult:
-    """Diagonal of a Smith form: monic chain entries, then trailing zeros."""
-
-    __slots__ = ("diagonal", "rank")
-
-    def __init__(self, diagonal: tuple[Poly, ...], rank: int):
-        self.diagonal = diagonal
-        self.rank = rank
-
-    def __repr__(self) -> str:
-        return f"SnfResult([{', '.join(str(p) for p in self.diagonal)}], rank={self.rank})"
-
-
 def _min_degree_pos(m: list[list[Poly]], t: int) -> tuple[int, int] | None:
     """Nonzero entry of minimal degree in the block m[t:][t:], ties row-major."""
     best = None
@@ -149,16 +104,25 @@ def _divides(a: Poly, b: Poly) -> bool:
     return not (b % a).coeffs
 
 
-def snf(a: PolyMatrix) -> SnfResult:
-    """Diagonal of the Smith normal form of a polynomial matrix.
+def _shape(rows: Sequence[Sequence[Poly]]) -> tuple[int, int]:
+    if len(set(map(len, rows))) > 1:
+        raise ShapeError("ragged rows")
+    return len(rows), len(rows[0]) if rows else 0
 
-    The zero matrix is allowed and yields rank 0.  Transformation matrices
-    are not tracked; only the diagonal is ever needed here, and
-    :func:`det_divisor` supplies an independent route to the same values.
+
+def snf(rows: Sequence[Sequence[Poly]]) -> tuple[Poly, ...]:
+    """Diagonal of the Smith normal form of a polynomial matrix, given as
+    equal-length rows: the monic chain, then one zero for each unit of rank
+    deficiency.
+
+    The rows are copied, not eliminated in place.  An empty matrix yields
+    ().  Transformation matrices are not tracked; only the diagonal is ever
+    needed here, and :func:`det_divisor` supplies an independent route to
+    the same values.
     """
-    nrows, ncols = a.rows, a.cols
+    nrows, ncols = _shape(rows)
     size = min(nrows, ncols)
-    m = a.to_rows()
+    m = [list(row) for row in rows]
     t = 0
     while t < size:
         pos = _min_degree_pos(m, t)
@@ -215,8 +179,7 @@ def snf(a: PolyMatrix) -> SnfResult:
             g = poly_gcd(x, y)
             diag[i], diag[i + 1] = g, ((x * y) // g).monic()
             changed = True
-    rank = sum(1 for p in diag if p.coeffs)
-    return SnfResult(tuple(diag), rank)
+    return tuple(diag)
 
 
 def _det(rows: list[list[Poly]]) -> Poly:
@@ -239,26 +202,27 @@ def _det(rows: list[list[Poly]]) -> Poly:
     return acc
 
 
-def det_divisor(a: PolyMatrix, order: int) -> Poly:
-    """Monic gcd of all order x order minors; zero if every minor vanishes.
+def det_divisor(rows: Sequence[Sequence[Poly]], order: int) -> Poly:
+    """Monic gcd of all order x order minors of a matrix given as rows; zero
+    if every minor vanishes.
 
     Cofactor expansion over all row/column subsets: brutally simple, and the
     independent oracle for :func:`snf`.  Only sensible for min(n, k) <= 6.
     """
-    if not 1 <= order <= min(a.rows, a.cols):
+    nrows, ncols = _shape(rows)
+    if not 1 <= order <= min(nrows, ncols):
         raise OutOfRangeError(
-            f"minor order {order} out of range for {a.rows}x{a.cols}")
-    grid = a.to_rows()
+            f"minor order {order} out of range for {nrows}x{ncols}")
     g: Poly | None = None
-    for rsel in itertools.combinations(range(a.rows), order):
-        for csel in itertools.combinations(range(a.cols), order):
-            d = _det([[grid[i][j] for j in csel] for i in rsel])
+    for rsel in itertools.combinations(range(nrows), order):
+        for csel in itertools.combinations(range(ncols), order):
+            d = _det([[rows[i][j] for j in csel] for i in rsel])
             if d.coeffs:
                 g = d if g is None else poly_gcd(g, d)
                 if len(g.coeffs) == 1:
                     return g.monic()
     if g is None:
-        return Poly.zero(a.entries[0].field)
+        return Poly.zero(rows[0][0].field)
     return g.monic()
 
 
@@ -279,14 +243,15 @@ def _pencil_polys(field: FieldCtx) -> tuple[list[Poly], list[Poly]]:
     return cached
 
 
-def pencil_matrix(field: FieldCtx, b: ScalarMatrix) -> PolyMatrix:
-    """The polynomial matrix x*I_{n,k} - B."""
+def pencil_matrix(field: FieldCtx, b: ScalarMatrix) -> list[list[Poly]]:
+    """Fresh rows of the polynomial matrix x*I_{n,k} - B."""
     consts, linears = _pencil_polys(field)
-    k = b.cols
-    entries = []
-    for t, v in enumerate(b.entries):
-        entries.append(linears[v] if t // k == t % k else consts[v])
-    return PolyMatrix(b.rows, b.cols, entries)
+    n, k, e = b.rows, b.cols, b.entries
+    polys = [consts[v] for v in e]
+    rows = [polys[i * k:(i + 1) * k] for i in range(n)]
+    for i in range(min(n, k)):
+        rows[i][i] = linears[e[i * k + i]]
+    return rows
 
 
 def pencil_invariant_factors(field: FieldCtx,
@@ -295,10 +260,10 @@ def pencil_invariant_factors(field: FieldCtx,
     n, k = b.rows, b.cols
     if n < k or k < 1:
         raise ShapeError(f"pencil needs n >= k >= 1, got {n}x{k}")
-    result = snf(pencil_matrix(field, b))
-    if result.rank != k:
+    diagonal = snf(pencil_matrix(field, b))
+    if not all(p.coeffs for p in diagonal):
         raise ExactnessError("a pencil always has full column rank")
-    return InvariantFactorTuple(result.diagonal)
+    return InvariantFactorTuple(diagonal)
 
 
 def char_poly(field: FieldCtx, a: ScalarMatrix) -> Poly:

@@ -23,6 +23,7 @@ from pencilcensus.census import (
     exponent_profile,
     fiber_census,
     gl_order,
+    nilext_census,
     pair_census,
     partitions,
     pencil_census,
@@ -312,21 +313,45 @@ def test_rect_fiber_equals_sum_over_chains():
                 assert total == count_char_poly_rect(f_poly, n, k)
 
 
-# The square fiber of f sums the class sizes of the tuples whose product is f
-# (Reiner 1961; Gerstenhaber 1961).  Both sides are closed forms, so the grid
-# reaches shapes whose enumeration the default budget refuses.
+def assert_pencil_census_sums(q, n, k):
+    """The fiber, pair and nilext censuses sum the pencil census's keys:
+    fiber[f] over the keys whose product is f (Reiner 1961; Gerstenhaber
+    1961), pair[r] (for n > k) over the keys of total degree k - r, the
+    dimension of the maximal invariant subspace, and nilext over the keys
+    whose product is x^d."""
+    f = parse_field_spec(str(q))
+    fiber, pair, nilext = collections.Counter(), collections.Counter(), 0
+    for key, size in pencil_census(f, n, k).entries.items():
+        product = InvariantFactorTuple.parse(key, f).product()
+        d = product.degree
+        fiber[str(product)] += size
+        pair[str(k - d)] += size
+        if product == Poly(f, (0,) * d + (1,)):
+            nilext += size
+    assert fiber_census(f, n, k).entries == fiber
+    if n > k:
+        assert pair_census(f, k, n).entries == pair
+    assert nilext_census(f, n, k).entries == {"extendable": nilext}
+
+
+# Every side is a closed form, so the grids reach shapes whose enumeration
+# the default budget refuses, such as (5, 7, 4).
 SQUARE_IDENTITY_GRID = [(q, n) for q in (2, 3, 4, 5, 7, 9)
                         for n in range(1, (5 if q == 2 else 4 if q <= 5
                                            else 3) + 1)]
+TALL_IDENTITY_GRID = [(q, k + extra, k) for q in (2, 3, 4, 5, 7, 8, 9)
+                      for k in range(1, (4 if q <= 5 else 3) + 1)
+                      for extra in (1, 3)]
 
 
 @pytest.mark.parametrize("q,n", SQUARE_IDENTITY_GRID)
 def test_square_fiber_is_the_sum_of_its_class_sizes(q, n):
-    f = parse_field_spec(str(q))
-    sums = collections.Counter()
-    for key, size in pencil_census(f, n, n).entries.items():
-        sums[str(InvariantFactorTuple.parse(key, f).product())] += size
-    assert fiber_census(f, n, n).entries == sums
+    assert_pencil_census_sums(q, n, n)
+
+
+@pytest.mark.parametrize("q,n,k", TALL_IDENTITY_GRID)
+def test_tall_fiber_pair_and_nilext_are_sums_of_the_pencil_census(q, n, k):
+    assert_pencil_census_sums(q, n, k)
 
 
 # ---------------------------------------------------------------------------

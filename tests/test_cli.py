@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -210,6 +211,47 @@ def test_a_count_within_the_digit_limit_still_prints(capsys):
     assert len(out.strip()) == 3011
 
 
+# At q = 2, k = 1 a census may print counts near 2^n: within the limit for
+# n <= (limit - 1) / log10(2), the bound every refusal uses.
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+LAST_PRINTABLE_N = int((DIGIT_LIMIT - 1) / math.log10(2))
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate"],
+    ["enumerate", "--format", "csv"],
+    ["enumerate", "--format", "json", "--mode", "fiber"],
+    ["verify", "--format", "json"],
+])
+def test_a_census_too_long_to_print_is_refused_before_it_is_run(capsys,
+                                                                argv):
+    n = LAST_PRINTABLE_N + 1
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--q", "2", "--n", str(n), "--k", "1"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"q^{n}" in err and f"{DIGIT_LIMIT}-digit limit" in err
+
+
+def test_verify_as_a_table_prints_no_count_so_it_is_not_refused(capsys):
+    code, out = run_cli(capsys, "verify", "--q", "2",
+                        "--n", str(LAST_PRINTABLE_N + 1), "--k", "1")
+    assert code == 0
+    assert out.endswith(": all 3 keys match\n")
+
+
+def test_a_census_within_the_digit_limit_still_prints(capsys):
+    code, out = run_cli(capsys, "enumerate", "--q", "2",
+                        "--n", str(LAST_PRINTABLE_N), "--k", "1",
+                        "--format", "csv")
+    assert code == 0
+    counts = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert sum(counts) == 2 ** LAST_PRINTABLE_N
+
+
 def test_snf_pencil_example(capsys):
     code, out = run_cli(capsys, "snf", "--q", "2", "--n", "2", "--k", "2",
                         "--matrix", "[[0,0],[0,0]]", "--pencil")
@@ -245,6 +287,22 @@ def test_snf_json_carries_the_table_diagonal_and_the_parameters(capsys, q,
     assert data["parameters"] == {"q": int(q), "n": len(rows),
                                   "k": len(rows[0]),
                                   "pencil": "--pencil" in argv}
+
+
+@pytest.mark.parametrize("q", ["2", "4", "9"])
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (3, 2), (4, 1)])
+def test_snf_of_a_pencil_prints_what_snf_of_its_polynomial_matrix_prints(
+        capsys, q, n, k):
+    f = parse_field_spec(q)
+    rng = random.Random(f"snf-{q}-{n}-{k}")
+    for _ in range(15):
+        b = [[rng.randrange(f.q) for _ in range(k)] for _ in range(n)]
+        pencil = [[str(Poly(f, (f.neg(v), 1) if i == j else (f.neg(v),)))
+                   for j, v in enumerate(row)] for i, row in enumerate(b)]
+        raw = run_cli(capsys, "snf", "--q", q, "--matrix", json.dumps(pencil))
+        assert raw[0] == 0
+        assert run_cli(capsys, "snf", "--q", q, "--pencil",
+                       "--matrix", json.dumps(b)) == raw
 
 
 def test_snf_dimension_cross_check(capsys):
@@ -532,7 +590,7 @@ SUITE_FAULTS = {
         cli, "factorize", lambda g: Factorization(g.leading(), ())),
     "gcd-divides-both": (cli, "poly_gcd", lambda a, b: Poly.x(a.field)),
     "snf-vs-minor-gcds": (
-        cli, "det_divisor", lambda a, order: Poly.zero(a.entries[0].field)),
+        cli, "det_divisor", lambda rows, order: Poly.zero(rows[0][0].field)),
     "rank-transpose": (cli, "rank", lambda field, m: m.rows),
     "power-identity": (census, "check_q_identity", lambda d, q, y: False),
     "orbit-reduction-vs-full": (
