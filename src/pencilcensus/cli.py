@@ -133,6 +133,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.lru_cache(maxsize=None)
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Command name -> its parser, read off the parser's subparsers action."""
+    return next(a for a in _parser()._actions if a.dest == "command").choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as ``_parser().parse_args`` parses it, in one parse: a
+    request naming a command goes straight to that command's parser, which
+    the top-level parser would hand all of ``argv[1:]``; anything else goes
+    to the top-level parser, which prints the help or the error."""
+    sub = _commands().get(argv[0]) if argv else None
+    if sub is None:
+        return _parser().parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        _parser().error("unrecognized arguments: " + " ".join(extra))
+    args.command = argv[0]
+    return args
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
@@ -499,8 +520,8 @@ def cmd_selftest(args, _parser) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv: list[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     parser = _parser()
-    args = parser.parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args, parser)
     except (PencilCensusError, ValueError) as exc:

@@ -1,7 +1,9 @@
+import argparse
 import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -520,49 +522,131 @@ def test_usage_error_on_unknown_mode(capsys):
     assert exc.value.code == 2
 
 
+MALFORMED_ARGV = [
+    ["count", "--formula", "nilext", "--q", "abc", "--n", "2", "--k", "1"],
+    ["count", "--formula", "nilext", "--q", "6", "--n", "2", "--k", "1"],
+    ["count", "--formula", "gr", "--q", "2", "--poly", "x+y"],
+    ["count", "--formula", "reach", "--q", "2", "--n", "2", "--k", "2",
+     "--r", "1"],
+    # --subspace belongs to subspace mode only
+    ["enumerate", "--q", "2", "--n", "2", "--k", "2", "--mode", "pencil",
+     "--subspace", "[[1,0]]"],
+    # csv is a census format: only enumerate offers it
+    ["count", "--formula", "nilext", "--q", "2", "--n", "2", "--k", "1",
+     "--format", "csv"],
+    ["verify", "--q", "2", "--n", "2", "--k", "1", "--format", "csv"],
+    ["snf", "--q", "2", "--matrix", "[[0]]", "--pencil", "--format", "csv"],
+    ["factor", "--q", "2", "--poly", "x^2", "--format", "csv"],
+    # matrix entries must be JSON integers: no floats, bools or strings
+    ["enumerate", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
+     "--subspace", "[[1.9,0]]"],
+    ["enumerate", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
+     "--subspace", "[[true,0]]"],
+    ["enumerate", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
+     "--subspace", '[["1",0]]'],
+    ["snf", "--q", "3", "--pencil", "--matrix", '[["1",2],[1,0]]'],
+    ["snf", "--q", "3", "--pencil", "--matrix", "[[1.5,2],[true,0]]"],
+    # a grid must be an array of rows of one length
+    ["snf", "--q", "2", "--matrix", "5"],
+    ["snf", "--q", "2", "--pencil", "--matrix", "[[1,0],[1],[0,1,1]]"],
+    ["snf", "--q", "2", "--matrix", '[["x","1"],["0"],["1","x","0"]]'],
+    # ... and of at least one column
+    ["snf", "--q", "3", "--matrix", "[[]]"],
+    ["snf", "--q", "3", "--matrix", "[[],[]]"],
+    ["snf", "--q", "3", "--pencil", "--matrix", "[[]]"],
+    ["snf", "--q", "3", "--pencil", "--matrix", "[[],[]]"],
+    # polynomial entries are JSON strings or integers, nothing nested
+    ["snf", "--q", "2", "--matrix", "[[[1]]]"],
+    ["snf", "--q", "4", "--matrix", "[[[3]]]"],
+    ["snf", "--q", "2", "--matrix", "[[null]]"],
+    ["snf", "--q", "2", "--matrix", '[[{"a":1}]]'],
+]
+
+
 def test_usage_error_on_malformed_inputs(capsys):
-    for argv in (
-        ["count", "--formula", "nilext", "--q", "abc", "--n", "2", "--k", "1"],
-        ["count", "--formula", "nilext", "--q", "6", "--n", "2", "--k", "1"],
-        ["count", "--formula", "gr", "--q", "2", "--poly", "x+y"],
-        ["count", "--formula", "reach", "--q", "2", "--n", "2", "--k", "2",
-         "--r", "1"],
-        # --subspace belongs to subspace mode only
-        ["enumerate", "--q", "2", "--n", "2", "--k", "2", "--mode", "pencil",
-         "--subspace", "[[1,0]]"],
-        # csv is a census format: only enumerate offers it
-        ["count", "--formula", "nilext", "--q", "2", "--n", "2", "--k", "1",
-         "--format", "csv"],
-        ["verify", "--q", "2", "--n", "2", "--k", "1", "--format", "csv"],
-        ["snf", "--q", "2", "--matrix", "[[0]]", "--pencil", "--format", "csv"],
-        ["factor", "--q", "2", "--poly", "x^2", "--format", "csv"],
-        # matrix entries must be JSON integers: no floats, bools or strings
-        ["enumerate", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
-         "--subspace", "[[1.9,0]]"],
-        ["enumerate", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
-         "--subspace", "[[true,0]]"],
-        ["enumerate", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
-         "--subspace", '[["1",0]]'],
-        ["snf", "--q", "3", "--pencil", "--matrix", '[["1",2],[1,0]]'],
-        ["snf", "--q", "3", "--pencil", "--matrix", "[[1.5,2],[true,0]]"],
-        # a grid must be an array of rows of one length
-        ["snf", "--q", "2", "--matrix", "5"],
-        ["snf", "--q", "2", "--pencil", "--matrix", "[[1,0],[1],[0,1,1]]"],
-        ["snf", "--q", "2", "--matrix", '[["x","1"],["0"],["1","x","0"]]'],
-        # ... and of at least one column
-        ["snf", "--q", "3", "--matrix", "[[]]"],
-        ["snf", "--q", "3", "--matrix", "[[],[]]"],
-        ["snf", "--q", "3", "--pencil", "--matrix", "[[]]"],
-        ["snf", "--q", "3", "--pencil", "--matrix", "[[],[]]"],
-        # polynomial entries are JSON strings or integers, nothing nested
-        ["snf", "--q", "2", "--matrix", "[[[1]]]"],
-        ["snf", "--q", "4", "--matrix", "[[[3]]]"],
-        ["snf", "--q", "2", "--matrix", "[[null]]"],
-        ["snf", "--q", "2", "--matrix", '[[{"a":1}]]'],
-    ):
+    for argv in MALFORMED_ARGV:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of every ``$ pencilcensus ...`` example in the README."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(path) as fh:
+        return [shlex.split(line)[2:] for line in fh
+                if line.startswith("$ pencilcensus ")]
+
+
+FACTOR = ["factor", "--q", "2", "--poly", "x^2"]
+EDGE_ARGV = [
+    [], ["-h"], ["count", "-h"], ["count", "-h", "--formula", "x"],
+    ["bogus", "--q", "2"], ["--", "count", "--formula", "reach"],
+    FACTOR + ["--bogus", "1"],
+    ["count", "--form", "snf", "--q", "2", "--tuple", "1|x"],
+    FACTOR + ["--q", "3"],
+    ["count", "--formula=snf", "--q=2", "--n", "2", "--k", "2",
+     "--tuple", "1|x"],
+    FACTOR + ["y"], FACTOR + ["--", "y"],
+    ["factor", "--q", "3", "--poly", "-x+1"],
+    ["factor", "--q", "3", "--poly=-x+1"],
+    ["count"], ["selftest"], ["enumerate", "--q", "2", "--n", "2"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The namespace ``parse`` returns, or its exit code, with what it
+    printed."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV + readme_examples()
+                         + EDGE_ARGV, ids=" ".join)
+def test_main_parses_as_the_top_level_parser_does(capsys, argv):
+    assert (_parse_outcome(cli._parse, argv, capsys)
+            == _parse_outcome(build_parser().parse_args, argv, capsys))
+
+
+def test_the_readme_examples_are_found():
+    assert [argv[0] for argv in readme_examples()] == [
+        "count", "snf", "enumerate", "verify", "factor"]
+
+
+def test_each_request_is_parsed_once(capsys, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    monkeypatch.setattr(cli, "_selftest_suites", lambda rng: [])
+    census_args = ["--q", "2", "--n", "2", "--k", "1"]
+    for argv in (["count", "--formula", "reach", "--q", "2", "--k", "3",
+                  "--n", "5", "--r", "3"],
+                 ["enumerate", *census_args], ["verify", *census_args],
+                 ["snf", "--q", "2", "--pencil", "--matrix", "[[1]]"],
+                 FACTOR, ["selftest"]):
+        calls.clear()
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert calls == ["pencilcensus " + argv[0]], argv
+
+
+def test_a_polynomial_that_starts_with_a_minus_is_written_with_equals(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--q", "3", "--poly", "-x+1"])
+    assert exc.value.code == 2
+    assert ("argument --poly: expected one argument"
+            in capsys.readouterr().err)
+    assert run_cli(capsys, "factor", "--q", "3", "--poly=-x+1") == (
+        0, "2*(x+2)\n")
 
 
 def test_selftest_passes(capsys):
