@@ -39,6 +39,7 @@ both S_0 and U_0: block upper triangular with diagonal blocks d, k-d-r, r.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -66,6 +67,7 @@ from .smith import (
 )
 
 DEFAULT_BUDGET = 1 << 24
+_SLICE = 1 << 14  # longest list a move table is built from, bar one group's
 
 class EnumConfig(namedtuple("EnumConfig", "p m n k mode subspace workers budget",
                              defaults=("pencil", None, 1, DEFAULT_BUDGET))):
@@ -276,9 +278,16 @@ def _similarity_classes(p: int, m: int, k: int, d: int = 0,
     b also by I + E_(b-1,b), whose images under the blocks span the rest.
     Only the blocks X are indexed: their free entries, row by row, least
     significant first.  Each move is built once as a permutation of those
-    indices, so a search step is one lookup: the action is linear and each
-    output row depends on one group of input rows, so an image index is the
-    sum of one table entry per group."""
+    indices, an ``array("I")``, so a search step is one lookup: the action is
+    linear and each output row depends on one group of input rows, so an
+    image index is the sum of one table entry per group.  The table is that
+    Cartesian sum: the low groups' sums one comprehension per group, while
+    they number at most _SLICE, then one slice of that length per sum of the
+    high groups; field sums and differences come from a q x q addition table
+    built once per call.  The search takes as leader the least block not yet
+    visited and reads the list of its visits while it grows: each image of a
+    visit not seen before is appended, so the list's length is the class
+    size."""
     f = field_new(p, m)
     q, c = f.q, k - r
     skip = [d if i >= d else 0 for i in range(k)]  # row i's fixed zeros
@@ -290,17 +299,28 @@ def _similarity_classes(p: int, m: int, k: int, d: int = 0,
     values = {s: [[0] * s + _digits_of(v, q, c - s)
                   for v in range(q ** (c - s))] for s in set(skip)}
     rows = [values[s] for s in skip]  # each row's values, as full rows of X
+    plus = [[f.add(a, b) for a in range(q)] for b in range(q)]  # [b][a]: a + b
+    neg = [row.index(0) for row in plus]  # [b]: -b
+    sums = [[[v * u for v in row] for row in plus] for u in unit]
 
     def share(g, i, to):  # the image under g of each value of row i, as row to
         return [sum(map(operator.mul, g(v)[skip[to]:], unit)) * place[to]
                 for v in rows[i]]
 
+    def cartesian(low, *tables):  # each sum of one entry per table, as list
+        for table in tables:  # the first changes fastest
+            low = [t + y for t in table for y in low]
+        return low
+
     def perm(*tables):  # tables of the row groups, least significant first
-        out = array("I", [0])
-        for table in tables:
-            out, low = array("I"), out
-            for t in table:
-                out.extend([t + y for y in low])
+        n = 1  # the low groups: the first, then more while at most _SLICE sums
+        while n < len(tables) and math.prod(map(len, tables[:n + 1])) <= _SLICE:
+            n += 1
+        low = cartesian(*tables[:n])
+        out = array("I")
+        for high in itertools.product(*reversed(tables[n:])):
+            t = sum(high)
+            out.fromlist([t + y for y in low] if t else low)
         return out
 
     def cycle(lo, hi):  # entry (i, j) to (i+1, j+1), both cycled in [lo, hi)
@@ -311,11 +331,11 @@ def _similarity_classes(p: int, m: int, k: int, d: int = 0,
 
     def transvection(i):  # row i += row i+1, then column i+1 -= column i
         g = list if i + 1 >= c else (
-            lambda v: [*v[:i + 1], f.sub(v[i + 1], v[i]), *v[i + 2:]])
+            lambda v: [*v[:i + 1], plus[neg[v[i]]][v[i + 1]], *v[i + 2:]])
         col = [share(g, j, j) for j in range(k)]
         pair = [col[i][s] + col[i + 1][j] for j, u in enumerate(rows[i + 1])
-                for s in perm(*([f.add(a, b) * unit[e] for a in range(q)]
-                                for e, b in enumerate(u[skip[i]:])))]
+                for s in cartesian([0], *(sums[e][b]
+                                          for e, b in enumerate(u[skip[i]:])))]
         return perm(*col[:i], pair, *col[i + 2:])  # rows i, i+1: one group
 
     def scale(i):  # row i *= w, column i (if i < c) *= w^-1, w a generator
@@ -335,20 +355,19 @@ def _similarity_classes(p: int, m: int, k: int, d: int = 0,
     moves += [transvection(lo - 1) for lo, _ in blocks[1:]]
     seen = bytearray(size)
     classes = []
-    for leader in range(size):
-        if seen[leader]:
-            continue
+    leader = 0
+    while leader >= 0:
         seen[leader] = 1
-        stack, count = [leader], 0
-        while stack:
-            x = stack.pop()
-            count += 1
+        visits = [leader]  # grows while it is read: its length is the size
+        visit = visits.append
+        for x in visits:
             for move in moves:
                 image = move[x]
                 if not seen[image]:
                     seen[image] = 1
-                    stack.append(image)
-        classes.append((leader, count))
+                    visit(image)
+        classes.append((leader, len(visits)))
+        leader = seen.find(0, leader)
     # the k x k index of each free entry, to turn leaders into padded blocks
     spread = [q ** (i * k + j) for i in range(k) for j in range(skip[i], c)]
     return tuple((sum(map(operator.mul, _digits_of(x, q, len(spread)), spread)),

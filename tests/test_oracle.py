@@ -1,9 +1,11 @@
+import hashlib
 import importlib.resources as res
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -410,6 +412,47 @@ def test_top_block_orbits_equal_those_of_the_whole_group(q, k, d, r):
     classes = _similarity_classes(f.p, f.m, k, d, r)
     assert classes == block_classes_by_group(f.p, f.m, k, d, r)
     assert sum(size for _, size in classes) == q ** (k * (k - r) - d * (k - d))
+
+
+# Every search _representatives can make at a k with q^(k^2) <= 2^16: the
+# GL_k search (d = r = 0), the parabolic ones (S_0 = span(e_1..e_d), d < k)
+# and those of the tall walks (U_0 of dimension r <= k - d).
+PINNED_SEARCHES = [(p, m, k, d, r)
+                   for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                (2, 3), (3, 2))
+                   for k in range(1, 5) if p ** (m * k * k) <= 2 ** 16
+                   for d in range(k) for r in range(k - d + 1)]
+
+
+def test_similarity_classes_are_byte_identical_to_their_pinned_digest():
+    # the SHA-256 of the (leader, size) tuples of every pinned search: the
+    # tests above compare some of these searches with the references, this
+    # pins them all, so a faster search returns the same tuples in order
+    digest = hashlib.sha256()
+    blocks = 0
+    for shape in PINNED_SEARCHES:
+        classes = _similarity_classes.__wrapped__(*shape)
+        blocks += sum(size for _, size in classes)
+        digest.update(repr((shape, classes)).encode())
+    assert (len(PINNED_SEARCHES), blocks) == (81, 133751)
+    assert digest.hexdigest() == \
+        "31b48272cc2eede82903865aa3d1b167e3033adac6cfd563732390953a158305"
+
+
+# The search holds one byte per block it searches and one 4-byte array entry
+# per block and move, while its move tables are built from lists of at most
+# oracle._SLICE entries; whole tables held as Python lists would take about
+# 50 bytes per block.
+@pytest.mark.parametrize("p,m,k", [(2, 1, 4), (3, 1, 3)])
+def test_the_class_search_holds_at_most_32_bytes_per_block(p, m, k):
+    field_new(p, m)  # the field's own tables are not the search's
+    tracemalloc.start()
+    try:
+        _similarity_classes.__wrapped__(p, m, k, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * p ** (m * k * k)
 
 
 def test_similarity_class_report_is_independent_of_workers():
