@@ -466,22 +466,22 @@ def _selftest_suites(rng: random.Random):
         return True
 
     def orbit_reduction_vs_full() -> bool:
-        # tall shapes walk one top block per orbit of A modulo the row space
-        # of C for each of its dimensions r: r <= 1 at (2,3,2), (3,3,2) and
-        # (3,2,1), r <= 2 at (2,4,2), in every mode (subspace with S = 0);
-        # nilext's full walk is the slow one, so its q = 3 shape has k = 1
+        # tall shapes stack, for each dimension r of the row space of C, the
+        # list at shape (k, k-r): r <= 1 at (2,3,2), (3,3,2) and (3,2,1),
+        # r <= 2 at (2,4,2), in every mode (subspace with S = 0); nilext's
+        # full walk is the slow one, so its q = 3 shape has k = 1
         tall = [(2, 3, 2, mode, None) for mode in ("pencil", "fiber", "pair")]
         tall += [(3, 3, 2, mode, None) for mode in ("pencil", "pair")]
         tall += [(2, 4, 2, mode, None) for mode in ("pencil", "fiber", "pair",
                                                     "nilext")]
         tall += [(2, 4, 2, "subspace", ()), (3, 2, 1, "nilext", None)]
-        # subspace mode walks S_0 = span(e_1..e_d) for S, one A per class
-        # under S_0's stabiliser: checked on an axis, on a line off the axes
-        # and on a plane off the axes (d = 2: both diagonal blocks and the
-        # move coupling them)
+        # subspace mode tallies dim M = d, 1 <= r <= k - d, and divides by
+        # the d-dimensional subspaces: checked on an axis, on a line off the
+        # axes, on a plane off the axes and on the whole space (d = k, r = 0)
         tall += [(2, 3, 2, "subspace", ((1, 0),)),
                  (3, 3, 2, "subspace", ((1, 2),)),
-                 (2, 4, 3, "subspace", ((1, 0, 1), (0, 1, 1)))]
+                 (2, 4, 3, "subspace", ((1, 0, 1), (0, 1, 1))),
+                 (2, 3, 2, "subspace", ((1, 0), (0, 1)))]
         square = [(q, n, n, mode, None) for q, n in ((2, 3), (4, 2))
                   for mode in ("pencil", "fiber")]  # GF(4): extension scale move
         for q, n, k, mode, basis in tall + square + [

@@ -14,27 +14,29 @@ Orbit reduction: write a matrix as B = [A; C], A the top k x k block and C
 the (n-k) x k bottom block.  For g = [[P, R], [0, Q]] in GL_n,
 g(x*I_{n,k} - B)P^-1 = x*I_{n,k} - gBP^-1, so every key is constant on the
 orbits B -> gBP^-1 (if N completes B to a nilpotent operator, gNg^-1
-completes gBP^-1).  By g = diag(I, Q) the key depends on C only through its
-row space U, and by g = diag(P, I) with U*P^-1 = U_0 the tally over the C
-whose row space has dimension r is the number of such U times the tally over
-the C with row space U_0 = span(e_(k-r+1)..e_k).  By g = [[I, R], [0, I]],
-[A; C] ~ [A + RC; C], and the RC are the M whose rows lie in U_0, so the key
-depends on A only through its first k-r columns X: the walk takes A = [X 0]
-for the q^(kr) A of its coset, and C = C_0, the basis of U_0 padded with
-zero rows.  The g that keep C_0 have P fixing U_0, block upper triangular
-with a (k-r, r) split, and act on X by X -> P*X*P11^-1, P11 the top left
-(k-r) x (k-r) block of P; so the walk takes one X per orbit (least index),
-weighted by the orbit size a graph search counts, times q^(kr), times
-prod_{i<r} (q^(n-k) - q^i) C with row space U_0, times the number of U.
+completes gBP^-1).  The walk classifies one B per orbit, weighted by the
+orbit's size, from a list built by recursion on the shape (n, k): at n = k
+the similarity classes, which a graph search finds, and at k = 0 the empty
+matrix.  At n > k, by g = diag(I, Q) and g = diag(P, I) every orbit meets
+the C whose row space is U_0 = span(e_(k-r+1)..e_k), r its dimension, and
+by g = [[I, R], [0, I]], [A; C] ~ [A + RC; C] with RC any matrix whose rows
+lie in U_0, so it meets A = [X 0], X the first k-r columns of A, with
+C = C_0, the basis of U_0 padded with zero rows.  The g that keep C_0 act on
+X by X -> P*X*P11^-1, P block upper triangular with a (k-r, r) split and P11
+its top left block: the action at shape (k, k-r), with P11, P12 and P22 as
+its P, R and Q.  So the list at (n, k) takes [X 0; C_0] for each X of the
+list at (k, k-r), weighted by X's weight times q^(kr) (the A of its coset),
+prod_{i<r} (q^(n-k) - q^i) (the C with row space U_0) and the number of
+row spaces U of dimension r, counted by listing them.
 Pair mode's key, the reachability rank of (A^T, C^T), is k - dim M for M
-below, which g maps to P*M, so the orbits keep it too.  Subspace mode walks
-S_0 = span(e_1..e_d) for the fixed subspace S: g = diag(T, I) with T*S = S_0
-maps the maximal invariant subspace M to T*M, so both tally alike.  M, the
-kernel of C, CA, ..., CA^(k-1), is the largest A-invariant subspace inside
-ker C, so M = S_0 only if A*S_0 lies in S_0 and C vanishes on S_0, which
-A + RC and the P that fix S_0 keep; so the walk takes only the U inside
-span(e_(d+1)..e_k) and the A with A*S_0 inside S_0, under the P that fix
-both S_0 and U_0: block upper triangular with diagonal blocks d, k-d-r, r.
+below, which g maps to P*M, so the orbits keep it.  Subspace mode tallies
+the maps whose maximal invariant subspace M, the kernel of C, CA, ...,
+CA^(k-1), is the fixed S of dimension d.  M lies in ker C, so the walk takes
+1 <= r <= k - d, or r = 0 alone when d = k, and tallies dim M = d, which
+the orbits keep.  g = diag(T, I) keeps every key and maps M to T*M, and
+GL_k moves S to every d-dimensional subspace, so each is M for as many maps
+of each key: :func:`run` divides the tally by their number, counted by
+listing them, and a remainder raises ExactnessError.
 """
 
 from __future__ import annotations
@@ -119,10 +121,11 @@ def _execute(cfg: EnumConfig, total: int, work: int,
     # Chunks hold even shares of the representatives, which the parent lists
     # here, afresh for each run and before the pool forks, so the workers
     # inherit the list from the cache; a chunk spans the indices from its
-    # first representative's to the next chunk's first.
+    # first representative's (0 for the first chunk) to the next chunk's
+    # first, so the chunks cover every index.
     _representatives.cache_clear()
     reps = _representatives(cfg)
-    cuts = [reps[lo][0] for lo, _ in _chunks(len(reps), cfg.workers)]
+    cuts = [0, *(reps[lo][0] for lo, _ in _chunks(len(reps), cfg.workers)[1:])]
     args = [(cfg, lo, hi) for lo, hi in zip(cuts, cuts[1:] + [total])]
     size = _pool_size(cfg.workers, len(args))
     if size == 1:
@@ -180,13 +183,21 @@ def _pair_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
     return str(reachability_rank(f, a, c))
 
 
-def _subspace_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str | None:
-    """Invariant factors of the maps whose maximal invariant subspace is the
-    configured one; the top k x k block is A, the rest C."""
+def _subspace_key(f: FieldCtx, cfg: EnumConfig, entries: tuple,
+                  same: Callable = operator.eq) -> str | None:
+    """Invariant factors of the maps whose maximal invariant subspace M is
+    the configured S, or has ``same(M, S)``; A is the top k x k block."""
     n, k = cfg.n, cfg.k
     _, basis = max_invariant_subspace(f, ScalarMatrix(k, k, entries[: k * k]),
                                       ScalarMatrix(n - k, k, entries[k * k:]))
-    return _pencil_key(f, cfg, entries) if basis == cfg.subspace else None
+    return _pencil_key(f, cfg, entries) if same(basis, cfg.subspace) else None
+
+
+def _subspace_dim_key(f: FieldCtx, cfg: EnumConfig,
+                      entries: tuple) -> str | None:
+    """The walk's subspace key: the maximal invariant subspace has the
+    configured one's dimension (module doc)."""
+    return _subspace_key(f, cfg, entries, lambda m, s: len(m) == len(s))
 
 
 def _nilext_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str | None:
@@ -237,24 +248,6 @@ def _walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
     return tally
 
 
-def _row_spaces(f: FieldCtx, cfg: EnumConfig) -> list[tuple[int, tuple, int]]:
-    """One ``(r, C_0, weight)`` per dimension r <= min(n-k, k-d) of the row
-    space U of the bottom block C (with a subspace S_0, U lies inside
-    span(e_(d+1)..e_k)): the entries of C_0, whose rows e_(k-r+1)..e_k span
-    U_0, padded with zero rows, and the number of C whose row space has
-    dimension r: the number of U, counted by listing them, times
-    prod_{i<r} (q^(n-k) - q^i), the C with row space U."""
-    rows, k, q, d = cfg.n - cfg.k, cfg.k, cfg.q, len(cfg.subspace or ())
-    out = []
-    for r in range(min(rows, k - d) + 1):
-        spaces = sum(1 for _ in echelon_subspaces(f, k - d, r))
-        c = (*(int(j == i) for i in range(k - r, k) for j in range(k)),
-             *(0,) * (k * (rows - r)))
-        out.append((r, c, spaces * math.prod(q ** rows - q ** i
-                                              for i in range(r))))
-    return out
-
-
 def _row_space_count(cfg: EnumConfig) -> int:
     """The number of row spaces U of C, which the budget charges for."""
     return sum(census.q_binomial(cfg.k, r, cfg.q)
@@ -262,98 +255,80 @@ def _row_space_count(cfg: EnumConfig) -> int:
 
 
 @lru_cache(maxsize=None)
-def _similarity_classes(p: int, m: int, k: int, d: int = 0,
-                        r: int = 0) -> tuple[tuple[int, int], ...]:
-    """One ``(leader, size)`` per class of the k x (k-r) blocks X over
-    GF(p^m) with X[i][c] = 0 for i >= d, c < d (A*S_0 inside S_0 =
-    span(e_1..e_d)) under X -> P*X*P11^-1, where P is block upper triangular
-    with diagonal blocks of sizes d, k-d-r and r (empty ones dropped) and P11
-    is its top left (k-r) x (k-r) block; with r = 0 that is conjugation by
-    the P that fix S_0, all of GL_k if d = 0.  In leader order: the leader is
-    the least k x k index of a block of the class padded with r zero columns,
-    the size the number of blocks a graph search visits from it, counted
-    visit by visit.  On each diagonal block [lo, hi) of P the search moves by
-    the cycle e_lo -> ... -> e_(hi-1) -> e_lo, by I + E_(lo,lo+1) and, when
-    q > 2, by scaling e_lo by the field's generator w; at each block boundary
-    b also by I + E_(b-1,b), whose images under the blocks span the rest.
-    Only the blocks X are indexed: their free entries, row by row, least
-    significant first.  Each move is built once as a permutation of those
-    indices, an ``array("I")``, so a search step is one lookup: the action is
-    linear and each output row depends on one group of input rows, so an
-    image index is the sum of one table entry per group.  The table is that
-    Cartesian sum: the low groups' sums one comprehension per group, while
-    they number at most _SLICE, then one slice of that length per sum of the
-    high groups; field sums and differences come from a q x q addition table
-    built once per call.  The search takes as leader the least block not yet
-    visited and reads the list of its visits while it grows: each image of a
-    visit not seen before is appended, so the list's length is the class
-    size."""
+def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
+    """One ``(leader, size)`` per similarity class of the k x k matrices over
+    GF(p^m), in leader order: the least index of a matrix of the class and
+    the number of matrices a graph search visits from it, counted visit by
+    visit.  The search conjugates by the cycle e_0 -> ... -> e_(k-1) -> e_0,
+    by I + E_(0,1) and, when q > 2, by scaling e_0 by the field's generator
+    w.  Each move is built once as a permutation of the q^(k^2) indices, an
+    ``array("I")``: the action is linear and each output row depends on one
+    group of input rows (rows 0 and 1 under the transvection, each row
+    alone otherwise), so an image index is the sum of one table entry per
+    group, and the table is written in slices of at most _SLICE such sums
+    (see ``perm``).  The search takes as leader the least matrix not yet
+    visited and reads the list of its visits while it grows, each unseen
+    image appended, so its length is the class size."""
     f = field_new(p, m)
-    q, c = f.q, k - r
-    skip = [d if i >= d else 0 for i in range(k)]  # row i's fixed zeros
-    unit = [q ** j for j in range(c)]
-    place, size = [], 1  # index of a 1 in each row's first free entry
-    for s in skip:
-        place.append(size)
-        size *= q ** (c - s)
-    values = {s: [[0] * s + _digits_of(v, q, c - s)
-                  for v in range(q ** (c - s))] for s in set(skip)}
-    rows = [values[s] for s in skip]  # each row's values, as full rows of X
+    q = f.q
+    values = [_digits_of(v, q, k) for v in range(q ** k)]  # a row's values
+    unit = [q ** j for j in range(k)]
     plus = [[f.add(a, b) for a in range(q)] for b in range(q)]  # [b][a]: a + b
     neg = [row.index(0) for row in plus]  # [b]: -b
     sums = [[[v * u for v in row] for row in plus] for u in unit]
 
-    def share(g, i, to):  # the image under g of each value of row i, as row to
-        return [sum(map(operator.mul, g(v)[skip[to]:], unit)) * place[to]
-                for v in rows[i]]
+    def share(g, to):  # the image under g of each value of a row, as row to
+        return [sum(map(operator.mul, g(v), unit)) * q ** (k * to)
+                for v in values]
 
     def cartesian(low, *tables):  # each sum of one entry per table, as list
         for table in tables:  # the first changes fastest
             low = [t + y for t in table for y in low]
         return low
 
-    def perm(*tables):  # tables of the row groups, least significant first
-        n = 1  # the low groups: the first, then more while at most _SLICE sums
-        while n < len(tables) and math.prod(map(len, tables[:n + 1])) <= _SLICE:
-            n += 1
-        low = cartesian(*tables[:n])
+    def perm(low, *tables):  # low: the first groups' sums, in slices (one
+        # per value of row 1 for the k = 2 transvection, the whole table); the
+        # next groups' tables are folded into a lone slice while it holds at
+        # most _SLICE sums (the first group may hold more), then it is
+        # written once per sum of the rest
+        while tables and len(low[0]) * len(tables[0]) <= _SLICE:
+            low, tables = [cartesian(low[0], tables[0])], tables[1:]
         out = array("I")
-        for high in itertools.product(*reversed(tables[n:])):
+        for high in itertools.product(*reversed(tables)):
             t = sum(high)
-            out.fromlist([t + y for y in low] if t else low)
+            for part in low:
+                out.fromlist([t + y for y in part] if t else part)
         return out
 
-    def cycle(lo, hi):  # entry (i, j) to (i+1, j+1), both cycled in [lo, hi)
-        to = [*range(lo), *range(lo + 1, hi), lo, *range(hi, k)]
-        g = list if hi > c else (
-            lambda v: [*v[:lo], v[hi - 1], *v[lo:hi - 1], *v[hi:]])
-        return perm(*(share(g, i, to[i]) for i in range(k)))
+    def cycle():  # entry (i, j) to (i+1, j+1), both mod k
+        first, *rest = (share(lambda v: [v[-1], *v[:-1]], (i + 1) % k)
+                        for i in range(k))
+        return perm([first], *rest)
 
-    def transvection(i):  # row i += row i+1, then column i+1 -= column i
-        g = list if i + 1 >= c else (
-            lambda v: [*v[:i + 1], plus[neg[v[i]]][v[i + 1]], *v[i + 2:]])
-        col = [share(g, j, j) for j in range(k)]
-        pair = [col[i][s] + col[i + 1][j] for j, u in enumerate(rows[i + 1])
-                for s in cartesian([0], *(sums[e][b]
-                                          for e, b in enumerate(u[skip[i]:])))]
-        return perm(*col[:i], pair, *col[i + 2:])  # rows i, i+1: one group
+    def transvection():  # row 0 += row 1, then column 1 -= column 0
+        col = [share(lambda v: [v[0], plus[neg[v[0]]][v[1]], *v[2:]], i)
+               for i in range(k)]
 
-    def scale(i):  # row i *= w, column i (if i < c) *= w^-1, w a generator
+        def pair(j):  # rows 0 and 1, row 1 its j-th value: row 0 + row 1
+            return [col[0][s] + col[1][j] for s in cartesian(
+                [0], *(sums[e][b] for e, b in enumerate(values[j])))]
+
+        pairs = map(pair, range(q ** k))  # at k = 2 the whole table: sliced
+        return perm(pairs if k == 2 else [[y for part in pairs for y in part]],
+                    *col[2:])
+
+    def scale():  # row 0 *= w, column 0 *= w^-1, w a generator
         w = f.generator
-        by = [[f.mul(w if j == i else 1, 1 if e != i else f.inv(w))
-               for e in range(c)] for j in range(k)]
-        return perm(*(share(lambda v: list(map(f.mul, v, by[j])), j, j)
-                      for j in range(k)))
+        by = [[f.mul(w if j == 0 else 1, 1 if e else f.inv(w))
+               for e in range(k)] for j in range(k)]
+        first, *rest = (share(lambda v: list(map(f.mul, v, by[j])), j)
+                        for j in range(k))
+        return perm([first], *rest)
 
-    blocks = [(lo, hi) for lo, hi in ((0, d), (d, c), (c, k)) if lo < hi]
-    moves = []
-    for lo, hi in blocks:
-        if hi - lo > 1:
-            moves += [cycle(lo, hi), transvection(lo)]
-        if q > 2 and k > 1:
-            moves.append(scale(lo))
-    moves += [transvection(lo - 1) for lo, _ in blocks[1:]]
-    seen = bytearray(size)
+    moves = [cycle(), transvection()] if k > 1 else []
+    if q > 2 and k > 1:
+        moves.append(scale())
+    seen = bytearray(q ** (k * k))
     classes = []
     leader = 0
     while leader >= 0:
@@ -368,30 +343,47 @@ def _similarity_classes(p: int, m: int, k: int, d: int = 0,
                     visit(image)
         classes.append((leader, len(visits)))
         leader = seen.find(0, leader)
-    # the k x k index of each free entry, to turn leaders into padded blocks
-    spread = [q ** (i * k + j) for i in range(k) for j in range(skip[i], c)]
-    return tuple((sum(map(operator.mul, _digits_of(x, q, len(spread)), spread)),
-                  n) for x, n in classes)
+    return tuple(classes)
+
+
+def _tall_list(f: FieldCtx, n: int, k: int,
+               ranks: range | None = None) -> list[tuple[tuple, int]]:
+    """One ``(entries, weight)`` per orbit of the n x k matrices under
+    B -> gBP^-1, built by the recursion of the module doc: the entries of one
+    matrix of the orbit, row-major, and the orbit's size.  With ``ranks``,
+    only the orbits whose bottom block's row space dimension r is in it."""
+    q = f.q
+    if ranks is None:
+        if k == 0:
+            return [((), 1)]
+        if n == k:
+            return [(tuple(_digits_of(a, q, k * k)), size)
+                    for a, size in _similarity_classes(f.p, f.m, k)]
+        ranks = range(min(n - k, k) + 1)
+    out = []
+    for r in ranks:
+        c = k - r
+        bottom = tuple(int(i == j) for i in range(c, n - r) for j in range(k))
+        weight = (q ** (k * r) * sum(1 for _ in echelon_subspaces(f, k, r))
+                  * math.prod(q ** (n - k) - q ** i for i in range(r)))
+        for x, w in _tall_list(f, k, c):
+            top = sum((x[i * c:(i + 1) * c] + (0,) * r for i in range(k)), ())
+            out.append((top + bottom, w * weight))
+    return out
 
 
 @lru_cache(maxsize=1)
 def _representatives(cfg: EnumConfig) -> tuple[tuple[int, tuple, int], ...]:
-    """``(index, entries, weight)`` per representative [A; C_0] the walk
-    classifies (see the module doc), in walk order, which is index order: for
-    each row space dimension r of :func:`_row_spaces`, the top block A of
-    each class of :func:`_similarity_classes` with that r's bottom block C_0,
-    weighted by the class size, the q^(kr) top blocks of A's coset and C_0's
-    weight.  ``entries`` are those of [A; C_0]."""
-    f, q, k = cfg.field(), cfg.q, cfg.k
-    d = len(cfg.subspace or ()) % k
-    kk = k * k
-    out = []
-    for r, bottom, weight in _row_spaces(f, cfg):
-        shift = sum(v * q ** (kk + i) for i, v in enumerate(bottom))
-        for a, size in _similarity_classes(cfg.p, cfg.m, k, d, r):
-            out.append((a + shift, (*_digits_of(a, q, kk), *bottom),
-                        size * q ** (k * r) * weight))
-    return tuple(out)
+    """``(index, entries, weight)`` per representative the walk classifies,
+    in index order: :func:`_tall_list` at cfg's shape, in subspace mode only
+    at the row space dimensions r where dim M = d can hold (module doc)."""
+    n, k, q, d = cfg.n, cfg.k, cfg.q, len(cfg.subspace or ())
+    ranks = (None if cfg.subspace is None  # 1 <= r <= k - d, or r = 0 if d = k
+             else range(d < k, min(n - k, k - d) + 1))
+    return tuple(sorted((sum(v * q ** i for i, v in enumerate(entries)),
+                         entries, weight)
+                        for entries, weight in _tall_list(cfg.field(), n, k,
+                                                          ranks)))
 
 
 def _orbit_walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
@@ -426,7 +418,7 @@ def _pair_chunk(args: tuple) -> dict[str, int]:
 
 
 def _subspace_chunk(args: tuple) -> dict[str, int]:
-    return _orbit_walk(args, _subspace_key)
+    return _orbit_walk(args, _subspace_dim_key)
 
 
 def _nilext_chunk(args: tuple) -> dict[str, int]:
@@ -465,8 +457,8 @@ MODES = tuple(MODE_TABLE)
 def _resolve(cfg: EnumConfig,
              budget: bool = False) -> tuple[Mode, EnumConfig, dict]:
     """Check ``cfg`` against its mode's shape rule and, if ``budget``, its
-    budget by a lower bound; return the mode, ``cfg`` as walked (subspace S_0
-    for S, see the module doc, or None), and the report parameters it adds."""
+    budget by a lower bound; return the mode, ``cfg`` with its subspace's
+    canonical basis (or None), and the report parameters it adds."""
     mode = MODE_TABLE.get(cfg.mode)
     if mode is None:
         raise ValueError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
@@ -485,9 +477,8 @@ def _resolve(cfg: EnumConfig,
         raise BadSubspaceError(f"{cfg.mode} mode needs a fixed subspace basis")
     canonical = check_echelon_basis(cfg.field(), cfg.subspace, cfg.k)
     basis_text = ";".join(",".join(str(v) for v in row) for row in canonical)
-    d = len(canonical)
-    fixed = tuple(tuple(int(r == c) for c in range(cfg.k)) for r in range(d))
-    return mode, cfg._replace(subspace=fixed), {"d": d, "subspace": basis_text}
+    return mode, cfg._replace(subspace=canonical), {"d": len(canonical),
+                                                    "subspace": basis_text}
 
 
 def run(cfg: EnumConfig) -> CensusReport:
@@ -500,6 +491,13 @@ def run(cfg: EnumConfig) -> CensusReport:
     tally = _execute(cfg, total, work, globals()[f"_{cfg.mode}_chunk"])
     if mode.complete:
         _check_total(tally, total)
+    if mode.subspace:  # the walk tallied every M of S's dimension
+        spaces = sum(1 for _ in echelon_subspaces(cfg.field(), cfg.k,
+                                                  len(cfg.subspace)))
+        if any(v % spaces for v in tally.values()):
+            raise ExactnessError(f"a subspace count is not shared by "
+                                 f"{spaces} subspaces")
+        tally = {key: v // spaces for key, v in tally.items()}
     return CensusReport(make_params(cfg.mode, cfg.field(), cfg.n, cfg.k,
                                     **extra), tally, source="enumerated")
 

@@ -173,25 +173,21 @@ def poly_from_json(data):
     return Poly(field, [int(c) for c in data["coeffs"]])
 
 
-def similarity_classes_by_moves(p, m, k, d=0):
+def similarity_classes_by_moves(p, m, k):
     """The move-by-move class search that ``oracle._similarity_classes``
     must equal tuple for tuple, each move decoding and re-encoding a matrix.
 
-    One ``(leader, size)`` per class of k x k matrices over GF(p^m) under
-    conjugation by P, in leader order: its least index and the number of
-    matrices a graph search visits from it.  P is GL_k when d = 0, else the
-    stabiliser of span(e_1..e_d), and the leaders are the A it fixes: those
-    with A[r][c] = 0 for r >= d, c < d.  On each diagonal block [lo, hi) of
-    P the search conjugates by the cycle e_lo -> e_(lo+1) -> ... -> e_lo, by
-    I + E_(lo,lo+1) and, when q > 2, by scaling e_lo by w primitive; when
-    d > 0 also by I + E_(0,d).  Each move acts on the k^2 digits directly."""
+    One ``(leader, size)`` per similarity class of k x k matrices over
+    GF(p^m), in leader order: its least index and the number of matrices a
+    graph search visits from it.  The search conjugates by the cycle
+    e_0 -> e_1 -> ... -> e_0, by I + E_(0,1) and, when q > 2, by scaling e_0
+    by w primitive.  Each move acts on the k^2 digits directly."""
     f = field_new(p, m)
     q, kk = f.q, k * k
     place = [q ** i for i in range(kk)]
 
-    def cycle(lo, hi):  # entry (r, c) moves to (r+1, c+1), both cycled in [lo, hi)
-        to = [lo + (i - lo + 1) % (hi - lo) if lo <= i < hi else i
-              for i in range(k)]
+    def cycle():  # entry (r, c) moves to (r+1, c+1), both mod k
+        to = [(i + 1) % k for i in range(k)]
         cycled = [place[to[i // k] * k + to[i % k]] for i in range(kk)]
         return lambda d: sum(map(operator.mul, d, cycled))
 
@@ -217,21 +213,15 @@ def similarity_classes_by_moves(p, m, k, d=0):
 
     moves = []
     if k > 1:
+        moves += [cycle(), transvection(0, 1)]
         if q > 2:
             w = primitive_element(f)
             w_inv = f.inv(w)
-        for lo, hi in ((0, d), (d, k)) if d else ((0, k),):
-            if hi - lo > 1:
-                moves += [cycle(lo, hi), transvection(lo, lo + 1)]
-            if q > 2:
-                moves.append(scale(lo))
-        if d:
-            moves.append(transvection(0, d))
+            moves.append(scale(0))
     seen = bytearray(q ** kk)
     classes = []
     for leader in range(q ** kk):
-        if seen[leader] or any(_digits_of(leader, q, kk)[r * k + c]
-                               for r in range(d, k) for c in range(d)):
+        if seen[leader]:
             continue
         seen[leader] = 1
         stack, size = [leader], 0
@@ -247,20 +237,16 @@ def similarity_classes_by_moves(p, m, k, d=0):
     return tuple(classes)
 
 
-def block_classes_by_group(p, m, k, d=0, r=0):
-    """The classes that ``oracle._similarity_classes(p, m, k, d, r)`` must
-    equal, found from the whole group rather than from generators: every
-    block upper triangular P with diagonal blocks d, k-d-r and r is listed
-    and applied to a block X of each class by X -> P*X*P11^-1, P11 the top
-    left (k-r) x (k-r) block of P.  The blocks are the k x (k-r) X with
-    X[i][j] = 0 for i >= d, j < d, indexed as X padded with r zero columns;
-    one ``(leader, size)`` per orbit, its least index and its size, in
-    leader order.  Needs k - r >= 1."""
+def block_classes_by_group(p, m, k, r):
+    """The orbits that ``oracle._tall_list`` must list at shape (k, k-r),
+    found from the whole group rather than by recursion: every block upper
+    triangular P with diagonal blocks k-r and r is listed and applied to the
+    k x (k-r) blocks X by X -> P*X*P11^-1, P11 the top left (k-r) x (k-r)
+    block of P.  Maps the index of each X (row-major digits, least first) to
+    its orbit's ``(leader, size)``: its least index and its size.  Needs
+    k - r >= 1."""
     f = field_new(p, m)
     q, c = f.q, k - r
-
-    def block(i):
-        return (i >= d) + (i >= c)
 
     def filled(cells, values):
         rows = [[0] * k for _ in range(k)]
@@ -269,28 +255,24 @@ def block_classes_by_group(p, m, k, d=0, r=0):
         return rows
 
     def index(x):
-        return sum(v * q ** (i * k + j) for i, row in enumerate(x)
+        return sum(v * q ** (i * c + j) for i, row in enumerate(x)
                    for j, v in enumerate(row))
 
-    cells = [(i, j) for i in range(k) for j in range(k) if block(i) <= block(j)]
+    cells = [(i, j) for i in range(k) for j in range(k) if i < c or j >= c]
     group = []
     for values in itertools.product(range(q), repeat=len(cells)):
         g = filled(cells, values)
         if len(rref_rows(f, g, k)) == k:
             inv = mat_inv(f, ScalarMatrix.from_rows([row[:c] for row in g[:c]]))
             group.append((g, inv.to_rows()))
-    free = [(i, j) for i in range(k) for j in range(c) if i < d or j >= d]
-    blocks = sorted((index(x), x) for x in (
-        [row[:c] for row in filled(free, values)]
-        for values in itertools.product(range(q), repeat=len(free))))
-    seen, classes = set(), []
-    for leader, x in blocks:
-        if leader in seen:
-            continue
-        orbit = {index(rows_mul(f, rows_mul(f, g, x), inv)) for g, inv in group}
-        seen |= orbit
-        classes.append((leader, len(orbit)))
-    return tuple(classes)
+    orbits = {}
+    for values in itertools.product(range(q), repeat=k * c):
+        x = [list(values[i * c:(i + 1) * c]) for i in range(k)]
+        if index(x) not in orbits:
+            orbit = {index(rows_mul(f, rows_mul(f, g, x), inv))
+                     for g, inv in group}
+            orbits.update(dict.fromkeys(orbit, (min(orbit), len(orbit))))
+    return orbits
 
 
 def primitive_element(f):

@@ -35,8 +35,8 @@ from pencilcensus.oracle import (
     _chunks,
     _pool_size,
     _row_space_count,
-    _row_spaces,
     _similarity_classes,
+    _tall_list,
     _walk,
     closed_form,
     run,
@@ -301,28 +301,58 @@ def test_row_space_weights_count_every_bottom_block(q):
     f = parse_field_spec(str(q))
     for k in range(1, 4):
         for rows in range(1, 4):
-            tall = EnumConfig(p=f.p, m=f.m, n=k + rows, k=k)
-            spaces = _row_spaces(f, tall)
-            assert sum(w for _, _, w in spaces) == q ** (rows * k)
-            assert [r for r, _, _ in spaces] == list(range(min(rows, k) + 1))
+            n = k + rows
+            tall = EnumConfig(p=f.p, m=f.m, n=n, k=k)
+            # the C != 0, each matrix once, with no GL_k search: rows of C
+            # e_(k-r+1)..e_k, then zero rows, and A zero in its last r columns
+            listed = _tall_list(f, n, k, range(1, min(rows, k) + 1))
+            assert sum(w for _, w in listed) == q ** (n * k) - q ** (k * k)
+            for entries, _ in listed:
+                c = entries[k * k:]
+                r = sum(1 for i in range(rows) if any(c[i * k:(i + 1) * k]))
+                assert c == tuple(int(i < r and j == k - r + i)
+                                  for i in range(rows) for j in range(k))
+                assert not any(entries[i * k + j] for i in range(k)
+                               for j in range(k - r, k))
             # the budget charges one walk per row space U
             assert _row_space_count(tall) == sum(
                 1 for basis in echelon_subspaces(f, k) if len(basis) <= rows)
-            for r, c, _ in spaces:  # rows e_(k-r+1)..e_k, then zero rows
-                assert c == tuple(int(i < r and j == k - r + i)
-                                  for i in range(rows) for j in range(k))
 
 
-def test_a_wrong_weight_fails_the_total_check(monkeypatch):
-    exact = _row_spaces
+def test_a_wrong_weight_fails_the_total_check(monkeypatch, capsys):
+    # an off-by-one weight in the list at (2, 1), one level below the walk
+    # at (3, 2), which stacks it for r = 1: pencil mode's total catches it,
+    # and the closed form subspace mode's, whose walk takes r = 1 alone
+    exact = _tall_list
 
-    def off_by_one(f, c):
-        (r, bottom, weight), *rest = exact(f, c)
-        return [(r, bottom, weight + 1), *rest]
+    def off_by_one(f, n, k, ranks=None):
+        (entries, weight), *rest = exact(f, n, k, ranks)
+        return [(entries, weight + ((n, k) == (2, 1))), *rest]
 
-    monkeypatch.setattr(oracle, "_row_spaces", off_by_one)
+    argv = ["verify", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
+            "--subspace", "[[0,1]]", "--format", "json"]
+    assert cli_main(argv) == 0
+    monkeypatch.setattr(oracle, "_tall_list", off_by_one)
     with pytest.raises(ExactnessError, match="tallied"):
         run(cfg(n=3, k=2))
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] is False
+
+
+def test_a_subspace_count_the_subspaces_do_not_share_raises(monkeypatch):
+    # one more on the first weight of the walk's top level, which only
+    # subspace mode builds with ``ranks``: at (3, 2) with d = 1 every other
+    # weight is a multiple of the 3 lines of F_2^2
+    exact = _tall_list
+
+    def plus_one(f, n, k, ranks=None):
+        (entries, weight), *rest = exact(f, n, k, ranks)
+        return [(entries, weight + (ranks is not None)), *rest]
+
+    monkeypatch.setattr(oracle, "_tall_list", plus_one)
+    with pytest.raises(ExactnessError, match="not shared by 3 subspaces"):
+        run(cfg(n=3, k=2, mode="subspace", subspace=((1, 1),)))
 
 
 def test_budget_counts_representatives():
@@ -376,52 +406,29 @@ def test_similarity_classes_equal_the_move_by_move_search(q, k):
         similarity_classes_by_moves(f.p, f.m, k)
 
 
-# the stabiliser of span(e_1..e_d), 1 <= d < k, on prime, characteristic-2
-# extension and odd-extension fields, up to 2^16 matrices
-@pytest.mark.parametrize("q,k,d", [(q, k, d) for q in (2, 3, 4, 5, 9)
-                                   for k in range(2, 5) for d in range(1, k)
-                                   if q ** (k * k) <= 2 ** 16])
-def test_parabolic_classes_equal_the_move_by_move_search(q, k, d):
+# the k x (k-r) blocks X under X -> P*X*P11^-1, the P that fix
+# U_0 = span(e_(k-r+1)..e_k): the list at shape (k, k-r), built by recursion,
+# holds one X per orbit of the whole group, weighted by the orbit's size,
+# wherever the group has at most 3^7 candidates
+@pytest.mark.parametrize("q,k,r", [
+    (q, k, r) for q in (2, 3, 4, 5, 9) for k in (2, 3, 4) for r in range(1, k)
+    if q ** sum(i < k - r or j >= k - r for i in range(k)
+                for j in range(k)) <= 3 ** 7])
+def test_top_block_orbits_equal_those_of_the_whole_group(q, k, r):
     f = parse_field_spec(str(q))
-    classes = _similarity_classes(f.p, f.m, k, d)
-    assert classes == similarity_classes_by_moves(f.p, f.m, k, d)
-    # they partition the q^(k^2 - d(k-d)) block upper triangular A
-    assert sum(size for _, size in classes) == q ** (k * k - d * (k - d))
+    orbit = block_classes_by_group(f.p, f.m, k, r)
+    found = [(orbit[sum(v * q ** i for i, v in enumerate(x))], w)
+             for x, w in _tall_list(f, k, k - r)]
+    assert sorted(leader for (leader, _), _ in found) == \
+        sorted(set(leader for leader, _ in orbit.values()))
+    assert all(size == w for (_, size), w in found)
 
 
-# q = 5, k = 3, d = 1: only the scale move on the GL_2 block reaches every
-# determinant there (gcd(2, q - 1) = 2); without it the search splits some
-# classes and finds 210.  Burnside's count over the 48,000 P gives 180.
-def test_parabolic_classes_need_the_scale_move_on_each_block():
-    classes = _similarity_classes(5, 1, 3, 1)
-    assert len(classes) == 180
-    assert sum(size for _, size in classes) == 5 ** (9 - 2)
-    assert all(48000 % size == 0 for _, size in classes)
-
-
-# the k x (k-r) first columns X of A under X -> P*X*P11^-1, the P that fix
-# U_0 = span(e_(k-r+1)..e_k) (and S_0 = span(e_1..e_d)), against the orbits
-# of the whole group, wherever the group has at most 3^7 candidates
-@pytest.mark.parametrize("q,k,d,r", [
-    (q, k, d, r) for q in (2, 3, 4, 5, 9) for k in (2, 3, 4)
-    for d in range(k) for r in range(1, min(k - d + 1, k))
-    if q ** sum((i >= d) + (i >= k - r) <= (j >= d) + (j >= k - r)
-                for i in range(k) for j in range(k)) <= 3 ** 7])
-def test_top_block_orbits_equal_those_of_the_whole_group(q, k, d, r):
-    f = parse_field_spec(str(q))
-    classes = _similarity_classes(f.p, f.m, k, d, r)
-    assert classes == block_classes_by_group(f.p, f.m, k, d, r)
-    assert sum(size for _, size in classes) == q ** (k * (k - r) - d * (k - d))
-
-
-# Every search _representatives can make at a k with q^(k^2) <= 2^16: the
-# GL_k search (d = r = 0), the parabolic ones (S_0 = span(e_1..e_d), d < k)
-# and those of the tall walks (U_0 of dimension r <= k - d).
-PINNED_SEARCHES = [(p, m, k, d, r)
+# Every GL_k search at a k with q^(k^2) <= 2^16, the leaves of every list.
+PINNED_SEARCHES = [(p, m, k)
                    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                 (2, 3), (3, 2))
-                   for k in range(1, 5) if p ** (m * k * k) <= 2 ** 16
-                   for d in range(k) for r in range(k - d + 1)]
+                   for k in range(1, 5) if p ** (m * k * k) <= 2 ** 16]
 
 
 def test_similarity_classes_are_byte_identical_to_their_pinned_digest():
@@ -434,21 +441,22 @@ def test_similarity_classes_are_byte_identical_to_their_pinned_digest():
         classes = _similarity_classes.__wrapped__(*shape)
         blocks += sum(size for _, size in classes)
         digest.update(repr((shape, classes)).encode())
-    assert (len(PINNED_SEARCHES), blocks) == (81, 133751)
+    assert (len(PINNED_SEARCHES), blocks) == (17, 99805)
     assert digest.hexdigest() == \
-        "31b48272cc2eede82903865aa3d1b167e3033adac6cfd563732390953a158305"
+        "8e0e338e108fc84f474857c6064c8327904ebec23288c3b4a62be702f9083faf"
 
 
 # The search holds one byte per block it searches and one 4-byte array entry
 # per block and move, while its move tables are built from lists of at most
-# oracle._SLICE entries; whole tables held as Python lists would take about
-# 50 bytes per block.
-@pytest.mark.parametrize("p,m,k", [(2, 1, 4), (3, 1, 3)])
+# oracle._SLICE entries (at k = 2 the transvection's, one per value of row
+# 1); whole tables held as Python lists would take about 50 bytes per block.
+@pytest.mark.parametrize("p,m,k", [(2, 1, 4), (3, 1, 3), (2, 4, 2),
+                                   (13, 1, 2)])
 def test_the_class_search_holds_at_most_32_bytes_per_block(p, m, k):
     field_new(p, m)  # the field's own tables are not the search's
     tracemalloc.start()
     try:
-        _similarity_classes.__wrapped__(p, m, k, 0, 0)
+        _similarity_classes.__wrapped__(p, m, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -498,7 +506,8 @@ def test_square_chunks_hold_even_shares_of_the_classes(q, n, k, monkeypatch):
 
 
 def test_parent_searches_the_classes_before_the_pool_forks():
-    # square: one search, r = 0; tall: one per row space dimension r = 0, 1
+    # square: one search, GL_2; tall: GL_2 for r = 0 and GL_1 one level down,
+    # in the list at (2, 1) for r = 1
     for n, searches in ((2, 1), (3, 2)):
         _similarity_classes.cache_clear()
         run(cfg(3, n, 2, workers=2))
@@ -509,13 +518,14 @@ def test_parent_searches_the_classes_before_the_pool_forks():
 
 
 def test_the_fixing_top_blocks_are_found_once_per_run(monkeypatch):
-    # searched by the parent, once per row space dimension r = 0, 1, and
-    # listed once; each of 3 chunks takes the list from the cache
+    # subspace mode with d = 1 walks r = 1 alone: GL_1 searched by the parent
+    # in the list at (2, 1), and the list built once; each of 3 chunks takes
+    # it from the cache
     monkeypatch.setattr(oracle, "_pool_size", lambda workers, n: 1)
     _similarity_classes.cache_clear()
     run(cfg(3, 3, 2, mode="subspace", subspace=((1, 2),), workers=3))
     info = _similarity_classes.cache_info()
-    assert (info.misses, info.hits) == (2, 0)
+    assert (info.misses, info.hits) == (1, 0)
     info = oracle._representatives.cache_info()
     assert (info.misses, info.hits) == (1, 3)
 
@@ -533,8 +543,8 @@ def test_similarity_classes_partition_the_square_matrices(q, k):
 def test_a_wrong_class_size_fails_the_total_check(monkeypatch):
     exact = _similarity_classes
 
-    def off_by_one(p, m, k, d=0, r=0):
-        (leader, size), *rest = exact(p, m, k, d, r)
+    def off_by_one(p, m, k):
+        (leader, size), *rest = exact(p, m, k)
         return ((leader, size + 1), *rest)
 
     monkeypatch.setattr(oracle, "_similarity_classes", off_by_one)
@@ -545,12 +555,12 @@ def test_a_wrong_class_size_fails_the_total_check(monkeypatch):
 
 def test_a_wrong_parabolic_class_size_fails_verify(monkeypatch, capsys):
     # subspace mode tallies only part of the matrices, so no total watches
-    # its class sizes, here those of the stabiliser of span(e_1): the closed
-    # form must
+    # its class sizes, here those of GL_1 in the list at (2, 1) that the walk
+    # at (3, 2) stacks for r = 1: the closed form must
     exact = _similarity_classes
 
-    def off_by_one(p, m, k, d=0, r=0):
-        (leader, size), *rest = exact(p, m, k, d, r)
+    def off_by_one(p, m, k):
+        (leader, size), *rest = exact(p, m, k)
         return ((leader, size + 1), *rest)
 
     argv = ["verify", "--q", "2", "--n", "3", "--k", "2", "--mode", "subspace",
@@ -567,23 +577,19 @@ def test_a_wrong_parabolic_class_size_fails_verify(monkeypatch, capsys):
 # U_0 = span(e_(k-r+1)..e_k), under the P that fix U_0.  At q = 2 that is
 # 6 similarity classes (r = 0), 3 orbits of the 2 x 1 first columns (r = 1)
 # and the zero block (r = 2), where one per class and row space was 6 x 5;
-# at q = 3, 12 + 4 instead of 12 x 5.  In subspace mode with S = span(e_1),
-# P must also fix S and U_0 lies in span(e_2): 6 classes of the 8 upper
-# triangular A + 2 (q = 2) and 12 of 27 + 3 (q = 3), instead of 6 x 2 and
-# 12 x 2.
-@pytest.mark.parametrize("q,n,k,classes,fixing", [(2, 4, 2, 10, 8),
-                                                  (3, 3, 2, 16, 15)])
+# at q = 3, 12 + 4 instead of 12 x 5.  Subspace mode with d = 1 walks r = 1
+# alone: 3 (q = 2) and 4 (q = 3) orbits.
+@pytest.mark.parametrize("q,n,k,classes,lines", [(2, 4, 2, 10, 3),
+                                                 (3, 3, 2, 16, 4)])
 def test_a_tall_walk_classifies_one_top_block_per_class(q, n, k, classes,
-                                                         fixing, monkeypatch):
+                                                         lines, monkeypatch):
     for mode in MODES:
         calls = []
         exact = getattr(oracle, f"_{mode}_key")
         monkeypatch.setattr(oracle, f"_{mode}_key", lambda *a, exact=exact,
                             calls=calls: calls.append(1) or exact(*a))
         run(cfg(q, n, k, mode=mode, subspace=((1, 0),)))
-        # subspace mode: one A per class under the P that fix span(e_1),
-        # each with the C that vanish on e_1
-        assert len(calls) == (fixing if mode == "subspace" else classes), mode
+        assert len(calls) == (lines if mode == "subspace" else classes), mode
 
 
 # No tall walk classifies more than one top block per similarity class
@@ -592,16 +598,15 @@ def test_a_tall_walk_classifies_one_top_block_per_class(q, n, k, classes,
 def test_no_tall_walk_classifies_more_than_classes_times_row_spaces(
         q, n, k, monkeypatch):
     f = cfg(q).field()
+    spaces = sum(1 for u in echelon_subspaces(f, k) if len(u) <= n - k)
+    classes = _similarity_classes(f.p, f.m, k)
     for mode in REDUCED_MODES:
         basis = ((1,) + (0,) * (k - 1),) if mode == "subspace" else None
-        d = len(basis or ())
         calls = []
         exact = getattr(oracle, f"_{mode}_key")
         monkeypatch.setattr(oracle, f"_{mode}_key", lambda *a, exact=exact,
                             calls=calls: calls.append(1) or exact(*a))
         run(cfg(q, n, k, mode=mode, subspace=basis))
-        spaces = sum(1 for u in echelon_subspaces(f, k - d) if len(u) <= n - k)
-        classes = _similarity_classes(f.p, f.m, k, d % k)
         assert len(calls) <= len(classes) * spaces, mode
 
 
@@ -634,16 +639,16 @@ def test_pool_size_is_clamped_to_cpus_and_chunks():
     assert _pool_size(1, 50) == 1
 
 
-def test_total_check_raises_under_optimize():
-    # An enumeration that loses a matrix must fail even where asserts are off.
+def _raises_exactness_error_under_optimize(patch, config):
+    # runs ``patch``, then oracle.run on ``config``, in a python -O process
     code = (
         "import sys\n"
         "from pencilcensus import oracle\n"
         "from pencilcensus.errors import ExactnessError\n"
         "assert False, 'asserts are on'\n"
-        "oracle._execute = lambda cfg, total, work, fn: {'1|x': total - 1}\n"
+        f"{patch}\n"
         "try:\n"
-        "    oracle.run(oracle.EnumConfig(p=2, m=1, n=2, k=2))\n"
+        f"    oracle.run(oracle.EnumConfig({config}))\n"
         "except ExactnessError:\n"
         "    sys.exit(0)\n"
         "sys.exit(3)\n")
@@ -654,6 +659,26 @@ def test_total_check_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_total_check_raises_under_optimize():
+    # An enumeration that loses a matrix must fail even where asserts are off.
+    _raises_exactness_error_under_optimize(
+        "oracle._execute = lambda cfg, total, work, fn: {'1|x': total - 1}",
+        "p=2, m=1, n=2, k=2")
+
+
+def test_share_check_raises_under_optimize():
+    # So must a subspace count that its subspaces do not share: the first
+    # weight of the top level one more, as in
+    # test_a_subspace_count_the_subspaces_do_not_share_raises
+    _raises_exactness_error_under_optimize(
+        "exact = oracle._tall_list\n"
+        "def plus_one(f, n, k, ranks=None):\n"
+        "    (entries, weight), *rest = exact(f, n, k, ranks)\n"
+        "    return [(entries, weight + (ranks is not None)), *rest]\n"
+        "oracle._tall_list = plus_one",
+        "p=2, m=1, n=3, k=2, mode='subspace', subspace=((1, 1),)")
 
 
 def test_verify_identical_reports():
