@@ -21,10 +21,6 @@ class BothZeroError(PencilCensusError, ValueError):
     """gcd of two zero polynomials is undefined."""
 
 
-class NotIrreducibleError(PencilCensusError, ValueError):
-    """An operation required an irreducible polynomial."""
-
-
 class ZeroArgumentError(PencilCensusError, ValueError):
     """An operation required a nonzero polynomial."""
 

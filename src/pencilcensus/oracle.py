@@ -115,9 +115,8 @@ def _pool_size(workers: int, chunks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, chunks))
 
 
-def _execute(cfg: EnumConfig, total: int, work: int,
+def _execute(cfg: EnumConfig, total: int,
              fn: Callable[[tuple], dict[str, int]]) -> dict[str, int]:
-    _check_budget(cfg, work)
     # Chunks hold even shares of the representatives, which the parent lists
     # here, afresh for each run and before the pool forks, so the workers
     # inherit the list from the cache; a chunk spans the indices from its
@@ -139,12 +138,13 @@ def _execute(cfg: EnumConfig, total: int, work: int,
     return _merge(parts)
 
 
-def _check_budget(cfg: EnumConfig, work: int = 0, bits: int = 0) -> None:
-    """Refuse a need of ``work`` evaluations, or of at least 2^bits, which is
-    compared by its exponent so that a huge bound costs nothing to check."""
-    bits = max(bits, work.bit_length() - 1)
-    if work > cfg.budget or bits >= cfg.budget.bit_length():
-        need = (work or 1 << bits) if bits < 64 else f"2^{bits}"
+def _check_budget(cfg: EnumConfig, exponent: int) -> None:
+    """Refuse a need of q^exponent evaluations.  q^exponent is at least
+    2^bits, bits = exponent * floor(log2 q): a need past the budget by that
+    bound is refused before any power of q is computed."""
+    bits = exponent * (cfg.q.bit_length() - 1)
+    if bits >= cfg.budget.bit_length() or cfg.q ** exponent > cfg.budget:
+        need = cfg.q ** exponent if bits < 64 else f"2^{bits}"
         raise BudgetExceededError(f"enumeration needs at least {need} "
                                   f"evaluations, budget is {cfg.budget}")
 
@@ -246,12 +246,6 @@ def _walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
             tally[name] = tally.get(name, 0) + 1
         _advance(digits, q)
     return tally
-
-
-def _row_space_count(cfg: EnumConfig) -> int:
-    """The number of row spaces U of C, which the budget charges for."""
-    return sum(census.q_binomial(cfg.k, r, cfg.q)
-               for r in range(min(cfg.n - cfg.k, cfg.k) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -380,7 +374,7 @@ def _representatives(cfg: EnumConfig) -> tuple[tuple[int, tuple, int], ...]:
     n, k, q, d = cfg.n, cfg.k, cfg.q, len(cfg.subspace or ())
     ranks = (None if cfg.subspace is None  # 1 <= r <= k - d, or r = 0 if d = k
              else range(d < k, min(n - k, k - d) + 1))
-    return tuple(sorted((sum(v * q ** i for i, v in enumerate(entries)),
+    return tuple(sorted((sum(v * q ** i for i, v in enumerate(entries) if v),
                          entries, weight)
                         for entries, weight in _tall_list(cfg.field(), n, k,
                                                           ranks)))
@@ -430,14 +424,17 @@ def _nilext_chunk(args: tuple) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 class Mode(namedtuple("Mode", "tall complete subspace closed_args cost",
-                      defaults=(False, True, False,
-                                lambda cfg: (cfg.n, cfg.k), lambda cfg: 0))):
+                      defaults=(False, True, False, lambda cfg: (cfg.n, cfg.k),
+                                lambda cfg: cfg.k * cfg.k))):
     """One census mode.  Its matrices are tallied by ``_<mode>_chunk`` and
     its closed form is ``census.<mode>_census(field, *closed_args(cfg))``.
     ``tall``: shape 1 <= k < n, else 1 <= k <= n; ``complete``: the tally
     covers all q^(nk) matrices; ``subspace``: needs cfg.subspace, a fixed
-    echelon basis; ``cost(cfg)``: evaluations per classified matrix,
-    q^cost, charged to the budget."""
+    echelon basis; ``cost(cfg)``: the budget charges q^cost evaluations,
+    the blocks of the largest class search the walk runs (GL_k, or GL_(k-1)
+    in subspace mode with d < k, whose walk takes r >= 1 alone) times
+    nilext's q^(n(n-k)) completions per block; an upper bound where no
+    search runs."""
 
     __slots__ = ()
 
@@ -447,8 +444,11 @@ MODE_TABLE = {
     "pair": Mode(tall=True, closed_args=lambda cfg: (cfg.k, cfg.n)),
     "fiber": Mode(),
     "subspace": Mode(complete=False, subspace=True,
-                     closed_args=lambda cfg: (cfg.n, cfg.k, len(cfg.subspace))),
-    "nilext": Mode(complete=False, cost=lambda cfg: cfg.n * (cfg.n - cfg.k)),
+                     closed_args=lambda cfg: (cfg.n, cfg.k, len(cfg.subspace)),
+                     cost=lambda cfg: (
+                         cfg.k - (len(cfg.subspace or ()) < cfg.k)) ** 2),
+    "nilext": Mode(complete=False, cost=lambda cfg: (
+        cfg.k * cfg.k + cfg.n * (cfg.n - cfg.k))),
 }
 
 MODES = tuple(MODE_TABLE)
@@ -457,8 +457,9 @@ MODES = tuple(MODE_TABLE)
 def _resolve(cfg: EnumConfig,
              budget: bool = False) -> tuple[Mode, EnumConfig, dict]:
     """Check ``cfg`` against its mode's shape rule and, if ``budget``, its
-    budget by a lower bound; return the mode, ``cfg`` with its subspace's
-    canonical basis (or None), and the report parameters it adds."""
+    mode's cost against its budget, before the field is built; return the
+    mode, ``cfg`` with its subspace's canonical basis (or None), and the
+    report parameters it adds."""
     mode = MODE_TABLE.get(cfg.mode)
     if mode is None:
         raise ValueError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
@@ -466,11 +467,7 @@ def _resolve(cfg: EnumConfig,
         raise ShapeError(f"need 1 <= k {'<' if mode.tall else '<='} n, "
                          f"got n={cfg.n}, k={cfg.k}")
     if budget:
-        # q^(k^2 + cost) >= 2^((k^2 + cost) floor(log2 q)): a shape past the
-        # budget by this bound is refused before any power of q is computed
-        # or the field is built
-        _check_budget(cfg, bits=(cfg.k * cfg.k + mode.cost(cfg))
-                      * (cfg.q.bit_length() - 1))
+        _check_budget(cfg, mode.cost(cfg))
     if not mode.subspace:
         return mode, cfg._replace(subspace=None), {}
     if cfg.subspace is None:
@@ -484,11 +481,8 @@ def _resolve(cfg: EnumConfig,
 def run(cfg: EnumConfig) -> CensusReport:
     """Tally every n x k matrix by the key of cfg.mode."""
     mode, cfg, extra = _resolve(cfg, budget=True)
-    work = cfg.q ** (cfg.k * cfg.k + mode.cost(cfg))
-    if work <= cfg.budget:  # else refuse before counting the row spaces
-        work *= _row_space_count(cfg)
     total = cfg.q ** (cfg.n * cfg.k)
-    tally = _execute(cfg, total, work, globals()[f"_{cfg.mode}_chunk"])
+    tally = _execute(cfg, total, globals()[f"_{cfg.mode}_chunk"])
     if mode.complete:
         _check_total(tally, total)
     if mode.subspace:  # the walk tallied every M of S's dimension

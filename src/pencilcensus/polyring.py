@@ -23,7 +23,6 @@ from typing import Iterator, Sequence
 from .errors import (
     BothZeroError,
     DivisionByZeroError,
-    NotIrreducibleError,
     ZeroArgumentError,
 )
 from .gf import FieldCtx
@@ -260,15 +259,6 @@ def is_irreducible(f: Poly) -> bool:
     if not f.is_monic():
         f = f.monic()
     return all((f % g).coeffs for g in irreducibles_up_to(f.field, deg // 2))
-
-
-def multiplicity(f: Poly, g: Poly) -> int:
-    """Largest e such that f^e divides g; f must be monic irreducible."""
-    if g.is_zero():
-        raise ZeroArgumentError("multiplicity in the zero polynomial")
-    if not f.is_monic() or not is_irreducible(f):
-        raise NotIrreducibleError(f"{f} is not monic irreducible")
-    return _multiplicity_unchecked(f, g)[0]
 
 
 def _multiplicity_unchecked(f: Poly, g: Poly) -> tuple[int, Poly]:

@@ -406,6 +406,17 @@ def test_a_costly_mode_is_refused_at_once(capsys, argv):
     assert "needs at least 2^" in capsys.readouterr().err
 
 
+def test_a_tall_shape_charged_little_runs_in_time_linear_in_its_size(capsys):
+    # charged 2 evaluations; its 3 representatives have 100000 entries, at
+    # most one of them nonzero, so their indices must not cost a power of q
+    # per entry
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "verify", "--q", "2", "--n", "100000",
+                        "--k", "1")
+    assert code == 0 and "all 3 keys match" in out
+    assert time.perf_counter() - start < 10
+
+
 @pytest.mark.parametrize("q", ["100000000000000000039", "3^10000000"])
 def test_a_field_past_the_cap_is_refused_at_once(capsys, q):
     # a prime far past 2^16, and a prime power whose exponent is huge

@@ -34,7 +34,6 @@ from pencilcensus.oracle import (
     EnumConfig,
     _chunks,
     _pool_size,
-    _row_space_count,
     _similarity_classes,
     _tall_list,
     _walk,
@@ -194,8 +193,8 @@ def test_nilext_report_matches_closed_form():
 
 
 def test_nilext_budget_counts_completions():
-    # 16 top blocks A x 4 row spaces of C x 2^(n(n-k)) = 8 candidate
-    # completions each: 512 evaluations exceed a budget of 100
+    # the 16 blocks of the GL_2 search x 2^(n(n-k)) = 8 candidate
+    # completions each: 128 evaluations exceed a budget of 100
     with pytest.raises(BudgetExceededError):
         run(cfg(n=3, k=2, mode="nilext", budget=100))
 
@@ -254,7 +253,7 @@ def test_chunk_size_does_not_change_the_report():
 
 
 # ---------------------------------------------------------------------------
-# orbit reduction: one representative per (A, row space of C), weighted
+# orbit reduction: one representative per orbit, from the list by recursion
 # ---------------------------------------------------------------------------
 
 REDUCED_MODES = ("pencil", "fiber", "pair", "subspace")
@@ -302,7 +301,6 @@ def test_row_space_weights_count_every_bottom_block(q):
     for k in range(1, 4):
         for rows in range(1, 4):
             n = k + rows
-            tall = EnumConfig(p=f.p, m=f.m, n=n, k=k)
             # the C != 0, each matrix once, with no GL_k search: rows of C
             # e_(k-r+1)..e_k, then zero rows, and A zero in its last r columns
             listed = _tall_list(f, n, k, range(1, min(rows, k) + 1))
@@ -314,9 +312,6 @@ def test_row_space_weights_count_every_bottom_block(q):
                                   for i in range(rows) for j in range(k))
                 assert not any(entries[i * k + j] for i in range(k)
                                for j in range(k - r, k))
-            # the budget charges one walk per row space U
-            assert _row_space_count(tall) == sum(
-                1 for basis in echelon_subspaces(f, k) if len(basis) <= rows)
 
 
 def test_a_wrong_weight_fails_the_total_check(monkeypatch, capsys):
@@ -355,15 +350,63 @@ def test_a_subspace_count_the_subspaces_do_not_share_raises(monkeypatch):
         run(cfg(n=3, k=2, mode="subspace", subspace=((1, 1),)))
 
 
-def test_budget_counts_representatives():
-    # 16 top blocks A times 4 row spaces of C (dim 0 and three lines)
-    assert run(cfg(n=3, k=2, budget=64)).total() == 2 ** 6
-    with pytest.raises(BudgetExceededError):
-        run(cfg(n=3, k=2, budget=63))
-    # a square shape is charged every matrix the class search visits
-    assert run(cfg(n=2, k=2, budget=16)).total() == 2 ** 4
-    with pytest.raises(BudgetExceededError):
-        run(cfg(n=2, k=2, budget=15))
+@pytest.mark.parametrize("n,mode,subspace,charge", [
+    (3, "pencil", None, 16),  # the 16 blocks of the GL_2 search
+    (2, "pencil", None, 16),
+    (3, "subspace", ((1, 0),), 2),  # d = 1: r = 1 alone, GL_1 one level down
+    (3, "nilext", None, 128),  # times 2^(n(n-k)) completions per block
+], ids=["tall", "square", "subspace", "nilext"])
+def test_budget_charges_the_largest_class_search(n, mode, subspace, charge):
+    small = cfg(n=n, k=2, mode=mode, subspace=subspace)
+    run(small._replace(budget=charge))
+    with pytest.raises(BudgetExceededError, match=f"needs at least {charge} "):
+        run(small._replace(budget=charge - 1))
+
+
+# Every mode on shapes up to q = 4 and q^(k^2) <= 2^12, subspaces of every
+# dimension: the budget's exponent, less nilext's n(n-k), is the j^2 of the
+# largest GL_j search the walk runs, or no search runs, where the walk takes
+# r >= 1 alone: at n = k with d < k (no representative at all), and at k = 1
+# with d = 0 (the empty block, one level down).
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_the_budget_exponent_is_the_largest_class_search(q, monkeypatch):
+    f = cfg(q).field()
+    exact = _similarity_classes.__wrapped__
+    searched = []
+    monkeypatch.setattr(oracle, "_similarity_classes",
+                        lambda p, m, k: searched.append(k) or exact(p, m, k))
+    for k in (k for k in range(1, 4) if q ** (k * k) <= 2 ** 12):
+        for n, mode in itertools.product(range(k, k + 3), MODES):
+            if n == k and MODE_TABLE[mode].tall:
+                continue
+            bases = echelon_subspaces(f, k) if mode == "subspace" else [None]
+            for basis in bases:
+                _, small, _ = oracle._resolve(cfg(q, n, k, mode=mode,
+                                                  subspace=basis), budget=True)
+                searched.clear()
+                oracle._representatives.cache_clear()
+                oracle._representatives(small)
+                exponent = MODE_TABLE[mode].cost(small)
+                if mode == "nilext":
+                    exponent -= n * (n - k)
+                case = (n, k, mode, basis)
+                if mode == "subspace" and len(basis) < k and k in (1, n):
+                    assert searched == [], case
+                else:
+                    assert exponent == max(searched) ** 2, case
+
+
+def test_a_tall_shape_is_charged_its_class_search_alone():
+    # the 5^9 blocks of the GL_3 search fit the default budget, whatever the
+    # 63 row spaces of C; the shape takes seconds to run, so it is resolved
+    oracle._resolve(cfg(5, 5, 3), budget=True)
+
+
+def test_subspace_mode_is_charged_one_level_down(capsys):
+    # d = 1 < k: the largest search is GL_3, 3^9 blocks, not GL_4's 3^16
+    assert cli_main(["verify", "--q", "3", "--n", "5", "--k", "4", "--mode",
+                     "subspace", "--subspace", "[[1,0,0,0]]"]) == 0
+    assert "all 3 keys match" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +537,7 @@ def test_square_chunks_hold_even_shares_of_the_classes(q, n, k, monkeypatch):
     small = cfg(q, n, k, workers=3)
     chunks = []
     monkeypatch.setattr(oracle, "_pool_size", lambda workers, n: 1)
-    oracle._execute(small, q ** (n * k), 0,
+    oracle._execute(small, q ** (n * k),
                     lambda args: chunks.append(args[1:]) or {})
     leaders = [i for i, _, _ in oracle._representatives(small)]
     assert n > k or leaders == [a for a, _ in
@@ -517,7 +560,7 @@ def test_parent_searches_the_classes_before_the_pool_forks():
         assert (info.misses, info.currsize) == (1, 1), n
 
 
-def test_the_fixing_top_blocks_are_found_once_per_run(monkeypatch):
+def test_the_subspace_list_is_built_once_per_run(monkeypatch):
     # subspace mode with d = 1 walks r = 1 alone: GL_1 searched by the parent
     # in the list at (2, 1), and the list built once; each of 3 chunks takes
     # it from the cache
@@ -553,7 +596,7 @@ def test_a_wrong_class_size_fails_the_total_check(monkeypatch):
             run(cfg(n=n, k=2))
 
 
-def test_a_wrong_parabolic_class_size_fails_verify(monkeypatch, capsys):
+def test_a_wrong_class_size_one_level_down_fails_verify(monkeypatch, capsys):
     # subspace mode tallies only part of the matrices, so no total watches
     # its class sizes, here those of GL_1 in the list at (2, 1) that the walk
     # at (3, 2) stacks for r = 1: the closed form must
@@ -664,7 +707,7 @@ def _raises_exactness_error_under_optimize(patch, config):
 def test_total_check_raises_under_optimize():
     # An enumeration that loses a matrix must fail even where asserts are off.
     _raises_exactness_error_under_optimize(
-        "oracle._execute = lambda cfg, total, work, fn: {'1|x': total - 1}",
+        "oracle._execute = lambda cfg, total, fn: {'1|x': total - 1}",
         "p=2, m=1, n=2, k=2")
 
 
