@@ -1,14 +1,12 @@
 """Exhaustive enumeration oracles and the census comparison engine.
 
-Each census mode is one entry of the mode table.  :func:`run` covers the full
-matrix space in base-q index order (row-major digit order, least significant
-digit first), tallies the classifying key of every matrix, and produces a
-:class:`CensusReport` that can be diffed exactly against the closed-form
-census from :func:`closed_form`.  The index space is split into contiguous
-chunks, cut at representatives (below) so that each holds an even share of
-them; with more than one worker the chunks run in separate processes, and
-since the merge is plain per-key addition, the report is identical for every
-worker count.
+Each census mode is one entry of the mode table.  :func:`run` tallies the
+classifying key of every n x k matrix by walking a weighted list of orbit
+representatives (below), and produces a :class:`CensusReport` that can be
+diffed exactly against the closed-form census from :func:`closed_form`.  The
+list is split into even, contiguous runs of list positions; with more than
+one worker the chunks run in separate processes, and since the merge is
+plain per-key addition, the report is identical for every worker count.
 
 Orbit reduction: write a matrix as B = [A; C], A the top k x k block and C
 the (n-k) x k bottom block.  For g = [[P, R], [0, Q]] in GL_n,
@@ -115,17 +113,17 @@ def _pool_size(workers: int, chunks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, chunks))
 
 
-def _execute(cfg: EnumConfig, total: int,
-             fn: Callable[[tuple], dict[str, int]]) -> dict[str, int]:
-    # Chunks hold even shares of the representatives, which the parent lists
-    # here, afresh for each run and before the pool forks, so the workers
-    # inherit the list from the cache; a chunk spans the indices from its
-    # first representative's (0 for the first chunk) to the next chunk's
-    # first, so the chunks cover every index.
+def _execute(cfg: EnumConfig, fn: Callable) -> dict[str, int]:
+    # The parent lists the representatives here, afresh for each run and
+    # before the pool forks, so the workers inherit the list from the cache.
+    # A chunk keys an even run a <= i < b of the L list positions (an empty
+    # list is cut as one), passed as its share lo = ceil(a*T/L) <= j < hi of
+    # the T = q^(nk) matrices, so a wrapper that counts hi - lo per chunk
+    # counts T per run; as L <= T, the chunk finds a = floor(lo*L/T).
     _representatives.cache_clear()
-    reps = _representatives(cfg)
-    cuts = [0, *(reps[lo][0] for lo, _ in _chunks(len(reps), cfg.workers)[1:])]
-    args = [(cfg, lo, hi) for lo, hi in zip(cuts, cuts[1:] + [total])]
+    length, total = len(_representatives(cfg)) or 1, cfg.q ** (cfg.n * cfg.k)
+    args = [(cfg, -(-a * total // length), -(-b * total // length))
+            for a, b in _chunks(length, cfg.workers)]
     size = _pool_size(cfg.workers, len(args))
     if size == 1:
         parts = [fn(a) for a in args]
@@ -147,13 +145,6 @@ def _check_budget(cfg: EnumConfig, exponent: int) -> None:
         need = cfg.q ** exponent if bits < 64 else f"2^{bits}"
         raise BudgetExceededError(f"enumeration needs at least {need} "
                                   f"evaluations, budget is {cfg.budget}")
-
-
-def _check_total(tally: dict[str, int], total: int) -> dict[str, int]:
-    if sum(tally.values()) != total:
-        raise ExactnessError(
-            f"enumeration tallied {sum(tally.values())} of {total} matrices")
-    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +223,18 @@ def _has_nilpotent_completion(f: FieldCtx, b: ScalarMatrix,
     return False
 
 
-def _walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
-    """Tally ``key`` over the matrices with index lo <= i < hi one by one: the
-    full enumeration that tests and ``selftest`` check the orbit walk against."""
-    cfg, lo, hi = args
+def _walk(cfg: EnumConfig, key: Callable[..., str | None]) -> dict[str, int]:
+    """Tally ``key`` over all q^(nk) matrices one by one, from the zero
+    matrix: the full enumeration that tests and ``selftest`` check the orbit
+    walk against."""
     f = cfg.field()
-    q = cfg.q
     tally: dict[str, int] = {}
-    digits = _digits_of(lo, q, cfg.n * cfg.k)
-    for _ in range(lo, hi):
+    digits = [0] * (cfg.n * cfg.k)
+    for _ in range(cfg.q ** len(digits)):
         name = key(f, cfg, tuple(digits))
         if name is not None:
             tally[name] = tally.get(name, 0) + 1
-        _advance(digits, q)
+        _advance(digits, cfg.q)
     return tally
 
 
@@ -357,7 +347,8 @@ def _tall_list(f: FieldCtx, n: int, k: int,
     out = []
     for r in ranks:
         c = k - r
-        bottom = tuple(int(i == j) for i in range(c, n - r) for j in range(k))
+        bottom = sum(((0,) * i + (1,) + (0,) * (k - 1 - i)
+                      for i in range(c, k)), ()) + (0,) * ((n - k - r) * k)
         weight = (q ** (k * r) * sum(1 for _ in echelon_subspaces(f, k, r))
                   * math.prod(q ** (n - k) - q ** i for i in range(r)))
         for x, w in _tall_list(f, k, c):
@@ -367,31 +358,29 @@ def _tall_list(f: FieldCtx, n: int, k: int,
 
 
 @lru_cache(maxsize=1)
-def _representatives(cfg: EnumConfig) -> tuple[tuple[int, tuple, int], ...]:
-    """``(index, entries, weight)`` per representative the walk classifies,
-    in index order: :func:`_tall_list` at cfg's shape, in subspace mode only
-    at the row space dimensions r where dim M = d can hold (module doc)."""
-    n, k, q, d = cfg.n, cfg.k, cfg.q, len(cfg.subspace or ())
+def _representatives(cfg: EnumConfig) -> tuple[tuple[tuple, int], ...]:
+    """``(entries, weight)`` per representative the walk classifies: the
+    list of :func:`_tall_list` at cfg's shape, in subspace mode only at the
+    row space dimensions r where dim M = d can hold (module doc)."""
+    n, k, d = cfg.n, cfg.k, len(cfg.subspace or ())
     ranks = (None if cfg.subspace is None  # 1 <= r <= k - d, or r = 0 if d = k
              else range(d < k, min(n - k, k - d) + 1))
-    return tuple(sorted((sum(v * q ** i for i, v in enumerate(entries) if v),
-                         entries, weight)
-                        for entries, weight in _tall_list(cfg.field(), n, k,
-                                                          ranks)))
+    return tuple(_tall_list(cfg.field(), n, k, ranks))
 
 
 def _orbit_walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
-    """Tally ``key`` over the matrices with index lo <= i < hi by classifying
-    one representative per orbit and adding its weight: the representatives
-    of :func:`_representatives` whose index lies in the range."""
+    """Tally ``key`` over the orbits of the run of :func:`_representatives`
+    that the share lo <= j < hi of the q^(nk) matrices stands for (see
+    :func:`_execute`), classifying one representative per orbit."""
     cfg, lo, hi = args
     f = cfg.field()
+    reps = _representatives(cfg)
+    a, b = (j * len(reps) // cfg.q ** (cfg.n * cfg.k) for j in (lo, hi))
     tally: dict[str, int] = {}
-    for index, entries, weight in _representatives(cfg):
-        if lo <= index < hi:
-            name = key(f, cfg, entries)
-            if name is not None:
-                tally[name] = tally.get(name, 0) + weight
+    for entries, weight in reps[a:b]:
+        name = key(f, cfg, entries)
+        if name is not None:
+            tally[name] = tally.get(name, 0) + weight
     return tally
 
 
@@ -481,10 +470,11 @@ def _resolve(cfg: EnumConfig,
 def run(cfg: EnumConfig) -> CensusReport:
     """Tally every n x k matrix by the key of cfg.mode."""
     mode, cfg, extra = _resolve(cfg, budget=True)
+    tally = _execute(cfg, globals()[f"_{cfg.mode}_chunk"])
     total = cfg.q ** (cfg.n * cfg.k)
-    tally = _execute(cfg, total, globals()[f"_{cfg.mode}_chunk"])
-    if mode.complete:
-        _check_total(tally, total)
+    if mode.complete and sum(tally.values()) != total:
+        raise ExactnessError(
+            f"enumeration tallied {sum(tally.values())} of {total} matrices")
     if mode.subspace:  # the walk tallied every M of S's dimension
         spaces = sum(1 for _ in echelon_subspaces(cfg.field(), cfg.k,
                                                   len(cfg.subspace)))

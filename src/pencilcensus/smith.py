@@ -256,10 +256,18 @@ def pencil_matrix(field: FieldCtx, b: ScalarMatrix) -> list[list[Poly]]:
 
 def pencil_invariant_factors(field: FieldCtx,
                              b: ScalarMatrix) -> InvariantFactorTuple:
-    """The k invariant factors of the pencil x*I_{n,k} - B, for n >= k >= 1."""
+    """The k invariant factors of the pencil x*I_{n,k} - B, for n >= k >= 1.
+    A zero row of B below row k is a zero row of the pencil, which changes no
+    minor, so it is dropped before the Smith form."""
     n, k = b.rows, b.cols
     if n < k or k < 1:
         raise ShapeError(f"pencil needs n >= k >= 1, got {n}x{k}")
+    if n > k:  # the rows below row k that hold a nonzero entry
+        below = dict.fromkeys(k + i // k for i in itertools.compress(
+            itertools.count(), b.entries[k * k:]))
+        if len(below) < n - k:
+            b = ScalarMatrix.from_rows([*map(b.row, range(k)),
+                                        *map(b.row, below)])
     diagonal = snf(pencil_matrix(field, b))
     if not all(p.coeffs for p in diagonal):
         raise ExactnessError("a pencil always has full column rank")

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.resources as res
 import itertools
@@ -17,7 +18,7 @@ from pencilcensus.census import (
     pencil_census,
     subspace_census,
 )
-from pencilcensus import oracle
+from pencilcensus import oracle, smith
 from pencilcensus.errors import (
     BadSubspaceError,
     BudgetExceededError,
@@ -25,8 +26,8 @@ from pencilcensus.errors import (
     ParamMismatchError,
     ShapeError,
 )
-from pencilcensus.gf import (ScalarMatrix, echelon_subspaces, field_new,
-                             parse_field_spec)
+from pencilcensus.gf import (ScalarMatrix, _digits_of, echelon_subspaces,
+                             field_new, parse_field_spec)
 from pencilcensus.cli import build_parser, main as cli_main
 from pencilcensus.oracle import (
     MODE_TABLE,
@@ -220,7 +221,7 @@ NILEXT_GRID = [(q, n, k) for q in (2, 3, 4) for n in range(1, 5)
 @pytest.mark.parametrize("q,n,k", NILEXT_GRID)
 def test_nilext_orbit_walk_equals_full_enumeration(q, n, k):
     small = cfg(q, n, k, mode="nilext")
-    full = _walk((small, 0, q ** (n * k)), oracle._nilext_key)
+    full = _walk(small, oracle._nilext_key)
     assert run(small).entries == full
 
 
@@ -247,9 +248,30 @@ def test_worker_count_does_not_change_the_report():
 
 
 def test_chunk_size_does_not_change_the_report():
-    # chunks of 21, 21 and 22 do not divide the 64 matrices evenly
+    # where they do not divide evenly, runs of list positions differ by at
+    # most one: 64 positions cut into 21, 21 and 22
     assert [hi - lo for lo, hi in _chunks(64, 3)] == [21, 21, 22]
     assert run(cfg(workers=3)).to_json() == run(cfg()).to_json()
+
+
+# Lists no longer than the worker count: the (2, 2, 1) list holds 3
+# representatives, and subspace mode at n = k = 2 with d = 1 none, since
+# its walk takes r >= 1, which needs n > k: one chunk, whose share is all 16
+# matrices and whose run of the list is empty, and an empty report.
+@pytest.mark.parametrize("mode,n,k,basis,length", [
+    *((mode, 2, 1, None, 3) for mode in ("pencil", "fiber", "pair", "nilext")),
+    ("subspace", 2, 1, ((1,),), 2), ("subspace", 2, 2, ((1, 0),), 0)])
+def test_worker_count_past_the_list_length_does_not_change_the_report(
+        mode, n, k, basis, length):
+    small = cfg(2, n, k, mode=mode, subspace=basis)
+    assert len(oracle._representatives(oracle._resolve(small)[1])) == length
+    reports = {run(small._replace(workers=w)).to_json() for w in (1, 2, 3, 7)}
+    assert len(reports) == 1
+    if not length:
+        chunks = []
+        oracle._execute(oracle._resolve(small._replace(workers=7))[1],
+                        lambda args: chunks.append(args[1:]) or {})
+        assert chunks == [(0, 16)] and run(small).entries == {}
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +290,7 @@ def test_orbit_reduction_equals_full_enumeration(q, n, k):
         bases = echelon_subspaces(f, k) if mode == "subspace" else [None]
         for basis in bases:
             small = cfg(q, n, k, mode=mode, subspace=basis)
-            full = _walk((small, 0, q ** (n * k)),
-                         getattr(oracle, f"_{mode}_key"))
+            full = _walk(small, getattr(oracle, f"_{mode}_key"))
             assert run(small).entries == full, (mode, basis)
 
 
@@ -284,7 +305,7 @@ def test_orbit_reduction_equals_full_enumeration(q, n, k):
 def test_subspace_reduction_equals_full_enumeration_on_more_fields(q, n, k,
                                                                   basis):
     small = cfg(q, n, k, mode="subspace", subspace=basis)
-    full = _walk((small, 0, q ** (n * k)), oracle._subspace_key)
+    full = _walk(small, oracle._subspace_key)
     assert run(small).entries == full
 
 
@@ -427,7 +448,7 @@ def square_cases(k):
 def test_similarity_classes_equal_full_enumeration(q, k):
     for mode, basis in square_cases(k):
         small = cfg(q, k, k, mode=mode, subspace=basis)
-        full = _walk((small, 0, q ** (k * k)), getattr(oracle, f"_{mode}_key"))
+        full = _walk(small, getattr(oracle, f"_{mode}_key"))
         assert run(small).entries == full, (mode, basis)
 
 
@@ -435,7 +456,7 @@ def test_similarity_classes_equal_full_enumeration(q, k):
 @pytest.mark.parametrize("q,k", [(9, 2)])
 def test_odd_extension_classes_equal_full_enumeration(q, k):
     small = cfg(q, k, k)
-    full = _walk((small, 0, q ** (k * k)), oracle._pencil_key)
+    full = _walk(small, oracle._pencil_key)
     assert run(small).entries == full
 
 
@@ -506,29 +527,32 @@ def test_the_class_search_holds_at_most_32_bytes_per_block(p, m, k):
     assert peak <= 32 * p ** (m * k * k)
 
 
-def test_similarity_class_report_is_independent_of_workers():
+def test_similarity_class_report_is_independent_of_workers(monkeypatch):
     # the 14 classes of 3 x 3 matrices over GF(2) on 3 workers: chunks of 4,
     # 5 and 5 classes
     for mode, basis in square_cases(3):
         small = cfg(2, 3, 3, mode=mode, subspace=basis)
         assert run(small._replace(workers=3)).to_json() == run(small).to_json()
-    # each representative is tallied, its weight, by the one chunk holding
-    # its index, however finely the indices are split; a square shape's
-    # representatives are its class leaders, weighted by the class sizes
-    sizes = dict(_similarity_classes(2, 1, 2))
+    # with as many workers as representatives, each chunk keys one list
+    # position and tallies its weight exactly; a square shape's
+    # representatives are its classes, weighted by the class sizes
+    monkeypatch.setattr(oracle, "_pool_size", lambda workers, n: 1)
+    sizes = [size for _, size in _similarity_classes(2, 1, 2)]
     for n in (2, 3):
         small = cfg(2, n, 2)
-        weights = {i: w for i, _, w in oracle._representatives(small)}
+        weights = [w for _, w in oracle._representatives(small)]
         assert n > 2 or weights == sizes
-        parts = [oracle._pencil_chunk((small, i, i + 1))
-                 for i in range(2 ** (n * 2))]
+        parts = []
+        oracle._execute(small._replace(workers=len(weights)), lambda args:
+                        parts.append(oracle._pencil_chunk(args)) or {})
         assert oracle._merge(parts) == run(small).entries
-        assert [sum(part.values()) for part in parts] == \
-            [weights.get(i, 0) for i in range(2 ** (n * 2))]
+        assert [sum(part.values()) for part in parts] == weights
 
 
-# Tall shapes too: the chunks cut the index range at representatives, and
-# hold even shares of them (of the class leaders when n = k).
+# Tall shapes too: the chunks' shares of the q^(nk) matrices are contiguous
+# and cover them, and the runs of list positions they stand for cover the
+# list with lengths within one; at n = k the list holds the similarity
+# classes in leader order.
 @pytest.mark.parametrize("q,n,k", [pytest.param(2, 3, 3, id="2-3"),
                                    pytest.param(3, 3, 3, id="3-3"),
                                    pytest.param(2, 4, 4, id="2-4"),
@@ -537,15 +561,18 @@ def test_square_chunks_hold_even_shares_of_the_classes(q, n, k, monkeypatch):
     small = cfg(q, n, k, workers=3)
     chunks = []
     monkeypatch.setattr(oracle, "_pool_size", lambda workers, n: 1)
-    oracle._execute(small, q ** (n * k),
-                    lambda args: chunks.append(args[1:]) or {})
-    leaders = [i for i, _, _ in oracle._representatives(small)]
-    assert n > k or leaders == [a for a, _ in
-                                _similarity_classes(small.p, small.m, k)]
-    shares = [sum(lo <= a < hi for a in leaders) for lo, hi in chunks]
-    assert chunks[0][0] == 0 and chunks[-1][1] == q ** (n * k)
+    oracle._execute(small, lambda args: chunks.append(args[1:]) or {})
+    reps = oracle._representatives(small)
+    assert n > k or [entries for entries, _ in reps] == [
+        tuple(_digits_of(a, q, k * k))
+        for a, _ in _similarity_classes(small.p, small.m, k)]
+    total = q ** (n * k)
+    runs = [hi * len(reps) // total - lo * len(reps) // total
+            for lo, hi in chunks]
+    assert chunks[0][0] == 0 and chunks[-1][1] == total
     assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
-    assert len(shares) == 3 and max(shares) - min(shares) <= 1
+    assert len(runs) == 3 and sum(runs) == len(reps)
+    assert max(runs) - min(runs) <= 1
 
 
 def test_parent_searches_the_classes_before_the_pool_forks():
@@ -653,6 +680,51 @@ def test_no_tall_walk_classifies_more_than_classes_times_row_spaces(
         assert len(calls) <= len(classes) * spaces, mode
 
 
+def test_a_tall_key_drops_the_zero_rows_below_k(monkeypatch):
+    # C_0 pads the r rows of its basis with n - k - r zero rows, which are
+    # zero rows of the pencil and change no invariant factor: at (2, 40, 2)
+    # every Smith form gets the k rows of A and at most k of C_0, not 40
+    exact = smith.snf
+    rows = []
+    monkeypatch.setattr(smith, "snf",
+                        lambda m: rows.append(len(m)) or exact(m))
+    small = cfg(2, 40, 2)
+    assert verify(closed_form(small), run(small)).verdict
+    assert rows and max(rows) <= 2 * small.k
+
+
+def test_the_oracle_reads_from_census_only_the_report_and_the_builders():
+    # The enumeration is independent of the closed form only while its
+    # weights share no helper with it: a weight that reused
+    # census._q_product, gl_order or q_binomial would cancel a mutant there
+    # on both sides.  So oracle imports from census only the report's names,
+    # and reads the module itself only in closed_form's getattr of a
+    # "<mode>_census" builder.
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("census" in a.name.split(".") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {(a.name, a.asname) for a in node.names}
+            if (node.module or "").split(".")[-1] == "census":
+                assert names <= {("CensusReport", None),
+                                 ("compact_json", None), ("make_params", None)}
+            elif any("census" in (a.name, a.asname) for a in node.names):
+                assert (node.level, node.module, names) == (
+                    1, None, {("census", None)})
+    reads = {id(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "census"}
+    closed = next(node for node in tree.body if isinstance(
+        node, ast.FunctionDef) and node.name == "closed_form")
+    builders = {id(node.args[0]) for node in ast.walk(closed)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and isinstance(node.args[1], ast.JoinedStr)
+                and node.args[1].values[-1].value == "_census"}
+    assert reads and reads == builders
+
+
 def _cli_choices(command, dest):
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
@@ -707,7 +779,8 @@ def _raises_exactness_error_under_optimize(patch, config):
 def test_total_check_raises_under_optimize():
     # An enumeration that loses a matrix must fail even where asserts are off.
     _raises_exactness_error_under_optimize(
-        "oracle._execute = lambda cfg, total, fn: {'1|x': total - 1}",
+        "oracle._execute = lambda cfg, fn: "
+        "{'1|x': cfg.q ** (cfg.n * cfg.k) - 1}",
         "p=2, m=1, n=2, k=2")
 
 

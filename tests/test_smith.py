@@ -178,13 +178,21 @@ def test_divisibility_chain_on_general_matrices():
 # pencils
 # ---------------------------------------------------------------------------
 
+# zero: rows of B set to zero; in the 6 x 2 case row k - 1 of the top block,
+# which the pencil keeps as x*e_(k-1), and rows 3 and 4 below it, which
+# pencil_invariant_factors drops
 @pytest.mark.parametrize("q", [2, 4, 9])
-@pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (3, 2), (4, 2)])
-def test_snf_of_the_pencil_rows_is_the_pencil_invariant_factors(q, n, k):
+@pytest.mark.parametrize("n,k,zero", [
+    *(pytest.param(n, k, (), id=f"{n}-{k}")
+      for n, k in ((2, 2), (3, 3), (3, 2), (4, 2))),
+    pytest.param(6, 2, (1, 3, 4), id="6-2-zero-rows")])
+def test_snf_of_the_pencil_rows_is_the_pencil_invariant_factors(q, n, k, zero):
     f = parse_field_spec(str(q))
     rng = random.Random(f"{q}-{n}-{k}")
     for _ in range(40):
-        b = rand_matrix(rng, f, n, k)
+        rows = rand_matrix(rng, f, n, k).to_rows()
+        b = ScalarMatrix.from_rows([[0] * k if i in zero else row
+                                    for i, row in enumerate(rows)])
         assert snf(pencil_matrix(f, b)) == \
             tuple(pencil_invariant_factors(f, b))
 
