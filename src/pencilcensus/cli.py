@@ -434,7 +434,9 @@ def _selftest_suites(rng: random.Random):
         return True
 
     def snf_matches_minor_gcds() -> bool:
-        for q, n, k in ((2, 3, 2), (3, 2, 2), (2, 4, 3)):
+        # prime fields, both kinds of extension, and n - k >= k
+        for q, n, k in ((2, 3, 2), (3, 2, 2), (2, 4, 3), (4, 3, 2), (9, 3, 2),
+                        (3, 5, 2)):
             f = parse_field_spec(str(q))
             for _ in range(60):
                 b = ScalarMatrix(n, k, [rng.randrange(q) for _ in range(n * k)])

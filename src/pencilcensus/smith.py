@@ -9,6 +9,11 @@ appears.  The divisibility chain on the diagonal is enforced by a final
 gcd/lcm sweep.  The determinantal divisors (gcds of all i x i minors,
 computed by brute-force cofactor expansion) provide an independent check of
 the same diagonal.
+
+The key of a tall pencil x*I_{n,k} - B never eliminates the constant rows
+below row k: with B = [A; C], r = rank C and S a basis of ker C, the
+diagonal is r ones followed by the Smith form of the k x (k - r) pencil
+(x*I - A)*S, by unimodular steps alone (see :func:`pencil_invariant_factors`).
 """
 
 from __future__ import annotations
@@ -257,18 +262,36 @@ def pencil_matrix(field: FieldCtx, b: ScalarMatrix) -> list[list[Poly]]:
 def pencil_invariant_factors(field: FieldCtx,
                              b: ScalarMatrix) -> InvariantFactorTuple:
     """The k invariant factors of the pencil x*I_{n,k} - B, for n >= k >= 1.
-    A zero row of B below row k is a zero row of the pencil, which changes no
-    minor, so it is dropped before the Smith form."""
+
+    For n > k write B = [A; C], A the top k x k block.  If C = 0 its rows
+    are zero rows of the pencil, which change no minor, so the Smith form is
+    that of x*I - A.  Otherwise let r = rank C and let S be a k x (k - r)
+    basis of ker C, its columns the rows of :func:`kernel_basis_rows`.  For
+    any complement S_c, Q = [S_c | S] is an invertible constant matrix, and
+    [x*I - A; -C] * Q has the bottom block [-C*S_c, 0] of rank r.
+    Constant row operations turn -C*S_c into [I_r; 0], and its r unit
+    pivots clear the top left block (x*I - A)*S_c, leaving (x*I - A)*S in
+    the top right.  Every step is unimodular, so the diagonal is r ones
+    followed by the Smith form of the k x (k - r) pencil x*S - A*S: the
+    rows below k never reach the elimination.
+    """
     n, k = b.rows, b.cols
     if n < k or k < 1:
         raise ShapeError(f"pencil needs n >= k >= 1, got {n}x{k}")
-    if n > k:  # the rows below row k that hold a nonzero entry
-        below = dict.fromkeys(k + i // k for i in itertools.compress(
-            itertools.count(), b.entries[k * k:]))
-        if len(below) < n - k:
-            b = ScalarMatrix.from_rows([*map(b.row, range(k)),
-                                        *map(b.row, below)])
-    diagonal = snf(pencil_matrix(field, b))
+    e = b.entries
+    if n > k and any(e[k * k:]):
+        kernel = kernel_basis_rows(
+            field, (e[i:i + k] for i in range(k * k, n * k, k)), k)
+        # row j of A*S transposed is A*s_j, s_j the j-th kernel vector
+        a_s = rows_mul(field, kernel, [e[j:k * k:k] for j in range(k)])
+        consts, linears = _pencil_polys(field)
+        neg = field.neg
+        rows = [[consts[t[i]] if not s[i] else linears[t[i]] if s[i] == 1
+                 else Poly(field, (neg(t[i]), s[i]))
+                 for s, t in zip(kernel, a_s)] for i in range(k)]
+        diagonal = ((Poly.one(field),) * (k - len(kernel))) + snf(rows)
+    else:
+        diagonal = snf(pencil_matrix(field, ScalarMatrix(k, k, e[:k * k])))
     if not all(p.coeffs for p in diagonal):
         raise ExactnessError("a pencil always has full column rank")
     return InvariantFactorTuple(diagonal)

@@ -682,15 +682,16 @@ def test_no_tall_walk_classifies_more_than_classes_times_row_spaces(
 
 def test_a_tall_key_drops_the_zero_rows_below_k(monkeypatch):
     # C_0 pads the r rows of its basis with n - k - r zero rows, which are
-    # zero rows of the pencil and change no invariant factor: at (2, 40, 2)
-    # every Smith form gets the k rows of A and at most k of C_0, not 40
+    # zero rows of the pencil and change no invariant factor, and its basis
+    # rows are cleared by the kernel of C_0: at (2, 40, 2) every Smith form
+    # gets the k rows of A's pencil, not 40
     exact = smith.snf
     rows = []
     monkeypatch.setattr(smith, "snf",
                         lambda m: rows.append(len(m)) or exact(m))
     small = cfg(2, 40, 2)
     assert verify(closed_form(small), run(small)).verdict
-    assert rows and max(rows) <= 2 * small.k
+    assert set(rows) == {small.k}
 
 
 def test_the_oracle_reads_from_census_only_the_report_and_the_builders():

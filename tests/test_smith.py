@@ -178,23 +178,86 @@ def test_divisibility_chain_on_general_matrices():
 # pencils
 # ---------------------------------------------------------------------------
 
-# zero: rows of B set to zero; in the 6 x 2 case row k - 1 of the top block,
-# which the pencil keeps as x*e_(k-1), and rows 3 and 4 below it, which
-# pencil_invariant_factors drops
-@pytest.mark.parametrize("q", [2, 4, 9])
-@pytest.mark.parametrize("n,k,zero", [
-    *(pytest.param(n, k, (), id=f"{n}-{k}")
-      for n, k in ((2, 2), (3, 3), (3, 2), (4, 2))),
-    pytest.param(6, 2, (1, 3, 4), id="6-2-zero-rows")])
-def test_snf_of_the_pencil_rows_is_the_pencil_invariant_factors(q, n, k, zero):
+def tall_pencil(rng, f, n, k, bottom):
+    """A random n x k matrix B = [A; C] whose bottom block C is shaped by
+    `bottom`: "random", "full" (rank C = k, so no column reaches snf),
+    "dependent" (rank C = 2 < k, each row after the first two a nonzero
+    combination of them) or a tuple of the rows of B set to zero."""
+    rows = rand_matrix(rng, f, n, k).to_rows()
+    if bottom == "full":
+        while rank(f, ScalarMatrix.from_rows(rows[k:])) < k:
+            rows[k:] = rand_matrix(rng, f, n - k, k).to_rows()
+    elif bottom == "dependent":
+        while rank(f, ScalarMatrix.from_rows(rows[k:k + 2])) < 2:
+            rows[k:k + 2] = rand_matrix(rng, f, 2, k).to_rows()
+        for i in range(k + 2, n):
+            a, b = rng.randrange(1, f.q), rng.randrange(f.q)
+            rows[i] = [f.add(f.mul(a, u), f.mul(b, v))
+                       for u, v in zip(rows[k], rows[k + 1])]
+    elif bottom != "random":
+        rows = [[0] * k if i in bottom else row for i, row in enumerate(rows)]
+    return ScalarMatrix.from_rows(rows)
+
+
+# 6-2-zero-rows zeroes row k - 1 of the top block, which the pencil keeps as
+# x*e_(k-1), and rows 3 and 4 below it; full-rank leaves snf no column,
+# dependent has 0 < rank C < k, and 8-3 has n - k > k
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("n,k,bottom", [
+    *(pytest.param(n, k, "random", id=f"{n}-{k}")
+      for n, k in ((2, 2), (3, 3), (3, 2), (4, 2), (8, 3))),
+    pytest.param(6, 2, (1, 3, 4), id="6-2-zero-rows"),
+    pytest.param(5, 2, "full", id="5-2-full-rank"),
+    pytest.param(7, 3, "full", id="7-3-full-rank"),
+    pytest.param(6, 3, "dependent", id="6-3-dependent")])
+def test_snf_of_the_pencil_rows_is_the_pencil_invariant_factors(q, n, k,
+                                                                bottom):
     f = parse_field_spec(str(q))
-    rng = random.Random(f"{q}-{n}-{k}")
+    rng = random.Random(f"{q}-{n}-{k}-{bottom}")
     for _ in range(40):
-        rows = rand_matrix(rng, f, n, k).to_rows()
-        b = ScalarMatrix.from_rows([[0] * k if i in zero else row
-                                    for i, row in enumerate(rows)])
+        b = tall_pencil(rng, f, n, k, bottom)
         assert snf(pencil_matrix(f, b)) == \
             tuple(pencil_invariant_factors(f, b))
+
+
+def record_snf_shapes(monkeypatch):
+    """Patch smith.snf to append the shape of every matrix it receives."""
+    shapes = []
+    exact = smith.snf
+
+    def recording(rows):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return exact(rows)
+
+    monkeypatch.setattr(smith, "snf", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("n,k,bottom", [
+    (4, 2, (2, 3)), (8, 3, "random"), (5, 2, "full"), (7, 3, "full"),
+    (6, 3, "dependent")])
+def test_a_tall_key_hands_snf_k_rows_and_k_minus_rank_c_columns(
+        monkeypatch, n, k, bottom):
+    shapes = record_snf_shapes(monkeypatch)
+    rng = random.Random(f"{n}-{k}-{bottom}")
+    for q in (2, 3, 4, 9):
+        f = parse_field_spec(str(q))
+        for _ in range(10):
+            b = tall_pencil(rng, f, n, k, bottom)
+            c = ScalarMatrix(n - k, k, b.entries[k * k:])
+            shapes.clear()
+            pencil_invariant_factors(f, b)
+            assert shapes == [(k, k - rank(f, c))]
+
+
+def test_the_smith_stage_of_a_tall_key_does_not_grow_with_n(monkeypatch):
+    shapes = record_snf_shapes(monkeypatch)
+    n = 100_000
+    for c_rows, rank_c in (([0, 0], 0), ([1, 1], 1), ([1, 0, 0, 1], 2)):
+        entries = [1, 0, 0, 1] + c_rows * ((n - 2) * 2 // len(c_rows))
+        shapes.clear()
+        pencil_invariant_factors(F2, ScalarMatrix(n, 2, entries))
+        assert shapes == [(2, 2 - rank_c)]
 
 
 def test_pencil_examples():
