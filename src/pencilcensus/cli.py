@@ -139,19 +139,62 @@ def _commands() -> dict[str, argparse.ArgumentParser]:
     return next(a for a in _parser()._actions if a.dest == "command").choices
 
 
+@functools.lru_cache(maxsize=None)
+def _plain_flags(command: str) -> tuple[dict, dict, tuple]:
+    """The command's flags that take one value or none, keyed by option
+    string; its defaults, except the suppressed ones (``help``); and its
+    required flags.  Read off the actions of the command's parser."""
+    actions = _commands()[command]._actions
+    flags = {option: action for action in actions
+             if type(action) is argparse._StoreTrueAction
+             or (type(action) is argparse._StoreAction and action.nargs is None)
+             for option in action.option_strings}
+    defaults = {action.dest: action.default for action in actions
+                if action.default is not argparse.SUPPRESS}
+    return flags, defaults, tuple(a for a in actions if a.required)
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """``argv`` as argparse parses it when it names a command followed by
+    ``--flag value`` pairs and ``--switch``es, each flag spelled out in full;
+    None for anything else and for any value argparse would refuse."""
+    if not argv or argv[0] not in _commands():
+        return None
+    flags, defaults, required = _plain_flags(argv[0])
+    values, seen = dict(defaults), set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = flags.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            value = True
+        else:
+            raw = next(tokens, "")
+            if not raw or raw.startswith("-"):
+                return None
+            try:
+                value = raw if action.type is None else action.type(raw)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        seen.add(action)
+    if not seen.issuperset(required):
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv`` parsed as ``_parser().parse_args`` parses it, in one parse: a
-    request naming a command goes straight to that command's parser, which
-    the top-level parser would hand all of ``argv[1:]``; anything else goes
-    to the top-level parser, which prints the help or the error."""
-    sub = _commands().get(argv[0]) if argv else None
-    if sub is None:
-        return _parser().parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:])
-    if extra:
-        _parser().error("unrecognized arguments: " + " ".join(extra))
-    args.command = argv[0]
-    return args
+    """``argv`` parsed as ``_parser().parse_args`` parses it.  A command
+    followed by plain ``--flag value`` pairs and ``--switch``es, all valid, is
+    read off the command's actions without an argparse parse; anything else
+    (help, an unknown or abbreviated flag, ``--flag=value``, a value that is
+    empty, starts with ``-`` or is refused) goes to the top-level parser,
+    which prints the help or the usage error."""
+    args = _parse_plain(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 # ---------------------------------------------------------------------------

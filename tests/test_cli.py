@@ -10,6 +10,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pencilcensus import census, cli, oracle
 from pencilcensus.cli import FORMULAS, build_parser, main
@@ -603,6 +604,15 @@ EDGE_ARGV = [
     ["factor", "--q", "3", "--poly", "-x+1"],
     ["factor", "--q", "3", "--poly=-x+1"],
     ["count"], ["selftest"], ["enumerate", "--q", "2", "--n", "2"],
+    # the plain path must agree with argparse or leave the request to it
+    FACTOR + ["--q", "2", "--q", "3"],
+    ["snf", "--q", "2", "--pencil", "--matrix", "[[1]]", "--pencil"],
+    ["snf", "--q", "2", "--matrix", "[[1]]", "--n", "-1"],
+    ["snf", "--q", "2", "--matrix", "[[1]]", "--n", "abc"],
+    ["snf", "--q", "2", "--matrix", "[[1]]", "--n", "2.5"],
+    ["factor", "--q", "2", "--poly", ""],
+    ["factor", "--q", "2", "--poly"],
+    ["snf", "--q", "2", "--matrix", "[[1]]", "--format", "csv"],
 ]
 
 
@@ -629,6 +639,8 @@ def test_the_readme_examples_are_found():
 
 
 def test_each_request_is_parsed_once(capsys, monkeypatch):
+    # a plain request is read off its command's actions; only help and
+    # requests argparse must judge reach an argparse parse
     calls = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -647,7 +659,61 @@ def test_each_request_is_parsed_once(capsys, monkeypatch):
         calls.clear()
         code, _ = run_cli(capsys, *argv)
         assert code == 0, argv
-        assert calls == ["pencilcensus " + argv[0]], argv
+        assert calls == [], argv
+    for argv in (["factor", "-h"], FACTOR + ["--bogus", "1"],
+                 ["count", "--form", "reach", "--q", "2"],
+                 ["factor", "--q=2", "--poly", "x^2"]):
+        calls.clear()
+        _parse_outcome(cli._parse, argv, capsys)
+        assert calls[0] == "pencilcensus", argv
+
+
+# Values drawn for a flag of the hypothesis test below, by its type, and
+# values that its type or choices refuse or that argparse reads as options.
+GOOD_VALUES = {int: ["0", "2", "3"], None: ["2", "9", "x^2+1", "1|x", "[[1]]"]}
+BAD_VALUES = ["-1", "2.5", "abc", "", "-x", "bogus", "--q", "-h", "--"]
+
+
+@st.composite
+def _request_argv(draw):
+    """A command's required flags and a few more, in any order, with valid
+    values; now and then a flag is left out, abbreviated, written with
+    ``=``, given a bad value or none, or a switch is given a value."""
+    command = draw(st.sampled_from(sorted(cli._commands())))
+    actions = [a for a in cli._commands()[command]._actions
+               if a.option_strings]
+    picked = [a for a in actions if a.required]
+    picked += draw(st.lists(st.sampled_from(actions), max_size=4))
+    argv = [command]
+    for action in draw(st.permutations(picked)):
+        flag = action.option_strings[-1]
+        value = draw(st.sampled_from(sorted(action.choices or ())
+                                     or GOOD_VALUES[action.type]))
+        fault = draw(st.sampled_from(
+            [None] * 25 + ["omit", "abbreviate", "equals", "bad", "arity"]))
+        if fault == "omit":
+            continue
+        if fault == "abbreviate":
+            argv += [flag[:-1], value]
+        elif fault == "equals":
+            argv.append(f"{flag}={value}")
+        elif fault == "bad":
+            argv += [flag, draw(st.sampled_from(BAD_VALUES))]
+        elif fault == "arity":
+            argv += [flag, value] if action.nargs == 0 else [flag]
+        elif action.nargs == 0:
+            argv.append(flag)
+        else:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_request_argv())
+def test_drawn_requests_parse_as_the_top_level_parser_does(capsys, argv):
+    assert (_parse_outcome(cli._parse, argv, capsys)
+            == _parse_outcome(build_parser().parse_args, argv, capsys))
 
 
 def test_a_polynomial_that_starts_with_a_minus_is_written_with_equals(capsys):
@@ -732,3 +798,16 @@ def test_import_loads_no_worker_pool_and_no_dataclasses(module):
     assert proc.returncode == 0, proc.stderr
     assert module in proc.stdout.split()
     assert set(heavy).isdisjoint(proc.stdout.split())
+
+
+def test_import_builds_no_parser():
+    # the flag table is read off the parser on the first request, so none
+    # of its cost lands in import time
+    proc = subprocess.run(
+        [sys.executable, "-c", "from pencilcensus import cli; "
+         "print(cli._parser.cache_info().currsize, "
+         "cli._plain_flags.cache_info().currsize)"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
