@@ -49,6 +49,14 @@ class InvariantFactorTuple:
                 raise ValueError(f"{a} does not divide {b}")
         self.polys = polys
 
+    @classmethod
+    def _of_chain(cls, polys: tuple[Poly, ...]) -> "InvariantFactorTuple":
+        """``polys`` as a tuple, unchecked: for a nonzero diagonal of
+        :func:`snf`, whose final sweep has already made it a monic chain."""
+        ifs = object.__new__(cls)
+        ifs.polys = polys
+        return ifs
+
     @property
     def field(self) -> FieldCtx:
         return self.polys[0].field
@@ -294,7 +302,7 @@ def pencil_invariant_factors(field: FieldCtx,
         diagonal = snf(pencil_matrix(field, ScalarMatrix(k, k, e[:k * k])))
     if not all(p.coeffs for p in diagonal):
         raise ExactnessError("a pencil always has full column rank")
-    return InvariantFactorTuple(diagonal)
+    return InvariantFactorTuple._of_chain(diagonal)
 
 
 def char_poly(field: FieldCtx, a: ScalarMatrix) -> Poly:

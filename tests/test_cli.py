@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -290,6 +291,28 @@ def test_snf_json_carries_the_table_diagonal_and_the_parameters(capsys, q,
     assert data["parameters"] == {"q": int(q), "n": len(rows),
                                   "k": len(rows[0]),
                                   "pencil": "--pencil" in argv}
+
+
+@pytest.mark.parametrize("layout,argv", [
+    ("snf_result", ["snf", "--q", "2", "--matrix", "[[0,1],[1,0],[1,1]]",
+                    "--pencil"]),
+    ("snf_result", ["snf", "--q", "4", "--matrix",
+                    '[["[2]*x+[3]", "1"], ["x^2", 0]]']),
+    ("snf_result", ["snf", "--q", "2", "--matrix", '[["x", "0"], ["0", "0"]]']),
+    ("factorization", ["factor", "--q", "3", "--poly", "2*x^2+2"]),
+    ("factorization", ["factor", "--q", "4", "--poly", "x^4+x^2"]),
+    ("factorization", ["factor", "--q", "5", "--poly", "3"]),
+])
+def test_snf_and_factor_json_are_schema_valid_and_stable(capsys, layout,
+                                                         argv):
+    jsonschema = pytest.importorskip("jsonschema")
+    import importlib.resources as res
+    code, out1 = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    schema = json.loads(res.files("pencilcensus.schemas").joinpath(
+        f"{layout}.schema.json").read_text())
+    jsonschema.validate(json.loads(out1), schema)
+    assert run_cli(capsys, *argv, "--format", "json") == (0, out1)
 
 
 @pytest.mark.parametrize("q", ["2", "4", "9"])
@@ -638,8 +661,20 @@ def test_the_readme_examples_are_found():
         "count", "snf", "enumerate", "verify", "factor"]
 
 
+# One plain request of each command: a command followed by valid
+# ``--flag value`` pairs and ``--switch``es, each flag spelled out in full.
+CENSUS_ARGS = ["--q", "2", "--n", "2", "--k", "1"]
+PLAIN_ARGV = [
+    ["count", "--formula", "reach", "--q", "2", "--k", "3", "--n", "5",
+     "--r", "3"],
+    ["enumerate", *CENSUS_ARGS], ["verify", *CENSUS_ARGS],
+    ["snf", "--q", "2", "--pencil", "--matrix", "[[1]]"], FACTOR,
+    ["selftest"],
+]
+
+
 def test_each_request_is_parsed_once(capsys, monkeypatch):
-    # a plain request is read off its command's actions; only help and
+    # a plain request is read off the command table; only help and
     # requests argparse must judge reach an argparse parse
     calls = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
@@ -650,12 +685,7 @@ def test_each_request_is_parsed_once(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     monkeypatch.setattr(cli, "_selftest_suites", lambda rng: [])
-    census_args = ["--q", "2", "--n", "2", "--k", "1"]
-    for argv in (["count", "--formula", "reach", "--q", "2", "--k", "3",
-                  "--n", "5", "--r", "3"],
-                 ["enumerate", *census_args], ["verify", *census_args],
-                 ["snf", "--q", "2", "--pencil", "--matrix", "[[1]]"],
-                 FACTOR, ["selftest"]):
+    for argv in PLAIN_ARGV:
         calls.clear()
         code, _ = run_cli(capsys, *argv)
         assert code == 0, argv
@@ -679,16 +709,15 @@ def _request_argv(draw):
     """A command's required flags and a few more, in any order, with valid
     values; now and then a flag is left out, abbreviated, written with
     ``=``, given a bad value or none, or a switch is given a value."""
-    command = draw(st.sampled_from(sorted(cli._commands())))
-    actions = [a for a in cli._commands()[command]._actions
-               if a.option_strings]
-    picked = [a for a in actions if a.required]
-    picked += draw(st.lists(st.sampled_from(actions), max_size=4))
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    specs = cli.COMMANDS[command][1]
+    picked = [flag for flag, spec in specs.items() if spec.get("required")]
+    picked += draw(st.lists(st.sampled_from(list(specs)), max_size=4))
     argv = [command]
-    for action in draw(st.permutations(picked)):
-        flag = action.option_strings[-1]
-        value = draw(st.sampled_from(sorted(action.choices or ())
-                                     or GOOD_VALUES[action.type]))
+    for flag in draw(st.permutations(picked)):
+        switch = specs[flag].get("action") == "store_true"
+        value = draw(st.sampled_from(sorted(specs[flag].get("choices", ()))
+                                     or GOOD_VALUES[specs[flag].get("type")]))
         fault = draw(st.sampled_from(
             [None] * 25 + ["omit", "abbreviate", "equals", "bad", "arity"]))
         if fault == "omit":
@@ -700,8 +729,8 @@ def _request_argv(draw):
         elif fault == "bad":
             argv += [flag, draw(st.sampled_from(BAD_VALUES))]
         elif fault == "arity":
-            argv += [flag, value] if action.nargs == 0 else [flag]
-        elif action.nargs == 0:
+            argv += [flag, value] if switch else [flag]
+        elif switch:
             argv.append(flag)
         else:
             argv += [flag, value]
@@ -800,14 +829,80 @@ def test_import_loads_no_worker_pool_and_no_dataclasses(module):
     assert set(heavy).isdisjoint(proc.stdout.split())
 
 
+def _fresh_cli(script, argv, **env):
+    """Run ``script`` in a fresh interpreter with ``argv`` bound, after a
+    counter has been put on ``argparse.ArgumentParser.__init__`` and before
+    ``pencilcensus.cli`` is imported."""
+    prelude = (
+        "import argparse, contextlib, io\n"
+        "inits = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, *a, **k: inits.append(1) or init(self, *a, **k)\n"
+        "from pencilcensus import cli\n"
+        f"argv = {argv!r}\n")
+    return subprocess.run(
+        [sys.executable, "-c", prelude + script],
+        env=dict(os.environ, PYTHONPATH=SRC, **env), capture_output=True,
+        text=True, timeout=60)
+
+
 def test_import_builds_no_parser():
-    # the flag table is read off the parser on the first request, so none
-    # of its cost lands in import time
-    proc = subprocess.run(
-        [sys.executable, "-c", "from pencilcensus import cli; "
-         "print(cli._parser.cache_info().currsize, "
-         "cli._plain_flags.cache_info().currsize)"],
-        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
-        timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    # neither the import nor one plain request of each command builds an
+    # argparse parser: the request is read off the command table
+    proc = _fresh_cli(
+        "cli._selftest_suites = lambda rng: []\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(list(a)) for a in argv]\n"
+        "print(codes, len(inits))\n", PLAIN_ARGV)
+    assert (proc.stdout, proc.stderr) == (f"{[0] * len(PLAIN_ARGV)} 0\n", "")
+
+
+def test_a_plain_request_loads_locale():
+    # main loads what a parser's first use loaded, so perfbench's cli speed
+    # kernel, which runs argparse, does not load it in a timed slice
+    proc = _fresh_cli(
+        "import sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(argv)\n"
+        "print('locale' in sys.modules, len(inits))\n", FACTOR)
+    assert (proc.stdout, proc.stderr) == ("True 0\n", "")
+
+
+USAGE = ("usage: pencilcensus [-h] "
+         "{count,enumerate,verify,snf,factor,selftest} ...\n")
+
+
+@pytest.mark.parametrize("argv, env, stderr", [
+    (["count", "--formula", "snf", "--q", "6", "--n", "2", "--k", "2",
+      "--tuple", "1|x"], {}, "pencilcensus: error: 6 is not a prime power\n"),
+    (["verify", *CENSUS_ARGS], {"PENCILCENSUS_WORKERS": "abc"},
+     USAGE + "pencilcensus: error: PENCILCENSUS_WORKERS must be an integer, "
+     "got 'abc'\n"),
+])
+def test_an_error_after_a_plain_read_builds_the_parser_once(argv, env,
+                                                            stderr):
+    # the refusal of a command, or of main, still prints with the top-level
+    # parser, which is built for it and only for it
+    proc = _fresh_cli(
+        "builds = []\n"
+        "build = cli.build_parser\n"
+        "cli.build_parser = lambda: builds.append(1) or build()\n"
+        "try:\n"
+        "    cli.main(argv)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, len(builds))\n", argv, **env)
+    assert (proc.stdout, proc.stderr) == ("2 1\n", stderr)
+
+
+def test_no_assert_in_the_package():
+    # exactness checks must survive python -O, which strips asserts
+    package = os.path.join(SRC, "pencilcensus")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
