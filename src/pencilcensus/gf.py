@@ -400,29 +400,31 @@ def rank_rows(field: FieldCtx, rows: Iterable[Sequence[int]], cols: int) -> int:
     return len(rref_rows(field, rows, cols))
 
 
+def kernel_free_rows(field: FieldCtx, rows: Iterable[Sequence[int]],
+                     cols: int) -> list[list[int]]:
+    """A basis of the right null space from one reduction: per free column f
+    of the reduced echelon form, the vector with 1 at f, 0 at the other free
+    columns and minus column f's entry at each pivot."""
+    red = rref_rows(field, rows, cols)
+    pivots = [row.index(1) for row in red]  # each row's leading 1
+    neg = field.neg
+    vectors = []
+    for f in range(cols):
+        if f not in pivots:
+            vec = [0] * cols
+            vec[f] = 1
+            for row, p in zip(red, pivots):
+                if row[f]:
+                    vec[p] = neg(row[f])
+            vectors.append(vec)
+    return vectors
+
+
 def kernel_basis_rows(field: FieldCtx, rows: Iterable[Sequence[int]],
                       cols: int) -> tuple[tuple[int, ...], ...]:
     """Canonical (reduced-echelon) basis of the right null space."""
-    red = rref_rows(field, rows, cols)
-    pivots = []
-    for row in red:
-        for j, v in enumerate(row):
-            if v:
-                pivots.append(j)
-                break
-    pivot_set = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_set]
-    if not free:
-        return ()
-    neg = field.neg
-    vectors = []
-    for f in free:
-        vec = [0] * cols
-        vec[f] = 1
-        for i, p in enumerate(pivots):
-            vec[p] = neg(red[i][f])
-        vectors.append(vec)
-    return tuple(tuple(r) for r in rref_rows(field, vectors, cols))
+    return tuple(tuple(r) for r in rref_rows(
+        field, kernel_free_rows(field, rows, cols), cols))
 
 
 def echelon_subspaces(field: FieldCtx, k: int,

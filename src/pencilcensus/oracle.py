@@ -39,10 +39,10 @@ listing them, and a remainder raises ExactnessError.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import os
+import sys
 from array import array
 from collections import namedtuple
 from functools import lru_cache
@@ -67,7 +67,6 @@ from .smith import (
 )
 
 DEFAULT_BUDGET = 1 << 24
-_SLICE = 1 << 14  # longest list a move table is built from, bar one group's
 
 class EnumConfig(namedtuple("EnumConfig", "p m n k mode subspace workers budget",
                              defaults=("pencil", None, 1, DEFAULT_BUDGET))):
@@ -249,10 +248,14 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
     ``array("I")``: the action is linear and each output row depends on one
     group of input rows (rows 0 and 1 under the transvection, each row
     alone otherwise), so an image index is the sum of one table entry per
-    group, and the table is written in slices of at most _SLICE such sums
-    (see ``perm``).  The search takes as leader the least matrix not yet
-    visited and reads the list of its visits while it grows, each unseen
-    image appended, so its length is the class size."""
+    group: the groups' Cartesian sum.  ``table`` holds the sums so far as
+    one int of itemsize-byte fields in the machine's byte order and writes
+    the slice of each entry v of the next group as one add of v times the
+    int with a 1 in every field; no field carries, as each sum is an index
+    below q^(k^2), which ``_resolve`` keeps within a field.  The search
+    takes as leader the least matrix not yet visited and reads the list of
+    its visits while it grows, appending each unseen image under the moves,
+    written out, so its length is the class size."""
     f = field_new(p, m)
     q = f.q
     values = [_digits_of(v, q, k) for v in range(q ** k)]  # a row's values
@@ -260,58 +263,50 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
     plus = [[f.add(a, b) for a in range(q)] for b in range(q)]  # [b][a]: a + b
     neg = [row.index(0) for row in plus]  # [b]: -b
     sums = [[[v * u for v in row] for row in plus] for u in unit]
+    order = sys.byteorder
 
     def share(g, to):  # the image under g of each value of a row, as row to
         return [sum(map(operator.mul, g(v), unit)) * q ** (k * to)
                 for v in values]
 
-    def cartesian(low, *tables):  # each sum of one entry per table, as list
-        for table in tables:  # the first changes fastest
-            low = [t + y for t in table for y in low]
-        return low
-
-    def perm(low, *tables):  # low: the first groups' sums, in slices (one
-        # per value of row 1 for the k = 2 transvection, the whole table); the
-        # next groups' tables are folded into a lone slice while it holds at
-        # most _SLICE sums (the first group may hold more), then it is
-        # written once per sum of the rest
-        while tables and len(low[0]) * len(tables[0]) <= _SLICE:
-            low, tables = [cartesian(low[0], tables[0])], tables[1:]
-        out = array("I")
-        for high in itertools.product(*reversed(tables)):
-            t = sum(high)
-            for part in low:
-                out.fromlist([t + y for y in part] if t else part)
+    def table(first, *groups):  # each sum of one entry per group, the
+        # first fastest, as an array("I")
+        out = array("I", first)
+        for group in groups:
+            low = int.from_bytes(out, order)
+            ones = int.from_bytes(array("I", [1]) * len(out), order)
+            size, out = len(out) * out.itemsize, array("I")
+            for v in group:
+                out.frombytes((low + v * ones).to_bytes(size, order))
         return out
 
     def cycle():  # entry (i, j) to (i+1, j+1), both mod k
-        first, *rest = (share(lambda v: [v[-1], *v[:-1]], (i + 1) % k)
-                        for i in range(k))
-        return perm([first], *rest)
+        return table(*(share(lambda v: [v[-1], *v[:-1]], (i + 1) % k)
+                       for i in range(k)))
 
     def transvection():  # row 0 += row 1, then column 1 -= column 0
         col = [share(lambda v: [v[0], plus[neg[v[0]]][v[1]], *v[2:]], i)
                for i in range(k)]
-
-        def pair(j):  # rows 0 and 1, row 1 its j-th value: row 0 + row 1
-            return [col[0][s] + col[1][j] for s in cartesian(
-                [0], *(sums[e][b] for e, b in enumerate(values[j])))]
-
-        pairs = map(pair, range(q ** k))  # at k = 2 the whole table: sliced
-        return perm(pairs if k == 2 else [[y for part in pairs for y in part]],
-                    *col[2:])
+        # digits 1.. of the index of row 0 + row 1, per value of row 0, for
+        # each value of row 1 whose digit 0 is 0
+        high = [table(*(sums[e][b] for e, b in enumerate(row) if e))
+                for row in values[::q]]
+        pairs = array("I")  # rows 0 and 1, one slice per value j of row 1
+        for j, row in enumerate(values):
+            low, c = sums[0][row[0]], col[1][j]
+            pairs.fromlist([col[0][y + t] + c for t in high[j // q]
+                            for y in low])
+        return table(pairs, *col[2:])
 
     def scale():  # row 0 *= w, column 0 *= w^-1, w a generator
         w = f.generator
         by = [[f.mul(w if j == 0 else 1, 1 if e else f.inv(w))
                for e in range(k)] for j in range(k)]
-        first, *rest = (share(lambda v: list(map(f.mul, v, by[j])), j)
-                        for j in range(k))
-        return perm([first], *rest)
+        return table(*(share(lambda v: list(map(f.mul, v, by[j])), j)
+                       for j in range(k)))
 
-    moves = [cycle(), transvection()] if k > 1 else []
-    if q > 2 and k > 1:
-        moves.append(scale())
+    if k > 1:
+        cyc, tv, sc = cycle(), transvection(), q > 2 and scale()
     seen = bytearray(q ** (k * k))
     classes = []
     leader = 0
@@ -319,12 +314,16 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
         seen[leader] = 1
         visits = [leader]  # grows while it is read: its length is the size
         visit = visits.append
-        for x in visits:
-            for move in moves:
-                image = move[x]
-                if not seen[image]:
-                    seen[image] = 1
-                    visit(image)
+        for x in visits if k > 1 else ():  # at k = 1 there is no move
+            if not seen[y := cyc[x]]:
+                seen[y] = 1
+                visit(y)
+            if not seen[y := tv[x]]:
+                seen[y] = 1
+                visit(y)
+            if sc and not seen[y := sc[x]]:
+                seen[y] = 1
+                visit(y)
         classes.append((leader, len(visits)))
         leader = seen.find(0, leader)
     return tuple(classes)
@@ -412,20 +411,26 @@ def _nilext_chunk(args: tuple) -> dict[str, int]:
 # The mode table and the entry points
 # ---------------------------------------------------------------------------
 
-class Mode(namedtuple("Mode", "tall complete subspace closed_args cost",
+class Mode(namedtuple("Mode", "tall complete subspace closed_args search "
+                      "completions",
                       defaults=(False, True, False, lambda cfg: (cfg.n, cfg.k),
-                                lambda cfg: cfg.k * cfg.k))):
+                                lambda cfg: cfg.k * cfg.k, lambda cfg: 0))):
     """One census mode.  Its matrices are tallied by ``_<mode>_chunk`` and
     its closed form is ``census.<mode>_census(field, *closed_args(cfg))``.
     ``tall``: shape 1 <= k < n, else 1 <= k <= n; ``complete``: the tally
     covers all q^(nk) matrices; ``subspace``: needs cfg.subspace, a fixed
-    echelon basis; ``cost(cfg)``: the budget charges q^cost evaluations,
-    the blocks of the largest class search the walk runs (GL_k, or GL_(k-1)
-    in subspace mode with d < k, whose walk takes r >= 1 alone) times
-    nilext's q^(n(n-k)) completions per block; an upper bound where no
-    search runs."""
+    echelon basis; ``search(cfg)``: the largest class search the walk runs
+    has q^search blocks (GL_k, or GL_(k-1) in subspace mode with d < k,
+    whose walk takes r >= 1 alone; an upper bound where no search runs);
+    ``completions(cfg)``: nilext tries q^completions completions per
+    block."""
 
     __slots__ = ()
+
+    def cost(self, cfg: EnumConfig) -> int:
+        """The budget charges q^cost evaluations: the blocks of the largest
+        class search times the completions per block."""
+        return self.search(cfg) + self.completions(cfg)
 
 
 MODE_TABLE = {
@@ -434,10 +439,10 @@ MODE_TABLE = {
     "fiber": Mode(),
     "subspace": Mode(complete=False, subspace=True,
                      closed_args=lambda cfg: (cfg.n, cfg.k, len(cfg.subspace)),
-                     cost=lambda cfg: (
+                     search=lambda cfg: (
                          cfg.k - (len(cfg.subspace or ()) < cfg.k)) ** 2),
-    "nilext": Mode(complete=False, cost=lambda cfg: (
-        cfg.k * cfg.k + cfg.n * (cfg.n - cfg.k))),
+    "nilext": Mode(complete=False,
+                   completions=lambda cfg: cfg.n * (cfg.n - cfg.k)),
 }
 
 MODES = tuple(MODE_TABLE)
@@ -446,7 +451,8 @@ MODES = tuple(MODE_TABLE)
 def _resolve(cfg: EnumConfig,
              budget: bool = False) -> tuple[Mode, EnumConfig, dict]:
     """Check ``cfg`` against its mode's shape rule and, if ``budget``, its
-    mode's cost against its budget, before the field is built; return the
+    mode's cost against its budget and its class search against what a
+    move table can index, before the field is built; return the
     mode, ``cfg`` with its subspace's canonical basis (or None), and the
     report parameters it adds."""
     mode = MODE_TABLE.get(cfg.mode)
@@ -457,6 +463,11 @@ def _resolve(cfg: EnumConfig,
                          f"got n={cfg.n}, k={cfg.k}")
     if budget:
         _check_budget(cfg, mode.cost(cfg))
+        exponent, bits = mode.search(cfg), 8 * array("I").itemsize
+        if cfg.q ** exponent > 1 << bits:  # a move table's entry
+            raise BudgetExceededError(
+                f"a class search over {cfg.q}^{exponent} blocks is past the "
+                f"2^{bits} a move table indexes, whatever the budget")
     if not mode.subspace:
         return mode, cfg._replace(subspace=None), {}
     if cfg.subspace is None:

@@ -26,6 +26,7 @@ from .gf import (
     FieldCtx,
     ScalarMatrix,
     kernel_basis_rows,
+    kernel_free_rows,
     rank_rows,
     rows_mul,
 )
@@ -274,8 +275,9 @@ def pencil_invariant_factors(field: FieldCtx,
     For n > k write B = [A; C], A the top k x k block.  If C = 0 its rows
     are zero rows of the pencil, which change no minor, so the Smith form is
     that of x*I - A.  Otherwise let r = rank C and let S be a k x (k - r)
-    basis of ker C, its columns the rows of :func:`kernel_basis_rows`.  For
-    any complement S_c, Q = [S_c | S] is an invertible constant matrix, and
+    basis of ker C, any one: its columns are the rows of
+    :func:`kernel_free_rows`, read off one reduction of C.  For any
+    complement S_c, Q = [S_c | S] is an invertible constant matrix, and
     [x*I - A; -C] * Q has the bottom block [-C*S_c, 0] of rank r.
     Constant row operations turn -C*S_c into [I_r; 0], and its r unit
     pivots clear the top left block (x*I - A)*S_c, leaving (x*I - A)*S in
@@ -288,7 +290,7 @@ def pencil_invariant_factors(field: FieldCtx,
         raise ShapeError(f"pencil needs n >= k >= 1, got {n}x{k}")
     e = b.entries
     if n > k and any(e[k * k:]):
-        kernel = kernel_basis_rows(
+        kernel = kernel_free_rows(
             field, (e[i:i + k] for i in range(k * k, n * k, k)), k)
         # row j of A*S transposed is A*s_j, s_j the j-th kernel vector
         a_s = rows_mul(field, kernel, [e[j:k * k:k] for j in range(k)])

@@ -17,9 +17,11 @@ from pencilcensus.gf import (
     echelon_subspaces,
     field_new,
     is_prime,
+    kernel_free_rows,
     parse_field_order,
     parse_field_spec,
     rank,
+    rank_rows,
 )
 
 from reference import (digitwise_add, digitwise_neg, kernel_intersection,
@@ -201,6 +203,13 @@ def test_kernel_intersection_rank_nullity():
             [list(m.row(i)) for m in mats for i in range(m.rows)])
         basis = kernel_intersection(f, mats)
         assert len(basis) == k - rank(f, stack)
+        # one reduction's free-variable basis: as many independent vectors,
+        # each killed by the stack
+        free = kernel_free_rows(f, stack.to_rows(), k)
+        assert len(free) == len(basis) == rank_rows(f, free, k)
+        for vec in free:
+            col = mat_mul(f, stack, ScalarMatrix(k, 1, vec))
+            assert all(v == 0 for v in col.entries)
         # every basis vector is killed by every matrix
         for vec in basis:
             for m in mats:

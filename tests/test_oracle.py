@@ -417,6 +417,17 @@ def test_the_budget_exponent_is_the_largest_class_search(q, monkeypatch):
                     assert exponent == max(searched) ** 2, case
 
 
+def test_a_search_past_what_a_move_table_indexes_is_refused_at_any_budget():
+    # 2^36 blocks are within a budget of 10^11 but past the 2^32 indices of
+    # an array("I") entry; the search itself is never run here, as its
+    # tables would take tens of GB.  nilext's completions are not blocks.
+    with pytest.raises(BudgetExceededError, match="past the 2\\^32"):
+        oracle._resolve(cfg(2, 6, 6, budget=10 ** 11), budget=True)
+    oracle._resolve(cfg(2, 5, 5, budget=10 ** 11), budget=True)
+    oracle._resolve(cfg(2, 8, 5, mode="nilext", budget=1 << 49), budget=True)
+    assert MODE_TABLE["nilext"].cost(cfg(2, 8, 5, mode="nilext")) == 49
+
+
 def test_a_tall_shape_is_charged_its_class_search_alone():
     # the 5^9 blocks of the GL_3 search fit the default budget, whatever the
     # 63 row spaces of C; the shape takes seconds to run, so it is resolved
@@ -510,12 +521,22 @@ def test_similarity_classes_are_byte_identical_to_their_pinned_digest():
         "8e0e338e108fc84f474857c6064c8327904ebec23288c3b4a62be702f9083faf"
 
 
+def test_a_search_past_two_byte_indices_is_byte_identical_to_its_digest():
+    # the 83,521 blocks of GL_2 over GF(17): indices past 2^16, so a move
+    # table's entries need more than two bytes each, in the machine's order
+    classes = _similarity_classes.__wrapped__(17, 1, 2)
+    assert (len(classes), sum(size for _, size in classes)) == (306, 83521)
+    assert hashlib.sha256(repr(((17, 1, 2), classes)).encode()).hexdigest() \
+        == "7e2e55cf16e91855f43a740ad05a4080481b6c8cbc828e5214a4167032fed7bc"
+
+
 # The search holds one byte per block it searches and one 4-byte array entry
-# per block and move, while its move tables are built from lists of at most
-# oracle._SLICE entries (at k = 2 the transvection's, one per value of row
-# 1); whole tables held as Python lists would take about 50 bytes per block.
+# per block and move; while a move table is built, its entries so far are
+# one int and each next slice one bytes object (at k = 2 the transvection's
+# slices are lists, one per value of row 1); whole tables held as Python
+# lists would take about 50 bytes per block.
 @pytest.mark.parametrize("p,m,k", [(2, 1, 4), (3, 1, 3), (2, 4, 2),
-                                   (13, 1, 2)])
+                                   (13, 1, 2), (17, 1, 2)])
 def test_the_class_search_holds_at_most_32_bytes_per_block(p, m, k):
     field_new(p, m)  # the field's own tables are not the search's
     tracemalloc.start()
