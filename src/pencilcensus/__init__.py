@@ -24,7 +24,7 @@ from .census import (
     gl_order,
     q_binomial,
 )
-from .gf import FieldCtx, ScalarMatrix, field_new, parse_field_spec
+from .gf import FieldCtx, field_new, parse_field_spec
 from .oracle import DiffReport, EnumConfig, verify
 from .polyring import Poly, factorize, irreducibles_up_to, parse_poly, poly_gcd
 from .smith import (

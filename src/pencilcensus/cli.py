@@ -19,8 +19,8 @@ from typing import NoReturn
 
 from . import census, oracle
 from .errors import PencilCensusError
-from .gf import (FieldCtx, ScalarMatrix, field_new, parse_field_order,
-                 parse_field_spec, rank)
+from .gf import (FieldCtx, field_new, parse_field_order, parse_field_spec,
+                 rank_rows)
 from .polyring import Poly, factorize, parse_poly, poly_gcd
 from .smith import (
     InvariantFactorTuple,
@@ -370,8 +370,7 @@ def cmd_snf(args) -> int:
     if args.pencil:
         if any(not 0 <= v < f.q for v in entries):
             _error(f"matrix entries must lie in [0, {f.q})")
-        diag = pencil_invariant_factors(
-            f, ScalarMatrix(nrows, ncols, entries))
+        diag = pencil_invariant_factors(f, grid)
     else:
         # bool is a subclass of int, so compare types exactly
         if any(type(v) is not int and not isinstance(v, str) for v in entries):
@@ -461,7 +460,7 @@ def _selftest_suites(rng: random.Random):
                         (3, 5, 2)):
             f = parse_field_spec(str(q))
             for _ in range(60):
-                b = ScalarMatrix(n, k, [rng.randrange(q) for _ in range(n * k)])
+                b = [[rng.randrange(q) for _ in range(k)] for _ in range(n)]
                 ifs = pencil_invariant_factors(f, b)
                 pencil = pencil_matrix(f, b)
                 prev = Poly.one(f)
@@ -475,8 +474,8 @@ def _selftest_suites(rng: random.Random):
     def rank_transpose() -> bool:
         f = field_new(2)
         for _ in range(100):
-            m = ScalarMatrix(4, 3, [rng.randrange(2) for _ in range(12)])
-            if rank(f, m) != rank(f, m.transpose()):
+            m = [[rng.randrange(2) for _ in range(3)] for _ in range(4)]
+            if rank_rows(f, m, 3) != rank_rows(f, zip(*m), 4):
                 return False
         return True
 

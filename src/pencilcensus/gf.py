@@ -25,7 +25,6 @@ from .errors import (
     ExactnessError,
     FieldTooLargeError,
     NotPrimeError,
-    ShapeError,
 )
 
 FIELD_SIZE_CAP = 1 << 16
@@ -272,67 +271,13 @@ def parse_field_spec(text: str) -> FieldCtx:
 
 
 # ---------------------------------------------------------------------------
-# Matrices over a field: flat row-major integer entries.
+# Matrices over a field: lists of equal-length rows of plain ints.
 # ---------------------------------------------------------------------------
 
-class ScalarMatrix:
-    """Dense matrix over a field, entries stored row-major as plain ints."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
-        if len(entries) != rows * cols:
-            raise ShapeError(
-                f"expected {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(entries)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "ScalarMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ShapeError("ragged rows")
-            flat.extend(row)
-        return cls(nrows, ncols, flat)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ScalarMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "ScalarMatrix":
-        flat = [0] * (n * n)
-        for i in range(n):
-            flat[i * n + i] = 1
-        return cls(n, n, flat)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols: (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        k = self.cols
-        e = self.entries
-        return [list(e[i * k: (i + 1) * k]) for i in range(self.rows)]
-
-    def transpose(self) -> "ScalarMatrix":
-        flat = [self.entries[i * self.cols + j]
-                for j in range(self.cols) for i in range(self.rows)]
-        return ScalarMatrix(self.cols, self.rows, flat)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ScalarMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"ScalarMatrix({self.to_rows()!r})"
+def ScalarMatrix(rows: int, cols: int, entries: Sequence[int]) -> list[list[int]]:
+    """The rows of a flat row-major matrix: kept only because the benchmark's
+    micro layer (``perfbench/micro.py``) builds its SNF inputs with it."""
+    return [list(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
 
 
 def rows_mul(field: FieldCtx, a: list[list[int]],
@@ -357,9 +302,10 @@ def rref_rows(field: FieldCtx, rows: Iterable[Sequence[int]],
     """Reduced row-echelon form; returns only the nonzero (pivot) rows.
 
     Pivot search scans each column top to bottom and takes the first nonzero
-    entry, which is all an exact field needs.
+    entry, which is all an exact field needs.  Zero rows are never pivots,
+    so they are not copied.
     """
-    work = [list(r) for r in rows]
+    work = [list(r) for r in rows if any(r)]
     mul, sub, inv = field.mul, field.sub, field.inv
     r = 0
     for c in range(cols):
@@ -388,11 +334,6 @@ def rref_rows(field: FieldCtx, rows: Iterable[Sequence[int]],
         if r == len(work):
             break
     return work[:r]
-
-
-def rank(field: FieldCtx, matrix: ScalarMatrix) -> int:
-    """Rank over the field: the pivot count of the reduced echelon form."""
-    return rank_rows(field, matrix.to_rows(), matrix.cols)
 
 
 def rank_rows(field: FieldCtx, rows: Iterable[Sequence[int]], cols: int) -> int:

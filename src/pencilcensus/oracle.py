@@ -57,8 +57,8 @@ from .errors import (
     ParamMismatchError,
     ShapeError,
 )
-from .gf import (FieldCtx, ScalarMatrix, _digits_of, check_echelon_basis,
-                 echelon_subspaces, field_new, rows_mul)
+from .gf import (FieldCtx, _digits_of, check_echelon_basis, echelon_subspaces,
+                 field_new, rows_mul)
 from .smith import (
     char_poly,
     max_invariant_subspace,
@@ -151,14 +151,20 @@ def _check_budget(cfg: EnumConfig, exponent: int) -> None:
 # it is tallied under, or None when it is not tallied.
 # ---------------------------------------------------------------------------
 
+def _rows(cfg: EnumConfig, entries: tuple) -> list[tuple]:
+    """The n rows of k entries each of a row-major entries tuple."""
+    k = cfg.k
+    return [entries[i:i + k] for i in range(0, len(entries), k)]
+
+
 def _pencil_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
-    return str(pencil_invariant_factors(f, ScalarMatrix(cfg.n, cfg.k, entries)))
+    return str(pencil_invariant_factors(f, _rows(cfg, entries)))
 
 
 def _fiber_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
     """The product of the invariant factors: the characteristic polynomial,
     computed directly, when the matrix is square."""
-    b = ScalarMatrix(cfg.n, cfg.k, entries)
+    b = _rows(cfg, entries)
     if cfg.n == cfg.k:
         return str(char_poly(f, b))
     return str(pencil_invariant_factors(f, b).product())
@@ -167,20 +173,20 @@ def _fiber_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
 def _pair_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
     """Reachability rank of (A^T, C^T), A the top k x k block and C the rest:
     transposing is a bijection onto the pairs (A, B) the pair census counts."""
-    k, split = cfg.k, cfg.k * cfg.k
-    a = ScalarMatrix(k, k, entries[:split]).transpose()
-    c = ScalarMatrix(cfg.n - k, k, entries[split:]).transpose()
-    return str(reachability_rank(f, a, c))
+    b = _rows(cfg, entries)
+    a_t, c_t = list(zip(*b[:cfg.k])), list(zip(*b[cfg.k:]))
+    return str(reachability_rank(f, a_t, c_t))
 
 
 def _subspace_key(f: FieldCtx, cfg: EnumConfig, entries: tuple,
                   same: Callable = operator.eq) -> str | None:
     """Invariant factors of the maps whose maximal invariant subspace M is
     the configured S, or has ``same(M, S)``; A is the top k x k block."""
-    n, k = cfg.n, cfg.k
-    _, basis = max_invariant_subspace(f, ScalarMatrix(k, k, entries[: k * k]),
-                                      ScalarMatrix(n - k, k, entries[k * k:]))
-    return _pencil_key(f, cfg, entries) if same(basis, cfg.subspace) else None
+    b = _rows(cfg, entries)
+    basis = max_invariant_subspace(f, b[:cfg.k], b[cfg.k:])
+    if not same(basis, cfg.subspace):
+        return None
+    return str(pencil_invariant_factors(f, b))
 
 
 def _subspace_dim_key(f: FieldCtx, cfg: EnumConfig,
@@ -194,7 +200,7 @@ def _nilext_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str | None:
     """"extendable" when a nilpotent square completion exists.  The search is
     checked against the divisibility criterion (the invariant factor product
     divides x^n) matrix by matrix; a disagreement raises ExactnessError."""
-    b = ScalarMatrix(cfg.n, cfg.k, entries)
+    b = _rows(cfg, entries)
     product = pencil_invariant_factors(f, b).product()
     wimmer = all(c == 0 for c in product.coeffs[:-1])
     found = _has_nilpotent_completion(f, b, cfg.n - cfg.k,
@@ -205,13 +211,12 @@ def _nilext_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str | None:
     return "extendable" if found else None
 
 
-def _has_nilpotent_completion(f: FieldCtx, b: ScalarMatrix,
+def _has_nilpotent_completion(f: FieldCtx, b: list[tuple],
                               ext_cols: int, squarings: int) -> bool:
-    q, n = f.q, b.rows
-    base_rows = b.to_rows()
+    q, n = f.q, len(b)
     ext_digits = [0] * (n * ext_cols)
     for _ in range(q ** (n * ext_cols)):
-        rows = [base_rows[i] + ext_digits[i * ext_cols: (i + 1) * ext_cols]
+        rows = [[*b[i], *ext_digits[i * ext_cols: (i + 1) * ext_cols]]
                 for i in range(n)]
         cur = rows
         for _ in range(squarings):

@@ -1,6 +1,7 @@
 """Smith normal form and linear pencils.
 
-Polynomial matrices are lists of equal-length rows of :class:`Poly`, and
+Matrices are lists of equal-length rows: of :class:`Poly` for polynomial
+matrices, of field elements for scalar ones such as the B of a pencil, and
 :func:`snf` returns the diagonal of the Smith form as a tuple.  The Smith
 form is computed by gcd-pivot elimination: bring the nonzero entry of
 minimal degree to the pivot, reduce its row and column by division with
@@ -24,7 +25,6 @@ from typing import Sequence
 from .errors import ExactnessError, OutOfRangeError, ShapeError
 from .gf import (
     FieldCtx,
-    ScalarMatrix,
     kernel_basis_rows,
     kernel_free_rows,
     rank_rows,
@@ -118,7 +118,7 @@ def _divides(a: Poly, b: Poly) -> bool:
     return not (b % a).coeffs
 
 
-def _shape(rows: Sequence[Sequence[Poly]]) -> tuple[int, int]:
+def _shape(rows: Sequence[Sequence]) -> tuple[int, int]:
     if len(set(map(len, rows))) > 1:
         raise ShapeError("ragged rows")
     return len(rows), len(rows[0]) if rows else 0
@@ -257,19 +257,19 @@ def _pencil_polys(field: FieldCtx) -> tuple[list[Poly], list[Poly]]:
     return cached
 
 
-def pencil_matrix(field: FieldCtx, b: ScalarMatrix) -> list[list[Poly]]:
+def pencil_matrix(field: FieldCtx,
+                  b: Sequence[Sequence[int]]) -> list[list[Poly]]:
     """Fresh rows of the polynomial matrix x*I_{n,k} - B."""
+    n, k = _shape(b)
     consts, linears = _pencil_polys(field)
-    n, k, e = b.rows, b.cols, b.entries
-    polys = [consts[v] for v in e]
-    rows = [polys[i * k:(i + 1) * k] for i in range(n)]
+    rows = [[consts[v] for v in row] for row in b]
     for i in range(min(n, k)):
-        rows[i][i] = linears[e[i * k + i]]
+        rows[i][i] = linears[b[i][i]]
     return rows
 
 
 def pencil_invariant_factors(field: FieldCtx,
-                             b: ScalarMatrix) -> InvariantFactorTuple:
+                             b: Sequence[Sequence[int]]) -> InvariantFactorTuple:
     """The k invariant factors of the pencil x*I_{n,k} - B, for n >= k >= 1.
 
     For n > k write B = [A; C], A the top k x k block.  If C = 0 its rows
@@ -285,15 +285,13 @@ def pencil_invariant_factors(field: FieldCtx,
     followed by the Smith form of the k x (k - r) pencil x*S - A*S: the
     rows below k never reach the elimination.
     """
-    n, k = b.rows, b.cols
+    n, k = _shape(b)
     if n < k or k < 1:
         raise ShapeError(f"pencil needs n >= k >= 1, got {n}x{k}")
-    e = b.entries
-    if n > k and any(e[k * k:]):
-        kernel = kernel_free_rows(
-            field, (e[i:i + k] for i in range(k * k, n * k, k)), k)
+    if n > k and any(map(any, b[k:])):
+        kernel = kernel_free_rows(field, b[k:], k)
         # row j of A*S transposed is A*s_j, s_j the j-th kernel vector
-        a_s = rows_mul(field, kernel, [e[j:k * k:k] for j in range(k)])
+        a_s = rows_mul(field, kernel, list(zip(*b[:k])))
         consts, linears = _pencil_polys(field)
         neg = field.neg
         rows = [[consts[t[i]] if not s[i] else linears[t[i]] if s[i] == 1
@@ -301,24 +299,24 @@ def pencil_invariant_factors(field: FieldCtx,
                  for s, t in zip(kernel, a_s)] for i in range(k)]
         diagonal = ((Poly.one(field),) * (k - len(kernel))) + snf(rows)
     else:
-        diagonal = snf(pencil_matrix(field, ScalarMatrix(k, k, e[:k * k])))
+        diagonal = snf(pencil_matrix(field, b[:k]))
     if not all(p.coeffs for p in diagonal):
         raise ExactnessError("a pencil always has full column rank")
     return InvariantFactorTuple._of_chain(diagonal)
 
 
-def char_poly(field: FieldCtx, a: ScalarMatrix) -> Poly:
+def char_poly(field: FieldCtx, a: Sequence[Sequence[int]]) -> Poly:
     """Characteristic polynomial det(x*I - A) of a square matrix.
 
     Similarity reduction to Hessenberg form followed by the standard
     leading-minor recurrence; O(n^3) field operations, division-free in x.
     """
-    n = a.rows
-    if n != a.cols:
+    n, cols = _shape(a)
+    if n != cols:
         raise ShapeError("characteristic polynomial needs a square matrix")
     if n == 0:
         return Poly.one(field)
-    h = a.to_rows()
+    h = [list(row) for row in a]
     mul, add, sub, inv = field.mul, field.add, field.sub, field.inv
     for j in range(n - 2):
         piv = None
@@ -360,8 +358,8 @@ def char_poly(field: FieldCtx, a: ScalarMatrix) -> Poly:
     return charpolys[n]
 
 
-def _krylov_rows(field: FieldCtx, c_rows: list[list[int]],
-                 a_rows: list[list[int]], k: int) -> list[list[int]]:
+def _krylov_rows(field: FieldCtx, c_rows: Sequence[Sequence[int]],
+                 a_rows: Sequence[Sequence[int]], k: int) -> list[list[int]]:
     """Rows of the vertical stack C, C*A, ..., C*A^{k-1}."""
     cur = c_rows
     stack = list(cur)
@@ -371,35 +369,35 @@ def _krylov_rows(field: FieldCtx, c_rows: list[list[int]],
     return stack
 
 
-def max_invariant_subspace(field: FieldCtx, a: ScalarMatrix, c: ScalarMatrix
-                           ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def max_invariant_subspace(field: FieldCtx, a: Sequence[Sequence[int]],
+                           c: Sequence[Sequence[int]]
+                           ) -> tuple[tuple[int, ...], ...]:
     """Largest subspace of the domain that the map sends into itself.
 
     The map is given by the vertical stack [A; C] with A square k x k (the
-    in-domain block) and C of shape (n-k) x k.  Returns the dimension and the
-    canonical echelon basis of the kernel of the stack C, C*A, ..., C*A^{k-1}
-    (the whole domain when C has no rows).
+    in-domain block) and C of shape (n-k) x k.  Returns the canonical echelon
+    basis of the kernel of the stack C, C*A, ..., C*A^{k-1} (the whole domain
+    when C has no rows); its length is the dimension.
     """
-    k = a.rows
-    if a.cols != k or c.cols != k:
+    k, cols = _shape(a)
+    m, c_cols = _shape(c)
+    if cols != k or m and c_cols != k:
         raise ShapeError("block column counts must match")
-    stack = _krylov_rows(field, c.to_rows(), a.to_rows(), k)
-    basis = kernel_basis_rows(field, stack, k)
-    return len(basis), basis
+    return kernel_basis_rows(field, _krylov_rows(field, c, a, k), k)
 
 
-def reachability_rank(field: FieldCtx, a: ScalarMatrix,
-                      b: ScalarMatrix) -> int:
+def reachability_rank(field: FieldCtx, a: Sequence[Sequence[int]],
+                      b: Sequence[Sequence[int]]) -> int:
     """Rank of [B, A*B, ..., A^{k-1}*B]; the pair is reachable iff it is k.
 
     That matrix is the transpose of the stack B^T, B^T*A^T, ...,
     B^T*(A^T)^{k-1} (Kalman duality), whose rank is computed instead.
     """
-    if b.cols < 1:
+    k, cols = _shape(a)
+    rows, m = _shape(b)
+    if m < 1:
         raise ShapeError("input block needs at least one column")
-    k = a.rows
-    if a.cols != k or b.rows != k:
+    if cols != k or rows != k:
         raise ShapeError("A must be k x k and B must have k rows")
-    stack = _krylov_rows(field, b.transpose().to_rows(),
-                         a.transpose().to_rows(), k)
+    stack = _krylov_rows(field, list(zip(*b)), list(zip(*a)), k)
     return rank_rows(field, stack, k)

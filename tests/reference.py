@@ -7,51 +7,47 @@ import operator
 from pencilcensus import census
 from pencilcensus.census import CENSUS_SCHEMA, CensusReport, partitions
 from pencilcensus.errors import ExactnessError, ShapeError
-from pencilcensus.gf import (ScalarMatrix, _digits_of, field_new,
-                             kernel_basis_rows, parse_field_spec, rows_mul,
-                             rref_rows)
+from pencilcensus.gf import (_digits_of, field_new, kernel_basis_rows,
+                             parse_field_spec, rows_mul, rref_rows)
 from pencilcensus.polyring import (Factorization, Poly, irreducibles_up_to,
                                    monic_polys, poly_gcd)
 from pencilcensus.smith import InvariantFactorTuple
 
 
 def mat_mul(field, a, b):
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = rows_mul(field, a.to_rows(), b.to_rows())
-    return ScalarMatrix(a.rows, b.cols, [x for row in out for x in row])
+    """Product of two matrices given as lists of rows."""
+    if any(len(row) != len(b) for row in a):
+        raise ShapeError(f"every row of A needs {len(b)} entries, one per "
+                         "row of B")
+    return rows_mul(field, a, b)
 
 
 def mat_inv(field, matrix):
-    """Inverse of a square matrix, by Gauss-Jordan on [M | I]."""
-    n = matrix.rows
-    if n != matrix.cols:
+    """Inverse of a square matrix given as rows, by Gauss-Jordan on [M | I]."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ShapeError("inverse needs a square matrix")
-    aug = []
-    for i, row in enumerate(matrix.to_rows()):
-        ident = [0] * n
-        ident[i] = 1
-        aug.append(row + ident)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(matrix)]
     red = rref_rows(field, aug, 2 * n)
     if len(red) != n or any(red[i][i] != 1 for i in range(n)):
         raise ShapeError("matrix is singular")
-    return ScalarMatrix.from_rows([row[n:] for row in red])
+    return [row[n:] for row in red]
 
 
 def kernel_intersection(field, mats):
-    """Canonical basis of the intersection of the kernels of the matrices.
+    """Canonical basis of the intersection of the kernels of the matrices,
+    each given as rows.
 
     All matrices must have the same column count k; the result is a basis of
     a subspace of F_q^k with dimension k - rank(vertical stack).
     """
     if not mats:
         raise ShapeError("need at least one matrix")
-    cols = mats[0].cols
-    stacked = []
-    for m in mats:
-        if m.cols != cols:
-            raise ShapeError("column counts differ")
-        stacked.extend(m.to_rows())
+    cols = len(mats[0][0])
+    stacked = [row for m in mats for row in m]
+    if any(len(row) != cols for row in stacked):
+        raise ShapeError("column counts differ")
     return kernel_basis_rows(field, stacked, cols)
 
 
@@ -263,8 +259,7 @@ def block_classes_by_group(p, m, k, r):
     for values in itertools.product(range(q), repeat=len(cells)):
         g = filled(cells, values)
         if len(rref_rows(f, g, k)) == k:
-            inv = mat_inv(f, ScalarMatrix.from_rows([row[:c] for row in g[:c]]))
-            group.append((g, inv.to_rows()))
+            group.append((g, mat_inv(f, [row[:c] for row in g[:c]])))
     orbits = {}
     for values in itertools.product(range(q), repeat=k * c):
         x = [list(values[i * c:(i + 1) * c]) for i in range(k)]

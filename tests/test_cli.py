@@ -605,13 +605,25 @@ def test_usage_error_on_malformed_inputs(capsys):
         assert exc.value.code == 2, argv
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
 def readme_examples() -> list[list[str]]:
     """The argv of every ``$ pencilcensus ...`` example in the README."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "README.md")
-    with open(path) as fh:
+    with open(README) as fh:
         return [shlex.split(line)[2:] for line in fh
                 if line.startswith("$ pencilcensus ")]
+
+
+def test_the_readme_library_block_runs_and_prints_what_it_says():
+    with open(README) as fh:
+        section = fh.read().split("## Library", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(code, names)
+    assert str(names["ifs"]) == "1|x+1"
+    assert names["count_invariant_factors"](3, 2, names["ifs"]) == 12
 
 
 FACTOR = ["factor", "--q", "2", "--poly", "x^2"]
@@ -781,7 +793,7 @@ SUITE_FAULTS = {
     "gcd-divides-both": (cli, "poly_gcd", lambda a, b: Poly.x(a.field)),
     "snf-vs-minor-gcds": (
         cli, "det_divisor", lambda rows, order: Poly.zero(rows[0][0].field)),
-    "rank-transpose": (cli, "rank", lambda field, m: m.rows),
+    "rank-transpose": (cli, "rank_rows", lambda field, rows, cols: cols),
     "power-identity": (census, "check_q_identity", lambda d, q, y: False),
     "orbit-reduction-vs-full": (
         oracle, "run", lambda cfg: SimpleNamespace(entries={})),

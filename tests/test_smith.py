@@ -6,12 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pencilcensus import smith
 from pencilcensus.errors import ExactnessError, OutOfRangeError, ShapeError
-from pencilcensus.gf import (
-    ScalarMatrix,
-    field_new,
-    parse_field_spec,
-    rank,
-)
+from pencilcensus.gf import field_new, parse_field_spec, rank_rows
 from pencilcensus.polyring import Poly, parse_poly
 from pencilcensus.smith import (
     InvariantFactorTuple,
@@ -35,12 +30,17 @@ def poly_grid(f, grid):
 
 
 def rand_matrix(rng, f, n, k):
-    return ScalarMatrix(n, k, [rng.randrange(f.q) for _ in range(n * k)])
+    return [[rng.randrange(f.q) for _ in range(k)] for _ in range(n)]
+
+
+def rows_of(entries, k):
+    """The rows of k entries each of a row-major sequence."""
+    return [entries[i:i + k] for i in range(0, len(entries), k)]
 
 
 def all_matrices(f, n, k):
     for entries in itertools.product(f.elements(), repeat=n * k):
-        yield ScalarMatrix(n, k, entries)
+        yield rows_of(entries, k)
 
 
 # ---------------------------------------------------------------------------
@@ -183,20 +183,20 @@ def tall_pencil(rng, f, n, k, bottom):
     `bottom`: "random", "full" (rank C = k, so no column reaches snf),
     "dependent" (rank C = 2 < k, each row after the first two a nonzero
     combination of them) or a tuple of the rows of B set to zero."""
-    rows = rand_matrix(rng, f, n, k).to_rows()
+    rows = rand_matrix(rng, f, n, k)
     if bottom == "full":
-        while rank(f, ScalarMatrix.from_rows(rows[k:])) < k:
-            rows[k:] = rand_matrix(rng, f, n - k, k).to_rows()
+        while rank_rows(f, rows[k:], k) < k:
+            rows[k:] = rand_matrix(rng, f, n - k, k)
     elif bottom == "dependent":
-        while rank(f, ScalarMatrix.from_rows(rows[k:k + 2])) < 2:
-            rows[k:k + 2] = rand_matrix(rng, f, 2, k).to_rows()
+        while rank_rows(f, rows[k:k + 2], k) < 2:
+            rows[k:k + 2] = rand_matrix(rng, f, 2, k)
         for i in range(k + 2, n):
             a, b = rng.randrange(1, f.q), rng.randrange(f.q)
             rows[i] = [f.add(f.mul(a, u), f.mul(b, v))
                        for u, v in zip(rows[k], rows[k + 1])]
     elif bottom != "random":
         rows = [[0] * k if i in bottom else row for i, row in enumerate(rows)]
-    return ScalarMatrix.from_rows(rows)
+    return rows
 
 
 # 6-2-zero-rows zeroes row k - 1 of the top block, which the pencil keeps as
@@ -244,10 +244,9 @@ def test_a_tall_key_hands_snf_k_rows_and_k_minus_rank_c_columns(
         f = parse_field_spec(str(q))
         for _ in range(10):
             b = tall_pencil(rng, f, n, k, bottom)
-            c = ScalarMatrix(n - k, k, b.entries[k * k:])
             shapes.clear()
             pencil_invariant_factors(f, b)
-            assert shapes == [(k, k - rank(f, c))]
+            assert shapes == [(k, k - rank_rows(f, b[k:], k))]
 
 
 def test_the_smith_stage_of_a_tall_key_does_not_grow_with_n(monkeypatch):
@@ -256,18 +255,16 @@ def test_the_smith_stage_of_a_tall_key_does_not_grow_with_n(monkeypatch):
     for c_rows, rank_c in (([0, 0], 0), ([1, 1], 1), ([1, 0, 0, 1], 2)):
         entries = [1, 0, 0, 1] + c_rows * ((n - 2) * 2 // len(c_rows))
         shapes.clear()
-        pencil_invariant_factors(F2, ScalarMatrix(n, 2, entries))
+        pencil_invariant_factors(F2, rows_of(entries, 2))
         assert shapes == [(2, 2 - rank_c)]
 
 
 def test_pencil_examples():
-    assert str(pencil_invariant_factors(F2, ScalarMatrix.zero(2, 2))) == "x|x"
-    assert str(pencil_invariant_factors(
-        F2, ScalarMatrix.from_rows([[1], [1]]))) == "1"
-    assert str(pencil_invariant_factors(
-        F2, ScalarMatrix.from_rows([[1], [0]]))) == "x+1"
+    assert str(pencil_invariant_factors(F2, [[0, 0], [0, 0]])) == "x|x"
+    assert str(pencil_invariant_factors(F2, [[1], [1]])) == "1"
+    assert str(pencil_invariant_factors(F2, [[1], [0]])) == "x+1"
     with pytest.raises(ShapeError):
-        pencil_invariant_factors(F2, ScalarMatrix.zero(2, 3))
+        pencil_invariant_factors(F2, [[0, 0, 0], [0, 0, 0]])
 
 
 def test_a_pencil_short_of_full_column_rank_raises(monkeypatch):
@@ -278,7 +275,7 @@ def test_a_pencil_short_of_full_column_rank_raises(monkeypatch):
 
     monkeypatch.setattr(smith, "snf", one_short)
     with pytest.raises(ExactnessError, match="full column rank"):
-        pencil_invariant_factors(F2, ScalarMatrix.zero(3, 2))
+        pencil_invariant_factors(F2, [[0, 0]] * 3)
 
 
 def test_pencil_always_has_k_factors_of_bounded_degree():
@@ -320,16 +317,16 @@ def test_invariant_factors_survive_basis_change_fixing_subspace():
             b = rand_matrix(rng, f, n, k)
             while True:
                 s = rand_matrix(rng, f, k, k)
-                if rank(f, s) == k:
+                if rank_rows(f, s, k) == k:
                     break
             while True:
                 y = rand_matrix(rng, f, n - k, n - k)
-                if rank(f, y) == n - k:
+                if rank_rows(f, y, n - k) == n - k:
                     break
             x = rand_matrix(rng, f, k, n - k)
-            top = [list(s.row(i)) + list(x.row(i)) for i in range(k)]
-            bottom = [[0] * k + list(y.row(i)) for i in range(n - k)]
-            r = ScalarMatrix.from_rows(top + bottom)
+            top = [s[i] + x[i] for i in range(k)]
+            bottom = [[0] * k + y[i] for i in range(n - k)]
+            r = top + bottom
             b_new = mat_mul(f, mat_inv(f, r), mat_mul(f, b, s))
             assert pencil_invariant_factors(f, b_new) == \
                 pencil_invariant_factors(f, b)
@@ -340,52 +337,45 @@ def test_invariant_factors_survive_basis_change_fixing_subspace():
 # ---------------------------------------------------------------------------
 
 def test_max_invariant_subspace_examples():
-    k = 2
-    a = ScalarMatrix.from_rows([[1, 0], [1, 1]])
-    c_zero = ScalarMatrix.zero(1, k)
-    dim, basis = max_invariant_subspace(F2, a, c_zero)
-    assert dim == k and len(basis) == k
-    a0 = ScalarMatrix.zero(k, k)
-    c_id = ScalarMatrix.identity(k)
-    dim, basis = max_invariant_subspace(F2, a0, c_id)
-    assert dim == 0 and basis == ()
+    a = [[1, 0], [1, 1]]
+    assert max_invariant_subspace(F2, a, [[0, 0]]) == ((1, 0), (0, 1))
+    assert max_invariant_subspace(F2, a, []) == ((1, 0), (0, 1))
+    assert max_invariant_subspace(F2, [[0, 0], [0, 0]],
+                                  [[1, 0], [0, 1]]) == ()
     with pytest.raises(ShapeError):
-        max_invariant_subspace(F2, a, ScalarMatrix.zero(1, 3))
+        max_invariant_subspace(F2, a, [[0, 0, 0]])
 
 
 def test_invariant_subspace_dimension_equals_factor_degree_sum():
     f, n, k = F2, 3, 2
     for b in all_matrices(f, n, k):
-        a_block = ScalarMatrix(k, k, b.entries[: k * k])
-        c_block = ScalarMatrix(n - k, k, b.entries[k * k:])
-        dim, basis = max_invariant_subspace(f, a_block, c_block)
-        assert dim == pencil_invariant_factors(f, b).total_degree()
+        a_block, c_block = b[:k], b[k:]
+        basis = max_invariant_subspace(f, a_block, c_block)
+        assert len(basis) == pencil_invariant_factors(f, b).total_degree()
         # the basis really spans an invariant subspace: A maps it into
         # itself and C kills it
         for vec in basis:
-            col = ScalarMatrix(k, 1, vec)
-            assert all(v == 0 for v in mat_mul(f, c_block, col).entries)
-            image = mat_mul(f, a_block, col)
-            stacked = list(basis) + [tuple(image.entries)]
-            assert rank(f, ScalarMatrix.from_rows(stacked)) == len(basis)
+            col = [[v] for v in vec]
+            assert all(v == 0 for v, in mat_mul(f, c_block, col))
+            image = [v for v, in mat_mul(f, a_block, col)]
+            assert rank_rows(f, list(basis) + [image], k) == len(basis)
 
 
 def test_reachability_examples():
-    a = ScalarMatrix.from_rows([[1, 0], [0, 1]])
-    assert reachability_rank(F2, a, ScalarMatrix.zero(2, 1)) == 0
-    one = ScalarMatrix.from_rows([[1]])
-    assert reachability_rank(F2, one, ScalarMatrix.from_rows([[1]])) == 1
+    a = [[1, 0], [0, 1]]
+    assert reachability_rank(F2, a, [[0], [0]]) == 0
+    assert reachability_rank(F2, [[1]], [[1]]) == 1
     with pytest.raises(ShapeError):
-        reachability_rank(F2, a, ScalarMatrix.zero(3, 1))
+        reachability_rank(F2, a, [[0], [0], [0]])
 
 
 def reachability_rank_by_blocks(f, a, b):
     """Rank of [B, AB, ..., A^{k-1}B], concatenated column block by block."""
     blocks = [b]
-    for _ in range(a.rows - 1):
+    for _ in range(len(a) - 1):
         blocks.append(mat_mul(f, a, blocks[-1]))
-    rows = [sum((block.row(i) for block in blocks), ()) for i in range(a.rows)]
-    return rank(f, ScalarMatrix.from_rows(rows))
+    rows = [[v for block in blocks for v in block[i]] for i in range(len(a))]
+    return rank_rows(f, rows, len(rows[0]))
 
 
 def test_reachability_rank_matches_explicit_block_matrix():
@@ -408,8 +398,24 @@ def test_reachability_rank_is_dual_to_invariant_subspace():
     f, k, n = F2, 2, 3
     for a in all_matrices(f, k, k):
         for b in all_matrices(f, k, n - k):
-            dim, _ = max_invariant_subspace(f, a.transpose(), b.transpose())
-            assert reachability_rank(f, a, b) == k - dim
+            basis = max_invariant_subspace(f, list(zip(*a)), list(zip(*b)))
+            assert reachability_rank(f, a, b) == k - len(basis)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: pencil_matrix(F2, b),
+    lambda b: pencil_invariant_factors(F2, b),
+    lambda b: char_poly(F2, b),
+    lambda b: max_invariant_subspace(F2, b, [[0, 0]]),
+    lambda b: max_invariant_subspace(F2, [[1, 0], [0, 1]], b),
+    lambda b: reachability_rank(F2, b, [[1], [0]]),
+    lambda b: reachability_rank(F2, [[1, 0], [0, 1]], b),
+], ids=["pencil_matrix", "pencil_invariant_factors", "char_poly",
+        "max_invariant_subspace-a", "max_invariant_subspace-c",
+        "reachability_rank-a", "reachability_rank-b"])
+def test_a_scalar_matrix_with_ragged_rows_is_refused(call):
+    with pytest.raises(ShapeError, match="ragged"):
+        call([[1, 0], [1]])
 
 
 # ---------------------------------------------------------------------------
