@@ -13,9 +13,12 @@ irreducibles g dividing the tuple, lambda_g being the partition of exponents
 of g in p_k, p_{k-1}, ...  The censuses therefore never factor anything: they
 walk (irreducible, partition) pairs, build each tuple by multiplying the
 irreducible powers into place, and evaluate each type's count once.  The
-walk is recursive and keeps one product table, by (p, g, e), of each p*g^e
-it has built, so each power g^e and each polynomial of a key is built and
-rendered to text once per census, when it first appears.
+walk is recursive and works on coefficient tuples, with
+:func:`polyring.coeffs_mul` and :func:`polyring.coeffs_text`, so it builds no
+:class:`Poly`.  Each power g^e is built once per census, and one product
+table, by (p, g, e), holds the coefficient tuple and key text of each p*g^e,
+so each polynomial of a key is built and rendered once, when it first
+appears.
 Factoring (:func:`exponent_profile`) serves only the single counts that take
 a tuple or polynomial as input; a polynomial f has the type of the one-factor
 tuple (f).
@@ -38,9 +41,10 @@ from .gf import FieldCtx
 from .polyring import (
     Poly,
     _multiplicity_unchecked,
+    coeffs_mul,
+    coeffs_text,
     factorize,
     irreducibles_up_to,
-    poly_text,
 )
 from .smith import InvariantFactorTuple
 
@@ -285,30 +289,36 @@ def check_q_identity(d: int, q: int, y: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _types(field: FieldCtx, max_degree: int, slots: int
-           ) -> Iterator[tuple[int, list[Poly], list[str], tuple]]:
+           ) -> Iterator[tuple[int, list[tuple[int, ...]], list[str], tuple]]:
     """Every chain p_1 | ... | p_slots of monic polynomials with total degree
     d <= max_degree, built from its type without factoring.
 
-    Yields ``(d, [p_1, ..., p_slots], texts, blocks)``; ``texts`` holds the
-    key text of each p_j, ``blocks`` one ``(deg g, lambda_g)`` pair per
-    irreducible divisor g, in canonical order of g, and lambda_g (at most
-    ``slots`` parts) gives the exponents of g in p_slots, p_slots-1, ...
-    With one slot every monic polynomial of degree <= max_degree comes out
-    once.
+    Yields ``(d, [p_1, ..., p_slots], texts, blocks)``; each p_j is a
+    coefficient tuple, ``texts`` holds the key text of each p_j, ``blocks``
+    one ``(deg g, lambda_g)`` pair per irreducible divisor g, in canonical
+    order of g, and lambda_g (at most ``slots`` parts) gives the exponents
+    of g in p_slots, p_slots-1, ...  With one slot every monic polynomial of
+    degree <= max_degree comes out once.
 
+    Each power g^e is built and rendered once, up front, as g^(e-1) * g.
     The walk is recursive (:func:`_chains`) and keeps one product table
-    (:func:`_times_power`), so each chain polynomial, each power g^e among
-    them, is built and rendered once per call.
+    (:func:`_times_power`), so each chain polynomial is built and rendered
+    once per call.
     """
-    irreducibles = irreducibles_up_to(field, max_degree)
+    powers = []  # per irreducible g: (g^e, its text) for e = 1, 2, ...
+    for g in irreducibles_up_to(field, max_degree):
+        row = [g.coeffs]
+        for _ in range(1, max_degree // (len(g.coeffs) - 1)):
+            row.append(coeffs_mul(field, row[-1], g.coeffs))
+        powers.append([(g_e, coeffs_text(field, g_e)) for g_e in row])
     shapes = [tuple(partitions(e, max_parts=slots))
               for e in range(max_degree + 1)]
-    one = Poly.one(field)
-    yield from _chains(irreducibles, shapes, max_degree, {}, 0,
-                       0, [one] * slots, [poly_text(one)] * slots, ())
+    yield from _chains(field, powers, shapes, max_degree, {}, 0,
+                       0, [(1,)] * slots, [coeffs_text(field, (1,))] * slots,
+                       ())
 
 
-def _chains(irreducibles, shapes, max_degree, table, start,
+def _chains(field, powers, shapes, max_degree, table, start,
             d, polys, texts, blocks):
     """The chain ``(d, polys, texts, blocks)`` of :func:`_types`, then, depth
     first, every chain beyond it by powers of g_start, g_start+1, ...
@@ -317,9 +327,9 @@ def _chains(irreducibles, shapes, max_degree, table, start,
     to itself and ``table`` is freed as soon as the walk ends.
     """
     yield d, polys, texts, blocks
-    for i in range(start, len(irreducibles)):
-        g = irreducibles[i]
-        deg = len(g.coeffs) - 1
+    for i in range(start, len(powers)):
+        g_powers = powers[i]
+        deg = len(g_powers[0][0]) - 1
         if d + deg > max_degree:
             break  # irreducibles come in ascending degree
         for e in range(1, (max_degree - d) // deg + 1):
@@ -327,27 +337,25 @@ def _chains(irreducibles, shapes, max_degree, table, start,
                 chain, chain_texts = list(polys), list(texts)
                 for j, part in enumerate(lam, start=1):
                     chain[-j], chain_texts[-j] = _times_power(
-                        table, g, i, chain[-j], chain_texts[-j], part)
-                yield from _chains(irreducibles, shapes, max_degree, table,
+                        field, table, g_powers[part - 1], i, chain[-j],
+                        chain_texts[-j], part)
+                yield from _chains(field, powers, shapes, max_degree, table,
                                    i + 1, d + deg * e, chain, chain_texts,
                                    blocks + ((deg, lam),))
 
 
-def _times_power(table, g, i, p, text, e):
-    """p * g^e and its text, g being the irreducible g_i: built and rendered
-    the first time ``table`` is asked for (text of p, i, e).  The power g^e
-    is kept under (i, e), and p = 1 takes it without a multiply."""
+def _times_power(field, table, power, i, p, text, e):
+    """p * g^e and its text, g being the irreducible g_i and ``power`` the
+    pair (g^e, its text): built and rendered the first time ``table`` is
+    asked for (text of p, i, e), and p = 1 takes ``power`` without a
+    multiply."""
     entry = table.get((text, i, e))
     if entry is None:
-        power = table.get((i, e))
-        if power is None:
-            g_e = g ** e
-            power = table[i, e] = g_e, poly_text(g_e)
-        if p.is_one():
+        if p == (1,):
             entry = table[text, i, e] = power
         else:
-            out = p * power[0]
-            entry = table[text, i, e] = out, poly_text(out)
+            out = coeffs_mul(field, p, power[0])
+            entry = table[text, i, e] = out, coeffs_text(field, out)
     return entry
 
 

@@ -10,6 +10,11 @@ ever sees.
 
 Canonical order for factor lists and the irreducible sieve: degree ascending,
 then coefficient sequence lexicographic from the constant term up.
+
+Two functions work on bare coefficient tuples, so that callers who need only
+coefficients and key texts build no :class:`Poly`: :func:`coeffs_mul`, the one
+product, which ``Poly.__mul__``, the sieve and the closed-form censuses share,
+and :func:`coeffs_text`, the one renderer, behind :func:`poly_text`.
 """
 
 from __future__ import annotations
@@ -28,6 +33,35 @@ from .errors import (
 from .gf import FieldCtx
 
 NEG_INF = float("-inf")
+
+
+def coeffs_mul(field: FieldCtx, a: Sequence[int],
+               b: Sequence[int]) -> tuple[int, ...]:
+    """The coefficients of the product of two coefficient sequences without
+    trailing zeros: the one multiply loop of the package.  Over a prime
+    field it sums plain integer products and reduces each coefficient once
+    mod p; over an extension field it adds through ``field.add`` and
+    ``field.mul``."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    if field.m == 1:
+        for i, ca in enumerate(a):
+            if ca:
+                j = i
+                for cb in b:
+                    out[j] += ca * cb
+                    j += 1
+        p = field.p
+        return tuple([c % p for c in out])
+    mul, add = field.mul, field.add
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                if cb:
+                    c = cb if ca == 1 else mul(ca, cb)
+                    out[j] = add(out[j], c) if out[j] else c
+    return tuple(out)
 
 
 class Poly:
@@ -106,18 +140,8 @@ class Poly:
         return Poly(self.field, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(self.field, ())
-        field = self.field
-        mul, add = field.mul, field.add
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = add(out[i + j], mul(ca, cb))
-        return Poly(field, out)
+        return Poly(self.field,
+                    coeffs_mul(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "Poly":
         if c == 0:
@@ -223,31 +247,21 @@ def irreducibles_up_to(field: FieldCtx, d: int) -> tuple[Poly, ...]:
     an irreducible of degree a <= d/2 times a monic of degree d - a, so every
     such product is marked and the unmarked monics of degree d, taken in
     :func:`monic_polys` order, are appended to the list for d - 1.  The sieve
-    works on coefficient tuples: the monics of degree d - a are listed once
-    per a and shared by every irreducible of degree a, and only the
-    irreducibles found are made into a :class:`Poly`.  Cached per (field,
-    bound).
+    works on coefficient tuples through :func:`coeffs_mul`: the monics of
+    degree d - a are listed once per a and shared by every irreducible of
+    degree a, and only the irreducibles found are made into a
+    :class:`Poly`.  Cached per (field, bound).
     """
     if d < 1:
         return ()
     lower = irreducibles_up_to(field, d - 1)
-    mul, add = field.mul, field.add
     reducible = set()
     for a, group in itertools.groupby(lower, key=lambda g: len(g.coeffs) - 1):
         if 2 * a > d:
             break
         cofactors = list(_monic_tuples(field, d - a))
         for g in group:
-            for h in cofactors:  # g * h, monic of degree d
-                out = [0] * d + [1]
-                for i, ca in enumerate(g.coeffs[:-1]):
-                    if ca:
-                        for j, cb in enumerate(h):
-                            if cb:
-                                out[i + j] = add(out[i + j], mul(ca, cb))
-                for j, cb in enumerate(h[:-1]):
-                    out[a + j] = add(out[a + j], cb)
-                reducible.add(tuple(out))
+            reducible.update(coeffs_mul(field, g.coeffs, h) for h in cofactors)
     return lower + tuple(Poly(field, c) for c in _monic_tuples(field, d)
                          if c not in reducible)
 
@@ -325,31 +339,49 @@ _TERM_RE = re.compile(
 
 def poly_text(p: Poly) -> str:
     """Render in the CLI grammar, e.g. "x^3+2*x+1" or "[3]*x^2+[1]"."""
-    if not p.coeffs:
+    return coeffs_text(p.field, p.coeffs)
+
+
+# field -> {e * q + c: text of the term c*x^e}, filled as each term first
+# appears
+_TERMS: dict[FieldCtx, dict[int, str]] = {}
+
+
+def coeffs_text(field: FieldCtx, coeffs: Sequence[int]) -> str:
+    """The text of :func:`poly_text` for a coefficient sequence without
+    trailing zeros, joined from the field's table of term texts."""
+    if not coeffs:
         return "0"
-    bracketed = p.field.m > 1
-    terms = []
-    for e in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[e]
-        if not c:
-            continue
-        if bracketed:
-            coef = f"[{c}]"
-        elif c == 1 and e > 0:
-            coef = ""
-        else:
-            coef = str(c)
-        if e == 0:
-            var = ""
-        elif e == 1:
-            var = "x"
-        else:
-            var = f"x^{e}"
-        if coef and var:
-            terms.append(f"{coef}*{var}")
-        else:
-            terms.append(coef or var)
-    return "+".join(terms)
+    terms = _TERMS.get(field)
+    if terms is None:
+        terms = _TERMS[field] = {}
+    q = field.q
+    out = []
+    e = len(coeffs)
+    for c in reversed(coeffs):
+        e -= 1
+        if c:
+            term = terms.get(e * q + c)
+            if term is None:
+                term = terms[e * q + c] = _term_text(field.m > 1, c, e)
+            out.append(term)
+    return "+".join(out)
+
+
+def _term_text(bracketed: bool, c: int, e: int) -> str:
+    if bracketed:
+        coef = f"[{c}]"
+    elif c == 1 and e > 0:
+        coef = ""
+    else:
+        coef = str(c)
+    if e == 0:
+        var = ""
+    elif e == 1:
+        var = "x"
+    else:
+        var = f"x^{e}"
+    return f"{coef}*{var}" if coef and var else coef or var
 
 
 def parse_poly(text: str, field: FieldCtx) -> Poly:

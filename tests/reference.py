@@ -102,28 +102,55 @@ def invariant_factor_tuples(field, k):
             yield from chains_with_product(f, k)
 
 
+def schoolbook_mul(field, a, b):
+    """The coefficients of the product of two coefficient sequences, each
+    output coefficient summed on its own with ``field.add`` over
+    ``field.mul`` of every pair whose degrees add up to its degree, trailing
+    zeros dropped: the product that ``polyring.coeffs_mul`` must equal."""
+    out = []
+    for s in range(len(a) + len(b) - 1):
+        c = 0
+        for i in range(max(0, s - len(b) + 1), min(s, len(a) - 1) + 1):
+            c = field.add(c, field.mul(a[i], b[s - i]))
+        out.append(c)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def schoolbook_pow(field, g, e):
+    """g^e as coefficients: 1 times g, e times over, each product by
+    :func:`schoolbook_mul`."""
+    out = (1,)
+    for _ in range(e):
+        out = schoolbook_mul(field, out, g)
+    return out
+
+
 def types_by_remultiplying(field, max_degree, slots):
     """The ``(d, polys, blocks)`` walk that ``census._types`` must yield in
-    the same order, each chain rebuilt by multiplying every power g^part
-    into its slot afresh, 1 included."""
-    irreducibles = irreducibles_up_to(field, max_degree)
+    the same order, each chain a list of coefficient tuples rebuilt by
+    multiplying every power g^part into its slot afresh, 1 included, with
+    :func:`schoolbook_mul`."""
+    irreducibles = [g.coeffs for g in irreducibles_up_to(field, max_degree)]
 
     def walk(start, d, polys, blocks):
         yield d, polys, blocks
         for i in range(start, len(irreducibles)):
             g = irreducibles[i]
-            deg = len(g.coeffs) - 1
+            deg = len(g) - 1
             if d + deg > max_degree:
                 break  # irreducibles come in ascending degree
             for e in range(1, (max_degree - d) // deg + 1):
                 for lam in partitions(e, max_parts=slots):
                     chain = list(polys)
                     for j, part in enumerate(lam, start=1):
-                        chain[-j] = chain[-j] * g ** part
+                        chain[-j] = schoolbook_mul(
+                            field, chain[-j], schoolbook_pow(field, g, part))
                     yield from walk(i + 1, d + deg * e, chain,
                                     blocks + ((deg, lam),))
 
-    yield from walk(0, 0, [Poly.one(field)] * slots, ())
+    yield from walk(0, 0, [(1,)] * slots, ())
 
 
 def factorize_full_sieve(g):

@@ -42,7 +42,8 @@ from pencilcensus.polyring import (Poly, factorize, irreducibles_up_to,
 from pencilcensus.smith import InvariantFactorTuple
 
 from reference import (chains_with_product, invariant_factor_tuples,
-                       report_from_json, types_by_remultiplying)
+                       report_from_json, schoolbook_pow,
+                       types_by_remultiplying)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -474,31 +475,33 @@ def test_the_type_walk_yields_what_remultiplying_yields(q):
                 list(types_by_remultiplying(f, max_degree, slots)), \
                 (max_degree, slots)
             for _, polys, texts, _ in walked:
-                assert texts == [str(p) for p in polys]
+                assert texts == [str(Poly(f, p)) for p in polys]
 
 
 def test_the_closed_form_builds_each_power_and_key_text_once(monkeypatch):
     f = field_new(5)
+    products = collections.Counter()
     calls = collections.Counter()
+    multiply, render = polyring.coeffs_mul, polyring.coeffs_text
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            if name == "__mul__" and any(p.is_one() for p in args):
-                calls["times one"] += 1
-            return fn(*args)
-        return wrapper
+    def counted_mul(field, a, b):
+        out = multiply(field, a, b)
+        products[out] += 1
+        calls["times one"] += (1,) in (a, b)
+        return out
 
-    monkeypatch.setattr(Poly, "__pow__", counted("__pow__", Poly.__pow__))
-    monkeypatch.setattr(Poly, "__mul__", counted("__mul__", Poly.__mul__))
-    text = counted("poly_text", polyring.poly_text)
-    monkeypatch.setattr(polyring, "poly_text", text)
-    # keys may be rendered through str(p) or through census's own import
-    monkeypatch.setattr(census_mod, "poly_text", text, raising=False)
+    def counted_text(field, coeffs):
+        calls["text"] += 1
+        return render(field, coeffs)
+
+    monkeypatch.setattr(census_mod, "coeffs_mul", counted_mul)
+    # keys may be rendered through census's own import or through str(p)
+    monkeypatch.setattr(census_mod, "coeffs_text", counted_text)
+    monkeypatch.setattr(polyring, "coeffs_text", counted_text)
     irreducibles_up_to.cache_clear()  # the sieve runs under the count too
     report = pencil_census(f, 4, 4)
     monkeypatch.undo()
-    powers = {(g, e) for g in irreducibles_up_to(f, 4)
+    powers = {schoolbook_pow(f, g.coeffs, e) for g in irreducibles_up_to(f, 4)
               for e in range(1, 4 // g.degree + 1)}
     # every chain the walk passes, the d < 4 ones this square shape drops
     # included: each monic of degree <= 4 once
@@ -506,21 +509,32 @@ def test_the_closed_form_builds_each_power_and_key_text_once(monkeypatch):
                    for p in polys}
     assert (len(powers), len(chain_polys)) == (230, 781)
     assert len(report.entries) == 805
-    assert calls["__pow__"] <= len(powers)
+    # each power g^e, e >= 2, is built once, and so is every other product
+    irreducibles = {g.coeffs for g in irreducibles_up_to(f, 4)}
+    assert all(products[p] == 1 for p in powers - irreducibles)
+    assert max(products.values()) == 1
     assert calls["times one"] == 0
-    assert calls["poly_text"] <= len(chain_polys)
+    assert calls["text"] <= len(chain_polys)
 
 
-def test_a_closed_form_census_leaves_no_reference_cycle():
-    # nothing the walk builds waits for the cycle collector to be freed
-    f = field_new(5)
-    gc.collect()
-    gc.disable()
-    try:
-        pencil_census(f, 4, 4)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+def test_a_closed_form_census_leaves_no_reference_cycle(monkeypatch):
+    # nothing the walk or the sieve builds waits for the cycle collector to
+    # be freed: not over an extension field, nor in a term table filled
+    # afresh
+    monkeypatch.setattr(polyring, "_TERMS", {})
+    for q, n in ((5, 4), (9, 3)):
+        f = parse_field_spec(str(q))
+        irreducibles_up_to.cache_clear()
+        gc.collect()
+        gc.disable()
+        try:
+            pencil_census(f, n, n)
+            fiber_census(f, n, n)
+            for d in range(n + 1):
+                subspace_census(f, n, n, d)
+            assert gc.collect() == 0, q
+        finally:
+            gc.enable()
 
 
 def test_closed_census_totals():

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pencilcensus import polyring
 from pencilcensus.errors import (
@@ -14,6 +15,8 @@ from pencilcensus.polyring import (
     NEG_INF,
     Poly,
     _multiplicity_unchecked,
+    coeffs_mul,
+    coeffs_text,
     factorize,
     irreducibles_up_to,
     is_irreducible,
@@ -23,7 +26,7 @@ from pencilcensus.polyring import (
 )
 
 from reference import (factorize_full_sieve, poly_from_json, poly_lcm,
-                       poly_to_json, sort_key)
+                       poly_to_json, schoolbook_mul, sort_key)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -277,6 +280,36 @@ def test_text_format_round_trip_random():
         for _ in range(60):
             p = rand_poly(rng, f, 5)
             assert parse_poly(str(p), f) == p
+
+
+F5, F8, F9 = field_new(5), field_new(2, 3), field_new(3, 2)
+
+
+@st.composite
+def factor_pairs(draw):
+    """A field of every kind and two polynomials of degree -inf to 5 over
+    it, of independent lengths, so zero and constant factors come up."""
+    f = draw(st.sampled_from((F2, F3, F5, F4, F8, F9)))
+    coeffs = st.lists(st.integers(0, f.q - 1), max_size=6)
+    return f, Poly(f, draw(coeffs)), Poly(f, draw(coeffs))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(factor_pairs())
+@example((F2, Poly.zero(F2), Poly(F2, (1, 1))))
+@example((F9, Poly(F9, (7, 0, 5)), Poly.zero(F9)))
+@example((F9, Poly(F9, (8,)), Poly(F9, (3, 0, 0, 6, 2))))
+@example((F5, Poly(F5, (4, 4, 4)), Poly(F5, (2,))))
+@example((F8, Poly(F8, (0, 0, 0, 0, 1)), Poly(F8, (5, 3))))
+def test_the_product_kernel_equals_the_schoolbook_product(case):
+    f, a, b = case
+    want = schoolbook_mul(f, a.coeffs, b.coeffs)
+    assert coeffs_mul(f, a.coeffs, b.coeffs) == want
+    assert (a * b).coeffs == want
+    for p in (a, b, a * b):
+        text = coeffs_text(f, p.coeffs)
+        assert text == str(p)
+        assert parse_poly(text, f).coeffs == p.coeffs
 
 
 def test_parse_rejects_nonsense():
