@@ -194,6 +194,42 @@ def test_nilext_report_matches_closed_form():
     assert verify(nilext_census(F2, 3, 2), report).verdict
 
 
+# The completion scan tries E = 0 first, each completion once, and stops at
+# the first nilpotent one, so a representative with none tries all
+# q^(n(n-k)).  Pinned per shape: the representatives, the positives, the
+# most tries a positive needs and the tries in all, each try being
+# ``squarings`` products whose first squares the completed matrix.  On these
+# lists every positive is completed by E = 0, its first try.
+@pytest.mark.parametrize("q,n,k,pins", [(2, 4, 2, (10, 5, 1, 1285)),
+                                        (3, 3, 2, (16, 4, 1, 328)),
+                                        (2, 5, 3, (26, 9, 1, 17417))])
+def test_the_completion_scan_tries_the_zero_completion_first(q, n, k, pins,
+                                                              monkeypatch):
+    exact_scan, exact_mul = oracle._has_nilpotent_completion, oracle.rows_mul
+    products, scans = [], []
+
+    def scan(f, b, ext_cols, squarings):
+        start = len(products)
+        found = exact_scan(f, b, ext_cols, squarings)
+        assert (len(products) - start) % squarings == 0
+        scans.append((found, [tuple(map(tuple, m))
+                              for m in products[start::squarings]]))
+        return found
+
+    monkeypatch.setattr(oracle, "rows_mul", lambda f, a, b:
+                        products.append(a) or exact_mul(f, a, b))
+    monkeypatch.setattr(oracle, "_has_nilpotent_completion", scan)
+    run(cfg(q, n, k, mode="nilext"))
+    for found, tries in scans:
+        assert not any(v for row in tries[0] for v in row[k:])
+        assert len(set(tries)) == len(tries)
+        assert len({tuple(row[:k] for row in m) for m in tries}) == 1
+        assert found or len(tries) == q ** (n * (n - k))
+    positives = [len(tries) for found, tries in scans if found]
+    assert (len(scans), len(positives), max(positives),
+            sum(len(tries) for _, tries in scans)) == pins
+
+
 def test_nilext_budget_counts_completions():
     # the 16 blocks of the GL_2 search x 2^(n(n-k)) = 8 candidate
     # completions each: 128 evaluations exceed a budget of 100
