@@ -14,8 +14,8 @@ g(x*I_{n,k} - B)P^-1 = x*I_{n,k} - gBP^-1, so every key is constant on the
 orbits B -> gBP^-1 (if N completes B to a nilpotent operator, gNg^-1
 completes gBP^-1).  The walk classifies one B per orbit, weighted by the
 orbit's size, from a list built by recursion on the shape (n, k): at n = k
-the similarity classes, which a graph search finds, and at k = 0 the empty
-matrix.  At n > k, by g = diag(I, Q) and g = diag(P, I) every orbit meets
+the similarity classes, which a graph search finds, and at k = 0 the n
+empty rows.  At n > k, by g = diag(I, Q) and g = diag(P, I) every orbit meets
 the C whose row space is U_0 = span(e_(k-r+1)..e_k), r its dimension, and
 by g = [[I, R], [0, I]], [A; C] ~ [A + RC; C] with RC any matrix whose rows
 lie in U_0, so it meets A = [X 0], X the first k-r columns of A, with
@@ -39,6 +39,7 @@ listing them, and a remainder raises ExactnessError.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -81,15 +82,6 @@ class EnumConfig(namedtuple("EnumConfig", "p m n k mode subspace workers budget"
 
     def field(self) -> FieldCtx:
         return field_new(self.p, self.m)
-
-
-def _advance(digits: list[int], base: int) -> None:
-    for i in range(len(digits)):
-        d = digits[i] + 1
-        if d < base:
-            digits[i] = d
-            return
-        digits[i] = 0
 
 
 def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
@@ -147,60 +139,49 @@ def _check_budget(cfg: EnumConfig, exponent: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Per-matrix keys: the n*k entries of one matrix, row-major, to the census key
-# it is tallied under, or None when it is not tallied.
+# Per-matrix keys: one n x k matrix, a tuple of n row tuples, to the census
+# key it is tallied under, or None when it is not tallied.
 # ---------------------------------------------------------------------------
 
-def _rows(cfg: EnumConfig, entries: tuple) -> list[tuple]:
-    """The n rows of k entries each of a row-major entries tuple."""
-    k = cfg.k
-    return [entries[i:i + k] for i in range(0, len(entries), k)]
+def _pencil_key(f: FieldCtx, cfg: EnumConfig, b: tuple) -> str:
+    return str(pencil_invariant_factors(f, b))
 
 
-def _pencil_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
-    return str(pencil_invariant_factors(f, _rows(cfg, entries)))
-
-
-def _fiber_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
+def _fiber_key(f: FieldCtx, cfg: EnumConfig, b: tuple) -> str:
     """The product of the invariant factors: the characteristic polynomial,
     computed directly, when the matrix is square."""
-    b = _rows(cfg, entries)
     if cfg.n == cfg.k:
         return str(char_poly(f, b))
     return str(pencil_invariant_factors(f, b).product())
 
 
-def _pair_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str:
+def _pair_key(f: FieldCtx, cfg: EnumConfig, b: tuple) -> str:
     """Reachability rank of (A^T, C^T), A the top k x k block and C the rest:
     transposing is a bijection onto the pairs (A, B) the pair census counts."""
-    b = _rows(cfg, entries)
     a_t, c_t = list(zip(*b[:cfg.k])), list(zip(*b[cfg.k:]))
     return str(reachability_rank(f, a_t, c_t))
 
 
-def _subspace_key(f: FieldCtx, cfg: EnumConfig, entries: tuple,
+def _subspace_key(f: FieldCtx, cfg: EnumConfig, b: tuple,
                   same: Callable = operator.eq) -> str | None:
     """Invariant factors of the maps whose maximal invariant subspace M is
     the configured S, or has ``same(M, S)``; A is the top k x k block."""
-    b = _rows(cfg, entries)
     basis = max_invariant_subspace(f, b[:cfg.k], b[cfg.k:])
     if not same(basis, cfg.subspace):
         return None
     return str(pencil_invariant_factors(f, b))
 
 
-def _subspace_dim_key(f: FieldCtx, cfg: EnumConfig,
-                      entries: tuple) -> str | None:
+def _subspace_dim_key(f: FieldCtx, cfg: EnumConfig, b: tuple) -> str | None:
     """The walk's subspace key: the maximal invariant subspace has the
     configured one's dimension (module doc)."""
-    return _subspace_key(f, cfg, entries, lambda m, s: len(m) == len(s))
+    return _subspace_key(f, cfg, b, lambda m, s: len(m) == len(s))
 
 
-def _nilext_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str | None:
+def _nilext_key(f: FieldCtx, cfg: EnumConfig, b: tuple) -> str | None:
     """"extendable" when a nilpotent square completion exists.  The search is
     checked against the divisibility criterion (the invariant factor product
     divides x^n) matrix by matrix; a disagreement raises ExactnessError."""
-    b = _rows(cfg, entries)
     product = pencil_invariant_factors(f, b).product()
     wimmer = all(c == 0 for c in product.coeffs[:-1])
     found = _has_nilpotent_completion(f, b, cfg.n - cfg.k,
@@ -211,34 +192,33 @@ def _nilext_key(f: FieldCtx, cfg: EnumConfig, entries: tuple) -> str | None:
     return "extendable" if found else None
 
 
-def _has_nilpotent_completion(f: FieldCtx, b: list[tuple],
+def _matrices(q: int, n: int, k: int):
+    """The n x k matrices over GF(q) as row tuples, from the zero matrix."""
+    return itertools.product(itertools.product(range(q), repeat=k), repeat=n)
+
+
+def _has_nilpotent_completion(f: FieldCtx, b: tuple,
                               ext_cols: int, squarings: int) -> bool:
-    q, n = f.q, len(b)
-    ext_digits = [0] * (n * ext_cols)
-    for _ in range(q ** (n * ext_cols)):
-        rows = [[*b[i], *ext_digits[i * ext_cols: (i + 1) * ext_cols]]
-                for i in range(n)]
-        cur = rows
+    """Whether some [B E] is nilpotent, trying E = 0 first."""
+    for e in _matrices(f.q, len(b), ext_cols):
+        cur = rows = [row + ext for row, ext in zip(b, e)]
         for _ in range(squarings):
             cur = rows_mul(f, cur, cur)
         if all(v == 0 for row in cur for v in row):
             return True
-        _advance(ext_digits, q)
     return False
 
 
 def _walk(cfg: EnumConfig, key: Callable[..., str | None]) -> dict[str, int]:
-    """Tally ``key`` over all q^(nk) matrices one by one, from the zero
-    matrix: the full enumeration that tests and ``selftest`` check the orbit
-    walk against."""
+    """Tally ``key`` over all q^(nk) matrices one by one, each a tuple of
+    row tuples, from the zero matrix: the full enumeration that tests and
+    ``selftest`` check the orbit walk against."""
     f = cfg.field()
     tally: dict[str, int] = {}
-    digits = [0] * (cfg.n * cfg.k)
-    for _ in range(cfg.q ** len(digits)):
-        name = key(f, cfg, tuple(digits))
+    for b in _matrices(cfg.q, cfg.n, cfg.k):
+        name = key(f, cfg, b)
         if name is not None:
             tally[name] = tally.get(name, 0) + 1
-        _advance(digits, cfg.q)
     return tally
 
 
@@ -336,34 +316,35 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
 
 def _tall_list(f: FieldCtx, n: int, k: int,
                ranks: range | None = None) -> list[tuple[tuple, int]]:
-    """One ``(entries, weight)`` per orbit of the n x k matrices under
-    B -> gBP^-1, built by the recursion of the module doc: the entries of one
-    matrix of the orbit, row-major, and the orbit's size.  With ``ranks``,
+    """One ``(rows, weight)`` per orbit of the n x k matrices under
+    B -> gBP^-1, built by the recursion of the module doc: one matrix of the
+    orbit, a tuple of n row tuples, and the orbit's size.  With ``ranks``,
     only the orbits whose bottom block's row space dimension r is in it."""
     q = f.q
     if ranks is None:
         if k == 0:
-            return [((), 1)]
-        if n == k:
-            return [(tuple(_digits_of(a, q, k * k)), size)
+            return [(((),) * n, 1)]
+        if n == k:  # a leader's base-q^k digits index its rows, row 0 first
+            return [(tuple(tuple(_digits_of(row, q, k))
+                           for row in _digits_of(a, q ** k, k)), size)
                     for a, size in _similarity_classes(f.p, f.m, k)]
         ranks = range(min(n - k, k) + 1)
     out = []
     for r in ranks:
         c = k - r
-        bottom = sum(((0,) * i + (1,) + (0,) * (k - 1 - i)
-                      for i in range(c, k)), ()) + (0,) * ((n - k - r) * k)
+        bottom = (tuple((0,) * i + (1,) + (0,) * (k - 1 - i)
+                        for i in range(c, k)) + ((0,) * k,) * (n - k - r))
         weight = (q ** (k * r) * sum(1 for _ in echelon_subspaces(f, k, r))
                   * math.prod(q ** (n - k) - q ** i for i in range(r)))
         for x, w in _tall_list(f, k, c):
-            top = sum((x[i * c:(i + 1) * c] + (0,) * r for i in range(k)), ())
-            out.append((top + bottom, w * weight))
+            out.append((tuple(row + (0,) * r for row in x) + bottom,
+                        w * weight))
     return out
 
 
 @lru_cache(maxsize=1)
 def _representatives(cfg: EnumConfig) -> tuple[tuple[tuple, int], ...]:
-    """``(entries, weight)`` per representative the walk classifies: the
+    """``(rows, weight)`` per representative the walk classifies: the
     list of :func:`_tall_list` at cfg's shape, in subspace mode only at the
     row space dimensions r where dim M = d can hold (module doc)."""
     n, k, d = cfg.n, cfg.k, len(cfg.subspace or ())
@@ -375,14 +356,15 @@ def _representatives(cfg: EnumConfig) -> tuple[tuple[tuple, int], ...]:
 def _orbit_walk(args: tuple, key: Callable[..., str | None]) -> dict[str, int]:
     """Tally ``key`` over the orbits of the run of :func:`_representatives`
     that the share lo <= j < hi of the q^(nk) matrices stands for (see
-    :func:`_execute`), classifying one representative per orbit."""
+    :func:`_execute`), classifying one representative per orbit, a tuple of
+    row tuples."""
     cfg, lo, hi = args
     f = cfg.field()
     reps = _representatives(cfg)
-    a, b = (j * len(reps) // cfg.q ** (cfg.n * cfg.k) for j in (lo, hi))
+    start, stop = (j * len(reps) // cfg.q ** (cfg.n * cfg.k) for j in (lo, hi))
     tally: dict[str, int] = {}
-    for entries, weight in reps[a:b]:
-        name = key(f, cfg, entries)
+    for b, weight in reps[start:stop]:
+        name = key(f, cfg, b)
         if name is not None:
             tally[name] = tally.get(name, 0) + weight
     return tally

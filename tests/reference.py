@@ -76,21 +76,23 @@ def chains_with_product(f, k):
     increasing exponent sequence per irreducible divisor, i.e. a partition of
     its exponent into at most k parts.  It factors through
     ``census.factorize``, so a test that memoises that name memoises this.
+    Each p_i is multiplied out with :func:`schoolbook_mul`, so the chains
+    share no product with the census walk they check.
     """
     per_factor = []
     for g, e in census.factorize(f).factors:
         seqs = [tuple([0] * (k - len(lam)) + sorted(lam))
                 for lam in partitions(e, max_parts=k)]
-        per_factor.append((g, seqs))
-    one = Poly.one(f.field)
+        per_factor.append((g.coeffs, seqs))
     for combo in itertools.product(*(seqs for _, seqs in per_factor)):
         polys = []
         for i in range(k):
-            p = one
+            p = (1,)
             for (g, _), seq in zip(per_factor, combo):
                 if seq[i]:
-                    p = p * g ** seq[i]
-            polys.append(p)
+                    p = schoolbook_mul(f.field, p,
+                                       schoolbook_pow(f.field, g, seq[i]))
+            polys.append(Poly(f.field, p))
         yield InvariantFactorTuple(polys)
 
 

@@ -465,6 +465,26 @@ def test_type_built_censuses_match_per_tuple_reference(q, k, monkeypatch):
                 nonzero(subspace[n, d])
 
 
+@pytest.mark.parametrize("q", [4, 9])
+def test_the_per_tuple_reference_shares_no_product_with_the_walk(
+        q, monkeypatch):
+    # chains_with_product multiplies each p_i out with schoolbook_mul, so
+    # with the factorizations memoised it yields the same chains with the
+    # package's products removed
+    monkeypatch.setattr(census_mod, "factorize",
+                        functools.lru_cache(maxsize=None)(factorize))
+    f = parse_field_spec(str(q))
+    chains = [str(t) for t in invariant_factor_tuples(f, 3)]
+
+    def no_product(*args):
+        raise AssertionError("the reference called the package's product")
+
+    for owner, name in ((polyring, "coeffs_mul"), (Poly, "__mul__"),
+                        (Poly, "__pow__")):
+        monkeypatch.setattr(owner, name, no_product)
+    assert [str(t) for t in invariant_factor_tuples(f, 3)] == chains
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_the_type_walk_yields_what_remultiplying_yields(q):
     f = parse_field_spec(str(q))

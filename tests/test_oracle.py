@@ -363,12 +363,13 @@ def test_row_space_weights_count_every_bottom_block(q):
             # e_(k-r+1)..e_k, then zero rows, and A zero in its last r columns
             listed = _tall_list(f, n, k, range(1, min(rows, k) + 1))
             assert sum(w for _, w in listed) == q ** (n * k) - q ** (k * k)
-            for entries, _ in listed:
-                c = entries[k * k:]
-                r = sum(1 for i in range(rows) if any(c[i * k:(i + 1) * k]))
-                assert c == tuple(int(i < r and j == k - r + i)
-                                  for i in range(rows) for j in range(k))
-                assert not any(entries[i * k + j] for i in range(k)
+            for b, _ in listed:
+                c = b[k:]
+                r = sum(1 for row in c if any(row))
+                assert c == tuple(tuple(int(i < r and j == k - r + i)
+                                        for j in range(k))
+                                  for i in range(rows))
+                assert not any(row[j] for row in b[:k]
                                for j in range(k - r, k))
 
 
@@ -529,7 +530,8 @@ def test_similarity_classes_equal_the_move_by_move_search(q, k):
 def test_top_block_orbits_equal_those_of_the_whole_group(q, k, r):
     f = parse_field_spec(str(q))
     orbit = block_classes_by_group(f.p, f.m, k, r)
-    found = [(orbit[sum(v * q ** i for i, v in enumerate(x))], w)
+    found = [(orbit[sum(v * q ** i for i, v in
+                        enumerate(itertools.chain.from_iterable(x)))], w)
              for x, w in _tall_list(f, k, k - r)]
     assert sorted(leader for (leader, _), _ in found) == \
         sorted(set(leader for leader, _ in orbit.values()))
@@ -621,9 +623,10 @@ def test_square_chunks_hold_even_shares_of_the_classes(q, n, k, monkeypatch):
     monkeypatch.setattr(oracle, "_pool_size", lambda workers, n: 1)
     oracle._execute(small, lambda args: chunks.append(args[1:]) or {})
     reps = oracle._representatives(small)
-    assert n > k or [entries for entries, _ in reps] == [
-        tuple(_digits_of(a, q, k * k))
-        for a, _ in _similarity_classes(small.p, small.m, k)]
+    leaders = [_digits_of(a, q, k * k)
+               for a, _ in _similarity_classes(small.p, small.m, k)]
+    assert n > k or [b for b, _ in reps] == [
+        tuple(tuple(d[i:i + k]) for i in range(0, k * k, k)) for d in leaders]
     total = q ** (n * k)
     runs = [hi * len(reps) // total - lo * len(reps) // total
             for lo, hi in chunks]
