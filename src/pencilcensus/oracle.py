@@ -47,7 +47,7 @@ import sys
 from array import array
 from collections import namedtuple
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import census
 from .census import CensusReport, compact_json, make_params
@@ -192,7 +192,7 @@ def _nilext_key(f: FieldCtx, cfg: EnumConfig, b: tuple) -> str | None:
     return "extendable" if found else None
 
 
-def _matrices(q: int, n: int, k: int):
+def _matrices(q: int, n: int, k: int) -> Iterator[tuple]:
     """The n x k matrices over GF(q) as row tuples, from the zero matrix."""
     return itertools.product(itertools.product(range(q), repeat=k), repeat=n)
 
@@ -201,7 +201,7 @@ def _has_nilpotent_completion(f: FieldCtx, b: tuple,
                               ext_cols: int, squarings: int) -> bool:
     """Whether some [B E] is nilpotent, trying E = 0 first."""
     for e in _matrices(f.q, len(b), ext_cols):
-        cur = rows = [row + ext for row, ext in zip(b, e)]
+        cur = [row + ext for row, ext in zip(b, e)]
         for _ in range(squarings):
             cur = rows_mul(f, cur, cur)
         if all(v == 0 for row in cur for v in row):
