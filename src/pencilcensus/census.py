@@ -11,14 +11,13 @@ A count depends on an invariant-factor tuple only through its *type*: the
 total degree d and the multiset of pairs (deg g, lambda_g) over the monic
 irreducibles g dividing the tuple, lambda_g being the partition of exponents
 of g in p_k, p_{k-1}, ...  The censuses therefore never factor anything: they
-walk (irreducible, partition) pairs, build each tuple by multiplying the
-irreducible powers into place, and evaluate each type's count once.  The
-walk is recursive and works on coefficient tuples, with
-:func:`polyring.coeffs_mul` and :func:`polyring.coeffs_text`, so it builds no
-:class:`Poly`.  Each power g^e is built once per census, and one product
-table, by (p, g, e), holds the coefficient tuple and key text of each p*g^e,
-so each polynomial of a key is built and rendered once, when it first
-appears.
+walk (irreducible, partition) pairs, put each tuple together from the
+irreducible powers, and evaluate each type's count once.  The walk is
+recursive, works on coefficient tuples and builds no :class:`Poly`, and it
+multiplies nothing: the sieve of :func:`polyring.irreducibles_up_to` keeps a
+product table, by (p, g, e), with the coefficient tuple and key text of each
+p*g^e, and every census of the field reads its keys from it, so each
+polynomial of a key is built and rendered once per field.
 Factoring (:func:`exponent_profile`) serves only the single counts that take
 a tuple or polynomial as input; a polynomial f has the type of the one-factor
 tuple (f).
@@ -41,7 +40,6 @@ from .gf import FieldCtx
 from .polyring import (
     Poly,
     _multiplicity_unchecked,
-    coeffs_mul,
     coeffs_text,
     factorize,
     irreducibles_up_to,
@@ -300,63 +298,41 @@ def _types(field: FieldCtx, max_degree: int, slots: int
     of g in p_slots, p_slots-1, ...  With one slot every monic polynomial of
     degree <= max_degree comes out once.
 
-    Each power g^e is built and rendered once, up front, as g^(e-1) * g.
-    The walk is recursive (:func:`_chains`) and keeps one product table
-    (:func:`_times_power`), so each chain polynomial is built and rendered
-    once per call.
+    The walk is recursive (:func:`_chains`) and multiplies nothing: each
+    p * g^e, with its text, is read from the sieve's product table, which
+    built it once for the field.
     """
-    powers = []  # per irreducible g: (g^e, its text) for e = 1, 2, ...
-    for g in irreducibles_up_to(field, max_degree):
-        row = [g.coeffs]
-        for _ in range(1, max_degree // (len(g.coeffs) - 1)):
-            row.append(coeffs_mul(field, row[-1], g.coeffs))
-        powers.append([(g_e, coeffs_text(field, g_e)) for g_e in row])
+    sieve = irreducibles_up_to(field, max_degree)
     shapes = [tuple(partitions(e, max_parts=slots))
               for e in range(max_degree + 1)]
-    yield from _chains(field, powers, shapes, max_degree, {}, 0,
-                       0, [(1,)] * slots, [coeffs_text(field, (1,))] * slots,
-                       ())
+    yield from _chains(sieve.products, [len(g.coeffs) - 1 for g in sieve],
+                       shapes, max_degree, 0, 0, [(1,)] * slots,
+                       [coeffs_text(field, (1,))] * slots, ())
 
 
-def _chains(field, powers, shapes, max_degree, table, start,
+def _chains(products, degrees, shapes, max_degree, start,
             d, polys, texts, blocks):
     """The chain ``(d, polys, texts, blocks)`` of :func:`_types`, then, depth
-    first, every chain beyond it by powers of g_start, g_start+1, ...
+    first, every chain beyond it by powers of g_start, g_start+1, ...,
+    each p_j * g_i^e read from ``products[p_j, i, e]``: the factors of p_j
+    all come before g_i.
 
     A module function, like :func:`_partitions`, so that no closure refers
-    to itself and ``table`` is freed as soon as the walk ends.
+    to itself.
     """
     yield d, polys, texts, blocks
-    for i in range(start, len(powers)):
-        g_powers = powers[i]
-        deg = len(g_powers[0][0]) - 1
+    for i in range(start, len(degrees)):
+        deg = degrees[i]
         if d + deg > max_degree:
             break  # irreducibles come in ascending degree
         for e in range(1, (max_degree - d) // deg + 1):
             for lam in shapes[e]:
                 chain, chain_texts = list(polys), list(texts)
                 for j, part in enumerate(lam, start=1):
-                    chain[-j], chain_texts[-j] = _times_power(
-                        field, table, g_powers[part - 1], i, chain[-j],
-                        chain_texts[-j], part)
-                yield from _chains(field, powers, shapes, max_degree, table,
+                    chain[-j], chain_texts[-j] = products[chain[-j], i, part]
+                yield from _chains(products, degrees, shapes, max_degree,
                                    i + 1, d + deg * e, chain, chain_texts,
                                    blocks + ((deg, lam),))
-
-
-def _times_power(field, table, power, i, p, text, e):
-    """p * g^e and its text, g being the irreducible g_i and ``power`` the
-    pair (g^e, its text): built and rendered the first time ``table`` is
-    asked for (text of p, i, e), and p = 1 takes ``power`` without a
-    multiply."""
-    entry = table.get((text, i, e))
-    if entry is None:
-        if p == (1,):
-            entry = table[text, i, e] = power
-        else:
-            out = coeffs_mul(field, p, power[0])
-            entry = table[text, i, e] = out, coeffs_text(field, out)
-    return entry
 
 
 def _census_entries(field: FieldCtx, max_degree: int, slots: int,

@@ -2,19 +2,20 @@
 
 Coefficients are stored in ascending degree order with no trailing zeros, so
 the zero polynomial is the empty tuple and ``degree`` of zero is the
-``NEG_INF`` sentinel.  Factorization is by trial division against a
-multiplicative sieve of monic irreducibles, grown one degree at a time up to
-half the degree of the cofactor: the cofactor left over is irreducible.  That
-is exact, deterministic and entirely sufficient at the degrees this package
-ever sees.
+``NEG_INF`` sentinel.  Factorization is by trial division against a sieve
+of monic irreducibles, grown one degree at a time up to half the degree of
+the cofactor: the cofactor left over is irreducible.  That is exact,
+deterministic and entirely sufficient at the degrees this package ever
+sees.  The sieve builds each reducible monic once, in a product table that
+the closed-form censuses read their keys from.
 
 Canonical order for factor lists and the irreducible sieve: degree ascending,
 then coefficient sequence lexicographic from the constant term up.
 
 Two functions work on bare coefficient tuples, so that callers who need only
 coefficients and key texts build no :class:`Poly`: :func:`coeffs_mul`, the one
-product, which ``Poly.__mul__``, the sieve and the closed-form censuses share,
-and :func:`coeffs_text`, the one renderer, behind :func:`poly_text`.
+product, which ``Poly.__mul__`` and the sieve share, and :func:`coeffs_text`,
+the one renderer, behind :func:`poly_text`.
 """
 
 from __future__ import annotations
@@ -239,31 +240,60 @@ def _monic_tuples(field: FieldCtx, degree: int) -> Iterator[tuple[int, ...]]:
             itertools.product(field.elements(), repeat=degree))
 
 
+class _Sieve(tuple):
+    """The monic irreducibles of degree <= d, in canonical order, with the
+    product table that every bound of their field shares: ``products[p, i,
+    e]`` holds the coefficients and text of p * g_i^e, g_i being the i-th
+    irreducible, for each monic whose largest factor is g_i, of
+    multiplicity e, with cofactor p."""
+
+    def __new__(cls, polys, products):
+        sieve = super().__new__(cls, polys)
+        sieve.products = products
+        return sieve
+
+    def __getnewargs__(self):
+        return tuple(self), self.products
+
+
 @lru_cache(maxsize=None)
 def irreducibles_up_to(field: FieldCtx, d: int) -> tuple[Poly, ...]:
     """All monic irreducibles of degree <= d, in canonical order.
 
-    Multiplicative sieve: a monic of degree d is reducible exactly when it is
-    an irreducible of degree a <= d/2 times a monic of degree d - a, so every
-    such product is marked and the unmarked monics of degree d, taken in
-    :func:`monic_polys` order, are appended to the list for d - 1.  The sieve
-    works on coefficient tuples through :func:`coeffs_mul`: the monics of
-    degree d - a are listed once per a and shared by every irreducible of
-    degree a, and only the irreducibles found are made into a
-    :class:`Poly`.  Cached per (field, bound).
+    Grown one degree at a time.  Each reducible monic of degree d is built
+    once, by one multiply of entries of the product table: as p * g^e, with
+    g its largest irreducible factor, e the multiplicity of g and every
+    factor of p before g (g^e itself as g^(e-1) * g).  The monics of degree
+    d that this does not reach, taken in :func:`monic_polys` order, are the
+    irreducibles of degree d.  The
+    table holds coefficient tuples and their texts, and only the
+    irreducibles are made into a :class:`Poly`.  Cached per (field, bound);
+    the table lives in the cached results, so ``cache_clear`` drops it.
     """
     if d < 1:
-        return ()
+        return _Sieve((), {})
     lower = irreducibles_up_to(field, d - 1)
-    reducible = set()
-    for a, group in itertools.groupby(lower, key=lambda g: len(g.coeffs) - 1):
-        if 2 * a > d:
-            break
-        cofactors = list(_monic_tuples(field, d - a))
-        for g in group:
-            reducible.update(coeffs_mul(field, g.coeffs, h) for h in cofactors)
-    return lower + tuple(Poly(field, c) for c in _monic_tuples(field, d)
-                         if c not in reducible)
+    products = lower.products
+    made = {}
+    cofactors = [((1,), -1)] + [(p, j) for (_, j, _), (p, _)
+                                 in products.items()]
+    for p, j in cofactors:
+        k = len(p) - 1
+        for i in range(j + 1, len(lower)):
+            g = lower[i].coeffs
+            e, r = divmod(d - k, len(g) - 1)
+            if not e:
+                break  # irreducibles come in ascending degree
+            if not r:
+                a, b = ((p, products[(1,), i, e][0]) if k
+                        else (products[(1,), i, e - 1][0], g))
+                made[p, i, e] = coeffs_mul(field, a, b)
+    reached = set(made.values())
+    found = [c for c in _monic_tuples(field, d) if c not in reached]
+    made.update((((1,), i, 1), c) for i, c in enumerate(found, len(lower)))
+    for key, c in made.items():
+        products[key] = c, coeffs_text(field, c)
+    return _Sieve(lower + tuple(Poly(field, c) for c in found), products)
 
 
 def is_irreducible(f: Poly) -> bool:

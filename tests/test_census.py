@@ -514,12 +514,16 @@ def test_the_closed_form_builds_each_power_and_key_text_once(monkeypatch):
         calls["text"] += 1
         return render(field, coeffs)
 
-    monkeypatch.setattr(census_mod, "coeffs_mul", counted_mul)
-    # keys may be rendered through census's own import or through str(p)
-    monkeypatch.setattr(census_mod, "coeffs_text", counted_text)
-    monkeypatch.setattr(polyring, "coeffs_text", counted_text)
+    # counted package-wide: the sieve's products and any the walk makes
+    for module in (polyring, census_mod):
+        for name, counted in (("coeffs_mul", counted_mul),
+                              ("coeffs_text", counted_text)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     irreducibles_up_to.cache_clear()  # the sieve runs under the count too
     report = pencil_census(f, 4, 4)
+    pencil_products, pencil_texts = products.copy(), calls["text"]
+    fiber_census(f, 4, 4)  # reads the table the pencil census's sieve filled
     monkeypatch.undo()
     powers = {schoolbook_pow(f, g.coeffs, e) for g in irreducibles_up_to(f, 4)
               for e in range(1, 4 // g.degree + 1)}
@@ -529,12 +533,58 @@ def test_the_closed_form_builds_each_power_and_key_text_once(monkeypatch):
                    for p in polys}
     assert (len(powers), len(chain_polys)) == (230, 781)
     assert len(report.entries) == 805
-    # each power g^e, e >= 2, is built once, and so is every other product
+    # each reducible monic of degree <= 4, each power g^e with e >= 2 among
+    # them, is built once, and never as a product by 1
     irreducibles = {g.coeffs for g in irreducibles_up_to(f, 4)}
-    assert all(products[p] == 1 for p in powers - irreducibles)
-    assert max(products.values()) == 1
+    assert set(pencil_products) == chain_polys - irreducibles - {(1,)}
+    assert len(pencil_products) == 575
+    assert max(pencil_products.values()) == 1
+    assert all(pencil_products[p] == 1 for p in powers - irreducibles)
     assert calls["times one"] == 0
-    assert calls["text"] <= len(chain_polys)
+    assert pencil_texts <= len(chain_polys)
+    # the fiber census multiplies nothing and renders at most the text of 1
+    assert products == pencil_products
+    assert calls["text"] - pencil_texts <= 1
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_a_sieve_grown_in_steps_or_cleared_leaves_no_stale_state(
+        q, monkeypatch):
+    f = parse_field_spec(str(q))
+
+    def sieves():
+        return [tuple(irreducibles_up_to(f, d)) for d in range(5)]
+
+    def reports():
+        return [report.to_json() for report in (
+            pencil_census(f, 3, 3), fiber_census(f, 3, 3),
+            *(subspace_census(f, 3, 3, d) for d in range(4)))]
+
+    # each built at once in a cleared cache
+    irreducibles_up_to.cache_clear()
+    irreducibles_up_to(f, 4)
+    at_once = sieves()
+    irreducibles_up_to.cache_clear()
+    at_once_reports = reports()
+    table = dict(irreducibles_up_to(f, 3).products)
+    # grown in steps, then a census below the top
+    irreducibles_up_to.cache_clear()
+    irreducibles_up_to(f, 2)
+    irreducibles_up_to(f, 4)
+    assert reports() == at_once_reports
+    assert sieves() == at_once
+    # cleared and run again: the products are built afresh, and the table
+    # holds nothing of the degree 4 it was grown to before
+    made = []
+    multiply = polyring.coeffs_mul
+    monkeypatch.setattr(polyring, "coeffs_mul",
+                        lambda *args: made.append(1) or multiply(*args))
+    irreducibles_up_to.cache_clear()
+    assert reports() == at_once_reports
+    monkeypatch.undo()
+    assert [tuple(irreducibles_up_to(f, d)) for d in range(4)] == at_once[:4]
+    assert irreducibles_up_to(f, 3).products == table
+    assert len(made) == len(table) - len(at_once[3]) > 0
 
 
 def test_a_closed_form_census_leaves_no_reference_cycle(monkeypatch):

@@ -11,6 +11,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
 sys.path[:0] = [PERFBENCH]
 
 import micro  # noqa: E402
+import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 PKG = workloads.package()
@@ -40,3 +41,13 @@ def test_every_micro_layer_runs_and_times_a_positive_figure():
            for q in (2, 9)]
         + ["smith.snf_us.q2n4", "smith.snf_us.q9n2"])
     assert all(v > 0 for v in figures.values()), figures
+
+
+def test_every_traced_name_resolves_on_the_package():
+    # the tracer patches these names from outside, so a rename in the
+    # package would leave a span or a counter unmeasured
+    for module, attr, _ in tracer.SPANS:
+        assert callable(getattr(getattr(PKG, module), attr)), (module, attr)
+    for module, cls, method, _ in tracer.COUNTERS:
+        owner = getattr(getattr(PKG, module), cls)
+        assert callable(getattr(owner, method)), (module, cls, method)

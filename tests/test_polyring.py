@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -205,6 +207,13 @@ def test_irreducibles_examples():
     assert [str(p) for p in irreducibles_up_to(F3, 1)] == ["x", "x+1", "x+2"]
 
 
+def test_a_sieve_copies_and_pickles_like_the_tuple_it_is():
+    sieve = irreducibles_up_to(F3, 2)
+    for twin in (copy.copy(sieve), copy.deepcopy(sieve),
+                 pickle.loads(pickle.dumps(sieve))):
+        assert twin == sieve and tuple(twin) == tuple(sieve)
+
+
 def mobius(n):
     result = 1
     d = 2
@@ -253,6 +262,32 @@ def test_sieve_equals_trial_division(q, top, monkeypatch):
     monkeypatch.undo()
     assert list(sieve) == trial
     assert len(made) == len(sieve)
+
+
+@pytest.mark.parametrize("q,top,reducible", [
+    (2, 6, 103), (3, 5, 283), (4, 4, 250), (5, 4, 575), (7, 3, 259),
+    (8, 3, 380), (9, 3, 534)])
+def test_the_sieve_builds_each_reducible_monic_once(q, top, reducible,
+                                                    monkeypatch):
+    # one product per reducible monic of degree 2..top: q^d less the
+    # necklace count of irreducibles
+    assert reducible == sum(
+        q ** d - sum(mobius(e) * q ** (d // e)
+                     for e in range(1, d + 1) if d % e == 0) // d
+        for d in range(2, top + 1))
+    f = parse_field_spec(str(q))
+    made = []
+
+    def counted(field, a, b):
+        assert (1,) not in (a, b)
+        made.append(coeffs_mul(field, a, b))
+        return made[-1]
+
+    monkeypatch.setattr(polyring, "coeffs_mul", counted)
+    irreducibles_up_to.cache_clear()
+    irreducibles_up_to(f, top)
+    monkeypatch.undo()
+    assert len(made) == len(set(made)) == reducible
 
 
 def test_monic_polys_canonical_order():
