@@ -7,8 +7,8 @@ significant digit = constant coefficient): GF(p^m) is F_p[x]/(f), f the least
 monic irreducible of degree m, found by :mod:`polyring` over the prime field,
 which is built first and needs no modulus.  Every field keeps exp/log tables
 of its least generator; prime fields add mod p, characteristic 2 adds by XOR
-and odd-characteristic extensions add through Zech logarithms.  Elements
-carry no reference to their field: every operation takes the
+and odd-characteristic extensions add and subtract through Zech logarithms.
+Elements carry no reference to their field: every operation takes the
 :class:`FieldCtx` explicitly, which keeps mass enumeration over millions of
 matrices cheap.  Mixing elements of different fields is a caller error
 detected only by value-range checks.
@@ -82,7 +82,8 @@ class FieldCtx:
     contexts are cached one per (p, m).
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "generator", "_exp", "_log", "_zech")
+    __slots__ = ("p", "m", "q", "modulus", "generator", "_exp", "_log", "_zech",
+                 "_zech_neg")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -126,8 +127,9 @@ class FieldCtx:
         return out
 
     def _build_log_tables(self) -> None:
-        """exp, log and zech[n] = log(1 + g^n) of the least generator g: the
-        least g with g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+        """exp, log, zech[n] = log(1 + g^n) and zech_neg[n] = log(1 - g^n) of
+        the least generator g: the least g with g^((q-1)/r) != 1 for every
+        prime r dividing q - 1.  -1 = g^((q-1)/2) in odd characteristic."""
         q, p = self.q, self.p
         primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
         for g in range(1, q):
@@ -148,6 +150,7 @@ class FieldCtx:
         self._log = log
         ones = (v - v % p + (v + 1) % p for v in exp[:q - 1])  # 1 + g^n
         self._zech = [log[w] if w else -1 for w in ones]
+        self._zech_neg = self._zech[(q - 1) // 2:] + self._zech[:(q - 1) // 2]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -174,7 +177,11 @@ class FieldCtx:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        if not a or not b:
+            return a or self.neg(b)
+        log = self._log
+        n = self._zech_neg[log[b] - log[a]]  # g^la * (1 - g^(lb-la))
+        return self._exp[log[a] + n] if n >= 0 else 0
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:

@@ -224,23 +224,26 @@ def _walk(cfg: EnumConfig, key: Callable[..., str | None]) -> dict[str, int]:
 
 @lru_cache(maxsize=None)
 def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
-    """One ``(leader, size)`` per similarity class of the k x k matrices over
-    GF(p^m), in leader order: the least index of a matrix of the class and
-    the number of matrices a graph search visits from it, counted visit by
-    visit.  The search conjugates by the cycle e_0 -> ... -> e_(k-1) -> e_0,
-    by I + E_(0,1) and, when q > 2, by scaling e_0 by the field's generator
-    w.  Each move is built once as a permutation of the q^(k^2) indices, an
-    ``array("I")``: the action is linear and each output row depends on one
-    group of input rows (rows 0 and 1 under the transvection, each row
-    alone otherwise), so an image index is the sum of one table entry per
-    group: the groups' Cartesian sum.  ``table`` holds the sums so far as
-    one int of itemsize-byte fields in the machine's byte order and writes
-    the slice of each entry v of the next group as one add of v times the
-    int with a 1 in every field; no field carries, as each sum is an index
-    below q^(k^2), which ``_resolve`` keeps within a field.  The search
-    takes as leader the least matrix not yet visited and reads the list of
-    its visits while it grows, appending each unseen image under the moves,
-    written out, so its length is the class size."""
+    """One ``(leader, size)`` per similarity class of the k x k matrices
+    over GF(p^m), in leader order: the least index of a matrix of the class
+    and the number of matrices a graph search visits from it, counted visit
+    by visit.  The search conjugates by C*T, T = I + E_(0,1) and C the cycle
+    e_0 -> ... -> e_(k-1) -> e_0, and by C at q = 2, where
+    <C*T, C> = <C, T>, or by scaling e_0 by the generator w at q > 2: orbits
+    lie inside classes, so moves can split a class but never miscount one,
+    and the tests check that these two reach whole classes.  Each move is built
+    once as a permutation of the q^(k^2) indices, an ``array("I")``: the
+    action is linear and each output row depends on one group of input rows
+    (rows 0 and 1 under the transvection, each row alone otherwise), so an
+    image index is the sum of one table entry per group: the groups'
+    Cartesian sum.  ``table`` holds the sums so far as one int of
+    itemsize-byte fields in the machine's byte order and writes the slice of
+    each entry v of the next group as one add of v times the int with a 1 in
+    every field; no field carries, as each sum is an index below q^(k^2),
+    which ``_resolve`` keeps within a field.  The search takes as leader the
+    least matrix not yet visited and reads the list of its visits while it
+    grows, appending each unseen image under the moves, written out, so its
+    length is the class size."""
     f = field_new(p, m)
     q = f.q
     values = [_digits_of(v, q, k) for v in range(q ** k)]  # a row's values
@@ -265,13 +268,15 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
                 out.frombytes((low + v * ones).to_bytes(size, order))
         return out
 
-    def cycle():  # entry (i, j) to (i+1, j+1), both mod k
-        return table(*(share(lambda v: [v[-1], *v[:-1]], (i + 1) % k)
-                       for i in range(k)))
+    def turn(v):  # column j to j + 1 mod k
+        return [v[-1], *v[:-1]]
 
-    def transvection():  # row 0 += row 1, then column 1 -= column 0
-        col = [share(lambda v: [v[0], plus[neg[v[0]]][v[1]], *v[2:]], i)
-               for i in range(k)]
+    def cycle():  # entry (i, j) to (i+1, j+1), both mod k
+        return table(*(share(turn, (i + 1) % k) for i in range(k)))
+
+    def transvection():  # row 0 += row 1, column 1 -= column 0, then cycle()
+        col = [share(lambda v: turn([v[0], plus[neg[v[0]]][v[1]], *v[2:]]),
+                     (i + 1) % k) for i in range(k)]
         # digits 1.. of the index of row 0 + row 1, per value of row 0, for
         # each value of row 1 whose digit 0 is 0
         high = [table(*(sums[e][b] for e, b in enumerate(row) if e))
@@ -291,7 +296,7 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
                        for j in range(k)))
 
     if k > 1:
-        cyc, tv, sc = cycle(), transvection(), q > 2 and scale()
+        tv, other = transvection(), scale() if q > 2 else cycle()
     seen = bytearray(q ** (k * k))
     classes = []
     leader = 0
@@ -300,13 +305,10 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
         visits = [leader]  # grows while it is read: its length is the size
         visit = visits.append
         for x in visits if k > 1 else ():  # at k = 1 there is no move
-            if not seen[y := cyc[x]]:
-                seen[y] = 1
-                visit(y)
             if not seen[y := tv[x]]:
                 seen[y] = 1
                 visit(y)
-            if sc and not seen[y := sc[x]]:
+            if not seen[y := other[x]]:
                 seen[y] = 1
                 visit(y)
         classes.append((leader, len(visits)))

@@ -12,10 +12,11 @@ the closed-form censuses read their keys from.
 Canonical order for factor lists and the irreducible sieve: degree ascending,
 then coefficient sequence lexicographic from the constant term up.
 
-Two functions work on bare coefficient tuples, so that callers who need only
-coefficients and key texts build no :class:`Poly`: :func:`coeffs_mul`, the one
-product, which ``Poly.__mul__`` and the sieve share, and :func:`coeffs_text`,
-the one renderer, behind :func:`poly_text`.
+Four functions work on bare coefficient tuples, so that callers who need only
+coefficients and key texts build no :class:`Poly`: :func:`coeffs_mul`,
+:func:`coeffs_submul` and :func:`coeffs_divmod`, the one product, difference
+and division, which ``Poly``'s operators, the sieve and :mod:`smith` share,
+and :func:`coeffs_text`, the one renderer, behind :func:`poly_text`.
 """
 
 from __future__ import annotations
@@ -63,6 +64,63 @@ def coeffs_mul(field: FieldCtx, a: Sequence[int],
                     c = cb if ca == 1 else mul(ca, cb)
                     out[j] = add(out[j], c) if out[j] else c
     return tuple(out)
+
+
+def coeffs_submul(field: FieldCtx, a: Sequence[int], c: Sequence[int],
+                  b: Sequence[int]) -> tuple[int, ...]:
+    """The coefficients of a - c*b, each without trailing zeros, with the
+    two branches of :func:`coeffs_mul`."""
+    out = list(a) + [0] * (len(c) + len(b) - 1 - len(a))
+    if field.m == 1:
+        for i, ci in enumerate(c):
+            if ci:
+                for j, cb in enumerate(b, i):
+                    out[j] -= ci * cb
+        p = field.p
+        out = [v % p for v in out]
+    else:
+        mul, sub = field.mul, field.sub
+        for i, ci in enumerate(c):
+            for j, cb in enumerate(b, i):
+                out[j] = sub(out[j], mul(ci, cb))
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def coeffs_divmod(field: FieldCtx, a: Sequence[int], b: Sequence[int]
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of a by the nonzero b, each without trailing
+    zeros: the one division loop of the package, with the two branches of
+    :func:`coeffs_mul`; over a prime field each leading coefficient is
+    reduced mod p as it is read, and the remainder once at the end."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), tuple(a)
+    quot, rem, lead_inv = [0] * (len(a) - db), list(a), field.inv(b[-1])
+    if field.m == 1:
+        p = field.p
+        if not db:  # a unit divides without remainder
+            return tuple([c * lead_inv % p for c in a]), ()
+        for shift in range(len(a) - 1 - db, -1, -1):
+            c = quot[shift] = rem[shift + db] * lead_inv % p
+            if c:
+                for j, cb in enumerate(b[:-1], shift):
+                    rem[j] -= c * cb
+        rem = [v % p for v in rem[:db]]
+    else:
+        mul, sub = field.mul, field.sub
+        if not db:
+            return tuple([mul(c, lead_inv) for c in a]), ()
+        for shift in range(len(a) - 1 - db, -1, -1):
+            c = quot[shift] = mul(rem[shift + db], lead_inv)
+            if c:
+                for j, cb in enumerate(b[:-1], shift):
+                    rem[j] = sub(rem[j], mul(c, cb))
+        del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(quot), tuple(rem)
 
 
 class Poly:
@@ -131,14 +189,8 @@ class Poly:
         return Poly(self.field, [neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        sub = self.field.sub
-        a, b = self.coeffs, other.coeffs
-        out = [0] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] = sub(out[i], c)
-        return Poly(self.field, out)
+        return Poly(self.field, coeffs_submul(self.field, self.coeffs, (1,),
+                                              other.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
         return Poly(self.field,
@@ -168,24 +220,8 @@ class Poly:
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not other.coeffs:
             raise DivisionByZeroError("polynomial division by zero")
-        a, b = self.coeffs, other.coeffs
-        db = len(b) - 1
-        if len(a) - 1 < db:
-            return Poly(self.field, ()), self
-        field = self.field
-        mul, sub, inv = field.mul, field.sub, field.inv
-        rem = list(a)
-        quot = [0] * (len(a) - db)
-        lead_inv = inv(b[-1])
-        for shift in range(len(a) - 1 - db, -1, -1):
-            c = rem[shift + db]
-            if c:
-                fac = mul(c, lead_inv)
-                quot[shift] = fac
-                for i, bc in enumerate(b):
-                    if bc:
-                        rem[shift + i] = sub(rem[shift + i], mul(fac, bc))
-        return Poly(field, quot), Poly(field, rem)
+        quot, rem = coeffs_divmod(self.field, self.coeffs, other.coeffs)
+        return Poly(self.field, quot), Poly(self.field, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]

@@ -30,7 +30,8 @@ from .gf import (
     rank_rows,
     rows_mul,
 )
-from .polyring import Poly, parse_poly, poly_gcd
+from .polyring import (Poly, coeffs_divmod, coeffs_mul, coeffs_submul,
+                       parse_poly, poly_gcd)
 
 
 class InvariantFactorTuple:
@@ -95,14 +96,14 @@ class InvariantFactorTuple:
         return f"InvariantFactorTuple({str(self)!r})"
 
 
-def _min_degree_pos(m: list[list[Poly]], t: int) -> tuple[int, int] | None:
+def _min_degree_pos(m: list[list[tuple]], t: int) -> tuple[int, int] | None:
     """Nonzero entry of minimal degree in the block m[t:][t:], ties row-major."""
     best = None
     best_len = None
     for i in range(t, len(m)):
         row = m[i]
         for j in range(t, len(row)):
-            n = len(row[j].coeffs)
+            n = len(row[j])
             if n:
                 if n == 1:
                     return (i, j)
@@ -110,12 +111,6 @@ def _min_degree_pos(m: list[list[Poly]], t: int) -> tuple[int, int] | None:
                     best = (i, j)
                     best_len = n
     return best
-
-
-def _divides(a: Poly, b: Poly) -> bool:
-    if not a.coeffs:
-        return not b.coeffs
-    return not (b % a).coeffs
 
 
 def _shape(rows: Sequence[Sequence]) -> tuple[int, int]:
@@ -129,14 +124,16 @@ def snf(rows: Sequence[Sequence[Poly]]) -> tuple[Poly, ...]:
     equal-length rows: the monic chain, then one zero for each unit of rank
     deficiency.
 
-    The rows are copied, not eliminated in place.  An empty matrix yields
+    The elimination runs on copies of the entries' coefficient tuples and
+    builds a :class:`Poly` only for the diagonal.  An empty matrix yields
     ().  Transformation matrices are not tracked; only the diagonal is ever
     needed here, and :func:`det_divisor` supplies an independent route to
     the same values.
     """
     nrows, ncols = _shape(rows)
     size = min(nrows, ncols)
-    m = [list(row) for row in rows]
+    field = rows[0][0].field if size else None
+    m = [[e.coeffs for e in row] for row in rows]
     t = 0
     while t < size:
         pos = _min_degree_pos(m, t)
@@ -153,33 +150,35 @@ def snf(rows: Sequence[Sequence[Poly]]) -> tuple[Poly, ...]:
             dirty = False
             for i in range(t + 1, nrows):
                 e = m[i][t]
-                if e.coeffs:
-                    quot, rem = divmod(e, pivot)
-                    if quot.coeffs:
+                if e:
+                    quot, rem = coeffs_divmod(field, e, pivot)
+                    if quot:
                         row_i, row_t = m[i], m[t]
                         for j in range(t + 1, ncols):
-                            if row_t[j].coeffs:
-                                row_i[j] = row_i[j] - quot * row_t[j]
+                            if row_t[j]:
+                                row_i[j] = coeffs_submul(field, row_i[j],
+                                                         quot, row_t[j])
                     m[i][t] = rem
-                    if rem.coeffs:
+                    if rem:
                         dirty = True
             row_t = m[t]
             for j in range(t + 1, ncols):
                 e = row_t[j]
-                if e.coeffs:
-                    quot, rem = divmod(e, pivot)
-                    if quot.coeffs:
+                if e:
+                    quot, rem = coeffs_divmod(field, e, pivot)
+                    if quot:
                         for i in range(t + 1, nrows):
-                            if m[i][t].coeffs:
-                                m[i][j] = m[i][j] - quot * m[i][t]
+                            if m[i][t]:
+                                m[i][j] = coeffs_submul(field, m[i][j], quot,
+                                                        m[i][t])
                     row_t[j] = rem
-                    if rem.coeffs:
+                    if rem:
                         dirty = True
             if not dirty:
                 break
             pos = _min_degree_pos(m, t)
         t += 1
-    diag = [m[i][i].monic() for i in range(size)]
+    diag = [Poly(field, m[i][i]).monic() for i in range(size)]
     # Final sweep: replace adjacent non-chain pairs by (gcd, lcm) until the
     # divisibility chain holds; a zero x gives (y, 0), so zeros bubble to
     # the end.
@@ -188,7 +187,8 @@ def snf(rows: Sequence[Sequence[Poly]]) -> tuple[Poly, ...]:
         changed = False
         for i in range(len(diag) - 1):
             x, y = diag[i], diag[i + 1]
-            if _divides(x, y):
+            if (not coeffs_divmod(field, y.coeffs, x.coeffs)[1] if x
+                    else not y):  # x divides y
                 continue
             g = poly_gcd(x, y)
             diag[i], diag[i + 1] = g, ((x * y) // g).monic()
@@ -309,7 +309,8 @@ def char_poly(field: FieldCtx, a: Sequence[Sequence[int]]) -> Poly:
     """Characteristic polynomial det(x*I - A) of a square matrix.
 
     Similarity reduction to Hessenberg form followed by the standard
-    leading-minor recurrence; O(n^3) field operations, division-free in x.
+    leading-minor recurrence on coefficient tuples; O(n^3) field operations,
+    division-free in x.
     """
     n, cols = _shape(a)
     if n != cols:
@@ -342,10 +343,9 @@ def char_poly(field: FieldCtx, a: Sequence[Sequence[int]]) -> Poly:
                 for r in range(n):
                     if h[r][i]:
                         h[r][j + 1] = add(h[r][j + 1], mul(f, h[r][i]))
-    charpolys = [Poly.one(field)]
-    x = Poly.x(field)
+    charpolys = [(1,)]
     for m in range(1, n + 1):
-        p = (x - Poly.constant(field, h[m - 1][m - 1])) * charpolys[m - 1]
+        p = coeffs_mul(field, (sub(0, h[m - 1][m - 1]), 1), charpolys[m - 1])
         prod = 1
         for i in range(m - 2, -1, -1):
             prod = mul(prod, h[i + 1][i])
@@ -353,9 +353,9 @@ def char_poly(field: FieldCtx, a: Sequence[Sequence[int]]) -> Poly:
                 break
             coef = mul(h[i][m - 1], prod)
             if coef:
-                p = p - charpolys[i].scale(coef)
+                p = coeffs_submul(field, p, (coef,), charpolys[i])
         charpolys.append(p)
-    return charpolys[n]
+    return Poly(field, charpolys[n])
 
 
 def _krylov_rows(field: FieldCtx, c_rows: Sequence[Sequence[int]],

@@ -120,6 +120,42 @@ def schoolbook_mul(field, a, b):
     return tuple(out)
 
 
+def _minus_one(field):
+    """-1 of ``field``, found with ``field.add`` alone."""
+    return next(e for e in field.elements() if field.add(1, e) == 0)
+
+
+def schoolbook_submul(field, a, c, b):
+    """The coefficients of a - c*b: a added, coefficient by coefficient
+    with ``field.add``, to -1 times :func:`schoolbook_mul` of c and b,
+    trailing zeros dropped: what ``polyring.coeffs_submul`` must equal."""
+    minus_one = _minus_one(field)
+    cb = schoolbook_mul(field, c, b)
+    out = list(a) + [0] * max(len(cb) - len(a), 0)
+    for i, v in enumerate(cb):
+        out[i] = field.add(out[i], field.mul(minus_one, v))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def schoolbook_divmod(field, a, b):
+    """Quotient and remainder of a by the nonzero b, coefficient sequences
+    without trailing zeros, by long division: while the remainder is as
+    long as b, cancel its leading term with ``field.inv`` of b's leading
+    coefficient and :func:`schoolbook_submul` of a monomial.  What
+    ``polyring.coeffs_divmod`` must equal."""
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    rem = tuple(a)
+    lead_inv = field.inv(b[-1])
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        quot[shift] = field.mul(rem[-1], lead_inv)
+        monomial = (0,) * shift + (quot[shift],)
+        rem = schoolbook_submul(field, rem, monomial, b)
+    return tuple(quot), rem
+
+
 def schoolbook_pow(field, g, e):
     """g^e as coefficients: 1 times g, e times over, each product by
     :func:`schoolbook_mul`."""

@@ -152,6 +152,14 @@ def test_add_neg_sub_equal_the_digitwise_reference(p, m):
         assert f.sub(a, b) == digitwise_add(f, a, digitwise_neg(f, b)), (a, b)
 
 
+# odd-characteristic extensions subtract in one Zech step of their own
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3)])
+def test_odd_extension_sub_equals_add_of_the_negation(p, m):
+    f = field_new(p, m)
+    for a, b in itertools.product(f.elements(), repeat=2):
+        assert f.sub(a, b) == f.add(a, f.neg(b)), (a, b)
+
+
 def test_generator_is_the_least_primitive_element():
     for p, m in [(p, m) for p in range(2, 2 ** 10) if is_prime(p)
                  for m in range(1, 11) if p ** m <= 2 ** 10]:

@@ -569,6 +569,15 @@ def test_a_search_past_two_byte_indices_is_byte_identical_to_its_digest():
         == "7e2e55cf16e91855f43a740ad05a4080481b6c8cbc828e5214a4167032fed7bc"
 
 
+# Orbits of the two moves lie inside similarity classes, and each class has
+# one pencil key, so as many orbits as closed-form keys means the moves
+# reach whole classes: at every pinned search and past two-byte indices.
+@pytest.mark.parametrize("p,m,k", PINNED_SEARCHES + [(17, 1, 2)])
+def test_the_two_moves_reach_whole_classes(p, m, k):
+    assert len(_similarity_classes(p, m, k)) == \
+        len(pencil_census(field_new(p, m), k, k).entries)
+
+
 # The search holds one byte per block it searches and one 4-byte array entry
 # per block and move; while a move table is built, its entries so far are
 # one int and each next slice one bytes object (at k = 2 the transvection's

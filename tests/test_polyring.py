@@ -17,7 +17,9 @@ from pencilcensus.polyring import (
     NEG_INF,
     Poly,
     _multiplicity_unchecked,
+    coeffs_divmod,
     coeffs_mul,
+    coeffs_submul,
     coeffs_text,
     factorize,
     irreducibles_up_to,
@@ -28,7 +30,8 @@ from pencilcensus.polyring import (
 )
 
 from reference import (factorize_full_sieve, poly_from_json, poly_lcm,
-                       poly_to_json, schoolbook_mul, sort_key)
+                       poly_to_json, schoolbook_divmod, schoolbook_mul,
+                       schoolbook_submul, sort_key)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -345,6 +348,43 @@ def test_the_product_kernel_equals_the_schoolbook_product(case):
         text = coeffs_text(f, p.coeffs)
         assert text == str(p)
         assert parse_poly(text, f).coeffs == p.coeffs
+
+
+F25, F27 = field_new(5, 2), field_new(3, 3)
+
+
+@st.composite
+def division_triples(draw):
+    """A field of every kind and three polynomials of degree -inf to 6 over
+    it: a dividend, a nonzero divisor and a multiplier."""
+    f = draw(st.sampled_from((F2, F3, F5, F4, F8, F9, F25, F27)))
+    coeffs = st.lists(st.integers(0, f.q - 1), max_size=7)
+    a, c = Poly(f, draw(coeffs)), Poly(f, draw(coeffs))
+    b = Poly(f, draw(coeffs) + [draw(st.integers(1, f.q - 1))])
+    return f, a, b, c
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(division_triples())
+@example((F2, Poly.zero(F2), Poly(F2, (1,)), Poly.zero(F2)))
+@example((F5, Poly(F5, (1, 2)), Poly(F5, (3, 0, 4)), Poly(F5, (2,))))
+@example((F5, Poly(F5, (4, 0, 0, 1)), Poly(F5, (1, 1)), Poly(F5, (1, 4))))
+@example((F9, Poly(F9, (0, 0, 0, 5)), Poly(F9, (7, 0, 2)), Poly(F9, (8,))))
+@example((F27, Poly(F27, (3, 1, 4, 1, 5)), Poly(F27, (9, 26)),
+          Poly(F27, (0, 0, 13))))
+def test_the_division_kernels_equal_the_schoolbook_division(case):
+    f, a, b, c = case
+    quot, rem = coeffs_divmod(f, a.coeffs, b.coeffs)
+    assert (quot, rem) == schoolbook_divmod(f, a.coeffs, b.coeffs)
+    assert schoolbook_submul(f, a.coeffs, quot, b.coeffs) == rem  # a - q*b
+    assert len(rem) < len(b.coeffs)
+    want = schoolbook_submul(f, a.coeffs, c.coeffs, b.coeffs)
+    assert coeffs_submul(f, a.coeffs, c.coeffs, b.coeffs) == want
+    assert coeffs_submul(f, a.coeffs, quot, b.coeffs) == rem
+    assert all(t[-1] for t in (quot, rem, want) if t)  # no trailing zeros
+    pq, pr = divmod(a, b)
+    assert (pq.coeffs, pr.coeffs, (a % b).coeffs) == (quot, rem, rem)
+    assert (a - b).coeffs == schoolbook_submul(f, a.coeffs, (1,), b.coeffs)
 
 
 def test_parse_rejects_nonsense():
