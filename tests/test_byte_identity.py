@@ -1,15 +1,20 @@
-"""The closed-form censuses, the enumeration and the polynomial renderer
-give, byte for byte, the outputs pinned here: the SHA-256 of every census
-report's JSON over a grid of fields and shapes, of every enumerated report
-and of every full walk's tally over a smaller grid, and of ``poly_text``
-over seeded polynomials."""
+"""The closed-form censuses, the enumeration, the polynomial renderer and
+the ``snf`` command give, byte for byte, the outputs pinned here: the
+SHA-256 of every census report's JSON over a grid of fields and shapes, of
+every enumerated report and of every full walk's tally over a smaller grid,
+of ``poly_text`` over seeded polynomials, and of ``pencilcensus snf`` over
+seeded matrices."""
 
+import contextlib
 import hashlib
+import io
+import json
 import random
 
 import pytest
 
 from pencilcensus import oracle
+from pencilcensus.cli import main
 from pencilcensus.census import fiber_census, pencil_census, subspace_census
 from pencilcensus.errors import BudgetExceededError
 from pencilcensus.gf import echelon_subspaces, parse_field_spec
@@ -235,3 +240,63 @@ def test_every_enumerated_report_matches_its_digest(q, mode):
 @pytest.mark.parametrize("q,mode", ORACLE_GRID)
 def test_every_full_walk_tally_matches_its_digest(q, mode):
     assert digest(walk_lines(q, mode)) == WALK_DIGESTS[q, mode]
+
+
+SNF_FIELDS = (2, 3, 5, 4, 8, 9)
+
+# q -> SHA-256 of the ``snf`` outputs of :func:`snf_argvs`, one request after
+# another
+SNF_DIGESTS = {
+    2: "bf17a1b4bf855c0e9dcfdbfc1bd8268c"
+        "ecdad8462001a14947c889392abd5f75",
+    3: "d3070b04662d721202c9437eddbb18e2"
+        "2b556f645e93e05bb9ba35c6f1d31a74",
+    5: "4fab6169ff623b771d1d9f737ba071d7"
+        "cd1f569e9c8d4cdadbdddb7b235711ed",
+    4: "16cdb9d4285cb4be048373bf9c131ae2"
+        "59522ff5eeb347624c62c6f8e6e3cbfd",
+    8: "1d2ad00a7088454f41e2b8f52f12c41c"
+        "cd0e709e85c091e6b09b0b75ae467f49",
+    9: "11930a0093f7dcd34eadbacf9616f33c"
+        "d5e1c4dbc6d43521535a961e05fd1501",
+}
+
+
+def snf_argvs(q, count=170):
+    """Seeded ``snf`` requests over GF(q), each in table and JSON format:
+    raw polynomial matrices up to 3 x 3 with entries of degree at most 2,
+    about a third of those with more than one row rank deficient (the last
+    row a constant multiple, maybe zero, of the first), and ``--pencil``
+    matrices with 1 <= k <= n <= 5, most of them tall."""
+    f = parse_field_spec(str(q))
+    rng = random.Random(f"snf-cli-{q}")
+    for i in range(count):
+        if i % 2:
+            n = rng.randint(1, 5)
+            k = rng.randint(1, min(n, 3))
+            grid = [[rng.randrange(q) for _ in range(k)] for _ in range(n)]
+            argv = ["--pencil", "--matrix", json.dumps(grid)]
+        else:
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            grid = [[Poly(f, [rng.randrange(q) for _ in range(rng.randrange(4))])
+                     for _ in range(cols)] for _ in range(rows)]
+            if rows > 1 and rng.random() < 1 / 3:
+                c = Poly(f, (rng.randrange(q),))
+                grid[-1] = [c * e for e in grid[0]]
+            argv = ["--matrix", json.dumps([[poly_text(p) for p in row]
+                                            for row in grid])]
+        for fmt in ("table", "json"):
+            yield ["snf", "--q", str(q), *argv, "--format", fmt]
+
+
+def snf_lines(q):
+    for argv in snf_argvs(q):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        yield out.getvalue()
+
+
+@pytest.mark.parametrize("q", SNF_FIELDS)
+def test_the_snf_command_matches_its_digest(q):
+    assert digest(snf_lines(q)) == SNF_DIGESTS[q]
