@@ -133,9 +133,10 @@ def exponent_profile(ifs: InvariantFactorTuple) -> dict[Poly, tuple[int, ...]]:
     of exponents of f in p_k, p_{k-1}, ..., truncated at the first zero.
     """
     profile: dict[Poly, tuple[int, ...]] = {}
-    for f, _ in factorize(ifs.polys[-1]).factors:
+    polys = ifs.polys
+    for f, _ in factorize(polys[-1]).factors:
         parts = []
-        for p in reversed(ifs.polys):
+        for p in reversed(polys):
             e = _multiplicity_unchecked(f, p)[0]
             if e == 0:
                 break

@@ -21,7 +21,7 @@ from . import census, oracle
 from .errors import PencilCensusError
 from .gf import (FieldCtx, field_new, parse_field_order, parse_field_spec,
                  rank_rows)
-from .polyring import Poly, factorize, parse_poly, poly_gcd
+from .polyring import Poly, coeffs_text, factorize, parse_poly, poly_gcd
 from .smith import (
     InvariantFactorTuple,
     det_divisor,
@@ -370,20 +370,21 @@ def cmd_snf(args) -> int:
     if args.pencil:
         if any(not 0 <= v < f.q for v in entries):
             _error(f"matrix entries must lie in [0, {f.q})")
-        diag = pencil_invariant_factors(f, grid)
+        diag = pencil_invariant_factors(f, grid).coeffs
     else:
         # bool is a subclass of int, so compare types exactly
         if any(type(v) is not int and not isinstance(v, str) for v in entries):
             _error("--matrix entries must be JSON strings or integers")
-        diag = snf([[parse_poly(str(v), f) for v in row] for row in grid])
+        diag = snf(f, [[parse_poly(str(v), f).coeffs for v in row]
+                       for row in grid])
     if args.format == "json":
         print(census.compact_json({
             "schema": "snf-result/v1",
             "parameters": {"q": f.q, "n": nrows, "k": ncols,
                            "pencil": bool(args.pencil)},
-            "diagonal": [str(p) for p in diag]}))
+            "diagonal": [coeffs_text(f, c) for c in diag]}))
     else:
-        print(" | ".join(str(p) for p in diag))
+        print(" | ".join(coeffs_text(f, c) for c in diag))
     return 0
 
 

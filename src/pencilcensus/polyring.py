@@ -12,11 +12,12 @@ the closed-form censuses read their keys from.
 Canonical order for factor lists and the irreducible sieve: degree ascending,
 then coefficient sequence lexicographic from the constant term up.
 
-Four functions work on bare coefficient tuples, so that callers who need only
-coefficients and key texts build no :class:`Poly`: :func:`coeffs_mul`,
-:func:`coeffs_submul` and :func:`coeffs_divmod`, the one product, difference
-and division, which ``Poly``'s operators, the sieve and :mod:`smith` share,
-and :func:`coeffs_text`, the one renderer, behind :func:`poly_text`.
+Six functions work on bare coefficient tuples, so that callers who need only
+coefficients and key texts build no :class:`Poly`: the one product,
+difference, division, normalisation and Euclid loop, ``coeffs_mul``,
+``coeffs_submul``, ``coeffs_divmod``, ``coeffs_monic`` and ``coeffs_gcd``,
+which ``Poly``, the sieve and :mod:`smith` share, and the one renderer,
+``coeffs_text``.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ def coeffs_divmod(field: FieldCtx, a: Sequence[int], b: Sequence[int]
     db = len(b) - 1
     if len(a) <= db:
         return (), tuple(a)
+    if not db and b[0] == 1:  # the divisor of most Smith form steps
+        return tuple(a), ()
     quot, rem, lead_inv = [0] * (len(a) - db), list(a), field.inv(b[-1])
     if field.m == 1:
         p = field.p
@@ -121,6 +124,19 @@ def coeffs_divmod(field: FieldCtx, a: Sequence[int], b: Sequence[int]
     while rem and not rem[-1]:
         rem.pop()
     return tuple(quot), tuple(rem)
+
+
+def coeffs_monic(field: FieldCtx, a: Sequence[int]) -> tuple[int, ...]:
+    """a scaled to leading coefficient 1, () staying (): the one monic."""
+    return coeffs_divmod(field, a, (a[-1],))[0] if a else ()
+
+
+def coeffs_gcd(field: FieldCtx, a: Sequence[int],
+               b: Sequence[int]) -> tuple[int, ...]:
+    """The monic gcd of a and b, not both zero: the one Euclid loop."""
+    while b:
+        a, b = b, coeffs_divmod(field, a, b)[1]
+    return coeffs_monic(field, a)
 
 
 class Poly:
@@ -196,14 +212,6 @@ class Poly:
         return Poly(self.field,
                     coeffs_mul(self.field, self.coeffs, other.coeffs))
 
-    def scale(self, c: int) -> "Poly":
-        if c == 0:
-            return Poly(self.field, ())
-        if c == 1:
-            return self
-        mul = self.field.mul
-        return Poly(self.field, [mul(c, v) for v in self.coeffs])
-
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power")
@@ -233,7 +241,7 @@ class Poly:
         """Unit-normalized copy (the zero polynomial stays zero)."""
         if not self.coeffs or self.coeffs[-1] == 1:
             return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
+        return Poly(self.field, coeffs_monic(self.field, self.coeffs))
 
     # -- identity -------------------------------------------------------------
 
@@ -260,9 +268,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor via the Euclidean algorithm."""
     if a.is_zero() and b.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
-    while b.coeffs:
-        a, b = b, a % b
-    return a.monic()
+    return Poly(a.field, coeffs_gcd(a.field, a.coeffs, b.coeffs))
 
 
 def monic_polys(field: FieldCtx, degree: int) -> Iterator[Poly]:

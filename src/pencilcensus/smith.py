@@ -1,15 +1,16 @@
 """Smith normal form and linear pencils.
 
-Matrices are lists of equal-length rows: of :class:`Poly` for polynomial
-matrices, of field elements for scalar ones such as the B of a pencil, and
-:func:`snf` returns the diagonal of the Smith form as a tuple.  The Smith
-form is computed by gcd-pivot elimination: bring the nonzero entry of
-minimal degree to the pivot, reduce its row and column by division with
-remainder, and restart the block whenever a remainder of smaller degree
-appears.  The divisibility chain on the diagonal is enforced by a final
-gcd/lcm sweep.  The determinantal divisors (gcds of all i x i minors,
-computed by brute-force cofactor expansion) provide an independent check of
-the same diagonal.
+Matrices are lists of equal-length rows: of coefficient tuples (zero is
+()) for ``snf(field, rows)``, which returns the Smith form's diagonal as a
+tuple of them (rows of ``Poly`` go in as ``snf(f, [[p.coeffs for p in row]
+for row in rows])``), of :class:`Poly` for :func:`det_divisor`, and of
+field elements for scalar ones such as the B of a pencil.  The Smith form
+is computed by gcd-pivot elimination: bring the nonzero entry of minimal
+degree to the pivot, reduce its row and column by division with remainder,
+and restart the block whenever a remainder of smaller degree appears.  The
+divisibility chain on the diagonal is enforced by a final gcd/lcm sweep.
+The determinantal divisors (gcds of all i x i minors, computed by
+brute-force cofactor expansion) provide an independent check of it.
 
 The key of a tall pencil x*I_{n,k} - B never eliminates the constant rows
 below row k: with B = [A; C], r = rank C and S a basis of ker C, the
@@ -20,6 +21,7 @@ diagonal is r ones followed by the Smith form of the k x (k - r) pencil
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ExactnessError, OutOfRangeError, ShapeError
@@ -30,14 +32,15 @@ from .gf import (
     rank_rows,
     rows_mul,
 )
-from .polyring import (Poly, coeffs_divmod, coeffs_mul, coeffs_submul,
-                       parse_poly, poly_gcd)
+from .polyring import (Poly, coeffs_divmod, coeffs_gcd, coeffs_monic,
+                       coeffs_mul, coeffs_submul, coeffs_text, parse_poly,
+                       poly_gcd)
 
 
 class InvariantFactorTuple:
-    """Monic chain p_1 | p_2 | ... | p_k; the canonical census key."""
+    """Monic chain p_1 | ... | p_k of coefficient tuples; the census key."""
 
-    __slots__ = ("polys",)
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, polys: Sequence[Poly]):
         polys = tuple(polys)
@@ -47,30 +50,31 @@ class InvariantFactorTuple:
             if not p.is_monic():
                 raise ValueError(f"invariant factor {p} is not monic")
         for a, b in zip(polys, polys[1:]):
-            if (b % a).coeffs:
+            if coeffs_divmod(b.field, b.coeffs, a.coeffs)[1]:
                 raise ValueError(f"{a} does not divide {b}")
-        self.polys = polys
+        self.field, self.coeffs = polys[0].field, tuple(p.coeffs for p in polys)
 
     @classmethod
-    def _of_chain(cls, polys: tuple[Poly, ...]) -> "InvariantFactorTuple":
-        """``polys`` as a tuple, unchecked: for a nonzero diagonal of
+    def _of_chain(cls, field: FieldCtx, coeffs: tuple) -> "InvariantFactorTuple":
+        """The chain of ``coeffs``, unchecked: for a nonzero diagonal of
         :func:`snf`, whose final sweep has already made it a monic chain."""
         ifs = object.__new__(cls)
-        ifs.polys = polys
+        ifs.field, ifs.coeffs = field, coeffs
         return ifs
 
     @property
-    def field(self) -> FieldCtx:
-        return self.polys[0].field
+    def polys(self) -> tuple[Poly, ...]:
+        """The chain as :class:`Poly` objects, built on each call."""
+        return tuple(Poly(self.field, c) for c in self.coeffs)
 
     def product(self) -> Poly:
-        out = self.polys[0]
-        for p in self.polys[1:]:
-            out = out * p
-        return out
+        out = self.coeffs[0]
+        for c in self.coeffs[1:]:
+            out = coeffs_mul(self.field, out, c)
+        return Poly(self.field, out)
 
     def total_degree(self) -> int:
-        return sum(len(p.coeffs) - 1 for p in self.polys)
+        return sum(len(c) - 1 for c in self.coeffs)
 
     @classmethod
     def parse(cls, text: str, field: FieldCtx) -> "InvariantFactorTuple":
@@ -80,17 +84,17 @@ class InvariantFactorTuple:
         return iter(self.polys)
 
     def __len__(self) -> int:
-        return len(self.polys)
+        return len(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, InvariantFactorTuple)
-                and self.polys == other.polys)
+        return (isinstance(other, InvariantFactorTuple) and
+                (self.field.q, self.coeffs) == (other.field.q, other.coeffs))
 
     def __hash__(self) -> int:
-        return hash(self.polys)
+        return hash((self.field.q, self.coeffs))
 
     def __str__(self) -> str:
-        return "|".join(str(p) for p in self.polys)
+        return "|".join([coeffs_text(self.field, c) for c in self.coeffs])
 
     def __repr__(self) -> str:
         return f"InvariantFactorTuple({str(self)!r})"
@@ -119,21 +123,19 @@ def _shape(rows: Sequence[Sequence]) -> tuple[int, int]:
     return len(rows), len(rows[0]) if rows else 0
 
 
-def snf(rows: Sequence[Sequence[Poly]]) -> tuple[Poly, ...]:
-    """Diagonal of the Smith normal form of a polynomial matrix, given as
-    equal-length rows: the monic chain, then one zero for each unit of rank
-    deficiency.
+def snf(field: FieldCtx, rows: Sequence[Sequence[tuple]]) -> tuple[tuple, ...]:
+    """Diagonal of the Smith normal form of a polynomial matrix over
+    ``field``, given as equal-length rows of coefficient tuples: the monic
+    chain, then () for each unit of rank deficiency.
 
-    The elimination runs on copies of the entries' coefficient tuples and
-    builds a :class:`Poly` only for the diagonal.  An empty matrix yields
-    ().  Transformation matrices are not tracked; only the diagonal is ever
+    The elimination runs on a copy of the rows.  An empty matrix yields ().
+    Transformation matrices are not tracked; only the diagonal is ever
     needed here, and :func:`det_divisor` supplies an independent route to
     the same values.
     """
     nrows, ncols = _shape(rows)
     size = min(nrows, ncols)
-    field = rows[0][0].field if size else None
-    m = [[e.coeffs for e in row] for row in rows]
+    m = [list(row) for row in rows]
     t = 0
     while t < size:
         pos = _min_degree_pos(m, t)
@@ -178,20 +180,20 @@ def snf(rows: Sequence[Sequence[Poly]]) -> tuple[Poly, ...]:
                 break
             pos = _min_degree_pos(m, t)
         t += 1
-    diag = [Poly(field, m[i][i]).monic() for i in range(size)]
+    diag = [coeffs_monic(field, m[i][i]) for i in range(size)]
     # Final sweep: replace adjacent non-chain pairs by (gcd, lcm) until the
     # divisibility chain holds; a zero x gives (y, 0), so zeros bubble to
-    # the end.
+    # the end.  The lcm x*y/g of monic x, y and g is monic.
     changed = True
     while changed:
         changed = False
         for i in range(len(diag) - 1):
             x, y = diag[i], diag[i + 1]
-            if (not coeffs_divmod(field, y.coeffs, x.coeffs)[1] if x
+            if (not coeffs_divmod(field, y, x)[1] if x
                     else not y):  # x divides y
                 continue
-            g = poly_gcd(x, y)
-            diag[i], diag[i + 1] = g, ((x * y) // g).monic()
+            diag[i] = g = coeffs_gcd(field, x, y)
+            diag[i + 1] = coeffs_divmod(field, coeffs_mul(field, x, y), g)[0]
             changed = True
     return tuple(diag)
 
@@ -244,28 +246,28 @@ def det_divisor(rows: Sequence[Sequence[Poly]], order: int) -> Poly:
 # Linear pencils x*I - B and maps defined on a subspace
 # ---------------------------------------------------------------------------
 
-_PENCIL_POLYS: dict[FieldCtx, tuple[list[Poly], list[Poly]]] = {}
+@lru_cache(maxsize=None)
+def _pencil_entries(field: FieldCtx) -> tuple[list[tuple], list[tuple]]:
+    """The coefficients of the pencil entries -v and x - v, indexed by v."""
+    neg = field.neg
+    return ([(neg(v),) if v else () for v in field.elements()],
+            [(neg(v), 1) for v in field.elements()])
 
 
-def _pencil_polys(field: FieldCtx) -> tuple[list[Poly], list[Poly]]:
-    cached = _PENCIL_POLYS.get(field)
-    if cached is None:
-        consts = [Poly(field, (field.neg(b),)) for b in field.elements()]
-        linears = [Poly(field, (field.neg(b), 1)) for b in field.elements()]
-        cached = (consts, linears)
-        _PENCIL_POLYS[field] = cached
-    return cached
+def _pencil_rows(field: FieldCtx, b: Sequence[Sequence[int]]) -> list[list]:
+    """Fresh rows of coefficient tuples of x*I_{n,k} - B."""
+    n, k = _shape(b)
+    consts, linears = _pencil_entries(field)
+    rows = [[consts[v] for v in row] for row in b]
+    for i in range(min(n, k)):
+        rows[i][i] = linears[b[i][i]]
+    return rows
 
 
 def pencil_matrix(field: FieldCtx,
                   b: Sequence[Sequence[int]]) -> list[list[Poly]]:
     """Fresh rows of the polynomial matrix x*I_{n,k} - B."""
-    n, k = _shape(b)
-    consts, linears = _pencil_polys(field)
-    rows = [[consts[v] for v in row] for row in b]
-    for i in range(min(n, k)):
-        rows[i][i] = linears[b[i][i]]
-    return rows
+    return [[Poly(field, e) for e in row] for row in _pencil_rows(field, b)]
 
 
 def pencil_invariant_factors(field: FieldCtx,
@@ -292,17 +294,17 @@ def pencil_invariant_factors(field: FieldCtx,
         kernel = kernel_free_rows(field, b[k:], k)
         # row j of A*S transposed is A*s_j, s_j the j-th kernel vector
         a_s = rows_mul(field, kernel, list(zip(*b[:k])))
-        consts, linears = _pencil_polys(field)
+        consts, linears = _pencil_entries(field)
         neg = field.neg
         rows = [[consts[t[i]] if not s[i] else linears[t[i]] if s[i] == 1
-                 else Poly(field, (neg(t[i]), s[i]))
+                 else (neg(t[i]), s[i])
                  for s, t in zip(kernel, a_s)] for i in range(k)]
-        diagonal = ((Poly.one(field),) * (k - len(kernel))) + snf(rows)
+        diagonal = ((1,),) * (k - len(kernel)) + snf(field, rows)
     else:
-        diagonal = snf(pencil_matrix(field, b[:k]))
-    if not all(p.coeffs for p in diagonal):
+        diagonal = snf(field, _pencil_rows(field, b[:k]))
+    if not all(diagonal):
         raise ExactnessError("a pencil always has full column rank")
-    return InvariantFactorTuple._of_chain(diagonal)
+    return InvariantFactorTuple._of_chain(field, diagonal)
 
 
 def char_poly(field: FieldCtx, a: Sequence[Sequence[int]]) -> Poly:

@@ -204,7 +204,8 @@ def test_criterion_9_snf_against_minor_gcds():
 
         def check(f, b):
             pencil = pencil_matrix(f, b)
-            diag = snf(pencil)
+            diag = [Poly(f, c) for c in
+                    snf(f, [[e.coeffs for e in row] for row in pencil])]
             prev = Poly.one(f)
             for i, p in enumerate(diag, start=1):
                 assert p.is_monic()

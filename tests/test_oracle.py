@@ -758,10 +758,23 @@ def test_a_tall_key_drops_the_zero_rows_below_k(monkeypatch):
     exact = smith.snf
     rows = []
     monkeypatch.setattr(smith, "snf",
-                        lambda m: rows.append(len(m)) or exact(m))
+                        lambda field, m: rows.append(len(m))
+                        or exact(field, m))
     small = cfg(2, 40, 2)
     assert verify(closed_form(small), run(small)).verdict
     assert set(rows) == {small.k}
+
+
+@pytest.mark.parametrize("q,n,k,keys", [(3, 3, 3, 39), (9, 2, 2, 90)])
+def test_each_pencil_key_calls_smith_snf_once(monkeypatch, q, n, k, keys):
+    # perfbench's tracer counts Smith forms by patching smith.snf, so every
+    # key, one per representative, reaches it through smith's module global
+    exact = smith.snf
+    calls = []
+    monkeypatch.setattr(smith, "snf", lambda field, m: calls.append(m)
+                        or exact(field, m))
+    assert len(run(cfg(q, n, k, mode="pencil")).entries) == keys
+    assert len(calls) == keys
 
 
 def test_the_oracle_reads_from_census_only_the_report_and_the_builders():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from pencilcensus import smith
 from pencilcensus.errors import ExactnessError, OutOfRangeError, ShapeError
 from pencilcensus.gf import field_new, parse_field_spec, rank_rows
-from pencilcensus.polyring import Poly, parse_poly
+from pencilcensus.polyring import Poly, coeffs_text, parse_poly
 from pencilcensus.smith import (
     InvariantFactorTuple,
     char_poly,
@@ -27,6 +27,13 @@ F3 = field_new(3)
 
 def poly_grid(f, grid):
     return [[parse_poly(str(e), f) for e in row] for row in grid]
+
+
+def snf_of(rows):
+    """:func:`snf` of rows of Poly, its diagonal as Poly."""
+    f = rows[0][0].field
+    return tuple(Poly(f, c)
+                 for c in snf(f, [[p.coeffs for p in row] for row in rows]))
 
 
 def rand_matrix(rng, f, n, k):
@@ -49,31 +56,31 @@ def all_matrices(f, n, k):
 
 def test_snf_already_diagonal():
     m = poly_grid(F2, [["x", "0"], ["0", "x^2"]])
-    assert [str(p) for p in snf(m)] == ["x", "x^2"]
+    assert [str(p) for p in snf_of(m)] == ["x", "x^2"]
 
 
 def test_snf_merges_coprime_diagonal():
     m = poly_grid(F2, [["x", "0"], ["0", "x+1"]])
-    assert [str(p) for p in snf(m)] == ["1", "x^2+x"]
+    assert [str(p) for p in snf_of(m)] == ["1", "x^2+x"]
 
 
 def test_snf_zero_matrix():
     m = poly_grid(F2, [["0", "0", "0"], ["0", "0", "0"]])
-    diagonal = snf(m)
+    diagonal = snf_of(m)
     assert len(diagonal) == 2
     assert all(p.is_zero() for p in diagonal)
 
 
 def test_snf_rank_deficient_keeps_trailing_zeros():
     m = poly_grid(F2, [["x", "x"], ["x", "x"]])
-    diagonal = snf(m)
+    diagonal = snf_of(m)
     assert str(diagonal[0]) == "x"
     assert diagonal[1].is_zero()
 
 
 def test_snf_normalizes_units():
     m = poly_grid(F3, [["2*x+1", "0"], ["0", "2"]])
-    assert all(p.is_monic() for p in snf(m))
+    assert all(p.is_monic() for p in snf_of(m))
 
 
 def test_det_divisor_examples():
@@ -89,31 +96,33 @@ def test_det_divisor_examples():
 
 def test_snf_and_det_divisor_take_equal_length_rows():
     with pytest.raises(ShapeError, match="ragged"):
-        snf(poly_grid(F2, [["x", "1"], ["x"]]))
+        snf(F2, [[p.coeffs for p in row]
+                 for row in poly_grid(F2, [["x", "1"], ["x"]])])
     with pytest.raises(ShapeError, match="ragged"):
         det_divisor(poly_grid(F2, [["x"], ["x", "1"]]), 1)
-    assert snf([]) == ()
-    assert snf([[], []]) == ()
+    assert snf(F2, []) == ()
+    assert snf(F2, [[], []]) == ()
 
 
 def test_snf_and_det_divisor_leave_their_rows_unchanged():
     # the elimination swaps rows and columns to bring the unit at (1, 2) to
     # the pivot, then clears its row and column with nonzero quotients
     rows = poly_grid(F3, [["x^2", "x+1", "x"], ["x", "x^2+2", "2"]])
-    before = [list(row) for row in rows]
-    identities = [id(row) for row in rows]
-    assert [str(p) for p in snf(rows)] == ["1", "1"]
+    coeffs = [[p.coeffs for p in row] for row in rows]
+    before = [list(row) for row in rows] + [list(row) for row in coeffs]
+    identities = [id(row) for row in rows + coeffs]
+    assert [coeffs_text(F3, c) for c in snf(F3, coeffs)] == ["1", "1"]
     for order in (1, 2):
         det_divisor(rows, order)
-    assert rows == before
-    assert [id(row) for row in rows] == identities
+    assert rows + coeffs == before
+    assert [id(row) for row in rows + coeffs] == identities
 
 
 def assert_snf_matches_minor_gcds(a):
     """The i-th determinantal divisor is the product of the first i Smith
     diagonal entries."""
     prev = Poly.one(a[0][0].field)
-    for i, p in enumerate(snf(a), start=1):
+    for i, p in enumerate(snf_of(a), start=1):
         delta = det_divisor(a, i)
         assert delta == prev * p, f"delta_{i} mismatch for {a!r}"
         prev = delta
@@ -137,10 +146,11 @@ def test_snf_matches_minor_gcds_random_larger():
 
 
 @st.composite
-def poly_matrices(draw):
+def poly_matrices(draw, fields=(3, 4, 9)):
     """Raw polynomial matrices up to 3 x 3, entries of degree at most 2, over
-    an odd prime field, a characteristic-2 extension and an odd extension."""
-    f = parse_field_spec(str(draw(st.sampled_from((3, 4, 9)))))
+    one of ``fields``: by default an odd prime field, a characteristic-2
+    extension and an odd extension."""
+    f = parse_field_spec(str(draw(st.sampled_from(fields))))
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     coeffs = st.lists(st.integers(0, f.q - 1), max_size=3)
     entries = draw(st.lists(coeffs, min_size=rows * cols,
@@ -160,12 +170,32 @@ def test_snf_matches_minor_gcds_on_raw_matrices(a):
     assert_snf_matches_minor_gcds(a)
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(poly_matrices((2, 5, 8, 25)))
+# unimodular, L*U with L and U unit triangular: every division of the
+# elimination and the sweep is by the unit 1
+@example(poly_grid(F2, [["1", "x", "1"], ["x", "x^2+1", "x^2"],
+                        ["x+1", "x", "x^4+x^3+x"]]))
+# the elimination leaves the diagonal x, x + 2 out of chain order, so the
+# final sweep replaces it by gcd and lcm
+@example(poly_grid(parse_field_spec("5"), [["2*x", "0"], ["0", "3*x+1"]]))
+def test_snf_of_coefficient_rows_matches_minor_gcds_on_more_fields(a):
+    f = a[0][0].field
+    diagonal = snf(f, [[p.coeffs for p in row] for row in a])
+    assert all(type(c) is tuple and (not c or c[-1]) for c in diagonal)
+    prev = Poly.one(f)
+    for i, c in enumerate(diagonal, start=1):
+        delta = det_divisor(a, i)
+        assert delta == prev * Poly(f, c), f"delta_{i} mismatch for {a!r}"
+        prev = delta
+
+
 def test_divisibility_chain_on_general_matrices():
     rng = random.Random(23)
     for _ in range(60):
         rows = [[Poly(F2, [rng.randrange(2) for _ in range(3)])
                  for _ in range(3)] for _ in range(2)]
-        diagonal = snf(rows)
+        diagonal = snf_of(rows)
         nonzero = [p for p in diagonal if not p.is_zero()]
         rank = len(nonzero)
         assert all(p.is_zero() for p in diagonal[rank:])
@@ -216,7 +246,7 @@ def test_snf_of_the_pencil_rows_is_the_pencil_invariant_factors(q, n, k,
     rng = random.Random(f"{q}-{n}-{k}-{bottom}")
     for _ in range(40):
         b = tall_pencil(rng, f, n, k, bottom)
-        assert snf(pencil_matrix(f, b)) == \
+        assert snf_of(pencil_matrix(f, b)) == \
             tuple(pencil_invariant_factors(f, b))
 
 
@@ -225,9 +255,9 @@ def record_snf_shapes(monkeypatch):
     shapes = []
     exact = smith.snf
 
-    def recording(rows):
+    def recording(field, rows):
         shapes.append((len(rows), len(rows[0]) if rows else 0))
-        return exact(rows)
+        return exact(field, rows)
 
     monkeypatch.setattr(smith, "snf", recording)
     return shapes
@@ -270,8 +300,8 @@ def test_pencil_examples():
 def test_a_pencil_short_of_full_column_rank_raises(monkeypatch):
     exact = smith.snf
 
-    def one_short(rows):
-        return exact(rows)[:-1] + (Poly.zero(F2),)
+    def one_short(field, rows):
+        return exact(field, rows)[:-1] + ((),)
 
     monkeypatch.setattr(smith, "snf", one_short)
     with pytest.raises(ExactnessError, match="full column rank"):
