@@ -2,8 +2,9 @@
 the ``snf`` command give, byte for byte, the outputs pinned here: the
 SHA-256 of every census report's JSON over a grid of fields and shapes, of
 every enumerated report and of every full walk's tally over a smaller grid,
-of ``poly_text`` over seeded polynomials, and of ``pencilcensus snf`` over
-seeded matrices."""
+of ``poly_text`` over seeded polynomials, of ``pencilcensus snf`` over
+seeded matrices, and of ``pencilcensus count`` and ``pencilcensus factor``
+over seeded requests, refusals included."""
 
 import contextlib
 import hashlib
@@ -14,7 +15,7 @@ import random
 import pytest
 
 from pencilcensus import oracle
-from pencilcensus.cli import main
+from pencilcensus.cli import FORMULAS, main
 from pencilcensus.census import fiber_census, pencil_census, subspace_census
 from pencilcensus.errors import BudgetExceededError
 from pencilcensus.gf import echelon_subspaces, parse_field_spec
@@ -300,3 +301,119 @@ def snf_lines(q):
 @pytest.mark.parametrize("q", SNF_FIELDS)
 def test_the_snf_command_matches_its_digest(q):
     assert digest(snf_lines(q)) == SNF_DIGESTS[q]
+
+
+# q -> SHA-256 of the outputs of :func:`count_factor_argvs`, one request after
+# another, each as its exit code, its stdout and its stderr
+COUNT_FACTOR_DIGESTS = {
+    2: "df39f4ff3b9f67d5a58dc47771ac8c7b"
+        "a5d6b6ba807e411faeb452a46e8efd77",
+    3: "776c77b4892a49340c6d83fbc8cb4a29"
+        "bd3ea2c3de6d0d471e853eea9b44d26c",
+    5: "bfe41149bb0a07f542cd048808d553c0"
+        "cb4e1812af1ac90f134070c7e04464aa",
+    4: "e6497de133b48ed5c95a2e7b015fb66a"
+        "311fe505e74dff85abda48f2e71b7bd3",
+    8: "d5198fea04bb9e2d91018c6845039835"
+        "1e9194a908a685e8b41cca22ef9589f2",
+    9: "ac30a81038f1fa41ede4bf51000bee66"
+        "10241d2234928a5a2ff82e625778e701",
+}
+
+
+def _monic(f, rng, top):
+    """A monic polynomial of degree 0 to ``top``, a third of its lower
+    coefficients zero."""
+    return Poly(f, [0 if rng.random() < 1 / 3 else rng.randrange(f.q)
+                    for _ in range(rng.randint(0, top))] + [1])
+
+
+def _tuple_text(f, rng, k):
+    """A chain p_1 | ... | p_k, each p_j a monic multiple of the last, of
+    total degree at most about k, or, for about a quarter of them, a
+    tuple the parser refuses: two factors swapped, one scaled off monic,
+    one zero or one a bad term; with the chain's total degree."""
+    chain = [_monic(f, rng, 1)]
+    for _ in range(k - 1):
+        chain.append(chain[-1] * _monic(f, rng, 1))
+    texts = [poly_text(p) for p in chain]
+    fault = rng.randrange(12)
+    j = rng.randrange(k)
+    if fault == 0 and k > 1:
+        texts[j - 1], texts[j] = texts[j], texts[j - 1]
+    elif fault == 1 and f.q > 2:
+        texts[j] = poly_text(Poly(f, [f.mul(c, 2) for c in chain[j].coeffs]))
+    elif fault == 2:
+        texts[j] = "0"
+    elif fault == 3:
+        texts[j] = rng.choice(("x^", "y+1", f"{f.q}*x", "x**2", ""))
+    return "|".join(texts), sum(len(p.coeffs) - 1 for p in chain)
+
+
+def _poly_text_of(f, rng, top):
+    """A polynomial of degree 0 to ``top``, monic three times in four, or,
+    once in twelve, a text the parser refuses or that reads as zero."""
+    roll = rng.randrange(12)
+    if roll == 0:
+        return rng.choice(("0", "x^", "y+1", f"[{f.q}]", "x**2", "x^2+-1"))
+    if roll == 1 and f.m == 1:
+        return f"x^{rng.randint(1, top)}-{rng.randrange(1, f.q)}"
+    p = _monic(f, rng, top)
+    if roll < 4:
+        p = Poly(f, [f.mul(c, rng.randrange(1, f.q)) for c in p.coeffs])
+    return poly_text(p)
+
+
+def count_factor_argvs(q, count=120):
+    """Seeded ``count`` and ``factor`` requests over GF(q), each in table and
+    JSON format: ``count`` with every formula, its shape sometimes one the
+    formula refuses (k > n, d off the tuple's degree or past k, a degree
+    past k, --n off the tuple's length), sometimes with a flag the formula does not take or without
+    one it needs; ``factor`` of polynomials of degree up to 8, some not
+    monic, some constant, some refused."""
+    f = parse_field_spec(str(q))
+    rng = random.Random(f"count-factor-cli-{q}")
+    for _ in range(count):
+        formula = rng.choice((*FORMULAS, "factor", "factor"))
+        k = rng.randint(1, 3)
+        n = k + rng.choice((0, 0, 1, 2, -1))
+        if formula == "factor":
+            argv = ["factor", "--poly", _poly_text_of(f, rng, 8)]
+        else:
+            names = FORMULAS[formula][1]
+            chain, degree = _tuple_text(f, rng, k)
+            value = {"n": n, "k": k, "r": rng.randint(0, k + 1),
+                     "d": degree if rng.random() < 3 / 4
+                     else rng.randint(0, k + 1),
+                     "tuple": chain, "poly": _poly_text_of(f, rng, k + 1)}
+            flags = [name for name in names if name != "q"]
+            if formula == "class" and rng.random() < 1 / 2:
+                flags.append("n")
+            roll = rng.randrange(16)
+            if roll == 0:
+                flags.remove(rng.choice(flags))
+            elif roll == 1:
+                flags.append(rng.choice(
+                    [name for name in value if name not in names]))
+            argv = ["count", "--formula", formula]
+            for name in dict.fromkeys(flags):
+                argv += ["--" + name, str(value[name])]
+        for fmt in ("table", "json"):
+            yield argv[:1] + ["--q", str(q)] + argv[1:] + ["--format", fmt]
+
+
+def count_factor_lines(q):
+    for argv in count_factor_argvs(q):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        yield f"{code}\n{out.getvalue()}{err.getvalue()}"
+
+
+@pytest.mark.parametrize("q", SNF_FIELDS)
+def test_the_count_and_factor_commands_match_their_digest(q, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage at
+    assert digest(count_factor_lines(q)) == COUNT_FACTOR_DIGESTS[q]
