@@ -39,7 +39,7 @@ from .errors import (
 from .gf import FieldCtx
 from .polyring import (
     Poly,
-    _multiplicity_unchecked,
+    coeffs_multiplicity,
     coeffs_text,
     factorize,
     irreducibles_up_to,
@@ -132,24 +132,26 @@ def exponent_profile(ifs: InvariantFactorTuple) -> dict[Poly, tuple[int, ...]]:
     which every other one divides, the value is the weakly decreasing tuple
     of exponents of f in p_k, p_{k-1}, ..., truncated at the first zero.
     """
-    profile: dict[Poly, tuple[int, ...]] = {}
-    polys = ifs.polys
-    for f, _ in factorize(polys[-1]).factors:
-        parts = []
-        for p in reversed(polys):
-            e = _multiplicity_unchecked(f, p)[0]
+    return {Poly(ifs.field, f): parts for f, parts in _profile(ifs)}
+
+
+def _profile(ifs: InvariantFactorTuple) -> Iterator[tuple[tuple, tuple]]:
+    """The items of :func:`exponent_profile`, each f a coefficient tuple."""
+    field, chain = ifs.field, ifs.coeffs
+    for f, e in factorize(field, chain[-1]).factors:
+        parts = [e]
+        for p in reversed(chain[:-1]):
+            e = coeffs_multiplicity(field, f, p)[0]
             if e == 0:
                 break
             parts.append(e)
-        profile[f] = tuple(parts)
-    return profile
+        yield f, tuple(parts)
 
 
 def _profile_blocks(ifs: InvariantFactorTuple
                     ) -> list[tuple[int, tuple[int, ...]]]:
     """The type of a tuple: (deg g, lambda_g) per irreducible divisor g."""
-    return [(len(g.coeffs) - 1, parts)
-            for g, parts in exponent_profile(ifs).items()]
+    return [(len(g) - 1, parts) for g, parts in _profile(ifs)]
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -357,9 +359,12 @@ def _census_entries(field: FieldCtx, max_degree: int, slots: int,
 # Census reports
 # ---------------------------------------------------------------------------
 
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def compact_json(data: dict) -> str:
     """Key-sorted JSON with no spaces: equal data gives identical bytes."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return _COMPACT.encode(data)
 
 
 class CensusReport(namedtuple("CensusReport", "parameters entries source",

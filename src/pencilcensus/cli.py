@@ -19,9 +19,8 @@ from typing import NoReturn
 
 from . import census, oracle
 from .errors import PencilCensusError
-from .gf import (FieldCtx, field_new, parse_field_order, parse_field_spec,
-                 rank_rows)
-from .polyring import Poly, coeffs_text, factorize, parse_poly, poly_gcd
+from .gf import field_new, parse_field_order, parse_field_spec, rank_rows
+from .polyring import Poly, coeffs_text, factorize, parse_coeffs, poly_gcd
 from .smith import (
     InvariantFactorTuple,
     det_divisor,
@@ -132,41 +131,49 @@ def _error(message: str) -> NoReturn:
     _parser().error(message)
 
 
+# Command -> ({option string: (attribute, type or None for a switch,
+# choices)}, required attributes, {attribute: default}), from COMMANDS.
+_PLAIN = {command: (
+    {flag: (flag[2:], None if spec.get("action") == "store_true"
+            else spec.get("type", str), spec.get("choices"))
+     for flag, spec in flags.items()},
+    [flag[2:] for flag, spec in flags.items() if spec.get("required")],
+    {flag[2:]: spec.get("default", False if spec.get("action") == "store_true"
+                        else None) for flag, spec in flags.items()})
+    for command, (_, flags) in COMMANDS.items()}
+
+
 def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     """``argv`` as argparse parses it when it names a command followed by
     ``--flag value`` pairs and ``--switch``es, each flag spelled out in full;
     None for anything else and for any value argparse would refuse.  Read
-    off the command's entry of :data:`COMMANDS`."""
-    if not argv or argv[0] not in COMMANDS:
+    off the command's entry of :data:`_PLAIN`."""
+    if not argv or argv[0] not in _PLAIN:
         return None
-    flags = COMMANDS[argv[0]][1]
+    readers, required, defaults = _PLAIN[argv[0]]
     values = {}
     tokens = iter(argv[1:])
     for token in tokens:
-        spec = flags.get(token)
-        if spec is None:
+        reader = readers.get(token)
+        if reader is None:
             return None
-        if spec.get("action") == "store_true":
-            values[token] = True
+        name, kind, choices = reader
+        if kind is None:
+            values[name] = True
             continue
         raw = next(tokens, "")
-        if not raw or raw.startswith("-"):
+        if not raw or raw[0] == "-":
             return None
         try:
-            value = spec.get("type", str)(raw)
+            value = kind(raw)
         except ValueError:
             return None
-        if "choices" in spec and value not in spec["choices"]:
+        if choices is not None and value not in choices:
             return None
-        values[token] = value
-    for flag, spec in flags.items():
-        if flag not in values:
-            if spec.get("required"):
-                return None
-            values[flag] = spec.get("default", False if spec.get("action")
-                                    == "store_true" else None)
-    return argparse.Namespace(command=argv[0], **{
-        flag[2:]: value for flag, value in values.items()})
+        values[name] = value
+    if any(name not in values for name in required):
+        return None
+    return argparse.Namespace(command=argv[0], **{**defaults, **values})
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -188,13 +195,6 @@ def _need(args, names: list[str]) -> None:
     missing = ["--" + n for n in names if getattr(args, n) is None]
     if missing:
         _error(f"--formula {args.formula} requires " + ", ".join(missing))
-
-
-def _parse_tuple(text: str, f: FieldCtx) -> InvariantFactorTuple:
-    try:
-        return InvariantFactorTuple.parse(text, f)
-    except (ValueError, PencilCensusError) as exc:
-        _error(f"bad --tuple: {exc}")
 
 
 def _count_exponent(given: dict) -> int:
@@ -237,9 +237,12 @@ def cmd_count(args) -> int:
     _need(args, flags)
     given = {name: getattr(args, name) for name in flags}
     if "tuple" in given:
-        given["tuple"] = _parse_tuple(given["tuple"], f)
+        try:
+            given["tuple"] = InvariantFactorTuple.parse(given["tuple"], f)
+        except (ValueError, PencilCensusError) as exc:
+            _error(f"bad --tuple: {exc}")
     if "poly" in given:
-        given["poly"] = parse_poly(given["poly"], f)
+        given["poly"] = Poly(f, parse_coeffs(given["poly"], f))
     if args.formula == "class":
         n = len(given["tuple"])
         if args.n is not None and args.n != n:
@@ -349,38 +352,48 @@ def cmd_verify(args) -> int:
 
 def cmd_snf(args) -> int:
     f = parse_field_spec(args.q)
-    if args.pencil:
-        grid = _int_rows(args.matrix, "--matrix")
-    else:
-        try:
-            grid = json.loads(args.matrix)
-        except ValueError:
+    try:
+        grid = json.loads(args.matrix)
+    except ValueError:
+        grid = None
+        if not args.pencil:
             _error("--matrix must be a JSON array of rows")
-    if not (isinstance(grid, list) and grid and all(
-            isinstance(row, list) and row and len(row) == len(grid[0])
-            for row in grid)):
+    # One pass finds every fault, reported in this order: rows of integers
+    # (--pencil), shape, --n, --k, entries in range (--pencil) or of a type.
+    rows_ok = shape_ok = isinstance(grid, list)
+    entries_ok = True
+    ncols = len(grid[0]) if rows_ok and grid and type(grid[0]) is list else 0
+    for row in grid if rows_ok else ():
+        if not isinstance(row, list):
+            rows_ok = shape_ok = False
+            break
+        shape_ok = shape_ok and len(row) == ncols
+        for v in row:
+            # bool is a subclass of int, so compare types exactly
+            if type(v) is int:
+                entries_ok = entries_ok and (not args.pencil or 0 <= v < f.q)
+            elif args.pencil or not isinstance(v, str):
+                rows_ok = entries_ok = False
+    if args.pencil and not rows_ok:
+        _error("--matrix must be a JSON array of rows of integers")
+    if not (shape_ok and ncols):
         _error("--matrix must be a nonempty array of equal-length nonempty "
                "rows")
-    nrows, ncols = len(grid), len(grid[0])
-    if args.n is not None and args.n != nrows:
-        _error(f"--n {args.n} does not match matrix with {nrows} rows")
+    if args.n is not None and args.n != len(grid):
+        _error(f"--n {args.n} does not match matrix with {len(grid)} rows")
     if args.k is not None and args.k != ncols:
         _error(f"--k {args.k} does not match matrix with {ncols} columns")
-    entries = [v for row in grid for v in row]
+    if not entries_ok:
+        _error(f"matrix entries must lie in [0, {f.q})" if args.pencil
+               else "--matrix entries must be JSON strings or integers")
     if args.pencil:
-        if any(not 0 <= v < f.q for v in entries):
-            _error(f"matrix entries must lie in [0, {f.q})")
         diag = pencil_invariant_factors(f, grid).coeffs
     else:
-        # bool is a subclass of int, so compare types exactly
-        if any(type(v) is not int and not isinstance(v, str) for v in entries):
-            _error("--matrix entries must be JSON strings or integers")
-        diag = snf(f, [[parse_poly(str(v), f).coeffs for v in row]
-                       for row in grid])
+        diag = snf(f, [[parse_coeffs(str(v), f) for v in row] for row in grid])
     if args.format == "json":
         print(census.compact_json({
             "schema": "snf-result/v1",
-            "parameters": {"q": f.q, "n": nrows, "k": ncols,
+            "parameters": {"q": f.q, "n": len(grid), "k": ncols,
                            "pencil": bool(args.pencil)},
             "diagonal": [coeffs_text(f, c) for c in diag]}))
     else:
@@ -391,21 +404,21 @@ def cmd_snf(args) -> int:
 def cmd_factor(args) -> int:
     f = parse_field_spec(args.q)
     try:
-        poly = parse_poly(args.poly, f)
+        coeffs = parse_coeffs(args.poly, f)
     except ValueError as exc:
         _error(str(exc))
-    if poly.is_zero():
+    if not coeffs:
         _error("cannot factor the zero polynomial")
-    result = factorize(poly)
+    result = factorize(f, coeffs)
+    factors = [(coeffs_text(f, g), e) for g, e in result.factors]
     if args.format == "json":
         print(census.compact_json({
             "schema": "factorization/v1",
-            "parameters": {"q": f.q, "poly": str(poly)},
+            "parameters": {"q": f.q, "poly": coeffs_text(f, coeffs)},
             "unit": str(result.unit),
-            "factors": [[str(g), e] for g, e in result.factors]}))
+            "factors": [[g, e] for g, e in factors]}))
     else:
-        pieces = [f"({g})" + (f"^{e}" if e > 1 else "")
-                  for g, e in result.factors]
+        pieces = [f"({g})" + (f"^{e}" if e > 1 else "") for g, e in factors]
         if result.unit != 1 or not pieces:
             pieces.insert(0, str(result.unit))
         print("*".join(pieces))
@@ -439,9 +452,9 @@ def _selftest_suites(rng: random.Random):
         for q in (2, 3):
             f = field_new(q)
             for _ in range(200):
-                coeffs = [rng.randrange(q) for _ in range(rng.randrange(1, 7))]
-                poly = Poly(f, coeffs + [1])
-                if factorize(poly).reconstruct(f) != poly:
+                coeffs = tuple(rng.randrange(q)
+                               for _ in range(rng.randrange(1, 7))) + (1,)
+                if factorize(f, coeffs).reconstruct(f) != coeffs:
                     return False
         return True
 

@@ -28,6 +28,7 @@ from .errors import (
 )
 
 FIELD_SIZE_CAP = 1 << 16
+DEGREE_CAP = 1 << 12  # largest degree parsed: more than the budget needs
 
 
 def is_prime(n: int) -> bool:

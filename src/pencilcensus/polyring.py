@@ -12,12 +12,11 @@ the closed-form censuses read their keys from.
 Canonical order for factor lists and the irreducible sieve: degree ascending,
 then coefficient sequence lexicographic from the constant term up.
 
-Six functions work on bare coefficient tuples, so that callers who need only
-coefficients and key texts build no :class:`Poly`: the one product,
-difference, division, normalisation and Euclid loop, ``coeffs_mul``,
-``coeffs_submul``, ``coeffs_divmod``, ``coeffs_monic`` and ``coeffs_gcd``,
-which ``Poly``, the sieve and :mod:`smith` share, and the one renderer,
-``coeffs_text``.
+The ``coeffs_*`` functions, :func:`factorize` and ``parse_coeffs`` work on
+bare coefficient tuples, so that callers who need only coefficients and key
+texts build no :class:`Poly`: ``Poly``, the sieve, :mod:`smith` and
+:mod:`census` share the one product, difference, division, normalisation,
+Euclid loop, multiplicity, factorization, renderer and parser.
 """
 
 from __future__ import annotations
@@ -30,12 +29,14 @@ from typing import Iterator, Sequence
 
 from .errors import (
     BothZeroError,
+    DegreeTooLargeError,
     DivisionByZeroError,
     ZeroArgumentError,
 )
-from .gf import FieldCtx
+from .gf import DEGREE_CAP, FieldCtx
 
 NEG_INF = float("-inf")
+SIEVE_LEVEL_CAP = 1 << 24  # monics in one sieve level: the default budget
 
 
 def coeffs_mul(field: FieldCtx, a: Sequence[int],
@@ -139,6 +140,15 @@ def coeffs_gcd(field: FieldCtx, a: Sequence[int],
     return coeffs_monic(field, a)
 
 
+def coeffs_multiplicity(field: FieldCtx, g: Sequence[int], h: Sequence[int]
+                        ) -> tuple[int, Sequence[int]]:
+    """(e, h / g^e) for the largest e with g^e dividing h != 0, deg g >= 1."""
+    e, (quot, rem) = 0, coeffs_divmod(field, h, g)
+    while not rem:
+        h, e, (quot, rem) = quot, e + 1, coeffs_divmod(field, quot, g)
+    return e, h
+
+
 class Poly:
     """Immutable polynomial over a fixed field."""
 
@@ -163,10 +173,6 @@ class Poly:
     def x(cls, field: FieldCtx) -> "Poly":
         return cls(field, (0, 1))
 
-    @classmethod
-    def constant(cls, field: FieldCtx, c: int) -> "Poly":
-        return cls(field, (c,))
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -177,16 +183,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ZeroArgumentError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -347,55 +345,52 @@ def is_irreducible(f: Poly) -> bool:
     return all((f % g).coeffs for g in irreducibles_up_to(f.field, deg // 2))
 
 
-def _multiplicity_unchecked(f: Poly, g: Poly) -> tuple[int, Poly]:
-    """(e, g / f^e) for the largest e such that f^e divides g."""
-    e = 0
-    while True:
-        quot, rem = divmod(g, f)
-        if rem.coeffs:
-            return e, g
-        g = quot
-        e += 1
-
-
 class Factorization(namedtuple("Factorization", "unit factors")):
     """Complete factorization ``unit * prod(f_i ** e_i)`` with canonical order:
-    ``factors`` is a tuple of pairs (f_i, e_i)."""
+    ``factors`` is a tuple of pairs (f_i, e_i), f_i a coefficient tuple."""
 
     __slots__ = ()
 
-    def reconstruct(self, field: FieldCtx) -> Poly:
-        out = Poly.constant(field, self.unit)
+    def reconstruct(self, field: FieldCtx) -> tuple[int, ...]:
+        out = (self.unit,)
         for f, e in self.factors:
-            out = out * f ** e
+            for _ in range(e):
+                out = coeffs_mul(field, out, f)
         return out
 
 
-def factorize(g: Poly) -> Factorization:
-    """Factor a nonzero polynomial into monic irreducibles by trial division,
-    in canonical order: for a = 1, 2, ... while 2a <= deg h, h the cofactor
-    left so far, divide h by the irreducibles of degree a, so the sieve
-    stops at half the cofactor's degree.  A cofactor h != 1 left after that
-    has no factor of at most half its degree, so it is irreducible; it is
-    none of the irreducibles tried, so it sorts after every factor found."""
-    if g.is_zero():
+def factorize(field: FieldCtx, coeffs: Sequence[int]) -> Factorization:
+    """Factor a nonzero coefficient tuple into monic irreducibles by trial
+    division, in canonical order: for a = 1, 2, ... while 2a <= deg h, h the
+    cofactor left so far, divide h by the irreducibles of degree a, so the
+    sieve stops at half the cofactor's degree.  A cofactor h != 1 left after
+    that has no factor of at most half its degree, so it is irreducible; it
+    is none of the irreducibles tried, so it sorts after every factor found.
+    A polynomial that may need a level of more than ``SIEVE_LEVEL_CAP``
+    monics is refused before any level is built."""
+    if not coeffs:
         raise ZeroArgumentError("cannot factor the zero polynomial")
-    unit = g.leading()
-    h = g.monic()
-    factors: list[tuple[Poly, int]] = []
+    unit = coeffs[-1]
+    h = coeffs_monic(field, coeffs)
+    half = (len(h) - 1) // 2
+    if field.q ** half > SIEVE_LEVEL_CAP:
+        raise DegreeTooLargeError(
+            f"factoring may need the {field.q}^{half} monics of degree "
+            f"{half}, past the {SIEVE_LEVEL_CAP} a sieve level may hold")
+    factors: list[tuple[tuple[int, ...], int]] = []
     tried = 0
     a = 1
-    while 2 * a <= len(h.coeffs) - 1:
-        sieve = irreducibles_up_to(g.field, a)
+    while 2 * a <= len(h) - 1:
+        sieve = irreducibles_up_to(field, a)
         for f in sieve[tried:]:
-            if 2 * a > len(h.coeffs) - 1:
+            if 2 * a > len(h) - 1:
                 break
-            e, h = _multiplicity_unchecked(f, h)
+            e, h = coeffs_multiplicity(field, f.coeffs, h)
             if e:
-                factors.append((f, e))
+                factors.append((f.coeffs, e))
         tried = len(sieve)
         a += 1
-    if not h.is_one():
+    if len(h) > 1:
         factors.append((h, 1))
     return Factorization(unit, tuple(factors))
 
@@ -457,16 +452,23 @@ def _term_text(bracketed: bool, c: int, e: int) -> str:
 
 
 def parse_poly(text: str, field: FieldCtx) -> Poly:
-    """Parse the polynomial grammar produced by :func:`poly_text`.
+    """The :class:`Poly` of :func:`parse_coeffs`."""
+    return Poly(field, parse_coeffs(text, field))
+
+
+def parse_coeffs(text: str, field: FieldCtx) -> tuple[int, ...]:
+    """The coefficient tuple of a polynomial in the grammar produced by
+    :func:`poly_text`.
 
     A leading or embedded '-' negates the following term's coefficient in
-    the field, so "x^2-1" is accepted over prime fields.
+    the field, so "x^2-1" is accepted over prime fields.  A degree past
+    ``DEGREE_CAP`` is refused before anything of that size is built.
     """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial string")
     if s == "0":
-        return Poly.zero(field)
+        return ()
     pieces = re.findall(r"([+-]?)([^+-]+)", s)
     if "".join(sign + body for sign, body in pieces) != s:
         raise ValueError(f"cannot parse polynomial {text!r}")
@@ -490,10 +492,15 @@ def parse_poly(text: str, field: FieldCtx) -> Poly:
             e = 1
         else:
             e = int(m.group("exp"))
+            if e > DEGREE_CAP:
+                raise DegreeTooLargeError(
+                    f"degree {e} in {text!r} is past the cap of {DEGREE_CAP}")
         if sign == "-":
             c = field.neg(c)
         coeffs[e] = field.add(coeffs.get(e, 0), c)
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c
-    return Poly(field, out)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)

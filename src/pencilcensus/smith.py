@@ -21,7 +21,7 @@ diagonal is r ones followed by the Smith form of the k x (k - r) pencil
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .errors import ExactnessError, OutOfRangeError, ShapeError
@@ -33,7 +33,7 @@ from .gf import (
     rows_mul,
 )
 from .polyring import (Poly, coeffs_divmod, coeffs_gcd, coeffs_monic,
-                       coeffs_mul, coeffs_submul, coeffs_text, parse_poly,
+                       coeffs_mul, coeffs_submul, coeffs_text, parse_coeffs,
                        poly_gcd)
 
 
@@ -46,13 +46,19 @@ class InvariantFactorTuple:
         polys = tuple(polys)
         if not polys:
             raise ValueError("need at least one invariant factor")
-        for p in polys:
-            if not p.is_monic():
-                raise ValueError(f"invariant factor {p} is not monic")
-        for a, b in zip(polys, polys[1:]):
-            if coeffs_divmod(b.field, b.coeffs, a.coeffs)[1]:
-                raise ValueError(f"{a} does not divide {b}")
         self.field, self.coeffs = polys[0].field, tuple(p.coeffs for p in polys)
+        self._check()
+
+    def _check(self) -> "InvariantFactorTuple":
+        """self, once each factor is monic and divides the next."""
+        text = partial(coeffs_text, self.field)
+        for c in self.coeffs:
+            if not c or c[-1] != 1:
+                raise ValueError(f"invariant factor {text(c)} is not monic")
+        for a, b in zip(self.coeffs, self.coeffs[1:]):
+            if coeffs_divmod(self.field, b, a)[1]:
+                raise ValueError(f"{text(a)} does not divide {text(b)}")
+        return self
 
     @classmethod
     def _of_chain(cls, field: FieldCtx, coeffs: tuple) -> "InvariantFactorTuple":
@@ -78,7 +84,8 @@ class InvariantFactorTuple:
 
     @classmethod
     def parse(cls, text: str, field: FieldCtx) -> "InvariantFactorTuple":
-        return cls([parse_poly(part, field) for part in text.split("|")])
+        return cls._of_chain(field, tuple(
+            parse_coeffs(part, field) for part in text.split("|")))._check()
 
     def __iter__(self):
         return iter(self.polys)
@@ -123,19 +130,21 @@ def _shape(rows: Sequence[Sequence]) -> tuple[int, int]:
     return len(rows), len(rows[0]) if rows else 0
 
 
-def snf(field: FieldCtx, rows: Sequence[Sequence[tuple]]) -> tuple[tuple, ...]:
+def snf(field: FieldCtx, rows: Sequence[Sequence[tuple]],
+        checked: tuple[int, int] | None = None) -> tuple[tuple, ...]:
     """Diagonal of the Smith normal form of a polynomial matrix over
     ``field``, given as equal-length rows of coefficient tuples: the monic
     chain, then () for each unit of rank deficiency.
 
-    The elimination runs on a copy of the rows.  An empty matrix yields ().
-    Transformation matrices are not tracked; only the diagonal is ever
-    needed here, and :func:`det_divisor` supplies an independent route to
-    the same values.
+    The elimination runs on a copy of the rows, or on the rows themselves
+    when a caller that built them fresh passes their ``checked`` shape.  An
+    empty matrix yields ().  Transformation matrices are not tracked; only
+    the diagonal is ever needed here, and :func:`det_divisor` supplies an
+    independent route to the same values.
     """
-    nrows, ncols = _shape(rows)
+    nrows, ncols = checked or _shape(rows)
+    m = rows if checked else [list(row) for row in rows]
     size = min(nrows, ncols)
-    m = [list(row) for row in rows]
     t = 0
     while t < size:
         pos = _min_degree_pos(m, t)
@@ -254,12 +263,13 @@ def _pencil_entries(field: FieldCtx) -> tuple[list[tuple], list[tuple]]:
             [(neg(v), 1) for v in field.elements()])
 
 
-def _pencil_rows(field: FieldCtx, b: Sequence[Sequence[int]]) -> list[list]:
-    """Fresh rows of coefficient tuples of x*I_{n,k} - B."""
-    n, k = _shape(b)
+def _pencil_rows(field: FieldCtx, b: Sequence[Sequence[int]],
+                 size: int) -> list[list]:
+    """Fresh rows of coefficient tuples of x*I_{n,k} - B, B's rows checked
+    equal in length and size = min(n, k)."""
     consts, linears = _pencil_entries(field)
     rows = [[consts[v] for v in row] for row in b]
-    for i in range(min(n, k)):
+    for i in range(size):
         rows[i][i] = linears[b[i][i]]
     return rows
 
@@ -267,7 +277,8 @@ def _pencil_rows(field: FieldCtx, b: Sequence[Sequence[int]]) -> list[list]:
 def pencil_matrix(field: FieldCtx,
                   b: Sequence[Sequence[int]]) -> list[list[Poly]]:
     """Fresh rows of the polynomial matrix x*I_{n,k} - B."""
-    return [[Poly(field, e) for e in row] for row in _pencil_rows(field, b)]
+    return [[Poly(field, e) for e in row]
+            for row in _pencil_rows(field, b, min(_shape(b)))]
 
 
 def pencil_invariant_factors(field: FieldCtx,
@@ -299,9 +310,10 @@ def pencil_invariant_factors(field: FieldCtx,
         rows = [[consts[t[i]] if not s[i] else linears[t[i]] if s[i] == 1
                  else (neg(t[i]), s[i])
                  for s, t in zip(kernel, a_s)] for i in range(k)]
-        diagonal = ((1,),) * (k - len(kernel)) + snf(field, rows)
+        diagonal = ((1,),) * (k - len(kernel)) + snf(
+            field, rows, (k, len(kernel)))
     else:
-        diagonal = snf(field, _pencil_rows(field, b[:k]))
+        diagonal = snf(field, _pencil_rows(field, b[:k], k), (k, k))
     if not all(diagonal):
         raise ExactnessError("a pencil always has full column rank")
     return InvariantFactorTuple._of_chain(field, diagonal)

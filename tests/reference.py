@@ -80,10 +80,10 @@ def chains_with_product(f, k):
     share no product with the census walk they check.
     """
     per_factor = []
-    for g, e in census.factorize(f).factors:
+    for g, e in census.factorize(f.field, f.coeffs).factors:
         seqs = [tuple([0] * (k - len(lam)) + sorted(lam))
                 for lam in partitions(e, max_parts=k)]
-        per_factor.append((g.coeffs, seqs))
+        per_factor.append((g, seqs))
     for combo in itertools.product(*(seqs for _, seqs in per_factor)):
         polys = []
         for i in range(k):
@@ -191,30 +191,27 @@ def types_by_remultiplying(field, max_degree, slots):
     yield from walk(0, 0, [(1,)] * slots, ())
 
 
-def factorize_full_sieve(g):
-    """Factor a nonzero polynomial by trial division by every monic
-    irreducible up to its own degree, in canonical order, until the cofactor
-    is 1: the sieve that ``polyring.factorize`` must agree with."""
-    unit = g.leading()
-    h = g.monic()
+def factorize_full_sieve(field, coeffs):
+    """Factor the nonzero polynomial with these coefficients by trial
+    division, with :func:`schoolbook_divmod`, by every monic irreducible up
+    to its own degree, in canonical order, until the cofactor is 1: the
+    factorization that ``polyring.factorize`` must equal."""
+    unit = coeffs[-1]
+    h = schoolbook_divmod(field, coeffs, (unit,))[0]
     factors = []
-    deg = len(h.coeffs) - 1
-    if deg:
-        for f in irreducibles_up_to(g.field, deg):
-            if len(f.coeffs) - 1 > len(h.coeffs) - 1:
+    for f in irreducibles_up_to(field, len(h) - 1):
+        if h == (1,) or len(f.coeffs) > len(h):
+            break
+        e = 0
+        while True:
+            quot, rem = schoolbook_divmod(field, h, f.coeffs)
+            if rem:
                 break
-            e = 0
-            while True:
-                quot, rem = divmod(h, f)
-                if rem.coeffs:
-                    break
-                h = quot
-                e += 1
-            if e:
-                factors.append((f, e))
-            if h.is_one():
-                break
-    if not h.is_one():
+            h = quot
+            e += 1
+        if e:
+            factors.append((f.coeffs, e))
+    if h != (1,):
         raise ExactnessError("trial division left a nontrivial cofactor")
     return Factorization(unit, tuple(factors))
 

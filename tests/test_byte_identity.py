@@ -368,9 +368,9 @@ def count_factor_argvs(q, count=120):
     """Seeded ``count`` and ``factor`` requests over GF(q), each in table and
     JSON format: ``count`` with every formula, its shape sometimes one the
     formula refuses (k > n, d off the tuple's degree or past k, a degree
-    past k, --n off the tuple's length), sometimes with a flag the formula does not take or without
-    one it needs; ``factor`` of polynomials of degree up to 8, some not
-    monic, some constant, some refused."""
+    past k, --n off the tuple's length), sometimes with a flag the formula
+    does not take or without one it needs; ``factor`` of polynomials of
+    degree up to 8, some not monic, some constant, some refused."""
     f = parse_field_spec(str(q))
     rng = random.Random(f"count-factor-cli-{q}")
     for _ in range(count):
@@ -403,7 +403,12 @@ def count_factor_argvs(q, count=120):
 
 
 def count_factor_lines(q):
-    for argv in count_factor_argvs(q):
+    return cli_outcomes(count_factor_argvs(q))
+
+
+def cli_outcomes(argvs):
+    """Each request's exit code, stdout and stderr."""
+    for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -417,3 +422,66 @@ def count_factor_lines(q):
 def test_the_count_and_factor_commands_match_their_digest(q, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps usage at
     assert digest(count_factor_lines(q)) == COUNT_FACTOR_DIGESTS[q]
+
+
+# q -> SHA-256 of the outputs of :func:`snf_check_argvs`, as for ``count``
+SNF_CHECK_DIGESTS = {
+    2: "d82924dc66b1686828ce4802e20bde01"
+        "2f2d94467990bbd84ef46e305ced6bd2",
+    3: "773a2b577219f322d713a6aaae19f307"
+        "8598e7dd7d8606bfc73e4c3352a2e122",
+    5: "931cfe0add2d84abedbd8b1943cf704a"
+        "de029811e9f75939d84bd8deec530c28",
+    4: "c5cb772cd8ab78950e505c620ac7e33d"
+        "180662a2dcbfe03f5f4dc507d5dcd261",
+    8: "4f9b12421b4d68b865712b9c88832ca0"
+        "01294fc92010f52f2e2282dcd62ad257",
+    9: "10848b8af41a209f98d3d518e069142f"
+        "6742b8021f2f377c236e6d8c732fcd3c",
+}
+
+
+def snf_check_argvs(q, count=40):
+    """Seeded ``snf`` grids, most of them malformed: text that is not JSON,
+    JSON that is not an array of arrays, rows of unequal or zero length,
+    entries of every JSON type and integers out of range, each with and
+    without --pencil and with --n and --k absent, right or wrong, so that
+    every refusal comes up alone and before or after every other."""
+    rng = random.Random(f"snf-check-cli-{q}")
+    ints = [0, 1, q - 1] * 4 + [q, -1]
+    texts = [0, 1, "x", "x+1", "1", "x", "x+1", "1", "", "y"]
+    palette = ints + texts + [True, 1.5, None, [1], {"a": 1}]
+    for _ in range(count):
+        roll = rng.randrange(10)
+        if roll == 0:
+            text = rng.choice(("[[1,", "x", "", "[[1]]]"))
+        elif roll == 1:
+            text = json.dumps(rng.choice((5, None, "s", {}, [], [[]],
+                                          [[], []], [1, 2], [[1], 2])))
+        else:
+            width = rng.randint(1, 3)
+            pool = rng.choice((ints, texts, palette))
+            grid = [[rng.choice(pool)
+                     for _ in range(width if rng.random() < 5 / 6
+                                    else rng.randint(0, 3))]
+                    for _ in range(rng.randint(1, 3))]
+            text = json.dumps(grid)
+        try:
+            rows = json.loads(text)
+            nrows = len(rows)
+            ncols = len(rows[0]) if isinstance(rows[0], list) else 1
+        except (ValueError, TypeError, IndexError, KeyError):
+            nrows = ncols = 1
+        for pencil in ([], ["--pencil"]):
+            for n in (None, nrows, nrows + 1):
+                for k in (None, ncols, ncols + 1):
+                    argv = ["snf", "--q", str(q), *pencil, "--matrix", text]
+                    argv += ["--n", str(n)] if n is not None else []
+                    argv += ["--k", str(k)] if k is not None else []
+                    yield argv
+
+
+@pytest.mark.parametrize("q", SNF_FIELDS)
+def test_the_snf_command_checks_its_grid_as_pinned(q, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert digest(cli_outcomes(snf_check_argvs(q))) == SNF_CHECK_DIGESTS[q]

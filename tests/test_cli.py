@@ -789,7 +789,8 @@ def test_a_failing_selftest_suite_is_named_and_exits_one(capsys,
 SUITE_FAULTS = {
     "field-axioms": (FieldCtx, "div", lambda self, a, b: 0),
     "factorization-round-trip": (
-        cli, "factorize", lambda g: Factorization(g.leading(), ())),
+        cli, "factorize",
+        lambda field, coeffs: Factorization(coeffs[-1], ())),
     "gcd-divides-both": (cli, "poly_gcd", lambda a, b: Poly.x(a.field)),
     "snf-vs-minor-gcds": (
         cli, "det_divisor", lambda rows, order: Poly.zero(rows[0][0].field)),
@@ -918,3 +919,100 @@ def test_no_assert_in_the_package():
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _bounded_cli(argv, memory_mb=256, timeout_s=20):
+    """Run one CLI request in a fresh interpreter whose address space is
+    capped at ``memory_mb`` with ``resource.setrlimit``, killed after
+    ``timeout_s`` seconds; the cap binds that child alone.  Returns its exit
+    code, stdout, stderr and the seconds it took.  A request that would
+    allocate past the cap ends in a ``MemoryError`` instead of exhausting
+    the machine, and one that hangs fails with ``TimeoutExpired``."""
+    limit = memory_mb << 20
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+              "from pencilcensus.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=timeout_s)
+    return (proc.returncode, proc.stdout, proc.stderr,
+            time.perf_counter() - start)
+
+
+def test_a_count_whose_factorization_needs_a_vast_sieve_exits_2_at_once():
+    # x^60+x+1 has no linear factor, so its factorization may need the 2^30
+    # monics of degree 30: refused before the sieve grows
+    code, out, err, seconds = _bounded_cli(
+        ["count", "--formula", "gr", "--q", "2", "--poly", "x^60+x+1"])
+    assert (code, out) == (2, "")
+    assert "2^30 monics" in err and "Traceback" not in err
+    assert seconds < 2
+
+
+HUGE = "x^9999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--q", "2", "--poly", HUGE],
+    ["count", "--formula", "snf", "--q", "2", "--n", "2", "--k", "2",
+     "--tuple", "1|" + HUGE],
+    ["snf", "--q", "2", "--matrix", json.dumps([[HUGE]])],
+])
+def test_a_degree_past_the_cap_exits_2_before_it_is_allocated(argv):
+    # each once asked for a dense list of 10^10 coefficients, about 80 GB
+    code, out, err, _ = _bounded_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("is past the cap of 4096\n")
+    assert "Traceback" not in err
+
+
+DENSE_4096 = "+".join(f"x^{e}" for e in range(4096, 1, -1)) + "+x+1"
+
+
+@pytest.mark.parametrize("argv,code", [
+    # huge exponents
+    (["count", "--formula", "gr", "--q", "3", "--poly", HUGE + "+1"], 2),
+    (["count", "--formula", "grext", "--q", "4", "--n", "3", "--k", "2",
+      "--poly", "x^4097"], 2),
+    (["count", "--formula", "class", "--q", "2", "--tuple", "x|" + HUGE], 2),
+    (["factor", "--q", "2", "--poly", "x^" + "9" * 5000], 2),
+    (["snf", "--q", "5", "--matrix", '[["x^4097-1", "1"]]'], 2),
+    # high-degree polynomials
+    (["factor", "--q", "2", "--poly", DENSE_4096], 2),
+    (["factor", "--q", "65521", "--poly", "x^4096+x+1"], 2),
+    (["count", "--formula", "gr", "--q", "2", "--poly", DENSE_4096], 2),
+    (["count", "--formula", "class", "--q", "2", "--tuple",
+      "x^60+x+1|x^120+x^61+x^60+x^2+x+1"], 2),
+    # x^N
+    (["factor", "--q", "2", "--poly", "x^48"], 0),
+    (["factor", "--q", "9", "--poly", "x^4096"], 2),
+    (["count", "--formula", "gr", "--q", "2", "--poly", "x^49"], 0),
+    (["snf", "--q", "3", "--matrix", '[["x^4096"]]'], 0),
+])
+def test_an_adversarial_request_ends_fast_within_its_memory(argv, code):
+    got, out, err, seconds = _bounded_cli(argv)
+    assert got == code, err[-300:]
+    assert "Traceback" not in err
+    assert seconds < 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--formula", "snf", "--q", "3", "--n", "4", "--k", "3",
+     "--tuple", "1|x+1|x^2+2*x+1", "--format", "json"],
+    ["factor", "--q", "9", "--poly", "[2]*x^3+[5]*x+[1]", "--format", "json"],
+    ["snf", "--q", "4", "--pencil", "--matrix", "[[1,2],[3,0],[1,1]]",
+     "--format", "json"],
+])
+def test_a_count_factor_or_snf_request_builds_no_poly(capsys, monkeypatch,
+                                                      argv):
+    # the first run fills the sieve, whose irreducibles are the one Poly a
+    # request may read; a request itself works on coefficient tuples
+    first = run_cli(capsys, *argv)
+    made = []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__",
+                        lambda self, *a: made.append(1) or init(self, *a))
+    assert run_cli(capsys, *argv) == first
+    assert first[0] == 0 and made == []

@@ -9,15 +9,16 @@ from hypothesis import example, given, settings, strategies as st
 from pencilcensus import polyring
 from pencilcensus.errors import (
     BothZeroError,
+    DegreeTooLargeError,
     DivisionByZeroError,
     ZeroArgumentError,
 )
-from pencilcensus.gf import field_new, parse_field_spec
+from pencilcensus.gf import DEGREE_CAP, field_new, parse_field_spec
 from pencilcensus.polyring import (
     NEG_INF,
     Poly,
-    _multiplicity_unchecked,
     coeffs_divmod,
+    coeffs_multiplicity,
     coeffs_mul,
     coeffs_submul,
     coeffs_text,
@@ -25,6 +26,7 @@ from pencilcensus.polyring import (
     irreducibles_up_to,
     is_irreducible,
     monic_polys,
+    parse_coeffs,
     parse_poly,
     poly_gcd,
 )
@@ -36,6 +38,7 @@ from reference import (factorize_full_sieve, poly_from_json, poly_lcm,
 F2 = field_new(2)
 F3 = field_new(3)
 F4 = field_new(2, 2)
+F9 = field_new(3, 2)
 
 
 def rand_poly(rng, f, max_deg, monic=False):
@@ -103,7 +106,7 @@ def test_gcd_divides_both_and_lcm_product():
 
 
 def multiplicity(f, g):  # the e of (e, g / f^e), as exponent_profile reads it
-    return _multiplicity_unchecked(f, g)[0]
+    return coeffs_multiplicity(f.field, f.coeffs, g.coeffs)[0]
 
 
 def test_multiplicity_examples():
@@ -122,31 +125,32 @@ def test_multiplicity_is_additive():
         assert multiplicity(x, g * h) == multiplicity(x, g) + multiplicity(x, h)
 
 
+def factor_texts(f, text):
+    out = factorize(f, parse_coeffs(text, f))
+    return out.unit, [(coeffs_text(f, g), e) for g, e in out.factors]
+
+
 def test_factorize_examples():
-    out = factorize(parse_poly("x^2+x", F2))
-    assert [(str(g), e) for g, e in out.factors] == [("x", 1), ("x+1", 1)]
-    assert out.unit == 1
-    out = factorize(parse_poly("x^2+x+1", F2))
-    assert [(str(g), e) for g, e in out.factors] == [("x^2+x+1", 1)]
-    out = factorize(parse_poly("x^4+x^2", F2))
-    assert [(str(g), e) for g, e in out.factors] == [("x", 2), ("x+1", 2)]
+    assert factor_texts(F2, "x^2+x") == (1, [("x", 1), ("x+1", 1)])
+    assert factor_texts(F2, "x^2+x+1") == (1, [("x^2+x+1", 1)])
+    assert factor_texts(F2, "x^4+x^2") == (1, [("x", 2), ("x+1", 2)])
 
 
 def test_factorize_zero_rejected():
     with pytest.raises(ZeroArgumentError):
-        factorize(Poly.zero(F2))
+        factorize(F2, ())
 
 
 @pytest.mark.parametrize("f", [F2, F3])
 def test_factorization_round_trip_exhaustive(f):
     for deg in range(0, 7):
         for g in monic_polys(f, deg):
-            fact = factorize(g)
-            assert fact.reconstruct(f) == g
+            fact = factorize(f, g.coeffs)
+            assert fact.reconstruct(f) == g.coeffs
             for p, e in fact.factors:
-                assert p.is_monic() and e >= 1 and is_irreducible(p)
+                assert p[-1] == 1 and e >= 1 and is_irreducible(Poly(f, p))
             # canonical order: degree, then coefficients from constant up
-            keys = [sort_key(p) for p, _ in fact.factors]
+            keys = [(len(p), p) for p, _ in fact.factors]
             assert keys == sorted(keys)
             assert len(keys) == len(set(keys))
 
@@ -156,7 +160,61 @@ def test_factorize_equals_the_full_sieve(q, top):
     f = parse_field_spec(str(q))
     for deg in range(top + 1):
         for g in monic_polys(f, deg):
-            assert factorize(g) == factorize_full_sieve(g)
+            assert factorize(f, g.coeffs) == factorize_full_sieve(f, g.coeffs)
+
+
+@st.composite
+def nonzero_polys(draw):
+    """A field of GF(2), GF(3), GF(4) and GF(9) and a nonzero polynomial
+    over it, monic or not, of degree 0 to 9 over GF(2), to 7 over GF(3)
+    and GF(4) and to 4 over GF(9)."""
+    f = draw(st.sampled_from((F2, F3, F4, F9)))
+    top = {2: 9, 3: 7, 4: 7, 9: 4}[f.q]
+    lower = draw(st.lists(st.integers(0, f.q - 1), max_size=top))
+    return f, tuple(lower) + (draw(st.integers(1, f.q - 1)),)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(nonzero_polys())
+@example((F2, (1,)))
+@example((F9, (0, 0, 0, 0, 5)))
+@example((F2, (1, 1, 0, 0, 0, 0, 0, 0, 0, 1)))
+def test_factorize_equals_the_full_sieve_on_drawn_polynomials(case):
+    f, coeffs = case
+    assert factorize(f, coeffs) == factorize_full_sieve(f, coeffs)
+
+
+@pytest.mark.parametrize("q,text,half", [
+    (2, "x^60+x+1", 30), (2, "x^50", 25), (3, "x^32+2", 16),
+    (9, f"x^{DEGREE_CAP}", DEGREE_CAP // 2), (65521, "x^4+x+1", 2)])
+def test_a_factorization_past_the_sieve_cap_is_refused_at_once(
+        monkeypatch, q, text, half):
+    # each may need a sieve level of q^half > 2^24 monics: refused before
+    # any level is built
+    f = parse_field_spec(str(q))
+    g = parse_coeffs(text, f)
+    monkeypatch.setattr(polyring, "irreducibles_up_to", None)
+    with pytest.raises(DegreeTooLargeError, match=rf"{q}\^{half} monics"):
+        factorize(f, g)
+
+
+@pytest.mark.parametrize("q,text,factors", [
+    (2, "x^49+x^48", [("x", 48), ("x+1", 1)]),
+    (3, "x^31+2*x^30", [("x", 30), ("x+2", 1)]),
+    (65521, "x^3", [("x", 3)])])
+def test_a_factorization_at_the_sieve_cap_runs(q, text, factors):
+    # q^half <= 2^24, the largest level this may need
+    assert factor_texts(parse_field_spec(str(q)), text) == (1, factors)
+
+
+def test_a_degree_past_the_cap_is_refused_before_it_is_built():
+    assert len(parse_coeffs(f"x^{DEGREE_CAP}", F2)) == DEGREE_CAP + 1
+    for text in (f"x^{DEGREE_CAP + 1}", "x^9999999999+1",
+                 f"x^{DEGREE_CAP + 1}-x^{DEGREE_CAP + 1}"):
+        with pytest.raises(DegreeTooLargeError) as exc:
+            parse_coeffs(text, F3)
+        assert isinstance(exc.value, ValueError)
+        assert "past the cap of 4096" in str(exc.value)
 
 
 def test_factorize_sieves_only_half_the_degree(monkeypatch):
@@ -170,8 +228,8 @@ def test_factorize_sieves_only_half_the_degree(monkeypatch):
     monkeypatch.setattr(polyring, "irreducibles_up_to", recording)
     f = parse_field_spec("25")
     for text in ("x^4+1", "x^4+x+[2]", "x^4+[3]*x^3+x+[7]"):
-        g = parse_poly(text, f)
-        assert factorize(g).reconstruct(f) == g
+        g = parse_coeffs(text, f)
+        assert factorize(f, g).reconstruct(f) == g
     assert degrees and max(degrees) <= 2
 
 
@@ -187,18 +245,18 @@ def test_factorize_sieves_only_half_the_cofactor_degree(monkeypatch):
 
     monkeypatch.setattr(polyring, "irreducibles_up_to", recording)
     f = parse_field_spec("9")
-    fact = factorize(parse_poly("x^12+x+3", f))
+    unit, factors = factor_texts(f, "x^12+x+3")
     assert max(degrees) == 3
-    assert fact.unit == 1
-    assert [(str(g), e) for g, e in fact.factors] == [
+    assert unit == 1
+    assert factors == [
         ("[1]*x+[5]", 1), ("[1]*x^2+[4]*x+[5]", 1),
         ("[1]*x^3+[6]*x^2+[1]*x+[8]", 1),
         ("[1]*x^6+[6]*x^5+[8]*x^4+[7]*x^3+[5]*x^2+[7]*x+[7]", 1)]
 
 
 def test_factorization_respects_units():
-    g = parse_poly("2*x^2+1", F3)
-    fact = factorize(g)
+    g = parse_coeffs("2*x^2+1", F3)
+    fact = factorize(F3, g)
     assert fact.unit == 2
     assert fact.reconstruct(F3) == g
 
@@ -320,7 +378,7 @@ def test_text_format_round_trip_random():
             assert parse_poly(str(p), f) == p
 
 
-F5, F8, F9 = field_new(5), field_new(2, 3), field_new(3, 2)
+F5, F8 = field_new(5), field_new(2, 3)
 
 
 @st.composite

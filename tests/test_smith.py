@@ -255,9 +255,9 @@ def record_snf_shapes(monkeypatch):
     shapes = []
     exact = smith.snf
 
-    def recording(field, rows):
+    def recording(field, rows, *checked):
         shapes.append((len(rows), len(rows[0]) if rows else 0))
-        return exact(field, rows)
+        return exact(field, rows, *checked)
 
     monkeypatch.setattr(smith, "snf", recording)
     return shapes
@@ -300,8 +300,8 @@ def test_pencil_examples():
 def test_a_pencil_short_of_full_column_rank_raises(monkeypatch):
     exact = smith.snf
 
-    def one_short(field, rows):
-        return exact(field, rows)[:-1] + ((),)
+    def one_short(field, rows, *checked):
+        return exact(field, rows, *checked)[:-1] + ((),)
 
     monkeypatch.setattr(smith, "snf", one_short)
     with pytest.raises(ExactnessError, match="full column rank"):
