@@ -20,7 +20,8 @@ from typing import NoReturn
 from . import census, oracle
 from .errors import PencilCensusError
 from .gf import field_new, parse_field_order, parse_field_spec, rank_rows
-from .polyring import Poly, coeffs_text, factorize, parse_coeffs, poly_gcd
+from .polyring import (Poly, coeffs_text, factorize, parse_coeffs, parse_poly,
+                       poly_gcd)
 from .smith import (
     InvariantFactorTuple,
     det_divisor,
@@ -242,7 +243,7 @@ def cmd_count(args) -> int:
         except (ValueError, PencilCensusError) as exc:
             _error(f"bad --tuple: {exc}")
     if "poly" in given:
-        given["poly"] = Poly(f, parse_coeffs(given["poly"], f))
+        given["poly"] = parse_poly(given["poly"], f)
     if args.formula == "class":
         n = len(given["tuple"])
         if args.n is not None and args.n != n:
