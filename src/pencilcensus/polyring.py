@@ -366,21 +366,21 @@ def factorize(field: FieldCtx, coeffs: Sequence[int]) -> Factorization:
     sieve stops at half the cofactor's degree.  A cofactor h != 1 left after
     that has no factor of at most half its degree, so it is irreducible; it
     is none of the irreducibles tried, so it sorts after every factor found.
-    A polynomial that may need a level of more than ``SIEVE_LEVEL_CAP``
-    monics is refused before any level is built."""
+    Before each level past the first, a cofactor that may need a level of
+    more than ``SIEVE_LEVEL_CAP`` monics is refused."""
     if not coeffs:
         raise ZeroArgumentError("cannot factor the zero polynomial")
     unit = coeffs[-1]
     h = coeffs_monic(field, coeffs)
-    half = (len(h) - 1) // 2
-    if field.q ** half > SIEVE_LEVEL_CAP:
-        raise DegreeTooLargeError(
-            f"factoring may need the {field.q}^{half} monics of degree "
-            f"{half}, past the {SIEVE_LEVEL_CAP} a sieve level may hold")
     factors: list[tuple[tuple[int, ...], int]] = []
     tried = 0
     a = 1
     while 2 * a <= len(h) - 1:
+        half = (len(h) - 1) // 2
+        if a > 1 and field.q ** half > SIEVE_LEVEL_CAP:
+            raise DegreeTooLargeError(
+                f"factoring may need the {field.q}^{half} monics of degree "
+                f"{half}, past the {SIEVE_LEVEL_CAP} a sieve level may hold")
         sieve = irreducibles_up_to(field, a)
         for f in sieve[tried:]:
             if 2 * a > len(h) - 1:

@@ -130,20 +130,20 @@ def _shape(rows: Sequence[Sequence]) -> tuple[int, int]:
     return len(rows), len(rows[0]) if rows else 0
 
 
-def snf(field: FieldCtx, rows: Sequence[Sequence[tuple]],
-        checked: tuple[int, int] | None = None) -> tuple[tuple, ...]:
+def snf(field: FieldCtx, rows: Sequence[Sequence[tuple]], *,
+        _fresh_shape: tuple[int, int] | None = None) -> tuple[tuple, ...]:
     """Diagonal of the Smith normal form of a polynomial matrix over
     ``field``, given as equal-length rows of coefficient tuples: the monic
     chain, then () for each unit of rank deficiency.
 
-    The elimination runs on a copy of the rows, or on the rows themselves
-    when a caller that built them fresh passes their ``checked`` shape.  An
-    empty matrix yields ().  Transformation matrices are not tracked; only
-    the diagonal is ever needed here, and :func:`det_divisor` supplies an
-    independent route to the same values.
+    The elimination runs on a copy of the rows; this module's pencil keys
+    pass ``_fresh_shape``, the shape they checked, to have their fresh rows
+    consumed in place.  An empty matrix yields ().  Transformation matrices
+    are not tracked; only the diagonal is ever needed here, and
+    :func:`det_divisor` supplies an independent route to the same values.
     """
-    nrows, ncols = checked or _shape(rows)
-    m = rows if checked else [list(row) for row in rows]
+    nrows, ncols = _fresh_shape or _shape(rows)
+    m = rows if _fresh_shape else [list(row) for row in rows]
     size = min(nrows, ncols)
     t = 0
     while t < size:
@@ -311,9 +311,10 @@ def pencil_invariant_factors(field: FieldCtx,
                  else (neg(t[i]), s[i])
                  for s, t in zip(kernel, a_s)] for i in range(k)]
         diagonal = ((1,),) * (k - len(kernel)) + snf(
-            field, rows, (k, len(kernel)))
+            field, rows, _fresh_shape=(k, len(kernel)))
     else:
-        diagonal = snf(field, _pencil_rows(field, b[:k], k), (k, k))
+        diagonal = snf(field, _pencil_rows(field, b[:k], k),
+                       _fresh_shape=(k, k))
     if not all(diagonal):
         raise ExactnessError("a pencil always has full column rank")
     return InvariantFactorTuple._of_chain(field, diagonal)

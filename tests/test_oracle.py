@@ -758,8 +758,8 @@ def test_a_tall_key_drops_the_zero_rows_below_k(monkeypatch):
     exact = smith.snf
     rows = []
     monkeypatch.setattr(smith, "snf",
-                        lambda field, m, *checked: rows.append(len(m))
-                        or exact(field, m, *checked))
+                        lambda field, m, **fresh: rows.append(len(m))
+                        or exact(field, m, **fresh))
     small = cfg(2, 40, 2)
     assert verify(closed_form(small), run(small)).verdict
     assert set(rows) == {small.k}
@@ -771,8 +771,8 @@ def test_each_pencil_key_calls_smith_snf_once(monkeypatch, q, n, k, keys):
     # key, one per representative, reaches it through smith's module global
     exact = smith.snf
     calls = []
-    monkeypatch.setattr(smith, "snf", lambda field, m, *checked:
-                        calls.append(m) or exact(field, m, *checked))
+    monkeypatch.setattr(smith, "snf", lambda field, m, **fresh:
+                        calls.append(m) or exact(field, m, **fresh))
     assert len(run(cfg(q, n, k, mode="pencil")).entries) == keys
     assert len(calls) == keys
 

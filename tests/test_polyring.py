@@ -185,25 +185,39 @@ def test_factorize_equals_the_full_sieve_on_drawn_polynomials(case):
 
 
 @pytest.mark.parametrize("q,text,half", [
-    (2, "x^60+x+1", 30), (2, "x^50", 25), (3, "x^32+2", 16),
-    (9, f"x^{DEGREE_CAP}", DEGREE_CAP // 2), (65521, "x^4+x+1", 2)])
-def test_a_factorization_past_the_sieve_cap_is_refused_at_once(
+    (2, "x^60+x+1", 30), (3, "x^32+x+2", 16), (9, "x^34+x+[3]", 17),
+    (9, f"x^{DEGREE_CAP}+x+[3]", 2047), (65521, "x^4+7", 2)])
+def test_a_factorization_past_the_sieve_cap_is_refused_after_its_linear_trials(
         monkeypatch, q, text, half):
-    # each may need a sieve level of q^half > 2^24 monics: refused before
-    # any level is built
+    # no linear factor leaves a cofactor that may need a sieve level of
+    # q^half > 2^24 monics: refused before any level past the first is built
     f = parse_field_spec(str(q))
     g = parse_coeffs(text, f)
-    monkeypatch.setattr(polyring, "irreducibles_up_to", None)
+    sieve = polyring.irreducibles_up_to
+    degrees = []
+    monkeypatch.setattr(polyring, "irreducibles_up_to",
+                        lambda field, d: degrees.append(d) or sieve(field, d))
     with pytest.raises(DegreeTooLargeError, match=rf"{q}\^{half} monics"):
         factorize(f, g)
+    assert max(degrees) == 1
 
 
 @pytest.mark.parametrize("q,text,factors", [
     (2, "x^49+x^48", [("x", 48), ("x+1", 1)]),
     (3, "x^31+2*x^30", [("x", 30), ("x+2", 1)]),
-    (65521, "x^3", [("x", 3)])])
-def test_a_factorization_at_the_sieve_cap_runs(q, text, factors):
-    # q^half <= 2^24, the largest level this may need
+    (3, "x^32+2", [("x+1", 1), ("x+2", 1), ("x^2+1", 1), ("x^2+x+2", 1),
+                   ("x^2+2*x+2", 1), ("x^4+x^2+2", 1), ("x^4+2*x^2+2", 1),
+                   ("x^8+x^4+2", 1), ("x^8+2*x^4+2", 1)]),
+    (2, "x^50", [("x", 50)]),
+    (9, f"x^{DEGREE_CAP}", [("[1]*x", DEGREE_CAP)]),
+    (65521, "x^3", [("x", 3)]),
+    (65521, "x^4", [("x", 4)]),
+    (65521, "x^4+3", [("x+404", 1), ("x+12162", 1), ("x+53359", 1),
+                      ("x+65117", 1)])])
+def test_a_factorization_whose_cofactor_drops_under_the_sieve_cap_runs(
+        q, text, factors):
+    # the cap bounds the cofactor left before each level past the first:
+    # these need no level of more than 2^24 monics, whatever their degree
     assert factor_texts(parse_field_spec(str(q)), text) == (1, factors)
 
 

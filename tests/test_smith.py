@@ -255,9 +255,9 @@ def record_snf_shapes(monkeypatch):
     shapes = []
     exact = smith.snf
 
-    def recording(field, rows, *checked):
+    def recording(field, rows, **fresh):
         shapes.append((len(rows), len(rows[0]) if rows else 0))
-        return exact(field, rows, *checked)
+        return exact(field, rows, **fresh)
 
     monkeypatch.setattr(smith, "snf", recording)
     return shapes
@@ -300,8 +300,8 @@ def test_pencil_examples():
 def test_a_pencil_short_of_full_column_rank_raises(monkeypatch):
     exact = smith.snf
 
-    def one_short(field, rows, *checked):
-        return exact(field, rows, *checked)[:-1] + ((),)
+    def one_short(field, rows, **fresh):
+        return exact(field, rows, **fresh)[:-1] + ((),)
 
     monkeypatch.setattr(smith, "snf", one_short)
     with pytest.raises(ExactnessError, match="full column rank"):
