@@ -12,12 +12,13 @@ total degree d and the multiset of pairs (deg g, lambda_g) over the monic
 irreducibles g dividing the tuple, lambda_g being the partition of exponents
 of g in p_k, p_{k-1}, ...  The censuses therefore never factor anything: they
 walk (irreducible, partition) pairs, put each tuple together from the
-irreducible powers, and evaluate each type's count once.  The walk is
-recursive, works on coefficient tuples and builds no :class:`Poly`, and it
-multiplies nothing: the sieve of :func:`polyring.irreducibles_up_to` keeps a
-product table, by (p, g, e), with the coefficient tuple and key text of each
-p*g^e, and every census of the field reads its keys from it, so each
-polynomial of a key is built and rendered once per field.
+irreducible powers, and evaluate each type's count once.  The walk is one
+plain recursive function that writes each key as it visits the chain; it
+works on coefficient tuples, builds no :class:`Poly`, and multiplies
+nothing: the sieve of :func:`polyring.irreducibles_up_to` keeps a product
+table, by (p, g, e), with the coefficient tuple and key text of each p*g^e,
+and every census of the field reads its keys from it, so each polynomial of
+a key is built and rendered once per field.
 Factoring (:func:`exponent_profile`) serves only the single counts that take
 a tuple or polynomial as input; a polynomial f has the type of the one-factor
 tuple (f).
@@ -289,41 +290,39 @@ def check_q_identity(d: int, q: int, y: int) -> bool:
 # Enumerating all invariant-factor tuples
 # ---------------------------------------------------------------------------
 
-def _types(field: FieldCtx, max_degree: int, slots: int
-           ) -> Iterator[tuple[int, list[tuple[int, ...]], list[str], tuple]]:
-    """Every chain p_1 | ... | p_slots of monic polynomials with total degree
-    d <= max_degree, built from its type without factoring.
-
-    Yields ``(d, [p_1, ..., p_slots], texts, blocks)``; each p_j is a
-    coefficient tuple, ``texts`` holds the key text of each p_j, ``blocks``
-    one ``(deg g, lambda_g)`` pair per irreducible divisor g, in canonical
-    order of g, and lambda_g (at most ``slots`` parts) gives the exponents
-    of g in p_slots, p_slots-1, ...  With one slot every monic polynomial of
-    degree <= max_degree comes out once.
-
-    The walk is recursive (:func:`_chains`) and multiplies nothing: each
-    p * g^e, with its text, is read from the sieve's product table, which
-    built it once for the field.
-    """
+def _census_entries(field: FieldCtx, max_degree: int, slots: int,
+                    count) -> dict[str, int]:
+    """Nonzero ``count(d, blocks)`` per key of every chain p_1 | ... |
+    p_slots of monic polynomials of total degree d <= max_degree, built from
+    its type, in :func:`_visit` order: ``blocks`` holds a ``(deg g,
+    lambda_g)`` pair per irreducible divisor g, lambda_g (at most ``slots``
+    parts) the exponents of g in p_slots, p_slots-1, ..."""
     sieve = irreducibles_up_to(field, max_degree)
     shapes = [tuple(partitions(e, max_parts=slots))
               for e in range(max_degree + 1)]
-    yield from _chains(sieve.products, [len(g.coeffs) - 1 for g in sieve],
-                       shapes, max_degree, 0, 0, [(1,)] * slots,
-                       [coeffs_text(field, (1,))] * slots, ())
+    entries: dict[str, int] = {}
+    walk = (sieve.products, [len(g) - 1 for g in sieve], shapes, max_degree,
+            count, {}, entries)
+    _visit(walk, 0, 0, [(1,)] * slots, [coeffs_text(field, (1,))] * slots, ())
+    return entries
 
 
-def _chains(products, degrees, shapes, max_degree, start,
-            d, polys, texts, blocks):
-    """The chain ``(d, polys, texts, blocks)`` of :func:`_types`, then, depth
-    first, every chain beyond it by powers of g_start, g_start+1, ...,
-    each p_j * g_i^e read from ``products[p_j, i, e]``: the factors of p_j
-    all come before g_i.
-
-    A module function, like :func:`_partitions`, so that no closure refers
-    to itself.
-    """
-    yield d, polys, texts, blocks
+def _visit(walk, start, d, polys, texts, blocks):
+    """Key the chain ``polys`` of degree d, then, depth first, every chain
+    beyond it by powers of g_start, g_start+1, ..., each p_j * g_i^e and
+    its text read from ``products[p_j, i, e]`` (the factors of p_j all come
+    before g_i).  ``count`` only multiplies over the blocks, so its cache
+    takes them in the order they were built.  A module function, like
+    :func:`_partitions`, so that no closure refers to itself."""
+    products, degrees, shapes, max_degree, count, by_type, entries = walk
+    key = d, blocks
+    v = by_type.get(key)
+    if v is None:
+        v = by_type[key] = count(d, blocks)
+    if v:
+        # str(InvariantFactorTuple(polys)), minus its divisibility check:
+        # the chain divides by construction.
+        entries["|".join(texts)] = v
     for i in range(start, len(degrees)):
         deg = degrees[i]
         if d + deg > max_degree:
@@ -333,26 +332,8 @@ def _chains(products, degrees, shapes, max_degree, start,
                 chain, chain_texts = list(polys), list(texts)
                 for j, part in enumerate(lam, start=1):
                     chain[-j], chain_texts[-j] = products[chain[-j], i, part]
-                yield from _chains(products, degrees, shapes, max_degree,
-                                   i + 1, d + deg * e, chain, chain_texts,
-                                   blocks + ((deg, lam),))
-
-
-def _census_entries(field: FieldCtx, max_degree: int, slots: int,
-                    count) -> dict[str, int]:
-    """Nonzero ``count(d, blocks)`` per chain key, evaluated once per type."""
-    by_type: dict[tuple, int] = {}
-    entries = {}
-    for d, _, texts, blocks in _types(field, max_degree, slots):
-        type_key = (d, tuple(sorted(blocks)))
-        v = by_type.get(type_key)
-        if v is None:
-            v = by_type[type_key] = count(d, blocks)
-        if v:
-            # str(InvariantFactorTuple(polys)), minus its divisibility check:
-            # the chain divides by construction.
-            entries["|".join(texts)] = v
-    return entries
+                _visit(walk, i + 1, d + deg * e, chain, chain_texts,
+                       blocks + ((deg, lam),))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,11 @@ the orbits keep.  g = diag(T, I) keeps every key and maps M to T*M, and
 GL_k moves S to every d-dimensional subspace, so each is M for as many maps
 of each key: :func:`run` divides the tally by their number, counted by
 listing them, and a remainder raises ExactnessError.
+
+Nilext mode needs no scan where a completion is impossible: M lies in
+ker C and A maps it into itself, so a nilpotent N completing B has
+N v = A v on M, and A^(dim M) vanishes on M.  Where it does not, the
+q^(n(n-k)) completions are not scanned.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from .errors import (
 from .gf import (FieldCtx, _digits_of, check_echelon_basis, echelon_subspaces,
                  field_new, rows_mul)
 from .smith import (
+    _krylov_rows,
     char_poly,
     max_invariant_subspace,
     pencil_invariant_factors,
@@ -179,17 +185,29 @@ def _subspace_dim_key(f: FieldCtx, cfg: EnumConfig, b: tuple) -> str | None:
 
 
 def _nilext_key(f: FieldCtx, cfg: EnumConfig, b: tuple) -> str | None:
-    """"extendable" when a nilpotent square completion exists.  The search is
-    checked against the divisibility criterion (the invariant factor product
-    divides x^n) matrix by matrix; a disagreement raises ExactnessError."""
+    """"extendable" when a nilpotent square completion exists: none where
+    the negative certificate holds, else what the completion scan finds.
+    The result is checked against the divisibility criterion (the invariant
+    factor product divides x^n) matrix by matrix; a disagreement raises
+    ExactnessError."""
     product = pencil_invariant_factors(f, b).product()
     wimmer = all(c == 0 for c in product.coeffs[:-1])
-    found = _has_nilpotent_completion(f, b, cfg.n - cfg.k,
-                                      max(cfg.n - 1, 0).bit_length())
+    found = not _negative_certificate(f, cfg, b) and _has_nilpotent_completion(
+        f, b, cfg.n - cfg.k, max(cfg.n - 1, 0).bit_length())
     if found != wimmer:
         raise ExactnessError(
             f"divisibility criterion disagrees with completion search at {b!r}")
     return "extendable" if found else None
+
+
+def _negative_certificate(f: FieldCtx, cfg: EnumConfig, b: tuple) -> bool:
+    """Whether A^(dim M) is nonzero on M, the maximal invariant subspace of
+    B = [A; C]: then no nilpotent matrix completes B (module doc)."""
+    a = b[:cfg.k]
+    basis = max_invariant_subspace(f, a, b[cfg.k:])
+    # by rows, the basis times (A^T)^i, i <= dim M: A^(dim M) M comes last
+    stack = _krylov_rows(f, basis, list(zip(*a)), len(basis) + 1)
+    return any(map(any, stack[-len(basis):]))
 
 
 def _matrices(q: int, n: int, k: int) -> Iterator[tuple]:

@@ -12,11 +12,12 @@ the closed-form censuses read their keys from.
 Canonical order for factor lists and the irreducible sieve: degree ascending,
 then coefficient sequence lexicographic from the constant term up.
 
-The ``coeffs_*`` functions, :func:`factorize` and ``parse_coeffs`` work on
-bare coefficient tuples, so that callers who need only coefficients and key
-texts build no :class:`Poly`: ``Poly``, the sieve, :mod:`smith` and
-:mod:`census` share the one product, difference, division, normalisation,
-Euclid loop, multiplicity, factorization, renderer and parser.
+The ``coeffs_*`` functions, the sieve, :func:`factorize` and
+``parse_coeffs`` work on bare coefficient tuples, so that callers who need
+only coefficients and key texts build no :class:`Poly`: ``Poly``, the
+sieve, :mod:`smith` and :mod:`census` share the one product, difference,
+division, normalisation, Euclid loop, multiplicity, factorization,
+renderer and parser.
 """
 
 from __future__ import annotations
@@ -281,11 +282,11 @@ def _monic_tuples(field: FieldCtx, degree: int) -> Iterator[tuple[int, ...]]:
 
 
 class _Sieve(tuple):
-    """The monic irreducibles of degree <= d, in canonical order, with the
-    product table that every bound of their field shares: ``products[p, i,
-    e]`` holds the coefficients and text of p * g_i^e, g_i being the i-th
-    irreducible, for each monic whose largest factor is g_i, of
-    multiplicity e, with cofactor p."""
+    """The monic irreducibles of degree <= d as coefficient tuples, in
+    canonical order, with the product table that every bound of their field
+    shares: ``products[p, i, e]`` holds the coefficients and text of
+    p * g_i^e, g_i being the i-th irreducible, for each monic whose largest
+    factor is g_i, of multiplicity e, with cofactor p."""
 
     def __new__(cls, polys, products):
         sieve = super().__new__(cls, polys)
@@ -297,18 +298,19 @@ class _Sieve(tuple):
 
 
 @lru_cache(maxsize=None)
-def irreducibles_up_to(field: FieldCtx, d: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree <= d, in canonical order.
+def irreducibles_up_to(field: FieldCtx, d: int) -> tuple[tuple[int, ...], ...]:
+    """All monic irreducibles of degree <= d, as coefficient tuples, in
+    canonical order.
 
     Grown one degree at a time.  Each reducible monic of degree d is built
     once, by one multiply of entries of the product table: as p * g^e, with
     g its largest irreducible factor, e the multiplicity of g and every
     factor of p before g (g^e itself as g^(e-1) * g).  The monics of degree
     d that this does not reach, taken in :func:`monic_polys` order, are the
-    irreducibles of degree d.  The
-    table holds coefficient tuples and their texts, and only the
-    irreducibles are made into a :class:`Poly`.  Cached per (field, bound);
-    the table lives in the cached results, so ``cache_clear`` drops it.
+    irreducibles of degree d.  The table holds coefficient tuples and their
+    texts, and nothing is made into a :class:`Poly`.  Cached per (field,
+    bound); the table lives in the cached results, so ``cache_clear`` drops
+    it.
     """
     if d < 1:
         return _Sieve((), {})
@@ -320,7 +322,7 @@ def irreducibles_up_to(field: FieldCtx, d: int) -> tuple[Poly, ...]:
     for p, j in cofactors:
         k = len(p) - 1
         for i in range(j + 1, len(lower)):
-            g = lower[i].coeffs
+            g = lower[i]
             e, r = divmod(d - k, len(g) - 1)
             if not e:
                 break  # irreducibles come in ascending degree
@@ -333,16 +335,15 @@ def irreducibles_up_to(field: FieldCtx, d: int) -> tuple[Poly, ...]:
     made.update((((1,), i, 1), c) for i, c in enumerate(found, len(lower)))
     for key, c in made.items():
         products[key] = c, coeffs_text(field, c)
-    return _Sieve(lower + tuple(Poly(field, c) for c in found), products)
+    return _Sieve(lower + tuple(found), products)
 
 
 def is_irreducible(f: Poly) -> bool:
     deg = f.degree
     if deg is NEG_INF or deg < 1:
         return False
-    if not f.is_monic():
-        f = f.monic()
-    return all((f % g).coeffs for g in irreducibles_up_to(f.field, deg // 2))
+    return all(coeffs_divmod(f.field, f.coeffs, g)[1]
+               for g in irreducibles_up_to(f.field, deg // 2))
 
 
 class Factorization(namedtuple("Factorization", "unit factors")):
@@ -385,9 +386,9 @@ def factorize(field: FieldCtx, coeffs: Sequence[int]) -> Factorization:
         for f in sieve[tried:]:
             if 2 * a > len(h) - 1:
                 break
-            e, h = coeffs_multiplicity(field, f.coeffs, h)
+            e, h = coeffs_multiplicity(field, f, h)
             if e:
-                factors.append((f.coeffs, e))
+                factors.append((f, e))
         tried = len(sieve)
         a += 1
     if len(h) > 1:

@@ -38,15 +38,18 @@ from .polyring import (Poly, coeffs_divmod, coeffs_gcd, coeffs_monic,
 
 
 class InvariantFactorTuple:
-    """Monic chain p_1 | ... | p_k of coefficient tuples; the census key."""
+    """Monic chain p_1 | ... | p_k of coefficient tuples; the census key.
+    A pencil key reads its entries' texts from ``_texts``, its field's,
+    which holds monics of degree <= k; any other chain stores nothing."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_texts")
 
     def __init__(self, polys: Sequence[Poly]):
         polys = tuple(polys)
         if not polys:
             raise ValueError("need at least one invariant factor")
         self.field, self.coeffs = polys[0].field, tuple(p.coeffs for p in polys)
+        self._texts = None
         self._check()
 
     def _check(self) -> "InvariantFactorTuple":
@@ -61,11 +64,12 @@ class InvariantFactorTuple:
         return self
 
     @classmethod
-    def _of_chain(cls, field: FieldCtx, coeffs: tuple) -> "InvariantFactorTuple":
+    def _of_chain(cls, field: FieldCtx, coeffs: tuple,
+                  texts: dict | None = None) -> "InvariantFactorTuple":
         """The chain of ``coeffs``, unchecked: for a nonzero diagonal of
         :func:`snf`, whose final sweep has already made it a monic chain."""
         ifs = object.__new__(cls)
-        ifs.field, ifs.coeffs = field, coeffs
+        ifs.field, ifs.coeffs, ifs._texts = field, coeffs, texts
         return ifs
 
     @property
@@ -101,7 +105,9 @@ class InvariantFactorTuple:
         return hash((self.field.q, self.coeffs))
 
     def __str__(self) -> str:
-        return "|".join([coeffs_text(self.field, c) for c in self.coeffs])
+        texts = {} if self._texts is None else self._texts
+        return "|".join([texts.get(c) or texts.setdefault(
+            c, coeffs_text(self.field, c)) for c in self.coeffs])
 
     def __repr__(self) -> str:
         return f"InvariantFactorTuple({str(self)!r})"
@@ -256,18 +262,19 @@ def det_divisor(rows: Sequence[Sequence[Poly]], order: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _pencil_entries(field: FieldCtx) -> tuple[list[tuple], list[tuple]]:
-    """The coefficients of the pencil entries -v and x - v, indexed by v."""
+def _pencil_entries(field: FieldCtx) -> tuple[list[tuple], list[tuple], dict]:
+    """The coefficients of the pencil entries -v and x - v, indexed by v,
+    and the texts of the pencil keys' entries, filled as each first appears."""
     neg = field.neg
     return ([(neg(v),) if v else () for v in field.elements()],
-            [(neg(v), 1) for v in field.elements()])
+            [(neg(v), 1) for v in field.elements()], {})
 
 
 def _pencil_rows(field: FieldCtx, b: Sequence[Sequence[int]],
                  size: int) -> list[list]:
     """Fresh rows of coefficient tuples of x*I_{n,k} - B, B's rows checked
     equal in length and size = min(n, k)."""
-    consts, linears = _pencil_entries(field)
+    consts, linears, _ = _pencil_entries(field)
     rows = [[consts[v] for v in row] for row in b]
     for i in range(size):
         rows[i][i] = linears[b[i][i]]
@@ -305,7 +312,7 @@ def pencil_invariant_factors(field: FieldCtx,
         kernel = kernel_free_rows(field, b[k:], k)
         # row j of A*S transposed is A*s_j, s_j the j-th kernel vector
         a_s = rows_mul(field, kernel, list(zip(*b[:k])))
-        consts, linears = _pencil_entries(field)
+        consts, linears, _ = _pencil_entries(field)
         neg = field.neg
         rows = [[consts[t[i]] if not s[i] else linears[t[i]] if s[i] == 1
                  else (neg(t[i]), s[i])
@@ -317,7 +324,8 @@ def pencil_invariant_factors(field: FieldCtx,
                        _fresh_shape=(k, k))
     if not all(diagonal):
         raise ExactnessError("a pencil always has full column rank")
-    return InvariantFactorTuple._of_chain(field, diagonal)
+    return InvariantFactorTuple._of_chain(field, diagonal,
+                                          _pencil_entries(field)[2])
 
 
 def char_poly(field: FieldCtx, a: Sequence[Sequence[int]]) -> Poly:

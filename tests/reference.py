@@ -166,11 +166,11 @@ def schoolbook_pow(field, g, e):
 
 
 def types_by_remultiplying(field, max_degree, slots):
-    """The ``(d, polys, blocks)`` walk that ``census._types`` must yield in
+    """The ``(d, polys, blocks)`` walk that ``census._visit`` must visit in
     the same order, each chain a list of coefficient tuples rebuilt by
     multiplying every power g^part into its slot afresh, 1 included, with
     :func:`schoolbook_mul`."""
-    irreducibles = [g.coeffs for g in irreducibles_up_to(field, max_degree)]
+    irreducibles = irreducibles_up_to(field, max_degree)
 
     def walk(start, d, polys, blocks):
         yield d, polys, blocks
@@ -200,17 +200,17 @@ def factorize_full_sieve(field, coeffs):
     h = schoolbook_divmod(field, coeffs, (unit,))[0]
     factors = []
     for f in irreducibles_up_to(field, len(h) - 1):
-        if h == (1,) or len(f.coeffs) > len(h):
+        if h == (1,) or len(f) > len(h):
             break
         e = 0
         while True:
-            quot, rem = schoolbook_divmod(field, h, f.coeffs)
+            quot, rem = schoolbook_divmod(field, h, f)
             if rem:
                 break
             h = quot
             e += 1
         if e:
-            factors.append((f.coeffs, e))
+            factors.append((f, e))
     if h != (1,):
         raise ExactnessError("trial division left a nontrivial cofactor")
     return Factorization(unit, tuple(factors))

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from pencilcensus import census as census_mod
-from pencilcensus import polyring
+from pencilcensus import cli, polyring
 from pencilcensus.census import (
     centralizer_factor,
     check_q_identity,
@@ -486,16 +486,29 @@ def test_the_per_tuple_reference_shares_no_product_with_the_walk(
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_the_type_walk_yields_what_remultiplying_yields(q):
+def test_the_type_walk_yields_what_remultiplying_yields(q, monkeypatch):
+    # each visit is recorded through the module global the walk recurses
+    # by, and a count of 1 keys every chain it visits
     f = parse_field_spec(str(q))
+    visit, visits = census_mod._visit, []
+
+    def recording(walk, start, d, polys, texts, blocks):
+        visits.append((d, polys, texts, blocks))
+        return visit(walk, start, d, polys, texts, blocks)
+
+    monkeypatch.setattr(census_mod, "_visit", recording)
     for max_degree in range(1, (3 if q >= 7 else 4) + 1):
         for slots in sorted({1, max_degree}):
-            walked = list(census_mod._types(f, max_degree, slots))
-            assert [(d, polys, blocks) for d, polys, _, blocks in walked] == \
+            visits.clear()
+            entries = census_mod._census_entries(f, max_degree, slots,
+                                                 lambda d, blocks: 1)
+            assert [(d, polys, blocks) for d, polys, _, blocks in visits] == \
                 list(types_by_remultiplying(f, max_degree, slots)), \
                 (max_degree, slots)
-            for _, polys, texts, _ in walked:
+            for _, polys, texts, _ in visits:
                 assert texts == [str(Poly(f, p)) for p in polys]
+            assert list(entries) == ["|".join(texts)
+                                     for _, _, texts, _ in visits]
 
 
 def test_the_closed_form_builds_each_power_and_key_text_once(monkeypatch):
@@ -514,19 +527,27 @@ def test_the_closed_form_builds_each_power_and_key_text_once(monkeypatch):
         calls["text"] += 1
         return render(field, coeffs)
 
+    types = collections.Counter()
+    pencil_count = census_mod._pencil_count
+
+    def counted_count(n, k, d, blocks, q):
+        types[d, blocks] += 1
+        return pencil_count(n, k, d, blocks, q)
+
     # counted package-wide: the sieve's products and any the walk makes
     for module in (polyring, census_mod):
         for name, counted in (("coeffs_mul", counted_mul),
                               ("coeffs_text", counted_text)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(census_mod, "_pencil_count", counted_count)
     irreducibles_up_to.cache_clear()  # the sieve runs under the count too
     report = pencil_census(f, 4, 4)
     pencil_products, pencil_texts = products.copy(), calls["text"]
     fiber_census(f, 4, 4)  # reads the table the pencil census's sieve filled
     monkeypatch.undo()
-    powers = {schoolbook_pow(f, g.coeffs, e) for g in irreducibles_up_to(f, 4)
-              for e in range(1, 4 // g.degree + 1)}
+    powers = {schoolbook_pow(f, g, e) for g in irreducibles_up_to(f, 4)
+              for e in range(1, 4 // (len(g) - 1) + 1)}
     # every chain the walk passes, the d < 4 ones this square shape drops
     # included: each monic of degree <= 4 once
     chain_polys = {p for _, polys, _ in types_by_remultiplying(f, 4, 4)
@@ -535,13 +556,17 @@ def test_the_closed_form_builds_each_power_and_key_text_once(monkeypatch):
     assert len(report.entries) == 805
     # each reducible monic of degree <= 4, each power g^e with e >= 2 among
     # them, is built once, and never as a product by 1
-    irreducibles = {g.coeffs for g in irreducibles_up_to(f, 4)}
+    irreducibles = set(irreducibles_up_to(f, 4))
     assert set(pencil_products) == chain_polys - irreducibles - {(1,)}
     assert len(pencil_products) == 575
     assert max(pencil_products.values()) == 1
     assert all(pencil_products[p] == 1 for p in powers - irreducibles)
     assert calls["times one"] == 0
     assert pencil_texts <= len(chain_polys)
+    # the count is evaluated once per (d, blocks), the blocks in the order
+    # the walk built them: 46 such keys for the 36 types of these chains
+    assert max(types.values()) == 1 and len(types) == 46
+    assert len({(d, tuple(sorted(blocks))) for d, blocks in types}) == 36
     # the fiber census multiplies nothing and renders at most the text of 1
     assert products == pencil_products
     assert calls["text"] - pencil_texts <= 1
@@ -605,6 +630,21 @@ def test_a_closed_form_census_leaves_no_reference_cycle(monkeypatch):
             assert gc.collect() == 0, q
         finally:
             gc.enable()
+
+
+def test_a_closed_form_census_or_factor_request_builds_no_poly(monkeypatch):
+    # from a cleared sieve: the irreducibles are coefficient tuples too
+    made = []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, field, *a: made.append(
+        field.q) or init(self, field, *a))
+    for q, n in ((5, 4), (9, 3)):
+        f = parse_field_spec(str(q))
+        irreducibles_up_to.cache_clear()
+        assert pencil_census(f, n, n).entries and fiber_census(f, n, n).entries
+    irreducibles_up_to.cache_clear()
+    assert cli.main(["factor", "--q", "9", "--poly", "x^6+[2]*x+[5]"]) == 0
+    assert made == []
 
 
 def test_closed_census_totals():

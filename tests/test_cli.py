@@ -1018,8 +1018,8 @@ def test_a_high_degree_factorization_over_a_large_field_ends_in_time():
 ])
 def test_a_count_factor_or_snf_request_builds_no_poly(capsys, monkeypatch,
                                                       argv):
-    # the first run fills the sieve, whose irreducibles are the one Poly a
-    # request may read; a request itself works on coefficient tuples
+    # the first run builds the field and fills the sieve, whose irreducibles
+    # are coefficient tuples too; a request itself works on coefficient tuples
     first = run_cli(capsys, *argv)
     made = []
     init = Poly.__init__

@@ -1,11 +1,13 @@
 import ast
 import hashlib
 import importlib.resources as res
+import inspect
 import itertools
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 
 import pytest
@@ -18,6 +20,7 @@ from pencilcensus.census import (
     pencil_census,
     subspace_census,
 )
+from pencilcensus import census as census_mod
 from pencilcensus import oracle, smith
 from pencilcensus.errors import (
     BadSubspaceError,
@@ -195,14 +198,15 @@ def test_nilext_report_matches_closed_form():
 
 
 # The completion scan tries E = 0 first, each completion once, and stops at
-# the first nilpotent one, so a representative with none tries all
-# q^(n(n-k)).  Pinned per shape: the representatives, the positives, the
-# most tries a positive needs and the tries in all, each try being
-# ``squarings`` products whose first squares the completed matrix.  On these
-# lists every positive is completed by E = 0, its first try.
-@pytest.mark.parametrize("q,n,k,pins", [(2, 4, 2, (10, 5, 1, 1285)),
-                                        (3, 3, 2, (16, 4, 1, 328)),
-                                        (2, 5, 3, (26, 9, 1, 17417))])
+# the first nilpotent one.  It runs only where the negative certificate
+# (A^(dim M) nonzero on M) leaves a completion possible, and there it finds
+# one.  Pinned per shape: the representatives, the ones scanned (all of them
+# positives), the most tries a scan needs and the tries in all, each try
+# being ``squarings`` products whose first squares the completed matrix.  On
+# these lists every positive is completed by E = 0, its first try.
+@pytest.mark.parametrize("q,n,k,pins", [(2, 4, 2, (10, 5, 1, 5)),
+                                        (3, 3, 2, (16, 4, 1, 4)),
+                                        (2, 5, 3, (26, 9, 1, 9))])
 def test_the_completion_scan_tries_the_zero_completion_first(q, n, k, pins,
                                                               monkeypatch):
     exact_scan, exact_mul = oracle._has_nilpotent_completion, oracle.rows_mul
@@ -219,15 +223,46 @@ def test_the_completion_scan_tries_the_zero_completion_first(q, n, k, pins,
     monkeypatch.setattr(oracle, "rows_mul", lambda f, a, b:
                         products.append(a) or exact_mul(f, a, b))
     monkeypatch.setattr(oracle, "_has_nilpotent_completion", scan)
-    run(cfg(q, n, k, mode="nilext"))
+    small = cfg(q, n, k, mode="nilext")
+    run(small)
     for found, tries in scans:
+        assert found
         assert not any(v for row in tries[0] for v in row[k:])
         assert len(set(tries)) == len(tries)
         assert len({tuple(row[:k] for row in m) for m in tries}) == 1
-        assert found or len(tries) == q ** (n * (n - k))
-    positives = [len(tries) for found, tries in scans if found]
-    assert (len(scans), len(positives), max(positives),
+    assert (len(oracle._representatives(small)), len(scans),
+            max(len(tries) for _, tries in scans),
             sum(len(tries) for _, tries in scans)) == pins
+
+
+def scanned_negatives(shapes):
+    """The representatives of the nilext lists at ``shapes`` that no
+    nilpotent matrix completes (by the divisibility criterion of
+    ``_nilext_key``) yet made a ``rows_mul`` call, the scan's product, and
+    how many such negatives there were."""
+    calls, scanned, negatives = [], [], 0
+    exact = oracle.rows_mul
+    oracle.rows_mul = lambda *args: calls.append(1) or exact(*args)
+    try:
+        for q, n, k in shapes:
+            small = cfg(q, n, k, mode="nilext")
+            f = small.field()
+            for b, _ in oracle._representatives(small):
+                calls.clear()
+                if oracle._nilext_key(f, small, b) is None:
+                    negatives += 1
+                    if calls:
+                        scanned.append(b)
+    finally:
+        oracle.rows_mul = exact
+    return scanned, negatives
+
+
+NILEXT_SCAN_SHAPES = [(2, 4, 2), (3, 3, 2), (2, 5, 3), (2, 3, 1)]
+
+
+def test_a_representative_with_a_negative_certificate_makes_no_rows_mul_call():
+    assert scanned_negatives(NILEXT_SCAN_SHAPES) == ([], 35)
 
 
 def test_nilext_budget_counts_completions():
@@ -260,6 +295,27 @@ def test_nilext_orbit_walk_equals_full_enumeration(q, n, k):
     small = cfg(q, n, k, mode="nilext")
     full = _walk(small, oracle._nilext_key)
     assert run(small).entries == full
+
+
+@pytest.mark.parametrize("q,n,k", NILEXT_GRID)
+def test_the_completion_scan_finds_none_wherever_the_certificate_says_none(
+        q, n, k):
+    small = cfg(q, n, k, mode="nilext")
+    f = small.field()
+    negatives = [b for b, _ in oracle._representatives(small)
+                 if oracle._negative_certificate(f, small, b)]
+    assert negatives  # the identity block, for one, is not nilpotent on M
+    for b in negatives:
+        assert not oracle._has_nilpotent_completion(
+            f, b, n - k, max(n - 1, 0).bit_length()), b
+
+
+def test_nilext_at_9_3_1_verifies_at_the_default_budget():
+    # charged 9^7 of the default 2^24: each negative is decided by its
+    # certificate, not by a scan of 9^6 completions
+    small = cfg(9, 3, 1, mode="nilext")
+    assert small.budget == oracle.DEFAULT_BUDGET
+    assert verify(closed_form(small), run(small)).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -914,3 +970,54 @@ def test_diff_report_json_shape():
     assert data["schema"] == "diff-report/v1"
     assert data["verdict"] is True
     assert set(data["rows"]) == set(pencil_census(F2, 3, 2).entries)
+
+
+# ---------------------------------------------------------------------------
+# committed mutants: each must fail a check on its smallest grid
+# ---------------------------------------------------------------------------
+
+def source_mutant(module, name, old, new):
+    """``module.<name>`` compiled afresh from its source with ``old``, which
+    must occur there once, replaced by ``new``.  It runs in a copy of the
+    module's globals where its own name is the mutant, so a recursive
+    function recurses into the mutant."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def fails_verify(small):
+    try:
+        return not verify(closed_form(small), run(small)).verdict
+    except ExactnessError:
+        return True
+
+
+# Each mutant of the exact code, with the smallest grid it fails on
+SOURCE_MUTANTS = [
+    # the count cache keyed by d alone: each chain of degree 2 gets the
+    # count of the first
+    (census_mod, "_visit", "key = d, blocks", "key = d", cfg(2, 2, 2)),
+    # the irreducible loop starting one past start: no key holds x
+    (census_mod, "_visit", "range(start, len(degrees))",
+     "range(start + 1, len(degrees))", cfg(2, 1, 1)),
+    # the certificate raising A to dim M - 1: A = 0 on M = F^1 is refused
+    (oracle, "_negative_certificate", "len(basis) + 1", "len(basis)",
+     cfg(2, 1, 1, mode="nilext")),
+]
+
+
+def test_each_committed_mutant_fails(monkeypatch):
+    for module, name, old, new, small in SOURCE_MUTANTS:
+        assert not fails_verify(small)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, source_mutant(module, name, old, new))
+            assert fails_verify(small), (name, new)
+    # a skipped certificate leaves every count right, since the scan then
+    # decides the negatives too, but makes them call rows_mul
+    assert scanned_negatives(NILEXT_SCAN_SHAPES) == ([], 35)
+    monkeypatch.setattr(oracle, "_negative_certificate", lambda *args: False)
+    assert not fails_verify(cfg(2, 4, 2, mode="nilext"))
+    assert scanned_negatives(NILEXT_SCAN_SHAPES)[0]
