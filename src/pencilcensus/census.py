@@ -12,8 +12,9 @@ total degree d and the multiset of pairs (deg g, lambda_g) over the monic
 irreducibles g dividing the tuple, lambda_g being the partition of exponents
 of g in p_k, p_{k-1}, ...  The censuses therefore never factor anything: they
 walk (irreducible, partition) pairs, put each tuple together from the
-irreducible powers, and evaluate each type's count once.  The walk is one
-plain recursive function that writes each key as it visits the chain; it
+irreducible powers, and evaluate each count once per type, its blocks in
+the order they were built.  The walk is one plain recursive function that
+writes each key as it visits the chain; it
 works on coefficient tuples, builds no :class:`Poly`, and multiplies
 nothing: the sieve of :func:`polyring.irreducibles_up_to` keeps a product
 table, by (p, g, e), with the coefficient tuple and key text of each p*g^e,

@@ -165,11 +165,10 @@ def monic_tuples(f, deg):
 
 def factored_on_the_sieve(f, coeffs):
     """factorize(f, coeffs), once each factor is checked to be one of the
-    sieve's coefficient tuples or a cofactor past half the degree."""
+    sieve's coefficient tuples."""
     fact = factorize(f, coeffs)
-    half = irreducibles_up_to(f, (len(coeffs) - 1) // 2)
     for g, _ in fact.factors:
-        assert type(g) is tuple and (g in half or g == fact.factors[-1][0])
+        assert g in irreducibles_up_to(f, len(g) - 1)
     return fact
 
 

@@ -469,3 +469,23 @@ def test_tuple_parse_round_trip():
         ifs = InvariantFactorTuple.parse(text, F2)
         assert str(ifs) == text
         assert InvariantFactorTuple.parse(str(ifs), F2) == ifs
+
+
+def test_only_pencil_keys_store_their_entry_texts():
+    # a pencil key reads its entries' texts from its field's table, which
+    # holds monics of degree <= k; a chain typed in or built from Poly
+    # renders its text and stores nothing
+    f = field_new(5)
+    texts = smith._pencil_entries(f)[2]
+    before = dict(texts)
+    for chain in (InvariantFactorTuple.parse("1|x^2+3|x^5+3*x^3", f),
+                  InvariantFactorTuple([parse_poly("x^4+3", f)])):
+        assert str(chain) == "|".join(coeffs_text(f, c) for c in chain.coeffs)
+    assert texts == before
+    rng = random.Random(5)
+    for _ in range(200):
+        key = pencil_invariant_factors(f, rand_matrix(rng, f, 4, 3))
+        assert str(key) == "|".join(coeffs_text(f, c) for c in key.coeffs)
+        assert all(texts[c] == coeffs_text(f, c) for c in key.coeffs)
+    assert len(texts) > len(before)
+    assert all(c[-1] == 1 and len(c) - 1 <= 3 for c in texts)
