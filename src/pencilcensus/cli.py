@@ -520,8 +520,11 @@ def _selftest_suites(rng: random.Random):
                  (3, 3, 2, "subspace", ((1, 2),)),
                  (2, 4, 3, "subspace", ((1, 0, 1), (0, 1, 1))),
                  (2, 3, 2, "subspace", ((1, 0), (0, 1)))]
-        square = [(q, n, n, mode, None) for q, n in ((2, 3), (4, 2))
-                  for mode in ("pencil", "fiber")]  # GF(4): extension scale move
+        # the scale move over GF(3), GF(4) and GF(9): a prime field and
+        # both kinds of extension
+        square = [(q, n, n, mode, None)
+                  for q, n in ((2, 3), (3, 2), (4, 2), (9, 2))
+                  for mode in ("pencil", "fiber")]
         for q, n, k, mode, basis in tall + square + [
                 (2, 3, 1, "nilext", None), (3, 2, 2, "nilext", None)]:
             p, m = parse_field_order(str(q))

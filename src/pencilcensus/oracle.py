@@ -258,10 +258,15 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
     itemsize-byte fields in the machine's byte order and writes the slice of
     each entry v of the next group as one add of v times the int with a 1 in
     every field; no field carries, as each sum is an index below q^(k^2),
-    which ``_resolve`` keeps within a field.  The search takes as leader the
-    least matrix not yet visited and reads the list of its visits while it
-    grows, appending each unseen image under the moves, written out, so its
-    length is the class size."""
+    which ``_resolve`` keeps within a field.  The transvection's group of
+    rows 0 and 1 has one slice per value j of row 1: the runs of row 0's
+    images over digit 0, translated by j and joined, plus row 1's image in
+    every field.  The search takes as leader the least matrix not yet
+    visited and reads the list of its visits while it grows, appending each
+    unseen image under the moves, written out, so its length is the class
+    size.  The marks are a list of bools, which CPython indexes faster than
+    a bytearray: 8 bytes per searched block, as much as the two move tables;
+    one more slot, never set, ends the scan for the next leader."""
     f = field_new(p, m)
     q = f.q
     values = [_digits_of(v, q, k) for v in range(q ** k)]  # a row's values
@@ -295,15 +300,21 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
     def transvection():  # row 0 += row 1, column 1 -= column 0, then cycle()
         col = [share(lambda v: turn([v[0], plus[neg[v[0]]][v[1]], *v[2:]]),
                      (i + 1) % k) for i in range(k)]
-        # digits 1.. of the index of row 0 + row 1, per value of row 0, for
-        # each value of row 1 whose digit 0 is 0
-        high = [table(*(sums[e][b] for e, b in enumerate(row) if e))
+        # col[0]'s runs over digit 0 as bytes, translated by each digit-0
+        # value b: runs[b][t] holds col[0] at t + (a + b), a = 0..q-1
+        runs = [{t: array("I", [col[0][t + y] for y in low]).tobytes()
+                 for t in range(0, q ** k, q)} for low in sums[0]]
+        # the runs that digits 1.. of row 0 + row 1 pick, per value of row 0,
+        # for each value of row 1 whose digit 0 is 0
+        pick = [operator.itemgetter(*table(*(sums[e][b] for e, b in
+                                             enumerate(row) if e)))
                 for row in values[::q]]
-        pairs = array("I")  # rows 0 and 1, one slice per value j of row 1
-        for j, row in enumerate(values):
-            low, c = sums[0][row[0]], col[1][j]
-            pairs.fromlist([col[0][y + t] + c for t in high[j // q]
-                            for y in low])
+        ones = int.from_bytes(array("I", [1]) * q ** k, order)
+        pairs = array("I")  # rows 0 and 1, one slice per value j of row 1:
+        for j, row in enumerate(values):  # col[0] translated by j, + col[1][j]
+            run = b"".join(pick[j // q](runs[row[0]]))
+            low = int.from_bytes(run, order) + col[1][j] * ones
+            pairs.frombytes(low.to_bytes(len(run), order))
         return table(pairs, *col[2:])
 
     def scale():  # row 0 *= w, column 0 *= w^-1, w a generator
@@ -315,22 +326,23 @@ def _similarity_classes(p: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
 
     if k > 1:
         tv, other = transvection(), scale() if q > 2 else cycle()
-    seen = bytearray(q ** (k * k))
+    blocks = q ** (k * k)
+    seen = [False] * (blocks + 1)  # seen[blocks] stays False: a sentinel
     classes = []
     leader = 0
-    while leader >= 0:
-        seen[leader] = 1
+    while leader < blocks:
+        seen[leader] = True
         visits = [leader]  # grows while it is read: its length is the size
         visit = visits.append
         for x in visits if k > 1 else ():  # at k = 1 there is no move
             if not seen[y := tv[x]]:
-                seen[y] = 1
+                seen[y] = True
                 visit(y)
             if not seen[y := other[x]]:
-                seen[y] = 1
+                seen[y] = True
                 visit(y)
         classes.append((leader, len(visits)))
-        leader = seen.find(0, leader)
+        leader = seen.index(False, leader)
     return tuple(classes)
 
 

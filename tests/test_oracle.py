@@ -634,13 +634,14 @@ def test_the_two_moves_reach_whole_classes(p, m, k):
         len(pencil_census(field_new(p, m), k, k).entries)
 
 
-# The search holds one byte per block it searches and one 4-byte array entry
-# per block and move; while a move table is built, its entries so far are
-# one int and each next slice one bytes object (at k = 2 the transvection's
-# slices are lists, one per value of row 1); whole tables held as Python
-# lists would take about 50 bytes per block.
+# The search holds one 8-byte list slot per block it searches, its visit
+# mark, and one 4-byte array entry per block and move: about 19-20 bytes per
+# block at its peak.  While a move table is built, its entries so far are one
+# int and each next slice one bytes object; whole tables held as Python lists
+# would take about 50 bytes per block.  Prime fields, characteristic 2 and an
+# odd-characteristic extension.
 @pytest.mark.parametrize("p,m,k", [(2, 1, 4), (3, 1, 3), (2, 4, 2),
-                                   (13, 1, 2), (17, 1, 2)])
+                                   (3, 2, 2), (13, 1, 2), (17, 1, 2)])
 def test_the_class_search_holds_at_most_32_bytes_per_block(p, m, k):
     field_new(p, m)  # the field's own tables are not the search's
     tracemalloc.start()
@@ -1006,6 +1007,13 @@ SOURCE_MUTANTS = [
     # the certificate raising A to dim M - 1: A = 0 on M = F^1 is refused
     (oracle, "_negative_certificate", "len(basis) + 1", "len(basis)",
      cfg(2, 1, 1, mode="nilext")),
+    # the leader left unmarked before its visits: each orbit comes back to
+    # it, so each class counts its leader twice, a fixed scalar one at once
+    (oracle, "_similarity_classes", "seen[leader] = True", "pass",
+     cfg(2, 2, 2)),
+    # a k = 2 transvection slice without row 1's own image: the move's
+    # orbits leave the classes
+    (oracle, "_similarity_classes", " + col[1][j] * ones", "", cfg(2, 2, 2)),
 ]
 
 
