@@ -635,7 +635,7 @@ def test_the_two_moves_reach_whole_classes(p, m, k):
 
 
 # The search holds one 8-byte list slot per block it searches, its visit
-# mark, and one 4-byte array entry per block and move: about 19-20 bytes per
+# mark, and one 4-byte array entry per block and move: about 17-20 bytes per
 # block at its peak.  While a move table is built, its entries so far are one
 # int and each next slice one bytes object; whole tables held as Python lists
 # would take about 50 bytes per block.  Prime fields, characteristic 2 and an
