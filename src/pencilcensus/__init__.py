@@ -26,7 +26,7 @@ from .census import (
 )
 from .gf import FieldCtx, field_new, parse_field_spec
 from .oracle import DiffReport, EnumConfig, verify
-from .polyring import Poly, factorize, irreducibles_up_to, parse_poly, poly_gcd
+from .polyring import factorize, irreducibles_up_to, parse_coeffs
 from .smith import (
     InvariantFactorTuple,
     char_poly,

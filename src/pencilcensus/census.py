@@ -14,15 +14,14 @@ of g in p_k, p_{k-1}, ...  The censuses therefore never factor anything: they
 walk (irreducible, partition) pairs, put each tuple together from the
 irreducible powers, and evaluate each count once per type, its blocks in
 the order they were built.  The walk is one plain recursive function that
-writes each key as it visits the chain; it
-works on coefficient tuples, builds no :class:`Poly`, and multiplies
-nothing: the sieve of :func:`polyring.irreducibles_up_to` keeps a product
-table, by (p, g, e), with the coefficient tuple and key text of each p*g^e,
-and every census of the field reads its keys from it, so each polynomial of
-a key is built and rendered once per field.
+writes each key as it visits the chain; it works on coefficient tuples and
+multiplies nothing: the sieve of :func:`polyring.irreducibles_up_to` keeps
+a product table, by (p, g, e), with the coefficient tuple and key text of
+each p*g^e, and every census of the field reads its keys from it, so each
+polynomial of a key is built and rendered once per field.
 Factoring (:func:`exponent_profile`) serves only the single counts that take
-a tuple or polynomial as input; a polynomial f has the type of the one-factor
-tuple (f).
+a tuple or a polynomial's coefficient tuple as input; a polynomial f has the
+type of the one-factor tuple (f).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .errors import (
 )
 from .gf import FieldCtx
 from .polyring import (
-    Poly,
     coeffs_multiplicity,
     coeffs_text,
     factorize,
@@ -127,19 +125,16 @@ def centralizer_factor(parts: tuple[int, ...], d: int, q: int) -> int:
     return out
 
 
-def exponent_profile(ifs: InvariantFactorTuple) -> dict[Poly, tuple[int, ...]]:
+def exponent_profile(ifs: InvariantFactorTuple) -> dict[tuple, tuple]:
     """Partition of prime-power exponents per irreducible divisor.
 
     For each monic irreducible f dividing the last invariant factor p_k,
-    which every other one divides, the value is the weakly decreasing tuple
-    of exponents of f in p_k, p_{k-1}, ..., truncated at the first zero.
+    which every other one divides, keyed by its coefficient tuple, the value
+    is the weakly decreasing tuple of exponents of f in p_k, p_{k-1}, ...,
+    truncated at the first zero.
     """
-    return {Poly(ifs.field, f): parts for f, parts in _profile(ifs)}
-
-
-def _profile(ifs: InvariantFactorTuple) -> Iterator[tuple[tuple, tuple]]:
-    """The items of :func:`exponent_profile`, each f a coefficient tuple."""
     field, chain = ifs.field, ifs.coeffs
+    profile = {}
     for f, e in factorize(field, chain[-1]).factors:
         parts = [e]
         for p in reversed(chain[:-1]):
@@ -147,13 +142,14 @@ def _profile(ifs: InvariantFactorTuple) -> Iterator[tuple[tuple, tuple]]:
             if e == 0:
                 break
             parts.append(e)
-        yield f, tuple(parts)
+        profile[f] = tuple(parts)
+    return profile
 
 
 def _profile_blocks(ifs: InvariantFactorTuple
                     ) -> list[tuple[int, tuple[int, ...]]]:
     """The type of a tuple: (deg g, lambda_g) per irreducible divisor g."""
-    return [(len(g) - 1, parts) for g, parts in _profile(ifs)]
+    return [(len(g) - 1, parts) for g, parts in exponent_profile(ifs).items()]
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -225,28 +221,32 @@ def count_reachability(k: int, n: int, r: int, q: int) -> int:
             * _q_product(n, k - r + 1, k + 1, q))
 
 
-def count_char_poly_square(f: Poly) -> int:
-    """Square matrices with characteristic polynomial f: the fiber count at
-    n = k = deg f, so 1 for f = 1 (the empty matrix)."""
-    d = len(f.coeffs) - 1
-    return _char_poly_count(f, d, d, least_k=0)
+def count_char_poly_square(field: FieldCtx, f: tuple[int, ...]) -> int:
+    """Square matrices with characteristic polynomial f, a coefficient
+    tuple: the fiber count at n = k = deg f, so 1 for f = 1 (the empty
+    matrix)."""
+    d = len(f) - 1
+    return _char_poly_count(field, f, d, d, least_k=0)
 
 
-def count_char_poly_rect(f: Poly, n: int, k: int) -> int:
-    """n x k matrices whose pencil has invariant-factor product f (deg f <= k)."""
-    return _char_poly_count(f, n, k, least_k=1)
+def count_char_poly_rect(field: FieldCtx, f: tuple[int, ...], n: int,
+                         k: int) -> int:
+    """n x k matrices whose pencil has invariant-factor product f, a
+    coefficient tuple (deg f <= k)."""
+    return _char_poly_count(field, f, n, k, least_k=1)
 
 
-def _char_poly_count(f: Poly, n: int, k: int, least_k: int) -> int:
-    if not f.is_monic():
+def _char_poly_count(field: FieldCtx, f: tuple[int, ...], n: int, k: int,
+                     least_k: int) -> int:
+    if not f or f[-1] != 1:
         raise NonMonicError("fiber polynomial must be monic")
     if not least_k <= k <= n:
         raise ShapeError(f"need 1 <= k <= n, got {n},{k}")
-    d = len(f.coeffs) - 1
+    d = len(f) - 1
     if d > k:
         raise DegreeTooLargeError(f"deg f = {d} exceeds k = {k}")
-    blocks = _profile_blocks(InvariantFactorTuple([f]))
-    return _fiber_count(n, k, d, blocks, f.field.q)
+    blocks = _profile_blocks(InvariantFactorTuple(field, [f]))
+    return _fiber_count(n, k, d, blocks, field.q)
 
 
 def _fiber_count(n: int, k: int, d: int, blocks, q: int) -> int:

@@ -20,8 +20,8 @@ from typing import NoReturn
 from . import census, oracle
 from .errors import PencilCensusError
 from .gf import field_new, parse_field_order, parse_field_spec, rank_rows
-from .polyring import (Poly, coeffs_text, factorize, parse_coeffs, parse_poly,
-                       poly_gcd)
+from .polyring import (coeffs_divmod, coeffs_gcd, coeffs_mul, coeffs_text,
+                       factorize, parse_coeffs)
 from .smith import (
     InvariantFactorTuple,
     det_divisor,
@@ -36,18 +36,19 @@ ENV_BUDGET = "PENCILCENSUS_BUDGET"
 COUNT_SCHEMA = "count-result/v1"
 
 # --formula name -> (census function, its arguments in call order).  "q" is
-# the field order, "tuple" and "poly" are parsed from their flags, and every
-# other argument is the integer flag of the same name; any other count flag
-# is refused.  "class" is "snf" at n = k = the tuple's length, so its --n is
-# optional and must match if given.
+# the field order and "field" the field, "tuple" and "poly" (a coefficient
+# tuple) are parsed from their flags, and every other argument is the
+# integer flag of the same name; any other count flag is refused.  "class"
+# is "snf" at n = k = the tuple's length, so its --n is optional and must
+# match if given.
 FORMULAS = {
     "class": ("count_invariant_factors", ("n", "n", "tuple")),
     "snf": ("count_invariant_factors", ("n", "k", "tuple")),
     "subspace": ("count_with_subspace", ("n", "k", "d", "tuple")),
     "givenU": ("count_given_u", ("n", "k", "d", "q")),
     "reach": ("count_reachability", ("k", "n", "r", "q")),
-    "gr": ("count_char_poly_square", ("poly",)),
-    "grext": ("count_char_poly_rect", ("poly", "n", "k")),
+    "gr": ("count_char_poly_square", ("field", "poly")),
+    "grext": ("count_char_poly_rect", ("field", "poly", "n", "k")),
     "nilext": ("count_nilpotent_extendable", ("k", "n", "q")),
 }
 
@@ -205,7 +206,7 @@ def _count_exponent(given: dict) -> int:
     off the tuple's length and the polynomial's degree.  0 for a negative
     dimension, which the formula itself refuses."""
     side = (len(given["tuple"]) if "tuple" in given
-            else len(given["poly"].coeffs) - 1 if "poly" in given else 0)
+            else len(given["poly"]) - 1 if "poly" in given else 0)
     n, k, d = given.get("n", side), given.get("k", side), given.get("d", 0)
     if min(n, k, d) < 0:
         return 0
@@ -233,7 +234,7 @@ def cmd_count(args) -> int:
              if name not in names and getattr(args, name) is not None]
     if stray:
         _error(f"--formula {args.formula} does not take " + ", ".join(stray))
-    flags = [name for name in names if name != "q"
+    flags = [name for name in names if name not in ("q", "field")
              and (args.formula, name) != ("class", "n")]
     _need(args, flags)
     given = {name: getattr(args, name) for name in flags}
@@ -243,18 +244,19 @@ def cmd_count(args) -> int:
         except (ValueError, PencilCensusError) as exc:
             _error(f"bad --tuple: {exc}")
     if "poly" in given:
-        given["poly"] = parse_poly(given["poly"], f)
+        given["poly"] = parse_coeffs(given["poly"], f)
     if args.formula == "class":
         n = len(given["tuple"])
         if args.n is not None and args.n != n:
             _error(f"--n {args.n} does not match a tuple of length {n}")
         given["n"] = n
     _refuse_unprintable(f"--formula {args.formula}", given, f.q)
-    value = getattr(census, function)(
-        *(f.q if name == "q" else given[name] for name in names))
+    value = getattr(census, function)(*(
+        f.q if name == "q" else f if name == "field" else given[name]
+        for name in names))
     params: dict = {"formula": args.formula, "q": f.q}
-    params.update((name, v if isinstance(v, int) else str(v))
-                  for name, v in given.items())
+    params.update((name, v if isinstance(v, int) else coeffs_text(f, v)
+                   if name == "poly" else str(v)) for name, v in given.items())
     if args.format == "json":
         print(census.compact_json({"schema": COUNT_SCHEMA, "parameters": params,
                                    "value": str(value)}))
@@ -462,10 +464,10 @@ def _selftest_suites(rng: random.Random):
     def gcd_properties() -> bool:
         f = field_new(3)
         for _ in range(200):
-            a = Poly(f, [rng.randrange(3) for _ in range(5)] + [1])
-            b = Poly(f, [rng.randrange(3) for _ in range(4)] + [1])
-            g = poly_gcd(a, b)
-            if (a % g).coeffs or (b % g).coeffs:
+            a = tuple(rng.randrange(3) for _ in range(5)) + (1,)
+            b = tuple(rng.randrange(3) for _ in range(4)) + (1,)
+            g = coeffs_gcd(f, a, b)
+            if coeffs_divmod(f, a, g)[1] or coeffs_divmod(f, b, g)[1]:
                 return False
         return True
 
@@ -478,10 +480,10 @@ def _selftest_suites(rng: random.Random):
                 b = [[rng.randrange(q) for _ in range(k)] for _ in range(n)]
                 ifs = pencil_invariant_factors(f, b)
                 pencil = pencil_matrix(f, b)
-                prev = Poly.one(f)
-                for i, p in enumerate(ifs, start=1):
-                    delta = det_divisor(pencil, i)
-                    if (delta % prev).coeffs or delta != prev * p:
+                prev = (1,)
+                for i, p in enumerate(ifs.coeffs, start=1):
+                    delta = det_divisor(f, pencil, i)
+                    if delta != coeffs_mul(f, prev, p):
                         return False
                     prev = delta
         return True

@@ -17,10 +17,6 @@ class DivisionByZeroError(PencilCensusError, ZeroDivisionError):
     """Inversion of zero, or division by the zero polynomial."""
 
 
-class BothZeroError(PencilCensusError, ValueError):
-    """gcd of two zero polynomials is undefined."""
-
-
 class ZeroArgumentError(PencilCensusError, ValueError):
     """An operation required a nonzero polynomial."""
 

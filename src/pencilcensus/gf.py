@@ -17,6 +17,7 @@ detected only by value-range checks.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -53,11 +54,11 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     degree down, and each is tested by :func:`polyring.is_irreducible` over
     the prime field.
     """
-    from .polyring import Poly, is_irreducible
+    from .polyring import is_irreducible
     prime = field_new(p)
     for desc in itertools.product(range(p), repeat=m):
         cand = tuple(reversed(desc)) + (1,)
-        if is_irreducible(Poly(prime, cand)):
+        if is_irreducible(prime, cand):
             return cand
     raise ExactnessError(f"no irreducible of degree {m} over F_{p}")
 
@@ -95,57 +96,58 @@ class FieldCtx:
 
     # -- construction helpers ------------------------------------------------
 
-    def _encode(self, digits: Sequence[int]) -> int:
-        value = 0
-        for d in reversed(digits):
-            value = value * self.p + d
-        return value
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Polynomial-basis product without log tables; used to build them."""
-        p, m = self.p, self.m
-        da, db = _digits_of(a, p, m), _digits_of(b, p, m)
-        prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        mod = self.modulus
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(m):
-                    prod[i - m + j] = (prod[i - m + j] - c * mod[j]) % p
-        return self._encode(prod[: m])
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, a)
-            a, e = self._raw_mul(a, a), e >> 1
-        return out
-
     def _build_log_tables(self) -> None:
         """exp, log, zech[n] = log(1 + g^n) and zech_neg[n] = log(1 - g^n) of
         the least generator g: the least g with g^((q-1)/r) != 1 for every
-        prime r dividing q - 1.  -1 = g^((q-1)/2) in odd characteristic."""
-        q, p = self.q, self.p
+        prime r dividing q - 1.  -1 = g^((q-1)/2) in odd characteristic.
+        Over an extension field the powers are coefficient tuples,
+        multiplied and reduced mod the modulus by :mod:`polyring` over the
+        prime field."""
+        q, p, m = self.q, self.p, self.m
+        if m == 1:
+            one, element, value = 1, int, int  # an element is its residue
+
+            def times(a, b):
+                return a * b % p
+        else:
+            from .polyring import coeffs_divmod, coeffs_mul
+            prime, one, places = field_new(p), (1,), [p ** i for i in range(m)]
+
+            def element(v):  # the coefficient tuple of 0 < v < q
+                digits = _digits_of(v, p, m)
+                while not digits[-1]:
+                    digits.pop()
+                return tuple(digits)
+
+            def value(c):
+                return sum(map(operator.mul, c, places))
+
+            def times(a, b):
+                return coeffs_divmod(prime, coeffs_mul(prime, a, b),
+                                     self.modulus)[1]
+
+        def power(a, e):
+            out = one
+            while e:
+                if e & 1:
+                    out = times(out, a)
+                a, e = times(a, a), e >> 1
+            return out
+
         primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
         for g in range(1, q):
-            if all(self._raw_pow(g, (q - 1) // r) != 1 for r in primes):
+            if all(power(element(g), (q - 1) // r) != one for r in primes):
                 break
         else:  # pragma: no cover - multiplicative group is always cyclic
             raise ExactnessError(f"no generator of GF({q})* found")
         exp = [0] * (2 * (q - 1))
         log = [0] * q
-        acc = 1
+        acc, step = one, element(g)
         for i in range(q - 1):
-            exp[i] = acc
-            exp[i + q - 1] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, g)
+            v = value(acc)
+            exp[i] = exp[i + q - 1] = v
+            log[v] = i
+            acc = times(acc, step)
         self.generator = g
         self._exp = exp
         self._log = log

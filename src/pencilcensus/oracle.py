@@ -65,6 +65,7 @@ from .errors import (
 )
 from .gf import (FieldCtx, _digits_of, check_echelon_basis, echelon_subspaces,
                  field_new, rows_mul)
+from .polyring import coeffs_text
 from .smith import (
     _krylov_rows,
     char_poly,
@@ -157,8 +158,8 @@ def _fiber_key(f: FieldCtx, cfg: EnumConfig, b: tuple) -> str:
     """The product of the invariant factors: the characteristic polynomial,
     computed directly, when the matrix is square."""
     if cfg.n == cfg.k:
-        return str(char_poly(f, b))
-    return str(pencil_invariant_factors(f, b).product())
+        return coeffs_text(f, char_poly(f, b))
+    return coeffs_text(f, pencil_invariant_factors(f, b).product())
 
 
 def _pair_key(f: FieldCtx, cfg: EnumConfig, b: tuple) -> str:
@@ -191,7 +192,7 @@ def _nilext_key(f: FieldCtx, cfg: EnumConfig, b: tuple) -> str | None:
     factor product divides x^n) matrix by matrix; a disagreement raises
     ExactnessError."""
     product = pencil_invariant_factors(f, b).product()
-    wimmer = all(c == 0 for c in product.coeffs[:-1])
+    wimmer = not any(product[:-1])
     found = not _negative_certificate(f, cfg, b) and _has_nilpotent_completion(
         f, b, cfg.n - cfg.k, max(cfg.n - 1, 0).bit_length())
     if found != wimmer:

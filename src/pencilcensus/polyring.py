@@ -1,8 +1,8 @@
-"""Dense univariate polynomials over a finite field.
+"""Dense univariate polynomials over a finite field, as coefficient tuples.
 
-Coefficients are stored in ascending degree order with no trailing zeros, so
-the zero polynomial is the empty tuple and ``degree`` of zero is the
-``NEG_INF`` sentinel.  Factorization is by trial division against a sieve
+A polynomial is the tuple of its coefficients in ascending degree order with
+no trailing zeros, so the zero polynomial is the empty tuple and the degree
+is the length less one.  Factorization is by trial division against a sieve
 of monic irreducibles, grown one degree at a time up to half the degree of
 the cofactor: the cofactor left over is irreducible.  That is exact,
 deterministic and entirely sufficient at the degrees this package ever
@@ -12,12 +12,11 @@ the closed-form censuses read their keys from.
 Canonical order for factor lists and the irreducible sieve: degree ascending,
 then coefficient sequence lexicographic from the constant term up.
 
-The ``coeffs_*`` functions, the sieve, :func:`factorize` and
-``parse_coeffs`` work on bare coefficient tuples, so that callers who need
-only coefficients and key texts build no :class:`Poly`: ``Poly``, the
-sieve, :mod:`smith` and :mod:`census` share the one product, difference,
-division, normalisation, Euclid loop, multiplicity, factorization,
-renderer and parser.
+The ``coeffs_*`` functions are the one product, difference, division,
+normalisation, Euclid loop and multiplicity of the package, and
+:func:`coeffs_text` and :func:`parse_coeffs` its one renderer and parser:
+:mod:`gf`, :mod:`smith`, :mod:`census`, :mod:`oracle` and :mod:`cli` all
+read them.  :class:`Poly` only wraps them for the benchmark.
 """
 
 from __future__ import annotations
@@ -28,15 +27,9 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import (
-    BothZeroError,
-    DegreeTooLargeError,
-    DivisionByZeroError,
-    ZeroArgumentError,
-)
+from .errors import DegreeTooLargeError, DivisionByZeroError, ZeroArgumentError
 from .gf import DEGREE_CAP, FieldCtx
 
-NEG_INF = float("-inf")
 SIEVE_LEVEL_CAP = 1 << 24  # monics in one sieve level: the default budget
 
 
@@ -151,7 +144,12 @@ def coeffs_multiplicity(field: FieldCtx, g: Sequence[int], h: Sequence[int]
 
 
 class Poly:
-    """Immutable polynomial over a fixed field."""
+    """A polynomial over a fixed field as its coefficient tuple, trailing
+    zeros trimmed, with a product and a division with remainder: kept only
+    because the benchmark's micro layer (``perfbench/micro.py``) multiplies
+    and divides them and its tracer (``perfbench/tracer.py``'s
+    ``COUNTERS``) counts ``__init__``, ``__mul__`` and ``__divmod__``.  The
+    package itself works on bare coefficient tuples."""
 
     __slots__ = ("field", "coeffs")
 
@@ -162,67 +160,9 @@ class Poly:
         self.field = field
         self.coeffs = tuple(coeffs[:n])
 
-    @classmethod
-    def zero(cls, field: FieldCtx) -> "Poly":
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: FieldCtx) -> "Poly":
-        return cls(field, (1,))
-
-    @classmethod
-    def x(cls, field: FieldCtx) -> "Poly":
-        return cls(field, (0, 1))
-
-    # -- basic queries --------------------------------------------------------
-
-    @property
-    def degree(self):
-        """Degree as an int; NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.field.add
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Poly(self.field, out)
-
-    def __neg__(self) -> "Poly":
-        neg = self.field.neg
-        return Poly(self.field, [neg(c) for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return Poly(self.field, coeffs_submul(self.field, self.coeffs, (1,),
-                                              other.coeffs))
-
     def __mul__(self, other: "Poly") -> "Poly":
         return Poly(self.field,
                     coeffs_mul(self.field, self.coeffs, other.coeffs))
-
-    def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = None  # 1, never multiplied
-        base = self
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return Poly.one(self.field) if out is None else out
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not other.coeffs:
@@ -230,53 +170,10 @@ class Poly:
         quot, rem = coeffs_divmod(self.field, self.coeffs, other.coeffs)
         return Poly(self.field, quot), Poly(self.field, rem)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "Poly":
-        """Unit-normalized copy (the zero polynomial stays zero)."""
-        if not self.coeffs or self.coeffs[-1] == 1:
-            return self
-        return Poly(self.field, coeffs_monic(self.field, self.coeffs))
-
-    # -- identity -------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Poly)
-                and self.coeffs == other.coeffs
-                and self.field.p == other.field.p
-                and self.field.m == other.field.m)
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.m, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __str__(self) -> str:
-        return poly_text(self)
-
-    def __repr__(self) -> str:
-        return f"Poly({poly_text(self)!r}, GF({self.field.q}))"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    if a.is_zero() and b.is_zero():
-        raise BothZeroError("gcd(0, 0) is undefined")
-    return Poly(a.field, coeffs_gcd(a.field, a.coeffs, b.coeffs))
-
-
-def monic_polys(field: FieldCtx, degree: int) -> Iterator[Poly]:
-    """All monic polynomials of the given degree, in canonical order."""
-    return (Poly(field, c) for c in _monic_tuples(field, degree))
-
-
-def _monic_tuples(field: FieldCtx, degree: int) -> Iterator[tuple[int, ...]]:
-    """The coefficients of :func:`monic_polys`, in the same order."""
+def monic_tuples(field: FieldCtx, degree: int) -> Iterator[tuple[int, ...]]:
+    """The coefficient tuples of all monic polynomials of the given degree,
+    in canonical order."""
     return (tail + (1,) for tail in
             itertools.product(field.elements(), repeat=degree))
 
@@ -306,11 +203,10 @@ def irreducibles_up_to(field: FieldCtx, d: int) -> tuple[tuple[int, ...], ...]:
     once, by one multiply of entries of the product table: as p * g^e, with
     g its largest irreducible factor, e the multiplicity of g and every
     factor of p before g (g^e itself as g^(e-1) * g).  The monics of degree
-    d that this does not reach, taken in :func:`monic_polys` order, are the
-    irreducibles of degree d.  The table holds coefficient tuples and their
-    texts, and nothing is made into a :class:`Poly`.  Cached per (field,
-    bound); the table lives in the cached results, so ``cache_clear`` drops
-    it.
+    d that this does not reach, taken in :func:`monic_tuples` order, are
+    the irreducibles of degree d.  The table holds coefficient tuples and
+    their texts.  Cached per (field, bound); the table lives in the cached
+    results, so ``cache_clear`` drops it.
     """
     if d < 1:
         return _Sieve((), {})
@@ -331,19 +227,19 @@ def irreducibles_up_to(field: FieldCtx, d: int) -> tuple[tuple[int, ...], ...]:
                         else (products[(1,), i, e - 1][0], g))
                 made[p, i, e] = coeffs_mul(field, a, b)
     reached = set(made.values())
-    found = [c for c in _monic_tuples(field, d) if c not in reached]
+    found = [c for c in monic_tuples(field, d) if c not in reached]
     made.update((((1,), i, 1), c) for i, c in enumerate(found, len(lower)))
     for key, c in made.items():
         products[key] = c, coeffs_text(field, c)
     return _Sieve(lower + tuple(found), products)
 
 
-def is_irreducible(f: Poly) -> bool:
-    deg = f.degree
-    if deg is NEG_INF or deg < 1:
+def is_irreducible(field: FieldCtx, coeffs: Sequence[int]) -> bool:
+    """Whether the polynomial has degree >= 1 and no proper factor: read
+    from :func:`factorize`, so it is refused past the same sieve cap."""
+    if len(coeffs) < 2:
         return False
-    return all(coeffs_divmod(f.field, f.coeffs, g)[1]
-               for g in irreducibles_up_to(f.field, deg // 2))
+    return [e for _, e in factorize(field, coeffs).factors] == [1]
 
 
 class Factorization(namedtuple("Factorization", "unit factors")):
@@ -405,19 +301,15 @@ _TERM_RE = re.compile(
     r"(?:\*?(?P<var>x)(?:\^(?P<exp>\d+))?)?$")
 
 
-def poly_text(p: Poly) -> str:
-    """Render in the CLI grammar, e.g. "x^3+2*x+1" or "[3]*x^2+[1]"."""
-    return coeffs_text(p.field, p.coeffs)
-
-
 # field -> {e * q + c: text of the term c*x^e}, filled as each term first
 # appears
 _TERMS: dict[FieldCtx, dict[int, str]] = {}
 
 
 def coeffs_text(field: FieldCtx, coeffs: Sequence[int]) -> str:
-    """The text of :func:`poly_text` for a coefficient sequence without
-    trailing zeros, joined from the field's table of term texts."""
+    """The text of a coefficient sequence without trailing zeros in the CLI
+    grammar, e.g. "x^3+2*x+1" or "[3]*x^2+[1]", joined from the field's
+    table of term texts."""
     if not coeffs:
         return "0"
     terms = _TERMS.get(field)
@@ -452,14 +344,9 @@ def _term_text(bracketed: bool, c: int, e: int) -> str:
     return f"{coef}*{var}" if coef and var else coef or var
 
 
-def parse_poly(text: str, field: FieldCtx) -> Poly:
-    """The :class:`Poly` of :func:`parse_coeffs`."""
-    return Poly(field, parse_coeffs(text, field))
-
-
 def parse_coeffs(text: str, field: FieldCtx) -> tuple[int, ...]:
     """The coefficient tuple of a polynomial in the grammar produced by
-    :func:`poly_text`.
+    :func:`coeffs_text`.
 
     A leading or embedded '-' negates the following term's coefficient in
     the field, so "x^2-1" is accepted over prime fields.  A degree past

@@ -1,10 +1,10 @@
 """Smith normal form and linear pencils.
 
 Matrices are lists of equal-length rows: of coefficient tuples (zero is
-()) for ``snf(field, rows)``, which returns the Smith form's diagonal as a
-tuple of them (rows of ``Poly`` go in as ``snf(f, [[p.coeffs for p in row]
-for row in rows])``), of :class:`Poly` for :func:`det_divisor`, and of
-field elements for scalar ones such as the B of a pencil.  The Smith form
+()) for the polynomial ones that ``snf(field, rows)`` and
+``det_divisor(field, rows, order)`` read, ``snf`` returning the Smith
+form's diagonal as a tuple of them, and of field elements for scalar ones
+such as the B of a pencil.  The Smith form
 is computed by gcd-pivot elimination: bring the nonzero entry of minimal
 degree to the pivot, reduce its row and column by division with remainder,
 and restart the block whenever a remainder of smaller degree appears.  The
@@ -32,9 +32,8 @@ from .gf import (
     rank_rows,
     rows_mul,
 )
-from .polyring import (Poly, coeffs_divmod, coeffs_gcd, coeffs_monic,
-                       coeffs_mul, coeffs_submul, coeffs_text, parse_coeffs,
-                       poly_gcd)
+from .polyring import (coeffs_divmod, coeffs_gcd, coeffs_monic, coeffs_mul,
+                       coeffs_submul, coeffs_text, parse_coeffs)
 
 
 class InvariantFactorTuple:
@@ -44,24 +43,20 @@ class InvariantFactorTuple:
 
     __slots__ = ("field", "coeffs", "_texts")
 
-    def __init__(self, polys: Sequence[Poly]):
-        polys = tuple(polys)
-        if not polys:
-            raise ValueError("need at least one invariant factor")
-        self.field, self.coeffs = polys[0].field, tuple(p.coeffs for p in polys)
+    def __init__(self, field: FieldCtx, coeffs: Sequence[Sequence[int]]):
+        """The chain of the coefficient tuples ``coeffs``, once each is
+        monic and divides the next."""
+        self.field, self.coeffs = field, tuple(map(tuple, coeffs))
         self._texts = None
-        self._check()
-
-    def _check(self) -> "InvariantFactorTuple":
-        """self, once each factor is monic and divides the next."""
-        text = partial(coeffs_text, self.field)
+        if not self.coeffs:
+            raise ValueError("need at least one invariant factor")
+        text = partial(coeffs_text, field)
         for c in self.coeffs:
             if not c or c[-1] != 1:
                 raise ValueError(f"invariant factor {text(c)} is not monic")
         for a, b in zip(self.coeffs, self.coeffs[1:]):
-            if coeffs_divmod(self.field, b, a)[1]:
+            if coeffs_divmod(field, b, a)[1]:
                 raise ValueError(f"{text(a)} does not divide {text(b)}")
-        return self
 
     @classmethod
     def _of_chain(cls, field: FieldCtx, coeffs: tuple,
@@ -72,27 +67,20 @@ class InvariantFactorTuple:
         ifs.field, ifs.coeffs, ifs._texts = field, coeffs, texts
         return ifs
 
-    @property
-    def polys(self) -> tuple[Poly, ...]:
-        """The chain as :class:`Poly` objects, built on each call."""
-        return tuple(Poly(self.field, c) for c in self.coeffs)
-
-    def product(self) -> Poly:
+    def product(self) -> tuple[int, ...]:
+        """The coefficients of p_1 * ... * p_k."""
         out = self.coeffs[0]
         for c in self.coeffs[1:]:
             out = coeffs_mul(self.field, out, c)
-        return Poly(self.field, out)
+        return out
 
     def total_degree(self) -> int:
         return sum(len(c) - 1 for c in self.coeffs)
 
     @classmethod
     def parse(cls, text: str, field: FieldCtx) -> "InvariantFactorTuple":
-        return cls._of_chain(field, tuple(
-            parse_coeffs(part, field) for part in text.split("|")))._check()
-
-    def __iter__(self):
-        return iter(self.polys)
+        return cls(field, [parse_coeffs(part, field)
+                           for part in text.split("|")])
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -213,29 +201,26 @@ def snf(field: FieldCtx, rows: Sequence[Sequence[tuple]], *,
     return tuple(diag)
 
 
-def _det(rows: list[list[Poly]]) -> Poly:
-    n = len(rows)
-    if n == 1:
+def _det(field: FieldCtx, rows: list[list[tuple]]) -> tuple[int, ...]:
+    """The determinant of a square matrix of coefficient tuples, by cofactor
+    expansion along the first row: each entry times its minor's
+    determinant, added at even columns and subtracted at odd ones."""
+    if len(rows) == 1:
         return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
+    signs = (field.neg(1),), (1,)  # acc - sign * term: + at even j
+    acc = ()
     for j, e in enumerate(rows[0]):
-        if not e.coeffs:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = e * _det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return Poly.zero(rows[0][0].field)
+        if e:
+            minor = _det(field, [row[:j] + row[j + 1:] for row in rows[1:]])
+            acc = coeffs_submul(field, acc, signs[j % 2],
+                                coeffs_mul(field, e, minor))
     return acc
 
 
-def det_divisor(rows: Sequence[Sequence[Poly]], order: int) -> Poly:
-    """Monic gcd of all order x order minors of a matrix given as rows; zero
-    if every minor vanishes.
+def det_divisor(field: FieldCtx, rows: Sequence[Sequence[tuple]],
+                order: int) -> tuple[int, ...]:
+    """Monic gcd of all order x order minors of a matrix given as rows of
+    coefficient tuples; () if every minor vanishes.
 
     Cofactor expansion over all row/column subsets: brutally simple, and the
     independent oracle for :func:`snf`.  Only sensible for min(n, k) <= 6.
@@ -244,17 +229,14 @@ def det_divisor(rows: Sequence[Sequence[Poly]], order: int) -> Poly:
     if not 1 <= order <= min(nrows, ncols):
         raise OutOfRangeError(
             f"minor order {order} out of range for {nrows}x{ncols}")
-    g: Poly | None = None
+    g = ()
     for rsel in itertools.combinations(range(nrows), order):
         for csel in itertools.combinations(range(ncols), order):
-            d = _det([[rows[i][j] for j in csel] for i in rsel])
-            if d.coeffs:
-                g = d if g is None else poly_gcd(g, d)
-                if len(g.coeffs) == 1:
-                    return g.monic()
-    if g is None:
-        return Poly.zero(rows[0][0].field)
-    return g.monic()
+            g = coeffs_gcd(field, g, _det(
+                field, [[rows[i][j] for j in csel] for i in rsel]))
+            if g == (1,):
+                return g
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +264,9 @@ def _pencil_rows(field: FieldCtx, b: Sequence[Sequence[int]],
 
 
 def pencil_matrix(field: FieldCtx,
-                  b: Sequence[Sequence[int]]) -> list[list[Poly]]:
-    """Fresh rows of the polynomial matrix x*I_{n,k} - B."""
-    return [[Poly(field, e) for e in row]
-            for row in _pencil_rows(field, b, min(_shape(b)))]
+                  b: Sequence[Sequence[int]]) -> list[list[tuple]]:
+    """Fresh rows of coefficient tuples of the matrix x*I_{n,k} - B."""
+    return _pencil_rows(field, b, min(_shape(b)))
 
 
 def pencil_invariant_factors(field: FieldCtx,
@@ -328,8 +309,10 @@ def pencil_invariant_factors(field: FieldCtx,
                                           _pencil_entries(field)[2])
 
 
-def char_poly(field: FieldCtx, a: Sequence[Sequence[int]]) -> Poly:
-    """Characteristic polynomial det(x*I - A) of a square matrix.
+def char_poly(field: FieldCtx,
+              a: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The coefficients of the characteristic polynomial det(x*I - A) of a
+    square matrix.
 
     Similarity reduction to Hessenberg form followed by the standard
     leading-minor recurrence on coefficient tuples; O(n^3) field operations,
@@ -339,7 +322,7 @@ def char_poly(field: FieldCtx, a: Sequence[Sequence[int]]) -> Poly:
     if n != cols:
         raise ShapeError("characteristic polynomial needs a square matrix")
     if n == 0:
-        return Poly.one(field)
+        return (1,)
     h = [list(row) for row in a]
     mul, add, sub, inv = field.mul, field.add, field.sub, field.inv
     for j in range(n - 2):
@@ -378,7 +361,7 @@ def char_poly(field: FieldCtx, a: Sequence[Sequence[int]]) -> Poly:
             if coef:
                 p = coeffs_submul(field, p, (coef,), charpolys[i])
         charpolys.append(p)
-    return Poly(field, charpolys[n])
+    return charpolys[n]
 
 
 def _krylov_rows(field: FieldCtx, c_rows: Sequence[Sequence[int]],

@@ -9,8 +9,8 @@ from pencilcensus.census import CENSUS_SCHEMA, CensusReport, partitions
 from pencilcensus.errors import ExactnessError, ShapeError
 from pencilcensus.gf import (_digits_of, field_new, kernel_basis_rows,
                              parse_field_spec, rows_mul, rref_rows)
-from pencilcensus.polyring import (Factorization, Poly, irreducibles_up_to,
-                                   monic_polys, poly_gcd)
+from pencilcensus.polyring import (Factorization, coeffs_gcd,
+                                   irreducibles_up_to, monic_tuples)
 from pencilcensus.smith import InvariantFactorTuple
 
 
@@ -56,8 +56,8 @@ def spec_string(field):
     return str(field.p) if field.m == 1 else f"{field.p}^{field.m}"
 
 
-def sort_key(poly):
-    return (len(poly.coeffs), poly.coeffs)
+def sort_key(coeffs):
+    return (len(coeffs), coeffs)
 
 
 def report_from_json(text):
@@ -69,8 +69,9 @@ def report_from_json(text):
                         source=data["source"])
 
 
-def chains_with_product(f, k):
-    """All k-tuples p_1 | p_2 | ... | p_k of monic polynomials with product f.
+def chains_with_product(field, f, k):
+    """All k-tuples p_1 | p_2 | ... | p_k of monic polynomials with product
+    f, a coefficient tuple.
 
     Built from the factorization of f: a chain corresponds to one weakly
     increasing exponent sequence per irreducible divisor, i.e. a partition of
@@ -80,7 +81,7 @@ def chains_with_product(f, k):
     share no product with the census walk they check.
     """
     per_factor = []
-    for g, e in census.factorize(f.field, f.coeffs).factors:
+    for g, e in census.factorize(field, f).factors:
         seqs = [tuple([0] * (k - len(lam)) + sorted(lam))
                 for lam in partitions(e, max_parts=k)]
         per_factor.append((g, seqs))
@@ -90,18 +91,26 @@ def chains_with_product(f, k):
             p = (1,)
             for (g, _), seq in zip(per_factor, combo):
                 if seq[i]:
-                    p = schoolbook_mul(f.field, p,
-                                       schoolbook_pow(f.field, g, seq[i]))
-            polys.append(Poly(f.field, p))
-        yield InvariantFactorTuple(polys)
+                    p = schoolbook_mul(field, p,
+                                       schoolbook_pow(field, g, seq[i]))
+            polys.append(p)
+        yield InvariantFactorTuple(field, polys)
 
 
 def invariant_factor_tuples(field, k):
     """All valid k-tuples of invariant factors with total degree <= k: the
     chains with product f for every monic f of degree <= k."""
     for d in range(k + 1):
-        for f in monic_polys(field, d):
-            yield from chains_with_product(f, k)
+        for f in monic_tuples(field, d):
+            yield from chains_with_product(field, f, k)
+
+
+def trimmed(coeffs):
+    """A coefficient sequence as a tuple without trailing zeros."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def schoolbook_mul(field, a, b):
@@ -216,19 +225,23 @@ def factorize_full_sieve(field, coeffs):
     return Factorization(unit, tuple(factors))
 
 
-def poly_lcm(a, b):
-    if a.is_zero() or b.is_zero():
-        return Poly.zero(a.field)
-    return ((a * b) // poly_gcd(a, b)).monic()
+def poly_lcm(field, a, b):
+    """The monic lcm of two coefficient tuples, () if either is zero."""
+    if not a or not b:
+        return ()
+    quot = schoolbook_divmod(field, schoolbook_mul(field, a, b),
+                             coeffs_gcd(field, a, b))[0]
+    return schoolbook_divmod(field, quot, (quot[-1],))[0]
 
 
-def poly_to_json(p):
-    return {"field": spec_string(p.field), "coeffs": list(p.coeffs)}
+def poly_to_json(field, coeffs):
+    return {"field": spec_string(field), "coeffs": list(coeffs)}
 
 
 def poly_from_json(data):
+    """The (field, coefficient tuple) of :func:`poly_to_json`."""
     field = parse_field_spec(str(data["field"]))
-    return Poly(field, [int(c) for c in data["coeffs"]])
+    return field, tuple(int(c) for c in data["coeffs"])
 
 
 def similarity_classes_by_moves(p, m, k):
@@ -340,16 +353,21 @@ def primitive_element(f):
         itertools.accumulate([a] * (q - 1), f.mul))) == q - 1)
 
 
+def encode(f, digits):
+    """The field element whose base-p digits, least first, are ``digits``."""
+    return sum(d * f.p ** i for i, d in enumerate(digits))
+
+
 def digitwise_add(f, a, b):
     """a + b added coefficient by coefficient mod p in the base-p encoding."""
     p, m = f.p, f.m
-    return f._encode([(x + y) % p for x, y in zip(_digits_of(a, p, m),
+    return encode(f, [(x + y) % p for x, y in zip(_digits_of(a, p, m),
                                                    _digits_of(b, p, m))])
 
 
 def digitwise_neg(f, a):
     """-a negated coefficient by coefficient mod p in the base-p encoding."""
-    return f._encode([(-x) % f.p for x in _digits_of(a, f.p, f.m)])
+    return encode(f, [(-x) % f.p for x in _digits_of(a, f.p, f.m)])
 
 
 def raw_rem(a, b, p):
@@ -388,7 +406,7 @@ def digitwise_mul(f, a, b):
         for j, y in enumerate(_digits_of(b, p, m)):
             prod[i + j] = (prod[i + j] + x * y) % p
     rem = raw_rem(prod, f.modulus, p)
-    return f._encode(list(rem) + [0] * (m - len(rem)))
+    return encode(f, rem)
 
 
 def log_tables_by_order_walk(f):

@@ -2,7 +2,7 @@
 the ``snf`` command give, byte for byte, the outputs pinned here: the
 SHA-256 of every census report's JSON over a grid of fields and shapes, of
 every enumerated report and of every full walk's tally over a smaller grid,
-of ``poly_text`` over seeded polynomials, of ``pencilcensus snf`` over
+of ``coeffs_text`` over seeded polynomials, of ``pencilcensus snf`` over
 seeded matrices, and of ``pencilcensus count`` and ``pencilcensus factor``
 over seeded requests, refusals included."""
 
@@ -19,7 +19,9 @@ from pencilcensus.cli import FORMULAS, main
 from pencilcensus.census import fiber_census, pencil_census, subspace_census
 from pencilcensus.errors import BudgetExceededError
 from pencilcensus.gf import echelon_subspaces, parse_field_spec
-from pencilcensus.polyring import Poly, poly_text
+from pencilcensus.polyring import coeffs_mul, coeffs_text
+
+from reference import trimmed
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
@@ -76,14 +78,12 @@ def census_lines(q):
 
 
 def seeded_polys(q, count=300):
-    """Polynomials of degree -inf to 7 with about a third of their
+    """Coefficient tuples of degree -inf to 7 with about a third of their
     coefficients zero, leading ones included."""
-    f = parse_field_spec(str(q))
     rng = random.Random(f"poly-text-{q}")
     for _ in range(count):
-        coeffs = [0 if rng.random() < 1 / 3 else rng.randrange(q)
-                  for _ in range(rng.randrange(9))]
-        yield Poly(f, coeffs)
+        yield trimmed([0 if rng.random() < 1 / 3 else rng.randrange(q)
+                       for _ in range(rng.randrange(9))])
 
 
 def digest(lines):
@@ -97,7 +97,9 @@ def test_the_closed_form_censuses_match_their_digest(q):
 
 @pytest.mark.parametrize("q", FIELDS)
 def test_poly_text_matches_its_digest(q):
-    assert digest(poly_text(p) for p in seeded_polys(q)) == TEXT_DIGESTS[q]
+    f = parse_field_spec(str(q))
+    assert digest(coeffs_text(f, p) for p in seeded_polys(q)) == \
+        TEXT_DIGESTS[q]
 
 
 # The enumeration over GF(2), GF(3), GF(4) and GF(9) at 1 <= k <= n <= 3:
@@ -279,12 +281,13 @@ def snf_argvs(q, count=170):
             argv = ["--pencil", "--matrix", json.dumps(grid)]
         else:
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-            grid = [[Poly(f, [rng.randrange(q) for _ in range(rng.randrange(4))])
+            grid = [[trimmed([rng.randrange(q)
+                              for _ in range(rng.randrange(4))])
                      for _ in range(cols)] for _ in range(rows)]
             if rows > 1 and rng.random() < 1 / 3:
-                c = Poly(f, (rng.randrange(q),))
-                grid[-1] = [c * e for e in grid[0]]
-            argv = ["--matrix", json.dumps([[poly_text(p) for p in row]
+                c = trimmed((rng.randrange(q),))
+                grid[-1] = [coeffs_mul(f, c, e) for e in grid[0]]
+            argv = ["--matrix", json.dumps([[coeffs_text(f, p) for p in row]
                                             for row in grid])]
         for fmt in ("table", "json"):
             yield ["snf", "--q", str(q), *argv, "--format", fmt]
@@ -322,10 +325,10 @@ COUNT_FACTOR_DIGESTS = {
 
 
 def _monic(f, rng, top):
-    """A monic polynomial of degree 0 to ``top``, a third of its lower
-    coefficients zero."""
-    return Poly(f, [0 if rng.random() < 1 / 3 else rng.randrange(f.q)
-                    for _ in range(rng.randint(0, top))] + [1])
+    """The coefficient tuple of a monic polynomial of degree 0 to ``top``, a
+    third of its lower coefficients zero."""
+    return tuple([0 if rng.random() < 1 / 3 else rng.randrange(f.q)
+                  for _ in range(rng.randint(0, top))] + [1])
 
 
 def _tuple_text(f, rng, k):
@@ -335,19 +338,19 @@ def _tuple_text(f, rng, k):
     one zero or one a bad term; with the chain's total degree."""
     chain = [_monic(f, rng, 1)]
     for _ in range(k - 1):
-        chain.append(chain[-1] * _monic(f, rng, 1))
-    texts = [poly_text(p) for p in chain]
+        chain.append(coeffs_mul(f, chain[-1], _monic(f, rng, 1)))
+    texts = [coeffs_text(f, p) for p in chain]
     fault = rng.randrange(12)
     j = rng.randrange(k)
     if fault == 0 and k > 1:
         texts[j - 1], texts[j] = texts[j], texts[j - 1]
     elif fault == 1 and f.q > 2:
-        texts[j] = poly_text(Poly(f, [f.mul(c, 2) for c in chain[j].coeffs]))
+        texts[j] = coeffs_text(f, [f.mul(c, 2) for c in chain[j]])
     elif fault == 2:
         texts[j] = "0"
     elif fault == 3:
         texts[j] = rng.choice(("x^", "y+1", f"{f.q}*x", "x**2", ""))
-    return "|".join(texts), sum(len(p.coeffs) - 1 for p in chain)
+    return "|".join(texts), sum(len(p) - 1 for p in chain)
 
 
 def _poly_text_of(f, rng, top):
@@ -360,8 +363,8 @@ def _poly_text_of(f, rng, top):
         return f"x^{rng.randint(1, top)}-{rng.randrange(1, f.q)}"
     p = _monic(f, rng, top)
     if roll < 4:
-        p = Poly(f, [f.mul(c, rng.randrange(1, f.q)) for c in p.coeffs])
-    return poly_text(p)
+        p = [f.mul(c, rng.randrange(1, f.q)) for c in p]
+    return coeffs_text(f, p)
 
 
 def count_factor_argvs(q, count=120):
@@ -386,7 +389,7 @@ def count_factor_argvs(q, count=120):
                      "d": degree if rng.random() < 3 / 4
                      else rng.randint(0, k + 1),
                      "tuple": chain, "poly": _poly_text_of(f, rng, k + 1)}
-            flags = [name for name in names if name != "q"]
+            flags = [name for name in names if name not in ("q", "field")]
             if formula == "class" and rng.random() < 1 / 2:
                 flags.append("n")
             roll = rng.randrange(16)

@@ -37,8 +37,9 @@ from pencilcensus.errors import (
     ShapeError,
 )
 from pencilcensus.gf import field_new, parse_field_spec
-from pencilcensus.polyring import (Poly, factorize, irreducibles_up_to,
-                                   monic_polys, parse_poly)
+from pencilcensus.polyring import (Poly, coeffs_text, factorize,
+                                   irreducibles_up_to, monic_tuples,
+                                   parse_coeffs)
 from pencilcensus.smith import InvariantFactorTuple
 
 from reference import (chains_with_product, invariant_factor_tuples,
@@ -131,8 +132,7 @@ def test_q_binomial_symmetry():
 
 
 def test_exponent_profile_examples():
-    x = parse_poly("x", F2)
-    x1 = parse_poly("x+1", F2)
+    x, x1 = (0, 1), (1, 1)
     assert exponent_profile(ifs("x|x")) == {x: (1, 1)}
     assert exponent_profile(ifs("1|x^2")) == {x: (2,)}
     assert exponent_profile(ifs("1|x^2+x")) == {x: (1,), x1: (1,)}
@@ -212,7 +212,7 @@ def test_count_invariant_factors_examples():
 
 
 def test_count_invariant_factors_zero_when_degree_exceeds_k():
-    t = InvariantFactorTuple([parse_poly("x^3", F2), parse_poly("x^3", F2)])
+    t = InvariantFactorTuple(F2, [(0, 0, 0, 1), (0, 0, 0, 1)])
     assert count_invariant_factors(6, 2, t) == 0
 
 
@@ -240,8 +240,8 @@ def test_subspace_counts_sum_to_count_given_u():
     for n, k in ((3, 2), (4, 3)):
         for d in range(k + 1):
             total = 0
-            for f_poly in monic_polys(F2, d):
-                for t in chains_with_product(f_poly, k):
+            for f_poly in monic_tuples(F2, d):
+                for t in chains_with_product(F2, f_poly, k):
                     total += count_with_subspace(n, k, d, t)
             assert total == count_given_u(n, k, d, 2)
 
@@ -273,45 +273,45 @@ def test_square_fibers_match_bare_2x2_enumeration():
             key = charpoly2(a, b, c, d, q)
             tall[key] = tall.get(key, 0) + 1
         for (c1, c0), expected in tall.items():
-            poly = Poly(f, (c0, c1, 1))
-            assert count_char_poly_square(poly) == expected
+            assert count_char_poly_square(f, (c0, c1, 1)) == expected
 
 
 def test_count_char_poly_square_examples():
     for q, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
         f = field_new(q)
-        xn = Poly(f, (0,) * n + (1,))
-        assert count_char_poly_square(xn) == q ** (n * n - n)
+        xn = (0,) * n + (1,)
+        assert count_char_poly_square(f, xn) == q ** (n * n - n)
     with pytest.raises(NonMonicError):
-        count_char_poly_square(parse_poly("2*x", F3))
+        count_char_poly_square(F3, parse_coeffs("2*x", F3))
 
 
 def test_square_fibers_sum_to_whole_space():
     for q, n in ((2, 3), (3, 2)):
         f = field_new(q)
-        assert sum(count_char_poly_square(p)
-                   for p in monic_polys(f, n)) == q ** (n * n)
+        assert sum(count_char_poly_square(f, p)
+                   for p in monic_tuples(f, n)) == q ** (n * n)
 
 
 def test_count_char_poly_rect_examples():
-    one = Poly.one(F2)
-    assert count_char_poly_rect(one, 3, 2) == (8 - 2) * (8 - 4)
-    assert count_char_poly_rect(one, 3, 2) == count_reachability(2, 3, 2, 2)
-    x = parse_poly("x", F2)
-    assert count_char_poly_rect(x, 3, 2) == 12
-    f3poly = parse_poly("x^2+x+1", F2)
-    assert count_char_poly_rect(f3poly, 2, 2) == count_char_poly_square(f3poly)
+    one = (1,)
+    assert count_char_poly_rect(F2, one, 3, 2) == (8 - 2) * (8 - 4)
+    assert count_char_poly_rect(F2, one, 3, 2) == \
+        count_reachability(2, 3, 2, 2)
+    assert count_char_poly_rect(F2, (0, 1), 3, 2) == 12
+    f3poly = parse_coeffs("x^2+x+1", F2)
+    assert count_char_poly_rect(F2, f3poly, 2, 2) == \
+        count_char_poly_square(F2, f3poly)
     with pytest.raises(DegreeTooLargeError):
-        count_char_poly_rect(parse_poly("x^3", F2), 4, 2)
+        count_char_poly_rect(F2, parse_coeffs("x^3", F2), 4, 2)
 
 
 def test_rect_fiber_equals_sum_over_chains():
     for n, k in ((3, 2), (4, 3)):
         for d in range(k + 1):
-            for f_poly in monic_polys(F2, d):
+            for f_poly in monic_tuples(F2, d):
                 total = sum(count_invariant_factors(n, k, t)
-                            for t in chains_with_product(f_poly, k))
-                assert total == count_char_poly_rect(f_poly, n, k)
+                            for t in chains_with_product(F2, f_poly, k))
+                assert total == count_char_poly_rect(F2, f_poly, n, k)
 
 
 def assert_pencil_census_sums(q, n, k):
@@ -324,10 +324,10 @@ def assert_pencil_census_sums(q, n, k):
     fiber, pair, nilext = collections.Counter(), collections.Counter(), 0
     for key, size in pencil_census(f, n, k).entries.items():
         product = InvariantFactorTuple.parse(key, f).product()
-        d = product.degree
-        fiber[str(product)] += size
+        d = len(product) - 1
+        fiber[coeffs_text(f, product)] += size
         pair[str(k - d)] += size
-        if product == Poly(f, (0,) * d + (1,)):
+        if product == (0,) * d + (1,):
             nilext += size
     assert fiber_census(f, n, k).entries == fiber
     if n > k:
@@ -375,7 +375,7 @@ def test_nilpotent_extendable_examples():
 def test_nilpotent_extendable_equals_sum_of_power_fibers():
     for q, n, k in ((2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 4, 3), (3, 3, 2)):
         f = field_new(q)
-        total = sum(count_char_poly_rect(Poly(f, (0,) * l + (1,)), n, k)
+        total = sum(count_char_poly_rect(f, (0,) * l + (1,), n, k)
                     for l in range(k + 1))
         assert total == count_nilpotent_extendable(k, n, q)
 
@@ -442,10 +442,11 @@ def test_type_built_censuses_match_per_tuple_reference(q, k, monkeypatch):
     fiber = {n: {} for n, _ in shapes}
     subspace = {(n, d): {} for n, _ in shapes for d in range(k + 1)}
     for d in range(k + 1):
-        for poly in monic_polys(f, d):
+        for poly in monic_tuples(f, d):
             for n, _ in shapes:
-                fiber[n][str(poly)] = count_char_poly_rect(poly, n, k)
-            for t in chains_with_product(poly, k):
+                fiber[n][coeffs_text(f, poly)] = count_char_poly_rect(
+                    f, poly, n, k)
+            for t in chains_with_product(f, poly, k):
                 for n, _ in shapes:
                     pencil[n][str(t)] = count_invariant_factors(n, k, t)
                     subspace[n, d][str(t)] = count_with_subspace(n, k, d, t)
@@ -479,8 +480,7 @@ def test_the_per_tuple_reference_shares_no_product_with_the_walk(
     def no_product(*args):
         raise AssertionError("the reference called the package's product")
 
-    for owner, name in ((polyring, "coeffs_mul"), (Poly, "__mul__"),
-                        (Poly, "__pow__")):
+    for owner, name in ((polyring, "coeffs_mul"), (Poly, "__mul__")):
         monkeypatch.setattr(owner, name, no_product)
     assert [str(t) for t in invariant_factor_tuples(f, 3)] == chains
 
@@ -506,7 +506,7 @@ def test_the_type_walk_yields_what_remultiplying_yields(q, monkeypatch):
                 list(types_by_remultiplying(f, max_degree, slots)), \
                 (max_degree, slots)
             for _, polys, texts, _ in visits:
-                assert texts == [str(Poly(f, p)) for p in polys]
+                assert texts == [coeffs_text(f, p) for p in polys]
             assert list(entries) == ["|".join(texts)
                                      for _, _, texts, _ in visits]
 

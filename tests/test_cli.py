@@ -13,10 +13,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pencilcensus import census, cli, oracle
+from pencilcensus import census, cli, gf, oracle
 from pencilcensus.cli import FORMULAS, build_parser, main
 from pencilcensus.gf import FieldCtx, parse_field_spec
-from pencilcensus.polyring import Factorization, Poly, monic_polys
+from pencilcensus.polyring import (Factorization, Poly, coeffs_text,
+                                   monic_tuples)
 
 
 def run_cli(capsys, *argv):
@@ -68,7 +69,8 @@ def test_formula_table_matches_the_choices_and_requires_its_flags(capsys):
     for formula, (_, names) in FORMULAS.items():
         # "class" reads n off its tuple: see test_count_class_reads_n_off_the_tuple
         flags = [name for name in names
-                 if name != "q" and (formula, name) != ("class", "n")]
+                 if name not in ("q", "field")
+                 and (formula, name) != ("class", "n")]
         assert set(flags) <= set(FORMULA_FLAGS), formula
         argv = ["count", "--formula", formula, "--q", "2"]
         code, _ = run_cli(capsys, *argv, *(
@@ -85,7 +87,8 @@ def test_formula_table_matches_the_choices_and_requires_its_flags(capsys):
 def test_count_refuses_each_flag_its_formula_does_not_take(capsys):
     for formula, (_, names) in FORMULAS.items():
         flags = [name for name in names
-                 if name != "q" and (formula, name) != ("class", "n")]
+                 if name not in ("q", "field")
+                 and (formula, name) != ("class", "n")]
         argv = ["count", "--formula", formula, "--q", "2", *(
             arg for flag in flags for arg in ("--" + flag, FORMULA_FLAGS[flag]))]
         for stray in set(FORMULA_FLAGS) - set(names):
@@ -158,7 +161,8 @@ def test_every_formula_counts_at_most_q_to_its_digit_limit_exponent(
             partition(q, "class", [
                 {"tuple": key} for key in census.pencil_census(f, n, n).entries])
         for d in (0, 1, 2, 3) if q == 2 else (0, 1, 2):
-            partition(q, "gr", [{"poly": p} for p in monic_polys(f, d)])
+            partition(q, "gr", [{"poly": coeffs_text(f, p)}
+                                for p in monic_tuples(f, d)])
         for n, k in ((3, 2), (2, 2), (4, 1)):
             shape = {"n": n, "k": k}
             partition(q, "snf", [
@@ -323,7 +327,8 @@ def test_snf_of_a_pencil_prints_what_snf_of_its_polynomial_matrix_prints(
     rng = random.Random(f"snf-{q}-{n}-{k}")
     for _ in range(15):
         b = [[rng.randrange(f.q) for _ in range(k)] for _ in range(n)]
-        pencil = [[str(Poly(f, (f.neg(v), 1) if i == j else (f.neg(v),)))
+        pencil = [[coeffs_text(f, (f.neg(v), 1) if i == j
+                               else (f.neg(v),) if v else ())
                    for j, v in enumerate(row)] for i, row in enumerate(b)]
         raw = run_cli(capsys, "snf", "--q", q, "--matrix", json.dumps(pencil))
         assert raw[0] == 0
@@ -791,9 +796,8 @@ SUITE_FAULTS = {
     "factorization-round-trip": (
         cli, "factorize",
         lambda field, coeffs: Factorization(coeffs[-1], ())),
-    "gcd-divides-both": (cli, "poly_gcd", lambda a, b: Poly.x(a.field)),
-    "snf-vs-minor-gcds": (
-        cli, "det_divisor", lambda rows, order: Poly.zero(rows[0][0].field)),
+    "gcd-divides-both": (cli, "coeffs_gcd", lambda field, a, b: (0, 1)),
+    "snf-vs-minor-gcds": (cli, "det_divisor", lambda field, rows, order: ()),
     "rank-transpose": (cli, "rank_rows", lambda field, rows, cols: cols),
     "power-identity": (census, "check_q_identity", lambda d, q, y: False),
     "orbit-reduction-vs-full": (
@@ -921,6 +925,23 @@ def test_no_assert_in_the_package():
     assert found == []
 
 
+def test_no_module_but_polyring_names_poly():
+    # the package's one polynomial type is the coefficient tuple; Poly is
+    # polyring's shim for the benchmark, and no other module may use it
+    package = os.path.join(SRC, "pencilcensus")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "polyring.py":
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if "Poly" in (getattr(node, "id", None),
+                                    getattr(node, "attr", None))
+                      or isinstance(node, ast.alias)
+                      and "Poly" in (node.name, node.asname)]
+    assert found == []
+
+
 def _bounded_cli(argv, memory_mb=256, timeout_s=20):
     """Run one CLI request in a fresh interpreter whose address space is
     capped at ``memory_mb`` with ``resource.setrlimit``, killed after
@@ -1015,15 +1036,27 @@ def test_a_high_degree_factorization_over_a_large_field_ends_in_time():
     ["factor", "--q", "9", "--poly", "[2]*x^3+[5]*x+[1]", "--format", "json"],
     ["snf", "--q", "4", "--pencil", "--matrix", "[[1,2],[3,0],[1,1]]",
      "--format", "json"],
+    ["count", "--formula", "gr", "--q", "3", "--poly", "x^3+2*x+1",
+     "--format", "json"],
+    ["count", "--formula", "grext", "--q", "9", "--n", "3", "--k", "2",
+     "--poly", "x^2+[3]*x+[1]", "--format", "json"],
+    ["snf", "--q", "3", "--matrix", '[["x^2+1", "x"], ["2*x", "x+2"]]'],
+    ["verify", "--q", "3", "--n", "2", "--k", "2", "--mode", "fiber"],
+    ["verify", "--q", "4", "--n", "3", "--k", "2", "--mode", "fiber"],
+    ["verify", "--q", "2", "--n", "3", "--k", "2", "--mode", "nilext"],
+    ["selftest"],
+    ["factor", "--q", "2^7", "--poly", "x^5+[3]*x+[1]"],
 ])
 def test_a_count_factor_or_snf_request_builds_no_poly(capsys, monkeypatch,
                                                       argv):
-    # the first run builds the field and fills the sieve, whose irreducibles
-    # are coefficient tuples too; a request itself works on coefficient tuples
+    # the second run builds its fields afresh, each extension field's
+    # modulus search and log tables included, and fills a fresh sieve: the
+    # irreducibles, the moduli and every request work on coefficient tuples
     first = run_cli(capsys, *argv)
     made = []
     init = Poly.__init__
     monkeypatch.setattr(Poly, "__init__",
                         lambda self, *a: made.append(1) or init(self, *a))
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
     assert run_cli(capsys, *argv) == first
     assert first[0] == 0 and made == []

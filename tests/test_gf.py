@@ -307,6 +307,7 @@ def test_check_echelon_basis_rejects_bad_input():
 def test_missing_irreducible_raises_exactness_error(monkeypatch):
     import pencilcensus.gf as gf
     import pencilcensus.polyring as polyring
-    monkeypatch.setattr(polyring, "is_irreducible", lambda f: False)
+    monkeypatch.setattr(polyring, "is_irreducible",
+                        lambda field, coeffs: False)
     with pytest.raises(ExactnessError):
         gf._smallest_irreducible(2, 3)

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from pencilcensus import smith
 from pencilcensus.errors import ExactnessError, OutOfRangeError, ShapeError
 from pencilcensus.gf import field_new, parse_field_spec, rank_rows
-from pencilcensus.polyring import Poly, coeffs_text, parse_poly
+from pencilcensus.polyring import (coeffs_divmod, coeffs_monic, coeffs_mul,
+                                   coeffs_text, parse_coeffs)
 from pencilcensus.smith import (
     InvariantFactorTuple,
     char_poly,
@@ -19,21 +20,17 @@ from pencilcensus.smith import (
     snf,
 )
 
-from reference import mat_inv, mat_mul
+from reference import mat_inv, mat_mul, trimmed
 
 F2 = field_new(2)
 F3 = field_new(3)
+F4 = field_new(2, 2)
+F5 = field_new(5)
 
 
 def poly_grid(f, grid):
-    return [[parse_poly(str(e), f) for e in row] for row in grid]
-
-
-def snf_of(rows):
-    """:func:`snf` of rows of Poly, its diagonal as Poly."""
-    f = rows[0][0].field
-    return tuple(Poly(f, c)
-                 for c in snf(f, [[p.coeffs for p in row] for row in rows]))
+    """Rows of coefficient tuples parsed from rows of texts."""
+    return [[parse_coeffs(str(e), f) for e in row] for row in grid]
 
 
 def rand_matrix(rng, f, n, k):
@@ -54,52 +51,52 @@ def all_matrices(f, n, k):
 # snf and det_divisor
 # ---------------------------------------------------------------------------
 
+def snf_texts(f, rows):
+    return [coeffs_text(f, c) for c in snf(f, rows)]
+
+
 def test_snf_already_diagonal():
     m = poly_grid(F2, [["x", "0"], ["0", "x^2"]])
-    assert [str(p) for p in snf_of(m)] == ["x", "x^2"]
+    assert snf_texts(F2, m) == ["x", "x^2"]
 
 
 def test_snf_merges_coprime_diagonal():
     m = poly_grid(F2, [["x", "0"], ["0", "x+1"]])
-    assert [str(p) for p in snf_of(m)] == ["1", "x^2+x"]
+    assert snf_texts(F2, m) == ["1", "x^2+x"]
 
 
 def test_snf_zero_matrix():
     m = poly_grid(F2, [["0", "0", "0"], ["0", "0", "0"]])
-    diagonal = snf_of(m)
-    assert len(diagonal) == 2
-    assert all(p.is_zero() for p in diagonal)
+    assert snf(F2, m) == ((), ())
 
 
 def test_snf_rank_deficient_keeps_trailing_zeros():
     m = poly_grid(F2, [["x", "x"], ["x", "x"]])
-    diagonal = snf_of(m)
-    assert str(diagonal[0]) == "x"
-    assert diagonal[1].is_zero()
+    assert snf_texts(F2, m) == ["x", "0"]
 
 
 def test_snf_normalizes_units():
     m = poly_grid(F3, [["2*x+1", "0"], ["0", "2"]])
-    assert all(p.is_monic() for p in snf_of(m))
+    assert all(c[-1] == 1 for c in snf(F3, m))
 
 
 def test_det_divisor_examples():
     m = poly_grid(F2, [["x", "x^2"]])
-    assert str(det_divisor(m, 1)) == "x"
+    assert coeffs_text(F2, det_divisor(F2, m, 1)) == "x"
     m = poly_grid(F2, [["x", "0"], ["0", "x+1"]])
-    assert str(det_divisor(m, 2)) == "x^2+x"
+    assert coeffs_text(F2, det_divisor(F2, m, 2)) == "x^2+x"
+    assert det_divisor(F3, poly_grid(F3, [["x", "2*x"], ["1", "2"]]), 2) == ()
     with pytest.raises(OutOfRangeError):
-        det_divisor(m, 3)
+        det_divisor(F2, m, 3)
     with pytest.raises(OutOfRangeError):
-        det_divisor(m, 0)
+        det_divisor(F2, m, 0)
 
 
 def test_snf_and_det_divisor_take_equal_length_rows():
     with pytest.raises(ShapeError, match="ragged"):
-        snf(F2, [[p.coeffs for p in row]
-                 for row in poly_grid(F2, [["x", "1"], ["x"]])])
+        snf(F2, poly_grid(F2, [["x", "1"], ["x"]]))
     with pytest.raises(ShapeError, match="ragged"):
-        det_divisor(poly_grid(F2, [["x"], ["x", "1"]]), 1)
+        det_divisor(F2, poly_grid(F2, [["x"], ["x", "1"]]), 1)
     assert snf(F2, []) == ()
     assert snf(F2, [[], []]) == ()
 
@@ -108,23 +105,23 @@ def test_snf_and_det_divisor_leave_their_rows_unchanged():
     # the elimination swaps rows and columns to bring the unit at (1, 2) to
     # the pivot, then clears its row and column with nonzero quotients
     rows = poly_grid(F3, [["x^2", "x+1", "x"], ["x", "x^2+2", "2"]])
-    coeffs = [[p.coeffs for p in row] for row in rows]
-    before = [list(row) for row in rows] + [list(row) for row in coeffs]
-    identities = [id(row) for row in rows + coeffs]
-    assert [coeffs_text(F3, c) for c in snf(F3, coeffs)] == ["1", "1"]
+    before = [list(row) for row in rows]
+    identities = [id(row) for row in rows]
+    assert snf_texts(F3, rows) == ["1", "1"]
     for order in (1, 2):
-        det_divisor(rows, order)
-    assert rows + coeffs == before
-    assert [id(row) for row in rows + coeffs] == identities
+        det_divisor(F3, rows, order)
+    assert rows == before
+    assert [id(row) for row in rows] == identities
 
 
-def assert_snf_matches_minor_gcds(a):
+def assert_snf_matches_minor_gcds(f, a):
     """The i-th determinantal divisor is the product of the first i Smith
-    diagonal entries."""
-    prev = Poly.one(a[0][0].field)
-    for i, p in enumerate(snf_of(a), start=1):
-        delta = det_divisor(a, i)
-        assert delta == prev * p, f"delta_{i} mismatch for {a!r}"
+    diagonal entries, each a coefficient tuple without trailing zeros."""
+    prev = (1,)
+    for i, c in enumerate(snf(f, a), start=1):
+        assert type(c) is tuple and (not c or c[-1])
+        delta = det_divisor(f, a, i)
+        assert delta == coeffs_mul(f, prev, c), f"delta_{i} mismatch for {a!r}"
         prev = delta
 
 
@@ -132,7 +129,7 @@ def assert_snf_matches_minor_gcds(a):
 def test_snf_matches_minor_gcds_exhaustive(q, n, k):
     f = field_new(q)
     for b in all_matrices(f, n, k):
-        assert_snf_matches_minor_gcds(pencil_matrix(f, b))
+        assert_snf_matches_minor_gcds(f, pencil_matrix(f, b))
 
 
 def test_snf_matches_minor_gcds_random_larger():
@@ -142,66 +139,60 @@ def test_snf_matches_minor_gcds_random_larger():
         f = parse_field_spec(str(q))
         for _ in range(60):
             assert_snf_matches_minor_gcds(
-                pencil_matrix(f, rand_matrix(rng, f, n, k)))
+                f, pencil_matrix(f, rand_matrix(rng, f, n, k)))
 
 
 @st.composite
 def poly_matrices(draw, fields=(3, 4, 9)):
     """Raw polynomial matrices up to 3 x 3, entries of degree at most 2, over
     one of ``fields``: by default an odd prime field, a characteristic-2
-    extension and an odd extension."""
+    extension and an odd extension.  The field and the rows of coefficient
+    tuples."""
     f = parse_field_spec(str(draw(st.sampled_from(fields))))
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     coeffs = st.lists(st.integers(0, f.q - 1), max_size=3)
     entries = draw(st.lists(coeffs, min_size=rows * cols,
                             max_size=rows * cols))
-    return [[Poly(f, c) for c in entries[i * cols:(i + 1) * cols]]
-            for i in range(rows)]
+    return f, [[trimmed(c) for c in entries[i * cols:(i + 1) * cols]]
+               for i in range(rows)]
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(poly_matrices())
 # rank deficient: rank 1 of 2, and rank 2 of 3 with a zero row and column
-@example(poly_grid(F3, [["x", "x+1"], ["2*x", "2*x+2"]]))
-@example(poly_grid(parse_field_spec("4"), [["0", "x", "[2]*x"],
-                                           ["0", "0", "0"],
-                                           ["x^2", "[3]", "x+[1]"]]))
-def test_snf_matches_minor_gcds_on_raw_matrices(a):
-    assert_snf_matches_minor_gcds(a)
+@example((F3, poly_grid(F3, [["x", "x+1"], ["2*x", "2*x+2"]])))
+@example((F4, poly_grid(F4, [["0", "x", "[2]*x"],
+                             ["0", "0", "0"],
+                             ["x^2", "[3]", "x+[1]"]])))
+def test_snf_matches_minor_gcds_on_raw_matrices(case):
+    assert_snf_matches_minor_gcds(*case)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(poly_matrices((2, 5, 8, 25)))
 # unimodular, L*U with L and U unit triangular: every division of the
 # elimination and the sweep is by the unit 1
-@example(poly_grid(F2, [["1", "x", "1"], ["x", "x^2+1", "x^2"],
-                        ["x+1", "x", "x^4+x^3+x"]]))
+@example((F2, poly_grid(F2, [["1", "x", "1"], ["x", "x^2+1", "x^2"],
+                             ["x+1", "x", "x^4+x^3+x"]])))
 # the elimination leaves the diagonal x, x + 2 out of chain order, so the
 # final sweep replaces it by gcd and lcm
-@example(poly_grid(parse_field_spec("5"), [["2*x", "0"], ["0", "3*x+1"]]))
-def test_snf_of_coefficient_rows_matches_minor_gcds_on_more_fields(a):
-    f = a[0][0].field
-    diagonal = snf(f, [[p.coeffs for p in row] for row in a])
-    assert all(type(c) is tuple and (not c or c[-1]) for c in diagonal)
-    prev = Poly.one(f)
-    for i, c in enumerate(diagonal, start=1):
-        delta = det_divisor(a, i)
-        assert delta == prev * Poly(f, c), f"delta_{i} mismatch for {a!r}"
-        prev = delta
+@example((F5, poly_grid(F5, [["2*x", "0"], ["0", "3*x+1"]])))
+def test_snf_of_coefficient_rows_matches_minor_gcds_on_more_fields(case):
+    assert_snf_matches_minor_gcds(*case)
 
 
 def test_divisibility_chain_on_general_matrices():
     rng = random.Random(23)
     for _ in range(60):
-        rows = [[Poly(F2, [rng.randrange(2) for _ in range(3)])
+        rows = [[trimmed(rng.randrange(2) for _ in range(3))
                  for _ in range(3)] for _ in range(2)]
-        diagonal = snf_of(rows)
-        nonzero = [p for p in diagonal if not p.is_zero()]
+        diagonal = snf(F2, rows)
+        nonzero = [c for c in diagonal if c]
         rank = len(nonzero)
-        assert all(p.is_zero() for p in diagonal[rank:])
+        assert all(not c for c in diagonal[rank:])
         assert nonzero == list(diagonal[:rank])
         for a, b in zip(nonzero, nonzero[1:]):
-            assert (b % a).is_zero()
+            assert not coeffs_divmod(F2, b, a)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +237,8 @@ def test_snf_of_the_pencil_rows_is_the_pencil_invariant_factors(q, n, k,
     rng = random.Random(f"{q}-{n}-{k}-{bottom}")
     for _ in range(40):
         b = tall_pencil(rng, f, n, k, bottom)
-        assert snf_of(pencil_matrix(f, b)) == \
-            tuple(pencil_invariant_factors(f, b))
+        assert snf(f, pencil_matrix(f, b)) == \
+            pencil_invariant_factors(f, b).coeffs
 
 
 def record_snf_shapes(monkeypatch):
@@ -318,7 +309,7 @@ def test_pencil_always_has_k_factors_of_bounded_degree():
             assert len(ifs) == k
             assert ifs.total_degree() <= k
             pencil = pencil_matrix(f, b)
-            assert det_divisor(pencil, k).degree <= k
+            assert 1 <= len(det_divisor(f, pencil, k)) <= k + 1
 
 
 def test_square_pencil_product_is_characteristic_polynomial():
@@ -334,8 +325,8 @@ def test_char_poly_matches_cofactor_determinant():
         for _ in range(40):
             b = rand_matrix(rng, f, n, n)
             from pencilcensus.smith import _det
-            direct = _det(pencil_matrix(f, b))
-            assert char_poly(f, b) == direct.monic()
+            direct = _det(f, pencil_matrix(f, b))
+            assert char_poly(f, b) == coeffs_monic(f, direct)
 
 
 def test_invariant_factors_survive_basis_change_fixing_subspace():
@@ -453,15 +444,18 @@ def test_a_scalar_matrix_with_ragged_rows_is_refused(call):
 # ---------------------------------------------------------------------------
 
 def test_tuple_validation():
-    x = parse_poly("x", F2)
-    x2 = parse_poly("x^2", F2)
-    InvariantFactorTuple([x, x2])
+    x, x2 = (0, 1), (0, 0, 1)
+    assert InvariantFactorTuple(F2, [x, x2]).coeffs == (x, x2)
+    with pytest.raises(ValueError, match="does not divide"):
+        InvariantFactorTuple(F2, [x2, x])  # chain violated
+    with pytest.raises(ValueError, match="does not divide"):
+        InvariantFactorTuple(F2, [(1, 1), (1, 1, 1)])
+    with pytest.raises(ValueError, match="not monic"):
+        InvariantFactorTuple(F3, [(1, 2)])
+    with pytest.raises(ValueError, match="not monic"):
+        InvariantFactorTuple(F3, [(), ()])
     with pytest.raises(ValueError):
-        InvariantFactorTuple([x2, x])  # chain violated
-    with pytest.raises(ValueError):
-        InvariantFactorTuple([Poly(F2, (1, 1)), Poly(F3, (1, 1, 1))])
-    with pytest.raises(ValueError):
-        InvariantFactorTuple([])
+        InvariantFactorTuple(F2, [])
 
 
 def test_tuple_parse_round_trip():
@@ -473,13 +467,13 @@ def test_tuple_parse_round_trip():
 
 def test_only_pencil_keys_store_their_entry_texts():
     # a pencil key reads its entries' texts from its field's table, which
-    # holds monics of degree <= k; a chain typed in or built from Poly
-    # renders its text and stores nothing
+    # holds monics of degree <= k; a chain typed in or built from
+    # coefficient tuples renders its text and stores nothing
     f = field_new(5)
     texts = smith._pencil_entries(f)[2]
     before = dict(texts)
     for chain in (InvariantFactorTuple.parse("1|x^2+3|x^5+3*x^3", f),
-                  InvariantFactorTuple([parse_poly("x^4+3", f)])):
+                  InvariantFactorTuple(f, [parse_coeffs("x^4+3", f)])):
         assert str(chain) == "|".join(coeffs_text(f, c) for c in chain.coeffs)
     assert texts == before
     rng = random.Random(5)
